@@ -23,11 +23,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc, kolmogorov
 
 from .fpp import tree_edges
-from .lattice import Dir, Edge, Vertex, head
+from .lattice import Dir, Edge, Vertex, Window, head
 
 ENUMERATION_GUARD = 12
 
@@ -628,7 +627,7 @@ def chi_square_compare(hist_a, hist_b) -> Chi2Result:
     eb = bv.sum() * col / total
     stat = float(np.sum((av - ea) ** 2 / ea) + np.sum((bv - eb) ** 2 / eb))
     dof = len(av) - 1
-    p = float(chi2_dist.sf(stat, dof))
+    p = float(chdtrc(dof, stat))
     return Chi2Result(statistic=stat, p_value=p, dof=dof, n_bins=len(av))
 
 

@@ -14,6 +14,10 @@ SplitMix64-style finalizer chain.  This buys three things at once:
 Scalar helpers operate on Python ints, vector helpers on uint64 ndarrays.
 Both apply the same arithmetic mod 2**64, so they agree bit for bit; the
 test suite checks this directly.
+
+The chain folds in one address part at a time, so a hashed prefix can
+stand in for the seed: ``hash_u64(s, *a, *b) == hash_u64(hash_u64(s, *a), *b)``
+(likewise ``hash_uniform`` for non-empty b); hot loops hash a prefix once.
 """
 
 from __future__ import annotations

@@ -21,12 +21,16 @@ Two drivers produce the same process law:
 
 Both drivers share one state layout, draw from tagged counter-hash streams
 keyed by (seed, counter), and record an event log suitable for CSV export.
+The jumps loop runs on integer state only and hashes its (seed, stream)
+address prefix once per run and each event counter once per event.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -40,7 +44,7 @@ from .hashing import (
     hash_u64,
     hash_uniform,
 )
-from .lattice import Dir, Edge, Vertex, Window, edge_str, head, in_edges
+from .lattice import Dir, Edge, Vertex, Window, edge_str, head
 
 DEFAULT_RING_BUDGET_FACTOR = 10_000
 
@@ -197,84 +201,75 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
     return state
 
 
-def _edge_code(window: Window, e: Edge) -> int:
-    return (e.tail.y * window.period + e.tail.x) * 2 + int(e.dir)
-
-
-def _decode_edge(window: Window, code: int) -> Edge:
-    d = Dir(code & 1)
-    xy = code >> 1
-    return Edge(Vertex(xy % window.period, xy // window.period), d)
-
-
 def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     """Sample extension events directly from the free-edge clocks.
 
-    Keeps free edges grouped by level (all edges at a level share one
-    rate); each event picks a level proportionally to count * rate and
-    then a uniform edge within the level.
+    Free edges are grouped by level (one rate per level) as codes
+    ``(y * 2W + x) * 2 + dir`` of their tails.  Each event bisects the prefix
+    sums of count * rate for a level, then takes a uniform edge within it.
+    Owners, directions and times live in list mirrors of the state arrays.
     """
     win = state.window
-    W, M = win.W, win.M
+    W, M, P = win.W, win.M, win.period
     level_rate = [0.0] + [math.ldexp(1.0, -h) for h in range(1, M + 1)]
     free: list[list[int]] = [[] for _ in range(M + 1)]
-    pos: dict[int, int] = {}
-
-    def add_edge(e: Edge) -> None:
-        code = _edge_code(win, e)
-        lst = free[e.level]
-        pos[code] = len(lst)
-        lst.append(code)
-
-    def remove_edge(code: int, level: int) -> None:
-        i = pos.pop(code)
-        lst = free[level]
-        last = lst.pop()
-        if last != code:
-            lst[i] = last
-            pos[last] = i
-
-    for v in win.boundary():
-        for d in (Dir.LEFT, Dir.RIGHT):
-            add_edge(Edge(v, d))
-
-    total = W * M
-    k = 0
-    while state.n_occupied < total:
-        rate_sum = 0.0
-        for h in range(1, M + 1):
-            rate_sum += len(free[h]) * level_rate[h]
-        state.clock += float(
-            exp_from_uniform(hash_uniform(seed, JUMP_STREAM, k, 0), rate_sum)
-        )
-        r = hash_uniform(seed, JUMP_STREAM, k, 1) * rate_sum
-        chosen = 0
-        acc = 0.0
-        for h in range(1, M + 1):
-            c = len(free[h])
-            if c:
-                chosen = h
-                acc += c * level_rate[h]
-                if r < acc:
-                    break
-        lst = free[chosen]
-        i = min(int(hash_uniform(seed, JUMP_STREAM, k, 2) * len(lst)), len(lst) - 1)
-        e = _decode_edge(win, lst[i])
-        root = state.owner_of(e.tail)
-        a = win.canonicalize(head(e))
-        apply_extension(state, root, e, state.clock)
-        if state.log_events:
-            state.events.append((root, state.clock, "extend", edge_str(e)))
-        for dead in in_edges(a, win):
-            code = _edge_code(win, dead)
-            if code in pos:
-                remove_edge(code, a.y)
-        if a.y < M:
-            for d2 in (Dir.LEFT, Dir.RIGHT):
-                if not state.occupied(head(Edge(a, d2))):
-                    add_edge(Edge(a, d2))
-        k += 1
-    state.n_rings = k
+    free[1] = [4 * j + d for j in range(W) for d in (0, 1)]
+    pos = {code: i for i, code in enumerate(free[1])}
+    # term[h] = len(free[h]) * 2**-h; exact, and summed left to right
+    term = [len(lst) * rate for lst, rate in zip(free, level_rate)]
+    owner, pdir = state.root_x.tolist(), state.parent_dir.tolist()
+    occ = state.occ_time.tolist()
+    censored, events, log = state.censored, state.events, state.log_events
+    clock = state.clock
+    mid = hash_u64(seed, JUMP_STREAM)
+    n_events = W * M - state.n_occupied
+    for k in range(n_events):
+        pref = list(accumulate(term))
+        rate_sum = pref[-1]
+        mk = hash_u64(mid, k)
+        clock += float(exp_from_uniform(hash_uniform(mk, 0), rate_sum))
+        h = bisect_right(pref, hash_uniform(mk, 1) * rate_sum, 1)
+        if h > M:  # r rounded up to a subnormal rate_sum: last non-empty level
+            h = max(i for i in range(1, M + 1) if free[i])
+        lst = free[h]
+        n = len(lst)
+        code = lst[min(int(hash_uniform(mk, 2) * n), n - 1)]
+        d = code & 1
+        base = (h - 1) * P
+        x = (code >> 1) - base
+        root = owner[h - 1][x >> 1]
+        hx = (x + 2 * d - 1) % P
+        j = hx >> 1
+        if owner[h][j] >= 0:
+            raise ValueError(f"vertex {Vertex(hx, h)} already occupied")
+        owner[h][j] = root
+        pdir[h][j] = d
+        occ[h][j] = clock
+        if log:
+            events.append((root, clock, "extend", f"{x},{h - 1},{'LR'[d]}"))
+        # both in-edges of the new vertex die, Right (from hx - 1) before Left
+        # (from hx + 1): the order fixes where swap-with-last moves codes
+        for dead in ((base + (hx - 1) % P) * 2 + 1, (base + (hx + 1) % P) * 2):
+            i = pos.pop(dead, None)
+            if i is not None:
+                last = lst.pop()
+                if last != dead:
+                    lst[i] = last
+                    pos[last] = i
+        term[h] = len(lst) * level_rate[h]
+        if h < M:
+            up = free[h + 1]
+            for d2 in (0, 1):
+                if owner[h + 1][((hx + 2 * d2 - 1) % P) >> 1] < 0:
+                    c2 = ((h * P + hx) << 1) + d2
+                    pos[c2] = len(up)
+                    up.append(c2)
+            term[h + 1] = len(up) * level_rate[h + 1]
+        else:
+            censored.add(root)
+    state.root_x[:], state.parent_dir[:], state.occ_time[:] = owner, pdir, occ
+    state.clock, state.n_rings = clock, n_events
+    state.n_occupied += n_events
     return state
 
 

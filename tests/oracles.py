@@ -3,17 +3,31 @@
 Everything here is deliberately naive: distances come from enumerating
 every monotone path one by one, trees come from filtering edge subsets,
 and shell counts come straight from the definition.  Slow, but honest,
-and sharing no code path with the implementations under test.
+and sharing no code path with the implementations under test, except
+that ``reference_jumps`` claims vertices through ``sidla.apply_extension``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from sidlalab.lattice import Dir, Edge, Vertex, head, in_cone, in_edges, out_edges
+from sidlalab.hashing import JUMP_STREAM, exp_from_uniform, hash_uniform
+from sidlalab.lattice import (
+    Dir,
+    Edge,
+    Vertex,
+    Window,
+    edge_str,
+    head,
+    in_cone,
+    in_edges,
+    out_edges,
+)
+from sidlalab.sidla import SidlaState, apply_extension
 
 
 def _canonical_x(window, level: int, j: int) -> int:
@@ -145,3 +159,86 @@ def shell_weighted_sum(counts: dict[int, int]) -> Fraction:
     return sum(
         (Fraction(c, 2**lvl) for lvl, c in counts.items()), Fraction(0)
     )
+
+
+def _edge_code(window: Window, e: Edge) -> int:
+    return (e.tail.y * window.period + e.tail.x) * 2 + int(e.dir)
+
+
+def _decode_edge(window: Window, code: int) -> Edge:
+    d = Dir(code & 1)
+    xy = code >> 1
+    return Edge(Vertex(xy % window.period, xy // window.period), d)
+
+
+def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
+    """The object-based jumps driver, kept as the bitwise reference for
+    ``sidla._run_jumps``: Edge/Vertex objects, two O(M) level loops and
+    one full hash chain per uniform.
+
+    Keeps free edges grouped by level (all edges at a level share one
+    rate); each event picks a level proportionally to count * rate and
+    then a uniform edge within the level.
+    """
+    win = state.window
+    W, M = win.W, win.M
+    level_rate = [0.0] + [math.ldexp(1.0, -h) for h in range(1, M + 1)]
+    free: list[list[int]] = [[] for _ in range(M + 1)]
+    pos: dict[int, int] = {}
+
+    def add_edge(e: Edge) -> None:
+        code = _edge_code(win, e)
+        lst = free[e.level]
+        pos[code] = len(lst)
+        lst.append(code)
+
+    def remove_edge(code: int, level: int) -> None:
+        i = pos.pop(code)
+        lst = free[level]
+        last = lst.pop()
+        if last != code:
+            lst[i] = last
+            pos[last] = i
+
+    for v in win.boundary():
+        for d in (Dir.LEFT, Dir.RIGHT):
+            add_edge(Edge(v, d))
+
+    total = W * M
+    k = 0
+    while state.n_occupied < total:
+        rate_sum = 0.0
+        for h in range(1, M + 1):
+            rate_sum += len(free[h]) * level_rate[h]
+        state.clock += float(
+            exp_from_uniform(hash_uniform(seed, JUMP_STREAM, k, 0), rate_sum)
+        )
+        r = hash_uniform(seed, JUMP_STREAM, k, 1) * rate_sum
+        chosen = 0
+        acc = 0.0
+        for h in range(1, M + 1):
+            c = len(free[h])
+            if c:
+                chosen = h
+                acc += c * level_rate[h]
+                if r < acc:
+                    break
+        lst = free[chosen]
+        i = min(int(hash_uniform(seed, JUMP_STREAM, k, 2) * len(lst)), len(lst) - 1)
+        e = _decode_edge(win, lst[i])
+        root = state.owner_of(e.tail)
+        a = win.canonicalize(head(e))
+        apply_extension(state, root, e, state.clock)
+        if state.log_events:
+            state.events.append((root, state.clock, "extend", edge_str(e)))
+        for dead in in_edges(a, win):
+            code = _edge_code(win, dead)
+            if code in pos:
+                remove_edge(code, a.y)
+        if a.y < M:
+            for d2 in (Dir.LEFT, Dir.RIGHT):
+                if not state.occupied(head(Edge(a, d2))):
+                    add_edge(Edge(a, d2))
+        k += 1
+    state.n_rings = k
+    return state

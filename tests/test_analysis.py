@@ -387,6 +387,18 @@ def test_chi_square_pools_sparse_bins():
     assert res.p_value > 0.5
 
 
+def test_chdtrc_matches_chi2_sf_bitwise():
+    """chi_square_compare takes its p-value from scipy.special.chdtrc so
+    that scipy.stats stays off the import path; it equals chi2.sf bit for
+    bit on the dof and statistic ranges the CLI produces."""
+    from scipy.special import chdtrc
+    from scipy.stats import chi2
+
+    x = np.concatenate([np.linspace(0.0, 200.0, 5001), np.geomspace(1e-8, 1e3, 200)])
+    for dof in range(1, 40):
+        assert chdtrc(dof, x).tobytes() == chi2.sf(x, dof).tobytes(), dof
+
+
 def test_chi_square_mismatched_sequences():
     with pytest.raises(ValueError):
         chi_square_compare([1, 2, 3], [1, 2])

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import sidlalab
 from sidlalab.cli import main
 from sidlalab.fpp import load_snapshot
 
@@ -185,3 +189,17 @@ def test_jobs_parallel_matches_serial(capsys):
     for s in (11, 12, 13):
         assert (Path(f"par_s{s}.json").read_bytes()
                 == Path(f"ser_s{s}.json").read_bytes())
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats costs most of a cold start; a fresh interpreter that
+    imports the CLI must not load it."""
+    src = str(Path(sidlalab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sidlalab.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -22,6 +22,13 @@ def test_scalar_vector_bit_identity(seed, parts):
     assert int(vec) == scalar
 
 
+@given(u64, st.lists(u64, max_size=3), st.lists(u64, min_size=1, max_size=3))
+def test_hashing_a_prefix_chains(seed, a, b):
+    mid = hash_u64(seed, *a)
+    assert hash_u64(seed, *a, *b) == hash_u64(mid, *b)
+    assert hash_uniform(seed, *a, *b) == hash_uniform(mid, *b)
+
+
 def test_vector_broadcasts_over_arrays():
     seed = 42
     xs = np.arange(16, dtype=np.uint64)

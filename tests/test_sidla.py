@@ -1,8 +1,17 @@
+import hashlib
+import math
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from oracles import reference_jumps
+
 from sidlalab.errors import ConfigError
+from sidlalab.fpp import snapshot_text
 from sidlalab.lattice import Dir, Edge, Vertex, Window
 from sidlalab.sidla import (
     SimulationLimitError,
@@ -196,3 +205,91 @@ def test_runs_are_deterministic():
     assert np.array_equal(a.root_x, b.root_x)
     assert np.array_equal(a.occ_time, b.occ_time)
     assert a.clock == b.clock
+
+
+# Digests of the jumps driver's full output, recorded on the object-based
+# driver (now tests/oracles.reference_jumps): sha256 of snapshot + events
+# CSV, the final clock as float.hex, the censored roots and the event count.
+JUMPS_GOLDEN = [
+    ((64, 32, 1), 'bcdcf631c0a326b58029afe9faf9c4b0d7595a57f8514890a87ddcff68e47574', '0x1.f35b4dc6d1c49p+32', [2, 22, 26, 30, 38, 46, 60, 68, 78, 84, 96, 104, 122], 2048),
+    ((64, 32, 2), 'b1e00ba3a32ac6fcc6d17b1fddf790b5cc94b08bd49515c1e220a861e3a87e46', '0x1.5c267794bcf70p+33', [6, 18, 22, 24, 36, 52, 54, 68, 80, 94, 96, 102, 118, 124], 2048),
+    ((8, 4, 3), '5a6515c76b4daf6a8be03b3910c4cd172df80f1740c431f5817f01525fb250d3', '0x1.3e0e42b3238c6p+5', [4, 8, 12], 32),
+    ((16, 16, 0), '876748962a7e4e8cfc770c337e15b830069a2869367cc51d32f7a1f80333c42f', '0x1.c86903f23a0b6p+17', [0, 8, 20, 22], 256),
+    ((33, 7, 2), '04f354c7f8681322cf42f53a643ab36e72798587893db03bbe0b5c93abad1e23', '0x1.f645342f5f484p+7', [0, 4, 8, 12, 18, 20, 28, 32, 36, 44, 50, 56, 60], 231),
+    ((64, 64, 1), '22c70afccee13b3656a269d98eb024289f566814c23c75d36e5c5e2183f05433', '0x1.85da7e6199cb2p+65', [26, 38, 68, 84, 96, 122], 4096),
+]
+
+
+@pytest.mark.parametrize("case,digest,clock_hex,censored,n_rings", JUMPS_GOLDEN)
+def test_jumps_golden_digests(case, digest, clock_hex, censored, n_rings):
+    W, M, seed = case
+    state = run_until_covered(Window(W, M), seed, method="jumps", log_events=True)
+    text = snapshot_text(state) + events_csv_text(state)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert float.hex(state.clock) == clock_hex
+    assert sorted(state.censored) == censored
+    assert state.n_rings == n_rings
+
+
+@st.composite
+def window_and_seed(draw):
+    W = draw(st.integers(min_value=1, max_value=12))
+    M = draw(st.integers(min_value=1, max_value=W))
+    return W, M, draw(st.integers(min_value=0, max_value=2**64 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_and_seed())
+@example((56, 56, 7))  # M > 53, where the level prefix sums may round
+def test_jumps_match_reference_bitwise(case):
+    W, M, seed = case
+    win = Window(W, M)
+    fast = run_until_covered(win, seed, method="jumps", log_events=True)
+    ref = reference_jumps(new_state(win, seed=seed, log_events=True), seed)
+    assert np.array_equal(fast.root_x, ref.root_x)
+    assert np.array_equal(fast.parent_dir, ref.parent_dir)
+    assert fast.occ_time.tobytes() == ref.occ_time.tobytes()
+    assert fast.events == ref.events
+    assert float.hex(fast.clock) == float.hex(ref.clock)
+    assert fast.censored == ref.censored
+    assert (fast.n_rings, fast.n_occupied) == (ref.n_rings, ref.n_occupied)
+
+
+def loop_level_choice(counts, u):
+    """The object-based driver's two level loops, on level counts 1..M."""
+    rates = [math.ldexp(1.0, -h) for h in range(1, len(counts) + 1)]
+    rate_sum = 0.0
+    for c, rate in zip(counts, rates):
+        rate_sum += c * rate
+    r = u * rate_sum
+    chosen, acc = 0, 0.0
+    for h, (c, rate) in enumerate(zip(counts, rates), start=1):
+        if c:
+            chosen = h
+            acc += c * rate
+            if r < acc:
+                break
+    return rate_sum, chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=128), min_size=1, max_size=90)
+       .filter(any),
+       st.floats(min_value=0.0, max_value=1.0 - 2.0**-53))
+@example([1] + [0] * 52 + [1, 2], 0.75)  # left to right 0.5; exact 0.5 + 2**-53
+@example([0] * 1073 + [1], 0.9)  # subnormal rate_sum: r rounds up to it
+def test_prefix_sum_level_choice_matches_loops(counts, u):
+    """_run_jumps picks the level by bisecting accumulate() prefix sums.
+    Driver runs at M <= 64 never meet an inexact prefix sum (free edges
+    never span 53 levels at once), so the identity with the loops is
+    checked here on arbitrary counts, inexact and subnormal sums included."""
+    M = len(counts)
+    term = [0.0] + [c * math.ldexp(1.0, -h) for h, c in enumerate(counts, start=1)]
+    pref = list(accumulate(term))
+    rate_sum = pref[-1]
+    h = bisect_right(pref, u * rate_sum, 1)
+    if h > M:
+        h = max(i for i in range(1, M + 1) if counts[i - 1])
+    ref_sum, ref_h = loop_level_choice(counts, u)
+    assert float.hex(rate_sum) == float.hex(ref_sum)
+    assert h == ref_h
