@@ -26,14 +26,13 @@ from .fpp import (
     tree_of,
 )
 from .sidla import SidlaState, SimulationLimitError, run_until_covered
-from .coupling import AuxClockField, CoupledRing, RingKind, verify_coupling
+from .coupling import AuxClockField, RingKind, verify_coupling
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuxClockField",
     "ConfigError",
-    "CoupledRing",
     "CouplingFault",
     "Dir",
     "Edge",

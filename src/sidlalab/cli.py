@@ -183,18 +183,8 @@ def cmd_couple(args: argparse.Namespace) -> int:
         print(f"couple seed={r.seed} forest_equal={str(r.forest_equal).lower()} "
               f"rings={r.n_rings} gaps={r.n_gaps} censored={r.censored_count}")
 
-    def num(v: float) -> str:
-        return "null" if np.isnan(v) else format(v, ".17g")
-
-    report_text = (
-        "{"
-        f'"forest_equal": {"true" if all_equal else "false"}, '
-        f'"n_gaps": {int(len(gaps))}, '
-        f'"ks_stat": {num(ks_stat)}, '
-        f'"ks_p": {num(ks_p)}, '
-        f'"censored_count": {censored}'
-        "}\n"
-    )
+    report_text = coupling.report_json_text(
+        all_equal, int(len(gaps)), ks_stat, ks_p, censored)
     stem = f"couple_w{win.W}_m{win.M}"
     report_path = _out_path(args.out, stem, args.seed, ".json", False) \
         if args.out else f"{stem}_s{args.seed}.json"
@@ -203,7 +193,8 @@ def cmd_couple(args: argparse.Namespace) -> int:
     atomic_write_text(gaps_path, coupling.gaps_csv_text(sites, gaps))
     print(f"couple total replicas={args.replicas} "
           f"forest_equal={str(all_equal).lower()} n_gaps={len(gaps)} "
-          f"ks_stat={num(ks_stat)} ks_p={num(ks_p)} censored={censored} "
+          f"ks_stat={coupling.json_number(ks_stat)} "
+          f"ks_p={coupling.json_number(ks_p)} censored={censored} "
           f"wrote={report_path}")
     return EXIT_OK if all_equal else EXIT_VERIFY
 

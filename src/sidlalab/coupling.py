@@ -13,6 +13,11 @@ boundary repeats all vanish.  Passage sums are accumulated parent-first in
 both the forest program and the ring generator, so occupancy times match
 distances bit for bit, not merely to rounding.
 
+Rings are parallel arrays read off the forest's arrays, so memory is
+O(rings) rather than O(total path length), and replay checks each ring
+against the ring that claimed the tail of its last edge instead of
+walking its path again.
+
 The repeat streams are where all the volume is: a free edge at level h
 fires about ``rate * horizon`` times, and with the stretch profile the
 horizon scales like ``2**M``.  Callers that only need the forest identity
@@ -29,16 +34,10 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, CouplingFault
-from .fpp import (
-    GeodesicForest,
-    WeightField,
-    WeightProfile,
-    build_forest,
-    incoming_tail_columns,
-)
+from .fpp import GeodesicForest, WeightField, WeightProfile, build_forest
 from .hashing import AUX_STREAM, exp_from_uniform, hash_uniform
-from .lattice import Dir, Edge, Vertex, Window, edge_str, head
-from .sidla import SidlaState, apply_extension, edge_in_tree, new_state
+from .lattice import Dir, Edge, Vertex, Window
+from .sidla import SidlaState, new_state
 
 REPEAT_MODES = ("full", "base", "none")
 
@@ -84,17 +83,46 @@ class RingKind(IntEnum):
 
 
 @dataclass(frozen=True)
-class CoupledRing:
-    """One clock ring of a boundary site with its assigned particle path."""
+class Rings:
+    """Coupled rings as parallel arrays, one entry per ring.
 
-    site: Vertex
-    time: float
-    path: tuple[Edge, ...]
-    kind: RingKind
+    Ring i fires at ``time[i]`` on the clock of boundary site ``site[i]``
+    (its x).  Its last edge steps in direction ``dir[i]`` into the vertex
+    ``head[i]`` (flat index ``level * W + column``), and its path is the
+    tree path from the site to that edge's tail followed by the edge, so
+    ``depth`` (the head's level) is the path length.  ``kind[i]`` is a
+    RingKind code.
+    """
+
+    window: Window
+    time: np.ndarray
+    site: np.ndarray
+    head: np.ndarray
+    dir: np.ndarray
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time)
 
     @property
-    def target(self) -> Vertex:
-        return head(self.path[-1])
+    def depth(self) -> np.ndarray:
+        return self.head // self.window.W
+
+    @property
+    def tail(self) -> np.ndarray:
+        return _tail_index(self.head, self.dir, self.window.W)
+
+    def take(self, order) -> "Rings":
+        """The rings at the given positions, in that order."""
+        return Rings(self.window, self.time[order], self.site[order],
+                     self.head[order], self.dir[order], self.kind[order])
+
+
+def _tail_index(head: np.ndarray, dir: np.ndarray, W: int) -> np.ndarray:
+    """Flat index of the tail of the edge that enters each head by dir."""
+    level, col = np.divmod(head, W)
+    # incoming_tail_columns, for both parities and directions at once
+    return (level - 1) * W + (col + (level & 1) - dir) % W
 
 
 def auto_repeats_mode(window: Window, horizon: float) -> str:
@@ -108,14 +136,25 @@ def generate_rings(
     aux: AuxClockField,
     horizon: float,
     repeats: str = "full",
-) -> list[CoupledRing]:
+) -> Rings:
     """Assign rings for every site of the window, sorted by time.
 
-    Interior rings (one per tree vertex) are always produced.  Boundary
-    edges of each tree produce their base firing unconditionally and, with
-    repeats="full", the auxiliary arrivals up to the horizon.  Edges whose
-    head lies above the cap have no home in the window and are skipped;
-    their total rate is at most (M + 2) * 2**-(M+1) per site.
+    Every vertex at levels 1..M has one interior ring on its parent edge,
+    at its passage time, and unless repeats="none" one boundary base ring
+    on its losing incoming edge, at the losing candidate sum of the forest
+    program; each rings on the clock of its edge's tail's root.  With
+    repeats="full" each boundary edge whose base ring fires before the
+    horizon adds the auxiliary arrivals up to the horizon.  Edges whose
+    head lies above the cap get no ring; their total rate is at most
+    (M + 2) * 2**-(M+1) per site.
+
+    Rings are sorted by (time, site, depth, kind), then by head vertex.
+    The last key only orders rings that tie on the first four, and no
+    result depends on it: gaps depend only on the multiset of times at
+    each site, and the interior rings of a tie group target distinct
+    vertices at one level, whose parents sort strictly earlier (smaller
+    depth at equal time and site).  Repeats of one edge that tie exactly
+    are identical rings.
     """
     if repeats not in REPEAT_MODES:
         raise ConfigError(f"unknown repeats mode {repeats!r}; use full, base or none")
@@ -127,112 +166,123 @@ def generate_rings(
             f"horizon {horizon} below forest max distance {max_dist}; "
             f"rings after coverage would be censored"
         )
-    weights = [None] + [field.incoming_weights(y) for y in range(1, M + 1)]
-    children: list[list[list[tuple[int, Dir]]]] = [
-        [[] for _ in range(W)] for _ in range(M)
-    ]
-    for y in range(1, M + 1):
-        cols_r, cols_l = incoming_tail_columns(W, y)
-        pd_row = forest.parent_dir[y]
-        for j in range(W):
-            d = Dir(int(pd_row[j]))
-            tail_col = int(cols_l[j]) if d is Dir.LEFT else int(cols_r[j])
-            children[y - 1][tail_col].append((j, d))
-
-    rings: list[CoupledRing] = []
-    for j0 in range(W):
-        site = Vertex(2 * j0, 0)
-        stack: list[tuple[Vertex, int, float, tuple[Edge, ...]]] = [
-            (site, j0, 0.0, ())
-        ]
-        while stack:
-            v, j, lam, path = stack.pop()
-            if path:
-                rings.append(CoupledRing(site, lam, path, RingKind.INTERIOR))
-            if v.y >= M:
-                continue
-            kids = children[v.y][j]
-            for d in (Dir.LEFT, Dir.RIGHT):
-                e = Edge(v, d)
-                a = win.canonicalize(head(e))
-                ja = win.column_of(a)
-                w_r, w_l = weights[a.y]
-                w = float(w_l[ja]) if d is Dir.LEFT else float(w_r[ja])
-                child_col = next((jc for jc, dc in kids if dc is d), None)
-                if child_col is not None:
-                    stack.append((a, child_col, lam + w, path + (e,)))
-                    continue
-                if repeats == "none":
-                    continue
-                t_base = lam + w
-                bpath = path + (e,)
-                rings.append(CoupledRing(site, t_base, bpath, RingKind.BOUNDARY_REPEAT))
-                if repeats == "full" and t_base < horizon:
-                    for off in aux.offsets(e, horizon - t_base):
-                        rings.append(
-                            CoupledRing(site, t_base + off, bpath,
-                                        RingKind.BOUNDARY_REPEAT)
-                        )
-    rings.sort(key=lambda r: (r.time, r.site.x, len(r.path), int(r.kind), r.path))
-    return rings
+    heads = np.arange(W, (M + 1) * W, dtype=np.int64)
+    win_dir = forest.parent_dir[1:].ravel()
+    parts = [(forest.dist[1:].ravel(), forest.root_x[1:].ravel(), heads, win_dir)]
+    if repeats != "none":
+        lose = 1 - win_dir
+        tails = _tail_index(heads, lose, W)
+        w_r, w_l = np.hstack([field.incoming_weights(y) for y in range(1, M + 1)])
+        base = (forest.dist.ravel()[tails] + np.where(lose == Dir.LEFT, w_l, w_r),
+                forest.root_x.ravel()[tails], heads, lose)
+        parts.append(base)
+        if repeats == "full":
+            arrivals: list[float] = []
+            of: list[int] = []
+            for i in np.flatnonzero(base[0] < horizon).tolist():
+                y, j = divmod(int(tails[i]), W)
+                e = Edge(Vertex((y & 1) + 2 * j, y), Dir(int(lose[i])))
+                t = float(base[0][i])
+                offs = aux.offsets(e, horizon - t)
+                arrivals += [t + off for off in offs]
+                of += [i] * len(offs)
+            parts.append((np.array(arrivals, dtype=np.float64),
+                          *(a[of] for a in base[1:])))
+    columns = [np.concatenate(c) for c in zip(*parts)]
+    kind = np.full(len(columns[0]), RingKind.BOUNDARY_REPEAT, dtype=np.int8)
+    kind[:W * M] = RingKind.INTERIOR
+    rings = Rings(win, *columns, kind)
+    order = np.lexsort((rings.head, rings.kind, rings.depth, rings.site, rings.time))
+    return rings.take(order)
 
 
-def replay(rings: list[CoupledRing], window: Window) -> SidlaState:
+def replay(rings: Rings, window: Window) -> SidlaState:
     """Run the assigned rings through the particle rules, in order.
 
-    Interior rings whose final edge's head is free extend the tree; every
-    other ring vanishes.  An interior ring whose path prefix is not in the
-    current tree contradicts the construction and raises CouplingFault.
+    A ring's particle walks its path inside its site's tree exactly when
+    the ring that claimed the tail of its last edge came earlier and
+    belongs to the same site; that ring's own path was checked the same
+    way, so by induction one comparison per ring stands for the walk over
+    every prefix.  Then an interior ring claims its head, which must still
+    be free, and a boundary ring vanishes on its head, which must already
+    be claimed (a free head would be claimed instead).  Any other outcome
+    contradicts the construction and raises CouplingFault, naming the
+    first ring at which the replay departs from it.
     """
-    state = new_state(window, log_events=True)
-    for ring in rings:
-        state.n_rings += 1
-        state.clock = ring.time
-        outcome = "vanish"
-        claimed = ""
-        if ring.kind is RingKind.INTERIOR:
-            root_val = ring.site.x
-            for e in ring.path[:-1]:
-                if not edge_in_tree(state, root_val, e):
-                    raise CouplingFault(
-                        f"ring at t={ring.time} site={ring.site.x}: path edge "
-                        f"{edge_str(e)} not in the current tree"
-                    )
-            last = ring.path[-1]
-            a = window.canonicalize(head(last))
-            if not state.occupied(a):
-                apply_extension(state, root_val, last, ring.time)
-                outcome = "extend"
-                claimed = edge_str(last)
-        if state.log_events:
-            state.events.append((ring.site.x, ring.time, outcome, claimed))
+    W, M = window.W, window.M
+    n = len(rings)
+    pos = np.arange(n, dtype=np.int64)
+    interior = rings.kind == RingKind.INTERIOR
+    # claim[v]: position of the first interior ring targeting v; boundary
+    # vertices count as claimed before any ring, unclaimed ones after all
+    claim = np.full((M + 1) * W, n, dtype=np.int64)
+    claim[:W] = -1
+    np.minimum.at(claim, rings.head[interior], pos[interior])
+    claimed = np.flatnonzero(claim[W:] < n) + W
+    by = claim[claimed]
+    owner = np.full((M + 1) * W, -1, dtype=np.int64)
+    owner[:W] = 2 * np.arange(W, dtype=np.int64)
+    owner[claimed] = rings.site[by]
+
+    tails = rings.tail
+    off_tree = (claim[tails] > pos) | (owner[tails] != rings.site)
+    head_claim = claim[rings.head]
+    faults = (
+        (off_tree, "its path leaves the tree before its last edge"),
+        (interior & (head_claim != pos), "its interior target is already claimed"),
+        (~interior & (head_claim > pos), "it reaches its boundary target before the claim"),
+    )
+    first = [(int(np.argmax(bad)), why) for bad, why in faults if bad.any()]
+    if first:
+        i, why = min(first)
+        raise CouplingFault(
+            f"ring {i} at t={float(rings.time[i])!r} site={int(rings.site[i])} "
+            f"head={divmod(int(rings.head[i]), W)}: {why}"
+        )
+
+    state = new_state(window)
+    state.root_x.flat[claimed] = owner[claimed]
+    state.parent_dir.flat[claimed] = rings.dir[by]
+    state.occ_time.flat[claimed] = rings.time[by]
+    state.n_occupied = len(claimed)
+    state.censored = set(owner[claimed[claimed >= M * W]].tolist())
+    state.n_rings = n
+    state.clock = float(rings.time[-1]) if n else 0.0
     return state
 
 
-def interring_gaps(rings, site, horizon: float | None = None) -> np.ndarray:
-    """Successive ring-time differences at one boundary site."""
-    site_x = site.x if isinstance(site, Vertex) else int(site)
-    times = [r.time for r in rings if r.site.x == site_x
-             and (horizon is None or r.time <= horizon)]
-    if len(times) < 2:
-        raise ValueError(f"need >= 2 rings at site {site_x}, found {len(times)}")
-    return np.diff(np.asarray(times, dtype=np.float64))
+def pooled_gaps(rings: Rings, window: Window, horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps at every site pooled in site order; returns (site_x, gap) arrays.
+
+    The rings are in time order, so a stable sort by site leaves each
+    site's times ascending; gaps are differences of neighbours that share
+    a site.
+    """
+    keep = slice(None) if horizon is None else rings.time <= horizon
+    site, time = rings.site[keep], rings.time[keep]
+    order = np.argsort(site, kind="stable")
+    site, time = site[order], time[order]
+    same = site[1:] == site[:-1]
+    return site[1:][same], (time[1:] - time[:-1])[same]
 
 
-def pooled_gaps(rings, window: Window, horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps at every site pooled in site order; returns (site_x, gap) arrays."""
-    times: dict[int, list[float]] = {2 * j: [] for j in range(window.W)}
-    for r in rings:
-        if horizon is None or r.time <= horizon:
-            times[r.site.x].append(r.time)
-    sites: list[int] = []
-    gaps: list[float] = []
-    for x in sorted(times):
-        ts = times[x]
-        for i in range(1, len(ts)):
-            sites.append(x)
-            gaps.append(ts[i] - ts[i - 1])
-    return np.asarray(sites, dtype=np.int64), np.asarray(gaps, dtype=np.float64)
+def json_number(v: float) -> str:
+    """A float as JSON text: 17 significant digits, NaN as null."""
+    return "null" if np.isnan(v) else format(v, ".17g")
+
+
+def report_json_text(forest_equal: bool, n_gaps: int, ks_stat: float,
+                     ks_p: float, censored_count: int) -> str:
+    """The couple report: one JSON object on one line."""
+    return (
+        "{"
+        f'"forest_equal": {"true" if forest_equal else "false"}, '
+        f'"n_gaps": {n_gaps}, '
+        f'"ks_stat": {json_number(ks_stat)}, '
+        f'"ks_p": {json_number(ks_p)}, '
+        f'"censored_count": {censored_count}'
+        "}\n"
+    )
 
 
 @dataclass
@@ -252,18 +302,8 @@ class CouplingReport:
     gap_sample: np.ndarray
 
     def json_text(self) -> str:
-        def num(v: float) -> str:
-            return "null" if np.isnan(v) else format(v, ".17g")
-
-        return (
-            "{"
-            f'"forest_equal": {"true" if self.forest_equal else "false"}, '
-            f'"n_gaps": {self.n_gaps}, '
-            f'"ks_stat": {num(self.ks_stat)}, '
-            f'"ks_p": {num(self.ks_p)}, '
-            f'"censored_count": {self.censored_count}'
-            "}\n"
-        )
+        return report_json_text(self.forest_equal, self.n_gaps, self.ks_stat,
+                                self.ks_p, self.censored_count)
 
 
 def forests_match(forest: GeodesicForest, state: SidlaState) -> bool:
@@ -304,7 +344,7 @@ def verify_coupling(
         ks_stat, ks_p = ks.statistic, ks.p_value
     else:
         ks_stat, ks_p = float("nan"), float("nan")
-    censored = int(len(set(int(x) for x in forest.root_x[window.M])))
+    censored = len(np.unique(forest.root_x[window.M]))
     return CouplingReport(
         seed=seed,
         window=window,
@@ -321,7 +361,8 @@ def verify_coupling(
 
 
 def gaps_csv_text(sites: np.ndarray, gaps: np.ndarray) -> str:
-    lines = ["site_x,gap"]
-    for x, g in zip(sites, gaps):
-        lines.append(f"{int(x)},{format(float(g), '.17g')}")
-    return "\n".join(lines) + "\n"
+    """A ``site_x,gap`` header and one row per gap, formatted in one pass."""
+    cells: list = [None] * (2 * len(gaps))
+    cells[0::2] = np.asarray(sites, dtype=np.int64).tolist()
+    cells[1::2] = np.asarray(gaps, dtype=np.float64).tolist()
+    return "site_x,gap\n" + ("%d,%.17g\n" * len(gaps)) % tuple(cells)

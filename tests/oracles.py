@@ -4,17 +4,32 @@ Everything here is deliberately naive: distances come from enumerating
 every monotone path one by one, trees come from filtering edge subsets,
 and shell counts come straight from the definition.  Slow, but honest,
 and sharing no code path with the implementations under test, except
-that ``reference_jumps`` claims vertices through ``sidla.apply_extension``.
+that ``reference_jumps`` and ``reference_replay`` claim vertices through
+``sidla.apply_extension`` and ``reference_generate_rings`` draws repeat
+arrivals from ``coupling.AuxClockField.offsets``.
+
+The ``reference_*`` ring functions are the object-based coupling engine
+(one ``CoupledRing`` per ring carrying its whole path, a tuple sort and a
+prefix walk per ring), kept as the bitwise reference for the array engine
+in ``sidlalab.coupling``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
+from sidlalab.errors import ConfigError, CouplingFault
+from sidlalab.fpp import (
+    GeodesicForest,
+    WeightField,
+    incoming_tail_columns,
+)
 from sidlalab.hashing import JUMP_STREAM, exp_from_uniform, hash_uniform
 from sidlalab.lattice import (
     Dir,
@@ -27,7 +42,7 @@ from sidlalab.lattice import (
     in_edges,
     out_edges,
 )
-from sidlalab.sidla import SidlaState, apply_extension
+from sidlalab.sidla import SidlaState, apply_extension, edge_in_tree, new_state
 
 
 def _canonical_x(window, level: int, j: int) -> int:
@@ -242,3 +257,150 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
         k += 1
     state.n_rings = k
     return state
+
+
+@dataclass(frozen=True)
+class CoupledRing:
+    """One clock ring of a boundary site with its assigned particle path."""
+
+    site: Vertex
+    time: float
+    path: tuple[Edge, ...]
+    kind: RingKind
+
+    @property
+    def target(self) -> Vertex:
+        return head(self.path[-1])
+
+
+def reference_generate_rings(
+    forest: GeodesicForest,
+    field: WeightField,
+    aux: AuxClockField,
+    horizon: float,
+    repeats: str = "full",
+) -> list[CoupledRing]:
+    """Assign rings for every site of the window, sorted by time.
+
+    Interior rings (one per tree vertex) are always produced.  Boundary
+    edges of each tree produce their base firing unconditionally and, with
+    repeats="full", the auxiliary arrivals up to the horizon.  Edges whose
+    head lies above the cap have no home in the window and are skipped;
+    their total rate is at most (M + 2) * 2**-(M+1) per site.
+    """
+    if repeats not in REPEAT_MODES:
+        raise ConfigError(f"unknown repeats mode {repeats!r}; use full, base or none")
+    win = forest.window
+    W, M = win.W, win.M
+    max_dist = forest.max_dist
+    if horizon < max_dist:
+        raise ValueError(
+            f"horizon {horizon} below forest max distance {max_dist}; "
+            f"rings after coverage would be censored"
+        )
+    weights = [None] + [field.incoming_weights(y) for y in range(1, M + 1)]
+    children: list[list[list[tuple[int, Dir]]]] = [
+        [[] for _ in range(W)] for _ in range(M)
+    ]
+    for y in range(1, M + 1):
+        cols_r, cols_l = incoming_tail_columns(W, y)
+        pd_row = forest.parent_dir[y]
+        for j in range(W):
+            d = Dir(int(pd_row[j]))
+            tail_col = int(cols_l[j]) if d is Dir.LEFT else int(cols_r[j])
+            children[y - 1][tail_col].append((j, d))
+
+    rings: list[CoupledRing] = []
+    for j0 in range(W):
+        site = Vertex(2 * j0, 0)
+        stack: list[tuple[Vertex, int, float, tuple[Edge, ...]]] = [
+            (site, j0, 0.0, ())
+        ]
+        while stack:
+            v, j, lam, path = stack.pop()
+            if path:
+                rings.append(CoupledRing(site, lam, path, RingKind.INTERIOR))
+            if v.y >= M:
+                continue
+            kids = children[v.y][j]
+            for d in (Dir.LEFT, Dir.RIGHT):
+                e = Edge(v, d)
+                a = win.canonicalize(head(e))
+                ja = win.column_of(a)
+                w_r, w_l = weights[a.y]
+                w = float(w_l[ja]) if d is Dir.LEFT else float(w_r[ja])
+                child_col = next((jc for jc, dc in kids if dc is d), None)
+                if child_col is not None:
+                    stack.append((a, child_col, lam + w, path + (e,)))
+                    continue
+                if repeats == "none":
+                    continue
+                t_base = lam + w
+                bpath = path + (e,)
+                rings.append(CoupledRing(site, t_base, bpath, RingKind.BOUNDARY_REPEAT))
+                if repeats == "full" and t_base < horizon:
+                    for off in aux.offsets(e, horizon - t_base):
+                        rings.append(
+                            CoupledRing(site, t_base + off, bpath,
+                                        RingKind.BOUNDARY_REPEAT)
+                        )
+    rings.sort(key=lambda r: (r.time, r.site.x, len(r.path), int(r.kind), r.path))
+    return rings
+
+
+def reference_replay(rings: list[CoupledRing], window: Window) -> SidlaState:
+    """Run the assigned rings through the particle rules, in order.
+
+    Interior rings whose final edge's head is free extend the tree; every
+    other ring vanishes.  An interior ring whose path prefix is not in the
+    current tree contradicts the construction and raises CouplingFault.
+    """
+    state = new_state(window, log_events=True)
+    for ring in rings:
+        state.n_rings += 1
+        state.clock = ring.time
+        outcome = "vanish"
+        claimed = ""
+        if ring.kind is RingKind.INTERIOR:
+            root_val = ring.site.x
+            for e in ring.path[:-1]:
+                if not edge_in_tree(state, root_val, e):
+                    raise CouplingFault(
+                        f"ring at t={ring.time} site={ring.site.x}: path edge "
+                        f"{edge_str(e)} not in the current tree"
+                    )
+            last = ring.path[-1]
+            a = window.canonicalize(head(last))
+            if not state.occupied(a):
+                apply_extension(state, root_val, last, ring.time)
+                outcome = "extend"
+                claimed = edge_str(last)
+        if state.log_events:
+            state.events.append((ring.site.x, ring.time, outcome, claimed))
+    return state
+
+
+def interring_gaps(rings, site, horizon: float | None = None) -> np.ndarray:
+    """Successive ring-time differences at one boundary site."""
+    site_x = site.x if isinstance(site, Vertex) else int(site)
+    times = [r.time for r in rings if r.site.x == site_x
+             and (horizon is None or r.time <= horizon)]
+    if len(times) < 2:
+        raise ValueError(f"need >= 2 rings at site {site_x}, found {len(times)}")
+    return np.diff(np.asarray(times, dtype=np.float64))
+
+
+def reference_pooled_gaps(rings, window: Window, horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps at every site pooled in site order; returns (site_x, gap) arrays."""
+    times: dict[int, list[float]] = {2 * j: [] for j in range(window.W)}
+    for r in rings:
+        if horizon is None or r.time <= horizon:
+            times[r.site.x].append(r.time)
+    sites: list[int] = []
+    gaps: list[float] = []
+    for x in sorted(times):
+        ts = times[x]
+        for i in range(1, len(ts)):
+            sites.append(x)
+            gaps.append(ts[i] - ts[i - 1])
+    return np.asarray(sites, dtype=np.int64), np.asarray(gaps, dtype=np.float64)

@@ -1,17 +1,25 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import (
+    interring_gaps,
+    reference_generate_rings,
+    reference_pooled_gaps,
+    reference_replay,
+)
+
+from sidlalab.cli import main
 from sidlalab.coupling import (
     AuxClockField,
-    CoupledRing,
     RingKind,
     auto_repeats_mode,
     forests_match,
     gaps_csv_text,
     generate_rings,
-    interring_gaps,
     pooled_gaps,
     replay,
     verify_coupling,
@@ -21,48 +29,54 @@ from sidlalab.fpp import WeightField, WeightProfile, build_forest
 from sidlalab.lattice import Vertex, Window
 
 
-def make_rings(seed=1, W=8, M=4, repeats="full", horizon_factor=1.5):
+def make_rings(seed=1, W=8, M=4, repeats="full", horizon_factor=1.5,
+               profile=WeightProfile.STRETCH, engine=generate_rings):
     win = Window(W, M)
-    field = WeightField(seed, WeightProfile.STRETCH, win)
+    field = WeightField(seed, profile, win)
     forest = build_forest(field)
-    aux = AuxClockField(seed, win, WeightProfile.STRETCH)
+    aux = AuxClockField(seed, win, profile)
     horizon = forest.max_dist * horizon_factor
-    rings = generate_rings(forest, field, aux, horizon, repeats=repeats)
+    rings = engine(forest, field, aux, horizon, repeats=repeats)
     return win, forest, rings, horizon
+
+
+def interior(rings):
+    return rings.kind == RingKind.INTERIOR
 
 
 def test_rings_are_time_sorted_with_positive_times():
     _, _, rings, horizon = make_rings()
-    times = [r.time for r in rings]
-    assert times == sorted(times)
-    assert all(t > 0.0 for t in times)
+    assert np.all(np.diff(rings.time) >= 0.0)
+    assert np.all(rings.time > 0.0)
     # interior rings and auxiliary repeats respect the horizon; only the
     # base firing of a boundary edge may land beyond it
-    for r in rings:
-        if r.kind is RingKind.INTERIOR:
-            assert r.time <= horizon
+    assert np.all(rings.time[interior(rings)] <= horizon)
 
 
 def test_interior_rings_cover_every_vertex_once():
     win, forest, rings, _ = make_rings()
-    targets = [win.canonicalize(r.target) for r in rings if r.kind is RingKind.INTERIOR]
-    assert len(targets) == len(set(targets)) == win.W * win.M
+    targets = rings.head[interior(rings)]
+    assert np.array_equal(np.sort(targets), np.arange(win.W, (win.M + 1) * win.W))
 
 
 def test_interior_ring_times_are_forest_distances():
     win, forest, rings, _ = make_rings()
-    for r in rings:
-        if r.kind is RingKind.INTERIOR:
-            v = win.canonicalize(r.target)
-            assert r.time == forest.distance(v)  # bit-exact by construction
+    inner = interior(rings)
+    # bit-exact by construction
+    assert np.array_equal(rings.time[inner], forest.dist.ravel()[rings.head[inner]])
 
 
 def test_paths_start_at_their_site():
-    _, _, rings, _ = make_rings()
-    for r in rings:
-        assert r.path[0].tail == r.site
-        for e, f in zip(r.path, r.path[1:]):
-            assert f.tail.y == e.tail.y + 1
+    """A ring's path is its site's tree path to the tail of its last edge,
+    then that edge: the tail lies one level down in the site's tree, and
+    an interior ring's last edge is its head's parent edge."""
+    _, forest, rings, _ = make_rings()
+    assert np.array_equal(forest.root_x.ravel()[rings.tail], rings.site)
+    assert np.array_equal(rings.tail // rings.window.W, rings.depth - 1)
+    inner = interior(rings)
+    heads = rings.head[inner]
+    assert np.array_equal(forest.parent_dir.ravel()[heads], rings.dir[inner])
+    assert np.array_equal(forest.root_x.ravel()[heads], rings.site[inner])
 
 
 def test_horizon_below_coverage_rejected():
@@ -104,13 +118,33 @@ def test_replay_base_mode_matches_too():
 
 def test_replay_detects_out_of_order_paths():
     win, forest, rings, _ = make_rings(seed=3)
-    interiors = [i for i, r in enumerate(rings) if r.kind is RingKind.INTERIOR
-                 and len(r.path) > 1]
+    interiors = np.flatnonzero(interior(rings) & (rings.depth > 1))
     # move a deep ring before everything else so its path prefix is missing
     i = interiors[-1]
-    broken = [rings[i]] + rings[:i] + rings[i + 1:]
+    broken = rings.take(np.r_[i, 0:i, i + 1:len(rings)])
     with pytest.raises(CouplingFault):
         replay(broken, win)
+
+
+def test_replay_detects_boundary_ring_before_its_head_claim():
+    """A boundary ring whose head is still free would claim it under the
+    particle rules instead of vanishing."""
+    win, forest, rings, _ = make_rings(seed=3)
+    # a level-1 boundary ring starts at its site, so its path is in the tree
+    i = np.flatnonzero(~interior(rings) & (rings.depth == 1))[-1]
+    claim = np.flatnonzero(interior(rings) & (rings.head == rings.head[i]))[0]
+    assert claim < i
+    broken = rings.take(np.r_[0:claim, i, claim:i, i + 1:len(rings)])
+    with pytest.raises(CouplingFault, match=f"ring {claim} .*before the claim"):
+        replay(broken, win)
+
+
+def test_replay_detects_a_second_claim():
+    win, forest, rings, _ = make_rings(seed=3)
+    i = np.flatnonzero(interior(rings))[0]
+    doubled = rings.take(np.r_[0:len(rings), i])
+    with pytest.raises(CouplingFault, match="already claimed"):
+        replay(doubled, win)
 
 
 def test_gap_statistics_exp1():
@@ -126,9 +160,12 @@ def test_gap_statistics_exp1():
 
 def test_single_site_gaps_match_pooled():
     win, forest, rings, horizon = make_rings(seed=11, W=16, M=6)
+    _, _, ref_rings, _ = make_rings(seed=11, W=16, M=6,
+                                    engine=reference_generate_rings)
     sites, gaps = pooled_gaps(rings, win, horizon=horizon)
-    g0 = interring_gaps(rings, Vertex(0, 0), horizon=horizon)
-    assert np.array_equal(gaps[sites == 0], g0)
+    for site in (0, 14, 30):
+        g = interring_gaps(ref_rings, Vertex(site, 0), horizon=horizon)
+        assert gaps[sites == site].tobytes() == g.tobytes()
 
 
 def test_interring_gaps_needs_two_rings():
@@ -172,6 +209,113 @@ def test_coupling_invariant_under_repeat_mode():
     _, _, rings_base, _ = make_rings(seed=9, repeats="base")
     _, _, rings_none, _ = make_rings(seed=9, repeats="none")
     def interiors(rs):
-        return [(r.site, r.time, r.path) for r in rs if r.kind is RingKind.INTERIOR]
+        inner = interior(rs)
+        return [a[inner].tobytes() for a in (rs.site, rs.time, rs.head, rs.dir)]
     assert interiors(rings_full) == interiors(rings_base) == interiors(rings_none)
     assert len(rings_full) > len(rings_base) > len(rings_none)
+
+
+@st.composite
+def coupling_case(draw):
+    repeats = draw(st.sampled_from(["full", "base", "none"]))
+    W = draw(st.integers(min_value=1, max_value=16))
+    # full repeat streams grow like 2**M under the stretch profile
+    M = draw(st.integers(min_value=1, max_value=min(W, 7 if repeats == "full" else 16)))
+    profile = draw(st.sampled_from(list(WeightProfile)))
+    return W, M, profile, repeats, draw(st.integers(min_value=0, max_value=2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling_case())
+@example((64, 64, WeightProfile.DECREASING, "base", 1))  # many exact time ties
+def test_rings_replay_and_gaps_match_reference_bitwise(case):
+    W, M, profile, repeats, seed = case
+    win, forest, rings, horizon = make_rings(seed, W, M, repeats, profile=profile)
+    _, _, ref, _ = make_rings(seed, W, M, repeats, profile=profile,
+                              engine=reference_generate_rings)
+    assert len(rings) == len(ref)
+    keys = (rings.time, rings.site, rings.depth, rings.kind)
+    ref_keys = (np.array([r.time for r in ref], dtype=np.float64),
+                np.array([r.site.x for r in ref], dtype=np.int64),
+                np.array([len(r.path) for r in ref], dtype=np.int64),
+                np.array([int(r.kind) for r in ref], dtype=np.int64))
+    for a, b in zip(keys, ref_keys):
+        assert a.tobytes() == b.astype(a.dtype).tobytes()
+    # within a tie group of those keys the two engines may order rings
+    # differently, but they must assign the same (head, last step) pairs
+    group = np.cumsum(np.r_[True, np.any([np.diff(k) != 0 for k in keys], axis=0)])
+    last = [(win.canonicalize(r.target), r.path[-1].dir) for r in ref]
+    ref_code = np.array([(2 * ((v.y * W) + win.column_of(v)) + int(d)) for v, d in last],
+                        dtype=np.int64)
+    code = 2 * rings.head + rings.dir
+    assert np.array_equal(code[np.lexsort((code, group))],
+                          ref_code[np.lexsort((ref_code, group))])
+
+    state, ref_state = replay(rings, win), reference_replay(ref, win)
+    assert np.array_equal(state.root_x, ref_state.root_x)
+    assert np.array_equal(state.parent_dir, ref_state.parent_dir)
+    assert state.occ_time.tobytes() == ref_state.occ_time.tobytes()
+    assert (state.n_rings, state.n_occupied) == (ref_state.n_rings, ref_state.n_occupied)
+    assert float.hex(state.clock) == float.hex(ref_state.clock)
+    assert state.censored == ref_state.censored
+    assert forests_match(forest, state)
+
+    for h in (None, horizon):
+        sites, gaps = pooled_gaps(rings, win, horizon=h)
+        ref_sites, ref_gaps = reference_pooled_gaps(ref, win, horizon=h)
+        assert sites.dtype == ref_sites.dtype and gaps.dtype == ref_gaps.dtype
+        assert sites.tobytes() == ref_sites.tobytes()
+        assert gaps.tobytes() == ref_gaps.tobytes()
+
+
+# Digests of the coupling's outputs, recorded on the object-based engine
+# (now tests/oracles.reference_*): sha256 over the replayed root_x,
+# parent_dir and occ_time, the sorted ring times, sites, depths and kinds
+# (the last two as int64) and the pooled (sites, gaps); the ring count and
+# the final clock as float.hex.  Decreasing 64x64 has exact time ties
+# between boundary rings and their heads' claims.
+COUPLING_GOLDEN = [
+    ((64, 32, "stretch", "base", 1), "ec6d762cf6dfe6b39a36a494d404e247fcc52c80f81f0af2bbcce6821c51fdaf", 4096, "0x1.5cfc0c1c2d693p+34"),
+    ((32, 8, "stretch", "full", 1), "12b327c0a72799e7cdf98bd3b2394754de2c256bc261fd442e4c1a1ee9e244f0", 23967, "0x1.add0651fd0d34p+10"),
+    ((64, 64, "decreasing", "base", 1), "ccf3ddba445684affe8e7f8f06858709d9fae942df6f1458c8c5527e0f100ec3", 8192, "0x1.1e52f41ec3e24p+1"),
+]
+
+
+@pytest.mark.parametrize("case,digest,n_rings,clock_hex", COUPLING_GOLDEN)
+def test_coupling_golden_digests(case, digest, n_rings, clock_hex):
+    W, M, profile, repeats, seed = case
+    win, forest, rings, horizon = make_rings(seed, W, M, repeats,
+                                             profile=WeightProfile(profile))
+    state = replay(rings, win)
+    sites, gaps = pooled_gaps(rings, win, horizon=horizon)
+    h = hashlib.sha256()
+    for a in (state.root_x, state.parent_dir, state.occ_time, rings.time,
+              rings.site, rings.depth.astype(np.int64),
+              rings.kind.astype(np.int64), sites, gaps):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
+    assert state.n_rings == n_rings
+    assert float.hex(state.clock) == clock_hex
+
+
+# sha256 of the couple report and gaps CSV, recorded on the object-based
+# engine.  Decreasing 64x64 (above) writes no artifact: its pooled gaps
+# contain exact zeros, which the KS test rejects.
+COUPLE_ARTIFACTS_GOLDEN = [
+    (("-W", "64", "-M", "32", "--repeats", "base"),
+     "713b0ff8ba6727b8522e03e6f94e4d3b5d9aefa24fbeb992c865dfcb9fa188fc",
+     "b18dbbf48b5c07e311f2fe891737b125746b43792a328b177ad16cc8d026c608"),
+    (("-W", "32", "-M", "8", "--repeats", "full"),
+     "c40dc9bd2a0a4ff3d50c84c8f98cc22029e1d6b5ec0b810ef5bcb3dced5339f5",
+     "d837e38dc1f74e2388e5f6dcc6a7be854557035a2b9c2031c116e3fb9d9c3022"),
+]
+
+
+@pytest.mark.parametrize("argv,report_digest,gaps_digest", COUPLE_ARTIFACTS_GOLDEN)
+def test_couple_artifact_golden_digests(argv, report_digest, gaps_digest,
+                                        tmp_path, capsys):
+    report, gaps_csv = tmp_path / "couple.json", tmp_path / "gaps.csv"
+    assert main(["couple", *argv, "--seed", "1", "--out", str(report),
+                 "--gaps-out", str(gaps_csv)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+    assert hashlib.sha256(gaps_csv.read_bytes()).hexdigest() == gaps_digest
