@@ -9,14 +9,20 @@ auxiliary clock attached to that edge (rate ``2**-level``), restarted at
 the base firing and truncated at the horizon.  Replaying the assigned
 rings through the particle rules reproduces the forest exactly: interior
 rings perform the extensions, in the order of the passage times, and
-boundary repeats all vanish.  Passage sums are accumulated parent-first in
-both the forest program and the ring generator, so occupancy times match
-distances bit for bit, not merely to rounding.
+boundary repeats all vanish.
 
-Rings are parallel arrays read off the forest's arrays, so memory is
+Rings are parallel arrays built from the forest's arrays, so memory is
 O(rings) rather than O(total path length), and replay checks each ring
 against the ring that claimed the tail of its last edge instead of
-walking its path again.
+walking its path again.  A ring's time is the passage time of that tail
+plus the weight of its last edge, recomputed from the weight field: the
+same float add as the forest program's candidate through that edge, so
+the passage sum along the path, accumulated parent-first.  The replayed
+occupancy therefore matches the forest's distances bit for bit exactly
+when every parent edge carries its head's distance as its tail's
+distance plus its weight, which by induction from the boundary is the
+forest's own claim that distances are path sums; likewise for the roots,
+which an interior ring takes from its tail.
 
 The repeat streams are where all the volume is: a free edge at level h
 fires about ``rate * horizon`` times, and with the stretch profile the
@@ -34,9 +40,15 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, CouplingFault
-from .fpp import GeodesicForest, WeightField, WeightProfile, build_forest
+from .fpp import (
+    GeodesicForest,
+    WeightField,
+    WeightProfile,
+    build_forest,
+    incoming_tail_index,
+)
 from .hashing import AUX_STREAM, exp_from_uniform, hash_uniform
-from .lattice import Dir, Edge, Vertex, Window
+from .lattice import Dir, Edge, Window
 from .sidla import SidlaState, new_state
 
 REPEAT_MODES = ("full", "base", "none")
@@ -110,19 +122,12 @@ class Rings:
 
     @property
     def tail(self) -> np.ndarray:
-        return _tail_index(self.head, self.dir, self.window.W)
+        return incoming_tail_index(self.window.W, self.head, self.dir)
 
     def take(self, order) -> "Rings":
         """The rings at the given positions, in that order."""
         return Rings(self.window, self.time[order], self.site[order],
                      self.head[order], self.dir[order], self.kind[order])
-
-
-def _tail_index(head: np.ndarray, dir: np.ndarray, W: int) -> np.ndarray:
-    """Flat index of the tail of the edge that enters each head by dir."""
-    level, col = np.divmod(head, W)
-    # incoming_tail_columns, for both parities and directions at once
-    return (level - 1) * W + (col + (level & 1) - dir) % W
 
 
 def auto_repeats_mode(window: Window, horizon: float) -> str:
@@ -139,14 +144,15 @@ def generate_rings(
 ) -> Rings:
     """Assign rings for every site of the window, sorted by time.
 
-    Every vertex at levels 1..M has one interior ring on its parent edge,
-    at its passage time, and unless repeats="none" one boundary base ring
-    on its losing incoming edge, at the losing candidate sum of the forest
-    program; each rings on the clock of its edge's tail's root.  With
-    repeats="full" each boundary edge whose base ring fires before the
-    horizon adds the auxiliary arrivals up to the horizon.  Edges whose
-    head lies above the cap get no ring; their total rate is at most
-    (M + 2) * 2**-(M+1) per site.
+    Every vertex at levels 1..M has one interior ring on its parent edge
+    and, unless repeats="none", one boundary base ring on its losing
+    incoming edge.  Each fires at its tail's passage time plus the edge's
+    weight, the same float add as the forest program's candidate through
+    that edge, on the clock of its tail's root.  With repeats="full" each
+    boundary edge whose base ring fires before the horizon adds the
+    auxiliary arrivals up to the horizon.  Edges whose head lies above the
+    cap get no ring; their total rate is at most (M + 2) * 2**-(M+1) per
+    site.
 
     Rings are sorted by (time, site, depth, kind), then by head vertex.
     The last key only orders rings that tie on the first four, and no
@@ -168,26 +174,25 @@ def generate_rings(
         )
     heads = np.arange(W, (M + 1) * W, dtype=np.int64)
     win_dir = forest.parent_dir[1:].ravel()
-    parts = [(forest.dist[1:].ravel(), forest.root_x[1:].ravel(), heads, win_dir)]
-    if repeats != "none":
-        lose = 1 - win_dir
-        tails = _tail_index(heads, lose, W)
-        w_r, w_l = np.hstack([field.incoming_weights(y) for y in range(1, M + 1)])
-        base = (forest.dist.ravel()[tails] + np.where(lose == Dir.LEFT, w_l, w_r),
-                forest.root_x.ravel()[tails], heads, lose)
-        parts.append(base)
-        if repeats == "full":
-            arrivals: list[float] = []
-            of: list[int] = []
-            for i in np.flatnonzero(base[0] < horizon).tolist():
-                y, j = divmod(int(tails[i]), W)
-                e = Edge(Vertex((y & 1) + 2 * j, y), Dir(int(lose[i])))
-                t = float(base[0][i])
-                offs = aux.offsets(e, horizon - t)
-                arrivals += [t + off for off in offs]
-                of += [i] * len(offs)
-            parts.append((np.array(arrivals, dtype=np.float64),
-                          *(a[of] for a in base[1:])))
+    w_r, w_l = np.hstack([field.incoming_weights(y) for y in range(1, M + 1)])
+    parts = []
+    for d in [win_dir] if repeats == "none" else [win_dir, 1 - win_dir]:
+        tails = incoming_tail_index(W, heads, d)
+        time = forest.dist.ravel()[tails] + np.where(d == Dir.LEFT, w_l, w_r)
+        parts.append((time, forest.root_x.ravel()[tails], heads, d))
+    if repeats == "full":
+        base = parts[1]
+        arrivals: list[float] = []
+        of: list[int] = []
+        for i in np.flatnonzero(base[0] < horizon).tolist():
+            # tails holds the base rings' tails, from the loop's last pass
+            tail = win.vertex_at(*divmod(int(tails[i]), W))
+            t = float(base[0][i])
+            offs = aux.offsets(Edge(tail, Dir(int(base[3][i]))), horizon - t)
+            arrivals += [t + off for off in offs]
+            of += [i] * len(offs)
+        parts.append((np.array(arrivals, dtype=np.float64),
+                      *(a[of] for a in base[1:])))
     columns = [np.concatenate(c) for c in zip(*parts)]
     kind = np.full(len(columns[0]), RingKind.BOUNDARY_REPEAT, dtype=np.int8)
     kind[:W * M] = RingKind.INTERIOR
@@ -196,7 +201,7 @@ def generate_rings(
     return rings.take(order)
 
 
-def replay(rings: Rings, window: Window) -> SidlaState:
+def replay(rings: Rings) -> SidlaState:
     """Run the assigned rings through the particle rules, in order.
 
     A ring's particle walks its path inside its site's tree exactly when
@@ -209,6 +214,7 @@ def replay(rings: Rings, window: Window) -> SidlaState:
     contradicts the construction and raises CouplingFault, naming the
     first ring at which the replay departs from it.
     """
+    window = rings.window
     W, M = window.W, window.M
     n = len(rings)
     pos = np.arange(n, dtype=np.int64)
@@ -251,7 +257,7 @@ def replay(rings: Rings, window: Window) -> SidlaState:
     return state
 
 
-def pooled_gaps(rings: Rings, window: Window, horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def pooled_gaps(rings: Rings, horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gaps at every site pooled in site order; returns (site_x, gap) arrays.
 
     The rings are in time order, so a stable sort by site leaves each
@@ -336,9 +342,9 @@ def verify_coupling(
         repeats = auto_repeats_mode(window, horizon)
     aux = AuxClockField(seed, window, profile)
     rings = generate_rings(forest, field, aux, horizon, repeats=repeats)
-    state = replay(rings, window)
+    state = replay(rings)
     equal = forests_match(forest, state)
-    sites, gaps = pooled_gaps(rings, window, horizon=horizon)
+    sites, gaps = pooled_gaps(rings, horizon=horizon)
     if len(gaps) >= 10:
         ks = ks_test_exp1(gaps)
         ks_stat, ks_p = ks.statistic, ks.p_value

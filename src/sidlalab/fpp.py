@@ -56,17 +56,33 @@ class WeightProfile(Enum):
             raise ConfigError(f"unknown profile {s!r}; choose one of {names}") from None
 
 
+def _tail_column(W: int, level, col, d):
+    """Column of the tail of the edge that enters column col of a level by
+    direction d.
+
+    It depends only on the parity of the level: a RIGHT step into an even
+    level starts one column to the left, a LEFT step into an odd level one
+    column to the right, and the other two start in the head's own column.
+    """
+    return (col + ((level & 1) - d)) % W
+
+
 def incoming_tail_columns(W: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Column index of the tail, per head column, for edges into a level.
 
     Returns ``(cols_right, cols_left)``: entry j gives the tail column one
     level down of the RIGHT-step (resp. LEFT-step) edge whose head is
-    column j.  The mapping depends only on the parity of the level.
+    column j.
     """
     cols = np.arange(W, dtype=np.int64)
-    if level % 2 == 0:
-        return (cols - 1) % W, cols
-    return cols, (cols + 1) % W
+    return _tail_column(W, level, cols, Dir.RIGHT), _tail_column(W, level, cols, Dir.LEFT)
+
+
+def incoming_tail_index(W: int, head: np.ndarray, d) -> np.ndarray:
+    """Flat index ``level * W + column`` of the tail of the edge that
+    enters each flat head index by direction d (one Dir code per head)."""
+    level, col = np.divmod(head, W)
+    return (level - 1) * W + _tail_column(W, level, col, d)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -12,7 +13,8 @@ from oracles import (
     reference_replay,
 )
 
-from sidlalab.cli import main
+from sidlalab import coupling
+from sidlalab.cli import EXIT_VERIFY, main
 from sidlalab.coupling import (
     AuxClockField,
     RingKind,
@@ -62,7 +64,7 @@ def test_interior_rings_cover_every_vertex_once():
 def test_interior_ring_times_are_forest_distances():
     win, forest, rings, _ = make_rings()
     inner = interior(rings)
-    # bit-exact by construction
+    # bit-exact: a ring's time is the forest program's winning float add
     assert np.array_equal(rings.time[inner], forest.dist.ravel()[rings.head[inner]])
 
 
@@ -105,14 +107,14 @@ def test_auto_repeats_mode_switches_on_volume():
 def test_replay_reproduces_forest_bit_exactly():
     for seed in (1, 2, 3, 4, 5):
         win, forest, rings, _ = make_rings(seed=seed)
-        state = replay(rings, win)
+        state = replay(rings)
         assert forests_match(forest, state), seed
         assert np.array_equal(state.occ_time[1:], forest.dist[1:])
 
 
 def test_replay_base_mode_matches_too():
     win, forest, rings, _ = make_rings(seed=7, W=16, M=8, repeats="base")
-    state = replay(rings, win)
+    state = replay(rings)
     assert forests_match(forest, state)
 
 
@@ -123,7 +125,7 @@ def test_replay_detects_out_of_order_paths():
     i = interiors[-1]
     broken = rings.take(np.r_[i, 0:i, i + 1:len(rings)])
     with pytest.raises(CouplingFault):
-        replay(broken, win)
+        replay(broken)
 
 
 def test_replay_detects_boundary_ring_before_its_head_claim():
@@ -136,7 +138,7 @@ def test_replay_detects_boundary_ring_before_its_head_claim():
     assert claim < i
     broken = rings.take(np.r_[0:claim, i, claim:i, i + 1:len(rings)])
     with pytest.raises(CouplingFault, match=f"ring {claim} .*before the claim"):
-        replay(broken, win)
+        replay(broken)
 
 
 def test_replay_detects_a_second_claim():
@@ -144,12 +146,55 @@ def test_replay_detects_a_second_claim():
     i = np.flatnonzero(interior(rings))[0]
     doubled = rings.take(np.r_[0:len(rings), i])
     with pytest.raises(CouplingFault, match="already claimed"):
-        replay(doubled, win)
+        replay(doubled)
+
+
+def corrupted(forest, name, y, j, value):
+    """A copy of the forest with one entry of one of its arrays replaced."""
+    a = getattr(forest, name).copy()
+    a[y, j] = value
+    return dataclasses.replace(forest, **{name: a})
+
+
+@pytest.mark.parametrize("name", ["dist", "root_x"])
+@pytest.mark.parametrize("y", [1, 3, 6])
+def test_replay_detects_a_wrong_forest_entry(name, y):
+    """Ring times and sites come from the tails' distances and roots and
+    from the edge weights, so a distance that is not its parent's plus the
+    edge weight, or a root that is not its parent's, fails the comparison
+    (or the replay, when a child's ring no longer starts in its tail's
+    tree)."""
+    win = Window(16, 6)
+    field = WeightField(5, WeightProfile.STRETCH, win)
+    good = build_forest(field)
+    wrong = {"dist": np.nextafter(good.dist[y, 3], np.inf),
+             "root_x": (good.root_x[y, 3] + 2) % win.period}[name]
+    forest = corrupted(good, name, y, 3, wrong)
+    aux = AuxClockField(5, win, WeightProfile.STRETCH)
+    rings = generate_rings(forest, field, aux, forest.max_dist * 1.5, repeats="base")
+    try:
+        state = replay(rings)
+    except CouplingFault:
+        return
+    assert not forests_match(forest, state)
+
+
+def test_couple_exits_verify_on_a_wrong_forest(tmp_path, monkeypatch, capsys):
+    """The couple command's gate fails when the forest program is wrong."""
+    def bad_build_forest(field):
+        forest = build_forest(field)
+        M = field.window.M
+        return corrupted(forest, "dist", M, 0, forest.dist[M, 0] * 0.5)
+    monkeypatch.setattr(coupling, "build_forest", bad_build_forest)
+    assert main(["couple", "-W", "16", "-M", "6", "--repeats", "base",
+                 "--out", str(tmp_path / "c.json"),
+                 "--gaps-out", str(tmp_path / "g.csv")]) == EXIT_VERIFY
+    assert json.loads((tmp_path / "c.json").read_text())["forest_equal"] is False
 
 
 def test_gap_statistics_exp1():
     win, forest, rings, horizon = make_rings(seed=11, W=16, M=6)
-    sites, gaps = pooled_gaps(rings, win, horizon=horizon)
+    sites, gaps = pooled_gaps(rings, horizon=horizon)
     assert len(gaps) > 500
     assert abs(float(np.mean(gaps)) - 1.0) < 0.1
     # lag-1 autocorrelation of pooled gaps is consistent with independence
@@ -162,7 +207,7 @@ def test_single_site_gaps_match_pooled():
     win, forest, rings, horizon = make_rings(seed=11, W=16, M=6)
     _, _, ref_rings, _ = make_rings(seed=11, W=16, M=6,
                                     engine=reference_generate_rings)
-    sites, gaps = pooled_gaps(rings, win, horizon=horizon)
+    sites, gaps = pooled_gaps(rings, horizon=horizon)
     for site in (0, 14, 30):
         g = interring_gaps(ref_rings, Vertex(site, 0), horizon=horizon)
         assert gaps[sites == site].tobytes() == g.tobytes()
@@ -251,7 +296,7 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
     assert np.array_equal(code[np.lexsort((code, group))],
                           ref_code[np.lexsort((ref_code, group))])
 
-    state, ref_state = replay(rings, win), reference_replay(ref, win)
+    state, ref_state = replay(rings), reference_replay(ref, win)
     assert np.array_equal(state.root_x, ref_state.root_x)
     assert np.array_equal(state.parent_dir, ref_state.parent_dir)
     assert state.occ_time.tobytes() == ref_state.occ_time.tobytes()
@@ -261,7 +306,7 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
     assert forests_match(forest, state)
 
     for h in (None, horizon):
-        sites, gaps = pooled_gaps(rings, win, horizon=h)
+        sites, gaps = pooled_gaps(rings, horizon=h)
         ref_sites, ref_gaps = reference_pooled_gaps(ref, win, horizon=h)
         assert sites.dtype == ref_sites.dtype and gaps.dtype == ref_gaps.dtype
         assert sites.tobytes() == ref_sites.tobytes()
@@ -286,8 +331,8 @@ def test_coupling_golden_digests(case, digest, n_rings, clock_hex):
     W, M, profile, repeats, seed = case
     win, forest, rings, horizon = make_rings(seed, W, M, repeats,
                                              profile=WeightProfile(profile))
-    state = replay(rings, win)
-    sites, gaps = pooled_gaps(rings, win, horizon=horizon)
+    state = replay(rings)
+    sites, gaps = pooled_gaps(rings, horizon=horizon)
     h = hashlib.sha256()
     for a in (state.root_x, state.parent_dir, state.occ_time, rings.time,
               rings.site, rings.depth.astype(np.int64),
