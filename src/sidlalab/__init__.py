@@ -23,7 +23,6 @@ from .fpp import (
     build_forest,
     load_snapshot,
     snapshot_text,
-    tree_of,
 )
 from .sidla import SidlaState, SimulationLimitError, run_until_covered
 from .coupling import AuxClockField, RingKind, verify_coupling
@@ -52,7 +51,6 @@ __all__ = [
     "run_until_covered",
     "shift",
     "snapshot_text",
-    "tree_of",
     "verify_coupling",
     "__version__",
 ]

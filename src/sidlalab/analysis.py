@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
-from .fpp import tree_edges
 from .lattice import Dir, Edge, Vertex, Window, head
 
 ENUMERATION_GUARD = 12
@@ -336,24 +335,20 @@ def flank_left_distances(forest_like, n: int) -> np.ndarray:
     """Left-flank distances of every root with a nonempty level-n slice.
 
     Pools the per-tree samples used by the tail bound; ordering follows
-    ascending root x, so the output is deterministic."""
+    ascending root x, so the output is deterministic.  The leftmost slice
+    offset of every root comes from one minimum over root labels."""
     win = forest_like.window
     if not 1 <= n <= win.M:
         raise ValueError(f"level {n} outside 1..{win.M}")
     row = forest_like.root_x[n]
-    values = forest_like.node_values
-    out = []
-    for x0 in np.unique(row):
-        if x0 < 0:
-            continue
-        cols = np.nonzero(row == x0)[0]
-        xs = (n & 1) + 2 * cols
-        dxs = (xs - int(x0)) % win.period
-        dxs = np.where(dxs > win.W, dxs - win.period, dxs)
-        lx = int(x0) + int(dxs.min()) - 2
-        col = win.column_of(win.canonicalize(Vertex(lx, n)))
-        out.append(float(values[n, col]))
-    return np.asarray(out, dtype=np.float64)
+    cols = np.flatnonzero(row >= 0)
+    roots, owner = np.unique(row[cols], return_inverse=True)
+    dxs = ((n & 1) + 2 * cols - row[cols]) % win.period
+    dxs = np.where(dxs > win.W, dxs - win.period, dxs)
+    dx_min = np.full(len(roots), win.period, dtype=np.int64)
+    np.minimum.at(dx_min, owner, dxs)
+    left_cols = ((roots + dx_min - 2) % win.period) >> 1
+    return forest_like.node_values[n, left_cols].astype(np.float64)
 
 
 def cone_check(forest_like, root) -> bool:
@@ -492,6 +487,25 @@ def root_heights(forest_like) -> tuple[np.ndarray, np.ndarray]:
     censored = np.zeros(W, dtype=bool)
     censored[np.unique(forest_like.root_x[M] >> 1)] = True
     return heights, censored
+
+
+def slim_fractions(forest_like, D: float) -> np.ndarray:
+    """Per tree of positive height below the cap, in ascending root order:
+    the fraction of its levels whose slice is nonempty and narrower than D.
+
+    Slice sizes of every tree come from one count over (root column,
+    level)."""
+    win = forest_like.window
+    W, M = win.W, win.M
+    heights, censored = root_heights(forest_like)
+    labels = forest_like.root_x[1:]
+    owned = labels >= 0
+    levels = np.broadcast_to(np.arange(M)[:, None], labels.shape)
+    keys = (labels[owned] >> 1) * M + levels[owned]
+    sizes = np.bincount(keys, minlength=W * M).reshape(W, M)
+    slim = np.count_nonzero((sizes > 0) & (sizes < D), axis=1)
+    kept = ~censored & (heights >= 1)
+    return slim[kept] / heights[kept]
 
 
 def truncated_mean_height(forest_like) -> float:

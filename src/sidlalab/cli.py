@@ -233,16 +233,8 @@ def _picture_run(picture: str, seed: int, W: int, M: int, profile_value: str,
 def _stats_task(task):
     picture, seed, W, M, profile_value, method, slim_d, flank_levels = task
     obj = _picture_run(picture, seed, W, M, profile_value, method)
-    win = obj.window
     heights, censored = analysis.root_heights(obj)
-    params = analysis.SlimParams(D=slim_d)
-    slim_fracs = []
-    for j in range(W):
-        if censored[j] or heights[j] < 1:
-            continue
-        tree = analysis.extract_tree(obj, 2 * j)
-        frac = len(analysis.slim_levels(tree, params)) / heights[j]
-        slim_fracs.append(frac)
+    slim_fracs = analysis.slim_fractions(obj, slim_d)
     flank_samples = {
         n: analysis.flank_left_distances(obj, n) for n in flank_levels
     }
@@ -260,7 +252,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     flank_levels = _parse_levels(args.flank_levels, win.M) \
         if args.flank_levels else []
     kappas = [float(k) for k in args.kappa.split(",")] if args.kappa else [2.0, 4.0]
-    if args.slim_d <= 0:
+    if not args.slim_d > 0:
         raise ConfigError(f"slim threshold must be positive, got {args.slim_d}")
 
     tasks = [(args.picture, s, win.W, win.M, profile.value, args.method,
@@ -270,7 +262,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     all_heights = np.concatenate([r[0] for r in results])
     all_censored = np.concatenate([r[1] for r in results])
-    slim_fracs = [f for r in results for f in r[2]]
+    slim_fracs = np.concatenate([r[2] for r in results])
     survival = analysis.tail_height_estimate(all_heights, levels)
 
     lines = ["level,n,survival,ci_low,ci_high"]
@@ -289,7 +281,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
           f"roots={len(all_heights)} censored_fraction={cens_frac:.6g} "
           f"beta_hat={cens_frac:.6g} "
           f"mean_trunc_height={float(all_heights.mean()):.6g} wrote={out}")
-    if slim_fracs:
+    if slim_fracs.size:
         print(f"stats slim D={args.slim_d:g} trees={len(slim_fracs)} "
               f"mean_slim_fraction={float(np.mean(slim_fracs)):.6g}")
     for n in flank_levels:

@@ -346,6 +346,13 @@ def verify_coupling(
     equal = forests_match(forest, state)
     sites, gaps = pooled_gaps(rings, horizon=horizon)
     if len(gaps) >= 10:
+        zeros = int(np.count_nonzero(gaps == 0.0))
+        if zeros:
+            raise ConfigError(
+                f"{zeros} of {len(gaps)} ring gaps are exact zeros: float ties "
+                f"between ring times in the {profile.value} profile at M={window.M}; "
+                f"the exponential gap test needs positive gaps"
+            )
         ks = ks_test_exp1(gaps)
         ks_stat, ks_p = ks.statistic, ks.p_value
     else:

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -207,29 +208,6 @@ def build_forest(field: WeightField) -> GeodesicForest:
     return GeodesicForest(win, field.profile, field.seed, dist, parent_dir, root_x)
 
 
-def tree_edges(forest_like, root_x_value: int) -> list[Edge]:
-    """All parent edges of vertices labeled with the given root, canonical,
-    ordered by (level, head x)."""
-    win = forest_like.window
-    labels = forest_like.root_x
-    pdirs = forest_like.parent_dir
-    edges: list[Edge] = []
-    for y in range(1, win.M + 1):
-        cols = np.nonzero(labels[y] == root_x_value)[0]
-        for j in cols:
-            d = Dir(int(pdirs[y, j]))
-            x = (y & 1) + 2 * int(j)
-            tail = win.canonicalize(Vertex(x - d.dx, y - 1))
-            edges.append(Edge(tail, d))
-    return edges
-
-
-def tree_of(forest_like, root) -> set[Edge]:
-    """Edge set of the tree grown at a boundary root (Vertex or x value)."""
-    x = root.x if isinstance(root, Vertex) else int(root)
-    return set(tree_edges(forest_like, x))
-
-
 @dataclass
 class ForestSnapshot:
     """A forest-shaped object reloaded from disk.
@@ -252,45 +230,104 @@ class ForestSnapshot:
         return Vertex(int(self.root_x[v.y, self.window.column_of(v)]), 0)
 
 
+# JSON text of a parent direction, indexed by its Dir code, and the code of
+# each JSON value the loader accepts (null on the boundary).
+_DIR_JSON = np.array([f'"{d.letter}"' for d in Dir], dtype=object)
+_DIR_CODE = {None: -1, **{d.letter: int(d) for d in Dir}}
+
+
 def snapshot_text(obj) -> str:
     """Serialize a covered forest-like object to canonical JSON text.
 
     Vertices appear sorted by (y, x); float values are written with 17
-    significant digits so reloading reproduces them bit for bit.
+    significant digits so reloading reproduces them bit for bit.  Each
+    level is formatted by one template over its rows; non-finite values,
+    which JSON cannot hold, raise ConfigError naming the first such level.
     """
     win = obj.window
+    W, M = win.W, win.M
     values = obj.node_values
     pdirs = obj.parent_dir
     roots = obj.root_x
     if np.any(roots < 0):
         raise ValueError("snapshot requires a fully covered window")
-    rows = []
-    for y in range(win.M + 1):
-        for j in range(win.W):
-            x = (y & 1) + 2 * j
-            val = format(float(values[y, j]), ".17g")
-            if y == 0:
-                pd = "null"
-            else:
-                pd = '"L"' if int(pdirs[y, j]) == int(Dir.LEFT) else '"R"'
-            rows.append(
-                f'    {{"x": {x}, "y": {y}, "{obj.value_key}": {val}, '
-                f'"parentDir": {pd}, "rootX": {int(roots[y, j])}}}'
-            )
-    body = ",\n".join(rows)
-    return (
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        y = int(np.argmin(finite))
+        raise ConfigError(
+            f"{obj.value_key} is not finite at level {y} ({obj.profile_label}, "
+            f"{W}x{M}); a JSON snapshot cannot hold it"
+        )
+    vertex = ('    {"x": %d, "y": %d, "' + obj.value_key
+              + '": %.17g, "parentDir": %s, "rootX": %d}')
+    level = ",\n".join([vertex] * W)
+    cols = 2 * np.arange(W, dtype=np.int64)
+    cells: list = [None] * (5 * W)
+    chunks = [
         "{\n"
-        f'  "window": {{"W": {win.W}, "M": {win.M}}},\n'
+        f'  "window": {{"W": {W}, "M": {M}}},\n'
         f'  "profile": {json.dumps(obj.profile_label)},\n'
         f'  "seed": {obj.seed},\n'
         '  "vertices": [\n'
-        f"{body}\n"
-        "  ]\n"
-        "}\n"
-    )
+    ]
+    for y in range(M + 1):
+        cells[0::5] = (cols + (y & 1)).tolist()
+        cells[1::5] = [y] * W
+        cells[2::5] = values[y].tolist()
+        cells[3::5] = ["null"] * W if y == 0 else _DIR_JSON[pdirs[y]].tolist()
+        cells[4::5] = roots[y].tolist()
+        chunks.append(level % tuple(cells))
+        chunks.append(",\n" if y < M else "\n")
+    chunks.append("  ]\n}\n")
+    return "".join(chunks)
+
+
+def check_invariants(forest_like) -> None:
+    """Raise ValueError unless a covered forest-like object is consistent.
+
+    Boundary labels must equal their own x, and every vertex above the
+    boundary must carry its parent's root label, so every label is a
+    boundary root.  Values must not decrease along a parent edge.
+    """
+    win = forest_like.window
+    W, M = win.W, win.M
+    roots = forest_like.root_x
+    values = forest_like.node_values
+    bad = np.flatnonzero(roots[0] != 2 * np.arange(W))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"boundary vertex ({2 * j},0) has root label {int(roots[0, j])}")
+    heads = np.arange(W, (M + 1) * W)
+    tails = incoming_tail_index(W, heads, forest_like.parent_dir[1:].ravel())
+    for broken, what in (
+        (roots.ravel()[heads] != roots.ravel()[tails], "a root label other than"),
+        (values.ravel()[heads] < values.ravel()[tails], "a value below"),
+    ):
+        if broken.any():
+            y, j = divmod(int(heads[np.argmax(broken)]), W)
+            raise ValueError(
+                f"vertex {tuple(win.vertex_at(y, j))} has {what} its parent's"
+            )
+
+
+def _column(vertices, key: str, dtype, path: str, codes=None) -> np.ndarray:
+    """One field of every vertex record, mapped through codes if given."""
+    items = map(itemgetter(key), vertices)
+    if codes is not None:
+        items = map(codes.__getitem__, items)
+    try:
+        return np.fromiter(items, dtype, len(vertices))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed snapshot {path}: bad {key!r} ({exc!r})") from exc
 
 
 def load_snapshot(path: str) -> ForestSnapshot:
+    """Reload a snapshot written by snapshot_text.
+
+    Rejects with ValueError a vertex outside the window, a vertex listed
+    twice, a hole, a parent direction other than L or R, and arrays that
+    fail check_invariants.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
@@ -302,21 +339,32 @@ def load_snapshot(path: str) -> ForestSnapshot:
         raise ValueError(f"malformed snapshot {path}: {exc}") from exc
     if not vertices:
         raise ValueError(f"snapshot {path} has no vertices")
+    W, M = win.W, win.M
     value_key = "occupancy_time" if "occupancy_time" in vertices[0] else "dist"
-    values = np.full((win.M + 1, win.W), np.nan, dtype=np.float64)
-    pdirs = np.full((win.M + 1, win.W), -1, dtype=np.int8)
-    roots = np.full((win.M + 1, win.W), -1, dtype=np.int64)
-    for rec in vertices:
-        v = win.canonicalize(Vertex(int(rec["x"]), int(rec["y"])))
-        if not win.contains(v):
-            raise ValueError(f"snapshot vertex {v} outside window")
-        j = win.column_of(v)
-        values[v.y, j] = float(rec[value_key])
-        roots[v.y, j] = int(rec["rootX"])
-        if rec["parentDir"] is not None:
-            pdirs[v.y, j] = int(Dir.from_letter(rec["parentDir"]))
+    xs = _column(vertices, "x", np.int64, path) % win.period
+    ys = _column(vertices, "y", np.int64, path)
+    outside = (ys < 0) | (ys > M) | ((xs + ys) % 2 != 0)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"snapshot vertex {Vertex(int(xs[i]), int(ys[i]))} outside window")
+    flat = ys * W + (xs >> 1)
+    seen = np.bincount(flat, minlength=(M + 1) * W)
+    if seen.max() > 1:
+        y, j = divmod(int(np.argmax(seen)), W)
+        raise ValueError(f"snapshot {path} lists vertex {tuple(win.vertex_at(y, j))} twice")
+    values = np.full((M + 1, W), np.nan, dtype=np.float64)
+    pdirs = np.full((M + 1, W), -1, dtype=np.int8)
+    roots = np.full((M + 1, W), -1, dtype=np.int64)
+    values.ravel()[flat] = _column(vertices, value_key, np.float64, path)
+    pdirs.ravel()[flat] = _column(vertices, "parentDir", np.int8, path, _DIR_CODE)
+    roots.ravel()[flat] = _column(vertices, "rootX", np.int64, path)
     if np.isnan(values).any() or np.any(roots < 0):
         raise ValueError(f"snapshot {path} does not cover its window")
     if np.any(pdirs[1:] < 0):
         raise ValueError(f"snapshot {path} missing parent directions")
-    return ForestSnapshot(win, profile_label, seed, value_key, values, pdirs, roots)
+    snap = ForestSnapshot(win, profile_label, seed, value_key, values, pdirs, roots)
+    try:
+        check_invariants(snap)
+    except ValueError as exc:
+        raise ValueError(f"inconsistent snapshot {path}: {exc}") from None
+    return snap

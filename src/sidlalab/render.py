@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hashing import hash_u64
-from .lattice import Dir, Vertex
+from .lattice import Vertex
 
 _PALETTE_SEED = 0x5E4A7
 _HIGHLIGHT_COLOR = "#d81b2a"
@@ -44,12 +46,18 @@ class RenderOptions:
 
 
 def render_svg(forest_like, options: RenderOptions = RenderOptions()) -> str:
-    """Render the forest (or covered particle state) as an SVG document."""
+    """Render the forest (or covered particle state) as an SVG document.
+
+    Root labels must be boundary roots (fpp.check_invariants); vertices
+    labeled -1 are not drawn.  Coordinates and stroke attributes come from
+    small tables, one per x, per level and per root, and each level's
+    segments are formatted by one template.
+    """
     win = forest_like.window
     W, M = win.W, win.M
     top = M if options.max_level is None else min(options.max_level, M)
     s = options.scale
-    highlight_x = None
+    highlight_x = -1
     if options.highlight_root is not None:
         hr = options.highlight_root
         highlight_x = (hr.x if isinstance(hr, Vertex) else int(hr)) % win.period
@@ -62,57 +70,55 @@ def render_svg(forest_like, options: RenderOptions = RenderOptions()) -> str:
 
     width = _fmt((2 * W + 2) * s)
     height = _fmt((top + 2) * s)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    chunks = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'viewBox="0 0 {width} {height}">\n'
         f"  <title>{forest_like.profile_label} seed={forest_like.seed} "
-        f"window={W}x{M}</title>",
-        f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f"window={W}x{M}</title>\n"
+        f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
     ]
 
+    # x_text[x + 1] for tail and head x in -1..2W, y_text[y] for y in 0..top
+    x_text = np.array([_fmt(sx(x)) for x in range(-1, 2 * W + 1)], dtype=object)
+    y_text = [_fmt(sy(y)) for y in range(top + 1)]
+    colors = [root_color(2 * k) for k in range(W)]
     stroke = _fmt(0.16 * s)
-    plain: list[str] = []
+    tail = f'" stroke-width="{stroke}" stroke-linecap="round"/>\n'
+    stroke_text = np.array([f'stroke="{c}{tail}' for c in colors], dtype=object)
+    red_text = f'stroke="{_HIGHLIGHT_COLOR}{tail}'
+
     red: list[str] = []
     labels = forest_like.root_x
     pdirs = forest_like.parent_dir
+    cols = np.arange(W, dtype=np.int64)
     for y in range(1, top + 1):
-        for j in range(W):
-            root = int(labels[y, j])
-            if root < 0:
-                continue
-            hx = (y & 1) + 2 * j
-            d = Dir(int(pdirs[y, j]))
-            tx = hx - d.dx
-            seg = (
-                f'  <line x1="{_fmt(sx(tx))}" y1="{_fmt(sy(y - 1))}" '
-                f'x2="{_fmt(sx(hx))}" y2="{_fmt(sy(y))}" '
-            )
-            if highlight_x is not None and root == highlight_x:
-                red.append(
-                    seg + f'stroke="{_HIGHLIGHT_COLOR}" '
-                    f'stroke-width="{stroke}" stroke-linecap="round"/>'
-                )
-            else:
-                plain.append(
-                    seg + f'stroke="{root_color(root)}" '
-                    f'stroke-width="{stroke}" stroke-linecap="round"/>'
-                )
-    lines.extend(plain)
-    lines.extend(red)
+        row = labels[y]
+        drawn = row >= 0
+        hx = (y & 1) + 2 * cols[drawn]
+        # tail x = hx - dx, with dx = -1 for LEFT (code 0) and +1 for RIGHT
+        tx = hx + 1 - 2 * pdirs[y][drawn].astype(np.int64)
+        roots = row[drawn]
+        segment = f'  <line x1="%s" y1="{y_text[y - 1]}" x2="%s" y2="{y_text[y]}" '
+        is_red = roots == highlight_x
+        stroke_of = stroke_text[roots >> 1]
+        stroke_of[is_red] = red_text
+        for mask, out in ((~is_red, chunks), (is_red, red)):
+            n = int(np.count_nonzero(mask))
+            cells: list = [None] * (3 * n)
+            cells[0::3] = x_text[tx[mask] + 1].tolist()
+            cells[1::3] = x_text[hx[mask] + 1].tolist()
+            cells[2::3] = stroke_of[mask].tolist()
+            out.append((segment + "%s") * n % tuple(cells))
+    chunks.extend(red)
 
     r = _fmt(0.2 * s)
     for j in range(W):
-        x = 2 * j
-        color = (
-            _HIGHLIGHT_COLOR
-            if highlight_x is not None and x == highlight_x
-            else root_color(x)
+        color = _HIGHLIGHT_COLOR if 2 * j == highlight_x else colors[j]
+        chunks.append(
+            f'  <circle cx="{x_text[2 * j + 1]}" cy="{y_text[0]}" r="{r}" '
+            f'fill="{color}"/>\n'
         )
-        lines.append(
-            f'  <circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(0))}" r="{r}" '
-            f'fill="{color}"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    chunks.append("</svg>\n")
+    return "".join(chunks)

@@ -12,10 +12,17 @@ The ``reference_*`` ring functions are the object-based coupling engine
 (one ``CoupledRing`` per ring carrying its whole path, a tuple sort and a
 prefix walk per ring), kept as the bitwise reference for the array engine
 in ``sidlalab.coupling``.
+
+The last group are the per-vertex forest writers, loader and reductions
+(``reference_snapshot_text``, ``reference_load_snapshot``,
+``reference_render_svg``, ``reference_slim_fractions`` and
+``reference_flank_left_distances``): one Python step per vertex or per
+root, kept as the bitwise reference for the array forms in ``sidlalab``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,14 +30,17 @@ from itertools import combinations
 
 import numpy as np
 
+from sidlalab.analysis import SlimParams, extract_tree, root_heights, slim_levels
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import (
+    ForestSnapshot,
     GeodesicForest,
     WeightField,
     incoming_tail_columns,
 )
 from sidlalab.hashing import JUMP_STREAM, exp_from_uniform, hash_uniform
+from sidlalab.render import _HIGHLIGHT_COLOR, RenderOptions, _fmt, root_color
 from sidlalab.lattice import (
     Dir,
     Edge,
@@ -404,3 +414,192 @@ def reference_pooled_gaps(rings, window: Window, horizon: float | None = None) -
             sites.append(x)
             gaps.append(ts[i] - ts[i - 1])
     return np.asarray(sites, dtype=np.int64), np.asarray(gaps, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Per-vertex forest writers, loader and reductions
+
+
+def reference_snapshot_text(obj) -> str:
+    """Serialize a covered forest-like object to canonical JSON text.
+
+    Vertices appear sorted by (y, x); float values are written with 17
+    significant digits so reloading reproduces them bit for bit.
+    """
+    win = obj.window
+    values = obj.node_values
+    pdirs = obj.parent_dir
+    roots = obj.root_x
+    if np.any(roots < 0):
+        raise ValueError("snapshot requires a fully covered window")
+    rows = []
+    for y in range(win.M + 1):
+        for j in range(win.W):
+            x = (y & 1) + 2 * j
+            val = format(float(values[y, j]), ".17g")
+            if y == 0:
+                pd = "null"
+            else:
+                pd = '"L"' if int(pdirs[y, j]) == int(Dir.LEFT) else '"R"'
+            rows.append(
+                f'    {{"x": {x}, "y": {y}, "{obj.value_key}": {val}, '
+                f'"parentDir": {pd}, "rootX": {int(roots[y, j])}}}'
+            )
+    body = ",\n".join(rows)
+    return (
+        "{\n"
+        f'  "window": {{"W": {win.W}, "M": {win.M}}},\n'
+        f'  "profile": {json.dumps(obj.profile_label)},\n'
+        f'  "seed": {obj.seed},\n'
+        '  "vertices": [\n'
+        f"{body}\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
+def reference_load_snapshot(path: str) -> ForestSnapshot:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        win = Window(int(doc["window"]["W"]), int(doc["window"]["M"]))
+        profile_label = str(doc["profile"])
+        seed = int(doc["seed"])
+        vertices = doc["vertices"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed snapshot {path}: {exc}") from exc
+    if not vertices:
+        raise ValueError(f"snapshot {path} has no vertices")
+    value_key = "occupancy_time" if "occupancy_time" in vertices[0] else "dist"
+    values = np.full((win.M + 1, win.W), np.nan, dtype=np.float64)
+    pdirs = np.full((win.M + 1, win.W), -1, dtype=np.int8)
+    roots = np.full((win.M + 1, win.W), -1, dtype=np.int64)
+    for rec in vertices:
+        v = win.canonicalize(Vertex(int(rec["x"]), int(rec["y"])))
+        if not win.contains(v):
+            raise ValueError(f"snapshot vertex {v} outside window")
+        j = win.column_of(v)
+        values[v.y, j] = float(rec[value_key])
+        roots[v.y, j] = int(rec["rootX"])
+        if rec["parentDir"] is not None:
+            pdirs[v.y, j] = int(Dir.from_letter(rec["parentDir"]))
+    if np.isnan(values).any() or np.any(roots < 0):
+        raise ValueError(f"snapshot {path} does not cover its window")
+    if np.any(pdirs[1:] < 0):
+        raise ValueError(f"snapshot {path} missing parent directions")
+    return ForestSnapshot(win, profile_label, seed, value_key, values, pdirs, roots)
+
+
+def reference_render_svg(forest_like, options: RenderOptions = RenderOptions()) -> str:
+    """Render the forest (or covered particle state) as an SVG document."""
+    win = forest_like.window
+    W, M = win.W, win.M
+    top = M if options.max_level is None else min(options.max_level, M)
+    s = options.scale
+    highlight_x = None
+    if options.highlight_root is not None:
+        hr = options.highlight_root
+        highlight_x = (hr.x if isinstance(hr, Vertex) else int(hr)) % win.period
+
+    def sx(x: float) -> float:
+        return (x + 1.0) * s
+
+    def sy(y: float) -> float:
+        return (top - y + 1.0) * s
+
+    width = _fmt((2 * W + 2) * s)
+    height = _fmt((top + 2) * s)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f"  <title>{forest_like.profile_label} seed={forest_like.seed} "
+        f"window={W}x{M}</title>",
+        f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+
+    stroke = _fmt(0.16 * s)
+    plain: list[str] = []
+    red: list[str] = []
+    labels = forest_like.root_x
+    pdirs = forest_like.parent_dir
+    for y in range(1, top + 1):
+        for j in range(W):
+            root = int(labels[y, j])
+            if root < 0:
+                continue
+            hx = (y & 1) + 2 * j
+            d = Dir(int(pdirs[y, j]))
+            tx = hx - d.dx
+            seg = (
+                f'  <line x1="{_fmt(sx(tx))}" y1="{_fmt(sy(y - 1))}" '
+                f'x2="{_fmt(sx(hx))}" y2="{_fmt(sy(y))}" '
+            )
+            if highlight_x is not None and root == highlight_x:
+                red.append(
+                    seg + f'stroke="{_HIGHLIGHT_COLOR}" '
+                    f'stroke-width="{stroke}" stroke-linecap="round"/>'
+                )
+            else:
+                plain.append(
+                    seg + f'stroke="{root_color(root)}" '
+                    f'stroke-width="{stroke}" stroke-linecap="round"/>'
+                )
+    lines.extend(plain)
+    lines.extend(red)
+
+    r = _fmt(0.2 * s)
+    for j in range(W):
+        x = 2 * j
+        color = (
+            _HIGHLIGHT_COLOR
+            if highlight_x is not None and x == highlight_x
+            else root_color(x)
+        )
+        lines.append(
+            f'  <circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(0))}" r="{r}" '
+            f'fill="{color}"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_slim_fractions(obj, slim_d: float) -> list[float]:
+    """The stats slim loop: one extracted tree per uncensored root of
+    positive height, its slim-level count over its height."""
+    W = obj.window.W
+    heights, censored = root_heights(obj)
+    params = SlimParams(D=slim_d)
+    slim_fracs = []
+    for j in range(W):
+        if censored[j] or heights[j] < 1:
+            continue
+        tree = extract_tree(obj, 2 * j)
+        frac = len(slim_levels(tree, params)) / heights[j]
+        slim_fracs.append(frac)
+    return slim_fracs
+
+
+def reference_flank_left_distances(forest_like, n: int) -> np.ndarray:
+    """Left-flank distances of every root with a nonempty level-n slice.
+
+    Pools the per-tree samples used by the tail bound; ordering follows
+    ascending root x, so the output is deterministic."""
+    win = forest_like.window
+    if not 1 <= n <= win.M:
+        raise ValueError(f"level {n} outside 1..{win.M}")
+    row = forest_like.root_x[n]
+    values = forest_like.node_values
+    out = []
+    for x0 in np.unique(row):
+        if x0 < 0:
+            continue
+        cols = np.nonzero(row == x0)[0]
+        xs = (n & 1) + 2 * cols
+        dxs = (xs - int(x0)) % win.period
+        dxs = np.where(dxs > win.W, dxs - win.period, dxs)
+        lx = int(x0) + int(dxs.min()) - 2
+        col = win.column_of(win.canonicalize(Vertex(lx, n)))
+        out.append(float(values[n, col]))
+    return np.asarray(out, dtype=np.float64)

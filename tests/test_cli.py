@@ -84,6 +84,17 @@ def test_couple_bad_horizon(capsys):
     assert run("couple", "--horizon-factor", "0.5", "-W", "8", "-M", "4") == 1
 
 
+def test_couple_names_exact_zero_gaps(capsys):
+    """Decreasing rates at M=64 make float ties between ring times; the
+    error names the zero gaps, the profile and M, and nothing is written."""
+    assert run("couple", "-W", "64", "-M", "64", "--profile", "decreasing",
+               "--repeats", "base", "--out", "c.json", "--gaps-out", "g.csv") == 1
+    err = capsys.readouterr().err
+    assert "1229 of 8120 ring gaps are exact zeros" in err
+    assert "decreasing profile at M=64" in err
+    assert not Path("c.json").exists() and not Path("g.csv").exists()
+
+
 def test_shells_exact_line(capsys):
     assert run("shells", "--max-edges", "2") == 0
     assert capsys.readouterr().out == "LEMMA22 PASS k=2 trees=8\n"

@@ -345,7 +345,7 @@ def test_coupling_golden_digests(case, digest, n_rings, clock_hex):
 
 # sha256 of the couple report and gaps CSV, recorded on the object-based
 # engine.  Decreasing 64x64 (above) writes no artifact: its pooled gaps
-# contain exact zeros, which the KS test rejects.
+# contain exact zeros, which verify_coupling refuses with a ConfigError.
 COUPLE_ARTIFACTS_GOLDEN = [
     (("-W", "64", "-M", "32", "--repeats", "base"),
      "713b0ff8ba6727b8522e03e6f94e4d3b5d9aefa24fbeb992c865dfcb9fa188fc",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_forest
+from sidlalab.analysis import extract_tree
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import (
     GeodesicForest,
@@ -14,10 +15,8 @@ from sidlalab.fpp import (
     incoming_tail_columns,
     load_snapshot,
     snapshot_text,
-    tree_edges,
-    tree_of,
 )
-from sidlalab.lattice import Dir, Edge, Vertex, Window
+from sidlalab.lattice import Dir, Edge, Vertex, Window, head
 
 
 def small_field(seed=3, profile=WeightProfile.STRETCH, W=6, M=6):
@@ -158,22 +157,13 @@ def test_shift_covariance():
         assert np.array_equal(fok.root_x, rolled_roots)
 
 
-def test_tree_edges_and_tree_of_agree():
-    fo = build_forest(small_field(seed=8))
-    for root in fo.window.boundary():
-        ordered = tree_edges(fo, root.x)
-        assert set(ordered) == tree_of(fo, root)
-        levels = [e.level for e in ordered]
-        assert levels == sorted(levels)
-
-
 def test_trees_partition_vertices():
     fo = build_forest(small_field(seed=10))
     win = fo.window
     seen = {}
     for root in win.boundary():
-        for e in tree_of(fo, root):
-            hd = win.canonicalize(Vertex(e.tail.x + e.dir.dx, e.tail.y + 1))
+        for e in extract_tree(fo, root).edges:
+            hd = win.canonicalize(head(e))
             assert hd not in seen
             seen[hd] = root.x
     # every interior vertex claimed exactly once
