@@ -494,7 +494,9 @@ def slim_fractions(forest_like, D: float) -> np.ndarray:
     the fraction of its levels whose slice is nonempty and narrower than D.
 
     Slice sizes of every tree come from one count over (root column,
-    level)."""
+    level).  The tallest tree, the likeliest to cross the seam, is also
+    lifted with ``extract_tree`` and counted with ``slim_levels``; a
+    disagreement with the table raises RuntimeError."""
     win = forest_like.window
     W, M = win.W, win.M
     heights, censored = root_heights(forest_like)
@@ -504,6 +506,12 @@ def slim_fractions(forest_like, D: float) -> np.ndarray:
     keys = (labels[owned] >> 1) * M + levels[owned]
     sizes = np.bincount(keys, minlength=W * M).reshape(W, M)
     slim = np.count_nonzero((sizes > 0) & (sizes < D), axis=1)
+    j = int(np.argmax(heights))
+    tree = extract_tree(forest_like, 2 * j)
+    counts = tree.level_counts()
+    if ([counts[m] for m in range(1, M + 1)] != sizes[j].tolist()
+            or len(slim_levels(tree, SlimParams(D))) != slim[j]):
+        raise RuntimeError(f"slice-size table disagrees with the tree of root {2 * j}")
     kept = ~censored & (heights >= 1)
     return slim[kept] / heights[kept]
 

@@ -17,7 +17,8 @@ from oracles import (
     reference_slim_fractions,
     reference_snapshot_text,
 )
-from sidlalab.analysis import flank_left_distances, slim_fractions
+from sidlalab import analysis
+from sidlalab.analysis import MonotoneTree, flank_left_distances, slim_fractions
 from sidlalab.cli import main
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import (
@@ -167,6 +168,29 @@ def test_particle_state_path_matches_oracles(seed, W, M, tmp_path):
         assert flank_left_distances(state, n).tobytes() \
             == reference_flank_left_distances(state, n).tobytes()
     assert slim_fractions(state, 4.0).tolist() == reference_slim_fractions(state, 4.0)
+
+
+def test_slim_fractions_cross_checks_the_tallest_tree(monkeypatch, tmp_path, capsys):
+    fo = build_forest(WeightField(5, WeightProfile.STRETCH, Window(12, 8)))
+    heights, _ = analysis.root_heights(fo)
+    tallest = 2 * int(np.argmax(heights))
+    calls = []
+    lift = analysis.extract_tree
+
+    def lift_one_level_short(forest_like, root):
+        calls.append(root)
+        tree = lift(forest_like, root)
+        top = tree.height()
+        return MonotoneTree(tree.root, frozenset(e for e in tree.edges if e.tail.y < top - 1))
+
+    monkeypatch.setattr(analysis, "extract_tree", lift_one_level_short)
+    with pytest.raises(RuntimeError, match=f"tree of root {tallest}"):
+        slim_fractions(fo, 4.0)
+    assert calls == [tallest]
+    monkeypatch.chdir(tmp_path)
+    assert main("stats --seed 5 -W 12 -M 8 --replicas 2 --out st.csv".split()) == 3
+    assert "slice-size table disagrees" in capsys.readouterr().err
+    assert not (tmp_path / "st.csv").exists()
 
 
 # ---------------------------------------------------------------------------
