@@ -8,6 +8,9 @@ rotated upper-half-plane lattice and verifies that they agree:
   level; geodesics to the boundary form a spanning forest.
 * ``sidla``: boundary sites emit coin-walking particles that grow one
   tree each; the tree laws coincide with the geodesic forest.
+* ``fpp.Forest``: the one record both pictures produce (window, label,
+  seed, per-vertex times, parent directions and root labels), which the
+  snapshot, analysis, rendering and coupling layers all take.
 * ``coupling``: the explicit ring construction that turns one picture
   into the other, replayable and checkable bit for bit.
 * ``analysis`` / ``render`` / ``cli``: exact identities, statistics,
@@ -17,7 +20,7 @@ rotated upper-half-plane lattice and verifies that they agree:
 from .errors import ConfigError, CouplingFault, VerificationFailure
 from .lattice import Dir, Edge, Vertex, Window, head, in_cone, shift
 from .fpp import (
-    GeodesicForest,
+    Forest,
     WeightField,
     WeightProfile,
     build_forest,
@@ -35,7 +38,7 @@ __all__ = [
     "CouplingFault",
     "Dir",
     "Edge",
-    "GeodesicForest",
+    "Forest",
     "RingKind",
     "SidlaState",
     "SimulationLimitError",

@@ -25,29 +25,14 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
+from .errors import ConfigError
+from .fpp import Forest
 from .lattice import Dir, Edge, Vertex, Window, head
 
 ENUMERATION_GUARD = 12
 
 _Z_99_ONE_SIDED = 2.3263478740408408
 _Z_95_TWO_SIDED = 1.959963984540054
-
-
-class Censored:
-    """Sentinel for heights only bounded below by the cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CENSORED"
-
-
-CENSORED = Censored()
 
 
 @dataclass(frozen=True)
@@ -85,23 +70,23 @@ def is_monotone_tree(root: Vertex, edges: Iterable[Edge]) -> bool:
     return all(e.tail in verts for e in edges)
 
 
-def extract_tree(forest_like, root) -> MonotoneTree:
-    """Lift one root's tree out of a forest or covered particle state.
+def extract_tree(forest: Forest, root) -> MonotoneTree:
+    """Lift one root's tree out of a covered forest.
 
     Vertices are unwrapped into plane coordinates by following parent
     chains upward from the root, so a tree crossing the cyclic seam still
     comes out connected; the root keeps its canonical x.
     """
     x = root.x if isinstance(root, Vertex) else int(root)
-    win = forest_like.window
+    win = forest.window
     x0 = x % win.period
-    labels = forest_like.root_x
+    labels = forest.root_x
     unwrapped: dict[Vertex, int] = {win.canonicalize(Vertex(x0, 0)): x0}
     edges = []
     for m in range(1, win.M + 1):
         for j in np.nonzero(labels[m] == x0)[0]:
             v = win.vertex_at(m, int(j))
-            d = Dir(int(forest_like.parent_dir[m, j]))
+            d = Dir(int(forest.parent_dir[m, j]))
             tail = win.canonicalize(Vertex(v.x - d.dx, m - 1))
             xu = unwrapped[tail] + d.dx
             unwrapped[v] = xu
@@ -110,18 +95,8 @@ def extract_tree(forest_like, root) -> MonotoneTree:
     return MonotoneTree(Vertex(x0, 0), frozenset(edges), censored)
 
 
-def tree_height(tree: MonotoneTree):
-    """Max level of a tree vertex, or CENSORED if the tree touched the cap."""
-    if tree.censored:
-        return CENSORED
-    return tree.height()
-
-
-def level_profile(obj, root, m: int) -> int:
-    """Size of the root's level-m slice, |T^m(root)|.
-
-    Accepts a MonotoneTree or any forest-shaped object with root labels.
-    """
+def level_profile(obj: MonotoneTree | Forest, root, m: int) -> int:
+    """Size of the root's level-m slice, |T^m(root)|, in a tree or a forest."""
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
     if isinstance(obj, MonotoneTree):
@@ -176,12 +151,12 @@ def enumerate_monotone_trees(
     way is itself a valid tree.
     """
     if max_edges > ENUMERATION_GUARD:
-        raise ValueError(
+        raise ConfigError(
             f"max_edges {max_edges} exceeds the enumeration guard "
             f"{ENUMERATION_GUARD}"
         )
     if max_edges < 0:
-        raise ValueError(f"max_edges must be nonnegative, got {max_edges}")
+        raise ConfigError(f"max_edges must be nonnegative, got {max_edges}")
 
     def key(e: Edge) -> tuple[int, int, int]:
         return (e.tail.y, e.tail.x, int(e.dir))
@@ -218,18 +193,13 @@ def enumerate_monotone_trees(
 
 @dataclass(frozen=True)
 class SlimParams:
-    """Width threshold for slim levels; delta and beta_hat record the
-    convention D = 1/(beta * delta) without being enforced."""
+    """Width threshold D for slim levels."""
 
     D: float
-    delta: float = 0.5
-    beta_hat: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.D > 0:
             raise ValueError(f"slim threshold D must be positive, got {self.D}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
 
 
 def slim_levels(tree: MonotoneTree, params: SlimParams) -> list[int]:
@@ -289,18 +259,18 @@ class FlankInfo:
     triangle: frozenset[Vertex]
 
 
-def flanks(forest_like, root, n: int) -> FlankInfo:
+def flanks(forest: Forest, root, n: int) -> FlankInfo:
     """Locate the flanking vertices of the root's level-n slice.
 
     Distances are read off the forest values (passage time, or occupancy
     time for a replayed state).  The window must be wide enough for the
     slice plus flanks to fit without wrapping.
     """
-    win = forest_like.window
+    win = forest.window
     x0 = root.x if isinstance(root, Vertex) else int(root)
     if not 1 <= n <= win.M:
         raise ValueError(f"level {n} outside 1..{win.M}")
-    cols = np.nonzero(forest_like.root_x[n] == x0)[0]
+    cols = np.nonzero(forest.root_x[n] == x0)[0]
     if len(cols) == 0:
         raise ValueError(f"tree of root {x0} has an empty level-{n} slice")
     xs = (n & 1) + 2 * cols
@@ -313,7 +283,7 @@ def flanks(forest_like, root, n: int) -> FlankInfo:
         )
     l_n = Vertex(x0 + dx_min - 2, n)
     r_n = Vertex(x0 + dx_max + 2, n)
-    values = forest_like.node_values
+    values = forest.values
     left_dist = float(values[n, win.column_of(win.canonicalize(l_n))])
     right_dist = float(values[n, win.column_of(win.canonicalize(r_n))])
     k = int(len(cols))
@@ -331,16 +301,16 @@ def flanks(forest_like, root, n: int) -> FlankInfo:
     )
 
 
-def flank_left_distances(forest_like, n: int) -> np.ndarray:
+def flank_left_distances(forest: Forest, n: int) -> np.ndarray:
     """Left-flank distances of every root with a nonempty level-n slice.
 
     Pools the per-tree samples used by the tail bound; ordering follows
     ascending root x, so the output is deterministic.  The leftmost slice
     offset of every root comes from one minimum over root labels."""
-    win = forest_like.window
+    win = forest.window
     if not 1 <= n <= win.M:
         raise ValueError(f"level {n} outside 1..{win.M}")
-    row = forest_like.root_x[n]
+    row = forest.root_x[n]
     cols = np.flatnonzero(row >= 0)
     roots, owner = np.unique(row[cols], return_inverse=True)
     dxs = ((n & 1) + 2 * cols - row[cols]) % win.period
@@ -348,16 +318,16 @@ def flank_left_distances(forest_like, n: int) -> np.ndarray:
     dx_min = np.full(len(roots), win.period, dtype=np.int64)
     np.minimum.at(dx_min, owner, dxs)
     left_cols = ((roots + dx_min - 2) % win.period) >> 1
-    return forest_like.node_values[n, left_cols].astype(np.float64)
+    return forest.values[n, left_cols].astype(np.float64)
 
 
-def cone_check(forest_like, root) -> bool:
+def cone_check(forest: Forest, root) -> bool:
     """Every vertex of the root's tree lies in the upward cone of the root
     and no slice exceeds the cone width m+1."""
-    win = forest_like.window
+    win = forest.window
     x0 = root.x if isinstance(root, Vertex) else int(root)
     for m in range(1, win.M + 1):
-        cols = np.nonzero(forest_like.root_x[m] == x0)[0]
+        cols = np.nonzero(forest.root_x[m] == x0)[0]
         if len(cols) == 0:
             continue
         if len(cols) > m + 1:
@@ -368,17 +338,6 @@ def cone_check(forest_like, root) -> bool:
         if np.any(np.abs(dxs) > m):
             return False
     return True
-
-
-def first_empty_level(forest_like, root) -> int | None:
-    """Smallest level 1..M where the root's slice is empty, None if the
-    tree occupies every level up to the cap."""
-    win = forest_like.window
-    x0 = root.x if isinstance(root, Vertex) else int(root)
-    for m in range(1, win.M + 1):
-        if not np.any(forest_like.root_x[m] == x0):
-            return m
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -454,42 +413,35 @@ def flank_bound_test(samples, n: int, kappa: float) -> FlankBoundReport:
 # Coverage, heights, survival
 
 
-def coverage_partition_check(forest_like, window: Window) -> bool:
-    """Every level 1..M is fully claimed and each claim is a legal root,
-    so the slice sizes of the trees partition each level into W vertices."""
-    labels = forest_like.root_x
+def coverage_partition_check(forest: Forest, window: Window) -> bool:
+    """Every vertex at levels 1..M carries a legal root label (even, in
+    0..2W-1).  Each vertex holds one label, so the slice sizes of the trees
+    then partition each level into its W vertices."""
+    labels = forest.root_x
     if labels.shape != (window.M + 1, window.W):
         return False
-    for m in range(1, window.M + 1):
-        row = labels[m]
-        if not np.all((row >= 0) & (row < window.period) & (row % 2 == 0)):
-            return False
-        total = 0
-        for x in np.unique(row):
-            total += int(np.count_nonzero(row == x))
-        if total != window.W:
-            return False
-    return True
+    rows = labels[1:]
+    return bool(np.all((rows >= 0) & (rows < window.period) & (rows % 2 == 0)))
 
 
-def root_heights(forest_like) -> tuple[np.ndarray, np.ndarray]:
+def root_heights(forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     """Per-root tree heights and censoring flags, vectorized per level.
 
     Returns (heights, censored), both indexed by boundary column; censored
     roots own a vertex at the cap, so their height equals M as a lower
     bound."""
-    win = forest_like.window
+    win = forest.window
     W, M = win.W, win.M
     heights = np.zeros(W, dtype=np.int64)
     for m in range(1, M + 1):
-        cols = np.unique(forest_like.root_x[m] >> 1)
+        cols = np.unique(forest.root_x[m] >> 1)
         heights[cols] = m
     censored = np.zeros(W, dtype=bool)
-    censored[np.unique(forest_like.root_x[M] >> 1)] = True
+    censored[np.unique(forest.root_x[M] >> 1)] = True
     return heights, censored
 
 
-def slim_fractions(forest_like, D: float) -> np.ndarray:
+def slim_fractions(forest: Forest, D: float) -> np.ndarray:
     """Per tree of positive height below the cap, in ascending root order:
     the fraction of its levels whose slice is nonempty and narrower than D.
 
@@ -497,29 +449,23 @@ def slim_fractions(forest_like, D: float) -> np.ndarray:
     level).  The tallest tree, the likeliest to cross the seam, is also
     lifted with ``extract_tree`` and counted with ``slim_levels``; a
     disagreement with the table raises RuntimeError."""
-    win = forest_like.window
+    win = forest.window
     W, M = win.W, win.M
-    heights, censored = root_heights(forest_like)
-    labels = forest_like.root_x[1:]
+    heights, censored = root_heights(forest)
+    labels = forest.root_x[1:]
     owned = labels >= 0
     levels = np.broadcast_to(np.arange(M)[:, None], labels.shape)
     keys = (labels[owned] >> 1) * M + levels[owned]
     sizes = np.bincount(keys, minlength=W * M).reshape(W, M)
     slim = np.count_nonzero((sizes > 0) & (sizes < D), axis=1)
     j = int(np.argmax(heights))
-    tree = extract_tree(forest_like, 2 * j)
+    tree = extract_tree(forest, 2 * j)
     counts = tree.level_counts()
     if ([counts[m] for m in range(1, M + 1)] != sizes[j].tolist()
             or len(slim_levels(tree, SlimParams(D))) != slim[j]):
         raise RuntimeError(f"slice-size table disagrees with the tree of root {2 * j}")
     kept = ~censored & (heights >= 1)
     return slim[kept] / heights[kept]
-
-
-def truncated_mean_height(forest_like) -> float:
-    """Mean over roots of min(height, M); censored trees count as M."""
-    heights, _ = root_heights(forest_like)
-    return float(heights.mean())
 
 
 @dataclass(frozen=True)
@@ -639,7 +585,7 @@ def chi_square_compare(hist_a, hist_b) -> Chi2Result:
     av = np.asarray(a)
     bv = np.asarray(b)
     if expected(av, bv).min() < 5.0:
-        raise ValueError(
+        raise ConfigError(
             "expected counts below 5 even after pooling; samples too small"
         )
     if len(av) == 1:

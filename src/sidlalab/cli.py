@@ -9,7 +9,8 @@ flank statistics (stats), compare the two pictures distributionally
 Every command is a pure function of its flags: seeds are explicit,
 default output names embed them, files are written atomically, and
 repeated invocations produce byte-identical artifacts.  Exit codes: 0
-success, 1 configuration error, 2 verification failure, 3 internal fault.
+success, 1 configuration error (a ConfigError, or the rings driver out of
+budget), 2 verification failure, 3 internal fault (any other exception).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import analysis, coupling, fpp, render, sidla
 from .errors import ConfigError, CouplingFault, VerificationFailure
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_text
 from .lattice import Vertex, Window, edge_str
 from .sidla import SimulationLimitError
 
@@ -89,7 +90,7 @@ def _fpp_task(task):
     seed, W, M, profile_value = task
     field = fpp.WeightField(seed, fpp.WeightProfile(profile_value), Window(W, M))
     forest = fpp.build_forest(field)
-    return seed, fpp.snapshot_text(forest), forest.max_dist
+    return seed, fpp.snapshot_text(forest), float(forest.values.max())
 
 
 def cmd_fpp(args: argparse.Namespace) -> int:
@@ -117,7 +118,7 @@ def _sidla_task(task):
     seed, W, M, method = task
     state = sidla.run_until_covered(Window(W, M), seed, method=method,
                                     log_events=True)
-    return (seed, fpp.snapshot_text(state), sidla.events_csv_text(state),
+    return (seed, fpp.snapshot_text(state.forest), sidla.events_csv_text(state),
             state.n_rings, state.clock, len(state.censored))
 
 
@@ -183,18 +184,18 @@ def cmd_couple(args: argparse.Namespace) -> int:
         print(f"couple seed={r.seed} forest_equal={str(r.forest_equal).lower()} "
               f"rings={r.n_rings} gaps={r.n_gaps} censored={r.censored_count}")
 
-    report_text = coupling.report_json_text(
-        all_equal, int(len(gaps)), ks_stat, ks_p, censored)
+    report = {"forest_equal": all_equal, "n_gaps": len(gaps), "ks_stat": ks_stat,
+              "ks_p": ks_p, "censored_count": censored}
     stem = f"couple_w{win.W}_m{win.M}"
     report_path = _out_path(args.out, stem, args.seed, ".json", False) \
         if args.out else f"{stem}_s{args.seed}.json"
-    atomic_write_text(report_path, report_text)
+    atomic_write_text(report_path, json_text(report) + "\n")
     gaps_path = args.gaps_out or f"{stem}_s{args.seed}_gaps.csv"
     atomic_write_text(gaps_path, coupling.gaps_csv_text(sites, gaps))
     print(f"couple total replicas={args.replicas} "
           f"forest_equal={str(all_equal).lower()} n_gaps={len(gaps)} "
-          f"ks_stat={coupling.json_number(ks_stat)} "
-          f"ks_p={coupling.json_number(ks_p)} censored={censored} "
+          f"ks_stat={json_text(ks_stat)} "
+          f"ks_p={json_text(ks_p)} censored={censored} "
           f"wrote={report_path}")
     return EXIT_OK if all_equal else EXIT_VERIFY
 
@@ -222,21 +223,21 @@ def cmd_shells(args: argparse.Namespace) -> int:
 
 
 def _picture_run(picture: str, seed: int, W: int, M: int, profile_value: str,
-                 method: str):
+                 method: str) -> fpp.Forest:
     win = Window(W, M)
     if picture == "fpp":
         field = fpp.WeightField(seed, fpp.WeightProfile(profile_value), win)
         return fpp.build_forest(field)
-    return sidla.run_until_covered(win, seed, method=method)
+    return sidla.run_until_covered(win, seed, method=method).forest
 
 
 def _stats_task(task):
     picture, seed, W, M, profile_value, method, slim_d, flank_levels = task
-    obj = _picture_run(picture, seed, W, M, profile_value, method)
-    heights, censored = analysis.root_heights(obj)
-    slim_fracs = analysis.slim_fractions(obj, slim_d)
+    forest = _picture_run(picture, seed, W, M, profile_value, method)
+    heights, censored = analysis.root_heights(forest)
+    slim_fracs = analysis.slim_fractions(forest, slim_d)
     flank_samples = {
-        n: analysis.flank_left_distances(obj, n) for n in flank_levels
+        n: analysis.flank_left_distances(forest, n) for n in flank_levels
     }
     return heights, censored, slim_fracs, flank_samples
 
@@ -251,7 +252,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         _default_levels(win.M)
     flank_levels = _parse_levels(args.flank_levels, win.M) \
         if args.flank_levels else []
-    kappas = [float(k) for k in args.kappa.split(",")] if args.kappa else [2.0, 4.0]
+    try:
+        kappas = [float(k) for k in args.kappa.split(",")] if args.kappa else [2.0, 4.0]
+    except ValueError:
+        raise ConfigError(f"kappa must be comma-separated numbers, got {args.kappa!r}") from None
     if not args.slim_d > 0:
         raise ConfigError(f"slim threshold must be positive, got {args.slim_d}")
 
@@ -323,9 +327,9 @@ def _parse_levels(text: str, M: int) -> list[int]:
 
 def _compare_task(task):
     picture, seed, W, M, profile_value, method, height_clip = task
-    obj = _picture_run(picture, seed, W, M, profile_value, method)
-    t1 = analysis.level_profile(obj, 0, 1)
-    heights, censored = analysis.root_heights(obj)
+    forest = _picture_run(picture, seed, W, M, profile_value, method)
+    t1 = analysis.level_profile(forest, 0, 1)
+    heights, censored = analysis.root_heights(forest)
     h0 = int(heights[0])
     return t1, min(h0, height_clip)
 
@@ -355,17 +359,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"compare height chi2={r_h.statistic:.6g} p={r_h.p_value:.6g} "
           f"bins={r_h.n_bins}")
     if args.out:
-        text = (
-            "{"
-            f'"replicas": {args.replicas}, '
-            f'"alpha": {format(args.alpha, ".17g")}, '
-            f'"slice1": {{"statistic": {format(r_t1.statistic, ".17g")}, '
-            f'"p_value": {format(r_t1.p_value, ".17g")}}}, '
-            f'"height": {{"statistic": {format(r_h.statistic, ".17g")}, '
-            f'"p_value": {format(r_h.p_value, ".17g")}}}'
-            "}\n"
-        )
-        atomic_write_text(args.out, text)
+        report = {"replicas": args.replicas, "alpha": args.alpha,
+                  "slice1": {"statistic": r_t1.statistic, "p_value": r_t1.p_value},
+                  "height": {"statistic": r_h.statistic, "p_value": r_h.p_value}}
+        atomic_write_text(args.out, json_text(report) + "\n")
         print(f"compare wrote={args.out}")
     passed = r_t1.p_value > args.alpha and r_h.p_value > args.alpha
     return EXIT_OK if passed else EXIT_VERIFY
@@ -377,14 +374,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     if args.input:
-        obj = fpp.load_snapshot(args.input)
-        win = obj.window
-        seed = obj.seed
+        forest = fpp.load_snapshot(args.input)
     else:
-        win = _window(args)
-        obj = _picture_run(args.picture, args.seed, win.W, win.M,
-                           args.profile, args.method)
-        seed = args.seed
+        forest = _picture_run(args.picture, args.seed, args.width, args.height,
+                              args.profile, args.method)
+    win, seed = forest.window, forest.seed
     if args.highlight_root.lower() == "none":
         highlight = None
     else:
@@ -401,7 +395,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     options = render.RenderOptions(
         highlight_root=highlight, scale=args.scale, max_level=args.max_level
     )
-    svg = render.render_svg(obj, options)
+    svg = render.render_svg(forest, options)
     out = args.out or f"render_w{win.W}_m{win.M}_s{seed}.svg"
     atomic_write_text(out, svg)
     print(f"render seed={seed} window={win.W}x{win.M} bytes={len(svg)} "
@@ -513,10 +507,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, SimulationLimitError) as exc:
+    except (ConfigError, SimulationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VerificationFailure as exc:

@@ -40,13 +40,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, CouplingFault
-from .fpp import (
-    GeodesicForest,
-    WeightField,
-    WeightProfile,
-    build_forest,
-    incoming_tail_index,
-)
+from .fpp import Forest, WeightField, WeightProfile, build_forest, incoming_tail_index
 from .hashing import AUX_STREAM, exp_from_uniform, hash_uniform
 from .lattice import Dir, Edge, Window
 from .sidla import SidlaState, new_state
@@ -136,7 +130,7 @@ def auto_repeats_mode(window: Window, horizon: float) -> str:
 
 
 def generate_rings(
-    forest: GeodesicForest,
+    forest: Forest,
     field: WeightField,
     aux: AuxClockField,
     horizon: float,
@@ -166,7 +160,7 @@ def generate_rings(
         raise ConfigError(f"unknown repeats mode {repeats!r}; use full, base or none")
     win = forest.window
     W, M = win.W, win.M
-    max_dist = forest.max_dist
+    max_dist = float(forest.values.max())
     if horizon < max_dist:
         raise ValueError(
             f"horizon {horizon} below forest max distance {max_dist}; "
@@ -178,7 +172,7 @@ def generate_rings(
     parts = []
     for d in [win_dir] if repeats == "none" else [win_dir, 1 - win_dir]:
         tails = incoming_tail_index(W, heads, d)
-        time = forest.dist.ravel()[tails] + np.where(d == Dir.LEFT, w_l, w_r)
+        time = forest.values.ravel()[tails] + np.where(d == Dir.LEFT, w_l, w_r)
         parts.append((time, forest.root_x.ravel()[tails], heads, d))
     if repeats == "full":
         base = parts[1]
@@ -247,9 +241,9 @@ def replay(rings: Rings) -> SidlaState:
         )
 
     state = new_state(window)
-    state.root_x.flat[claimed] = owner[claimed]
-    state.parent_dir.flat[claimed] = rings.dir[by]
-    state.occ_time.flat[claimed] = rings.time[by]
+    state.forest.root_x.flat[claimed] = owner[claimed]
+    state.forest.parent_dir.flat[claimed] = rings.dir[by]
+    state.forest.values.flat[claimed] = rings.time[by]
     state.n_occupied = len(claimed)
     state.censored = set(owner[claimed[claimed >= M * W]].tolist())
     state.n_rings = n
@@ -272,25 +266,6 @@ def pooled_gaps(rings: Rings, horizon: float | None = None) -> tuple[np.ndarray,
     return site[1:][same], (time[1:] - time[:-1])[same]
 
 
-def json_number(v: float) -> str:
-    """A float as JSON text: 17 significant digits, NaN as null."""
-    return "null" if np.isnan(v) else format(v, ".17g")
-
-
-def report_json_text(forest_equal: bool, n_gaps: int, ks_stat: float,
-                     ks_p: float, censored_count: int) -> str:
-    """The couple report: one JSON object on one line."""
-    return (
-        "{"
-        f'"forest_equal": {"true" if forest_equal else "false"}, '
-        f'"n_gaps": {n_gaps}, '
-        f'"ks_stat": {json_number(ks_stat)}, '
-        f'"ks_p": {json_number(ks_p)}, '
-        f'"censored_count": {censored_count}'
-        "}\n"
-    )
-
-
 @dataclass
 class CouplingReport:
     """Outcome of one coupled construct-and-replay verification."""
@@ -307,18 +282,12 @@ class CouplingReport:
     gap_sites: np.ndarray
     gap_sample: np.ndarray
 
-    def json_text(self) -> str:
-        return report_json_text(self.forest_equal, self.n_gaps, self.ks_stat,
-                                self.ks_p, self.censored_count)
 
-
-def forests_match(forest: GeodesicForest, state: SidlaState) -> bool:
-    """Edge-for-edge and time-for-time equality, times compared bit-exact."""
-    return (
-        np.array_equal(forest.root_x, state.root_x)
-        and np.array_equal(forest.parent_dir, state.parent_dir)
-        and np.array_equal(forest.dist, state.occ_time)
-    )
+def forests_match(a: Forest, b: Forest) -> bool:
+    """Edge-for-edge and time-for-time equality of two forests' arrays,
+    times compared bit-exact; labels and value keys may differ."""
+    return all(np.array_equal(x, y) for x, y in (
+        (a.root_x, b.root_x), (a.parent_dir, b.parent_dir), (a.values, b.values)))
 
 
 def verify_coupling(
@@ -337,13 +306,13 @@ def verify_coupling(
 
     field = WeightField(seed, profile, window)
     forest = build_forest(field)
-    horizon = forest.max_dist * horizon_factor
+    horizon = float(forest.values.max()) * horizon_factor
     if repeats == "auto":
         repeats = auto_repeats_mode(window, horizon)
     aux = AuxClockField(seed, window, profile)
     rings = generate_rings(forest, field, aux, horizon, repeats=repeats)
     state = replay(rings)
-    equal = forests_match(forest, state)
+    equal = forests_match(forest, state.forest)
     sites, gaps = pooled_gaps(rings, horizon=horizon)
     if len(gaps) >= 10:
         zeros = int(np.count_nonzero(gaps == 0.0))

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import json_text
 from .hashing import WEIGHT_STREAM, exp_from_uniform, hash_uniform, hash_uniform_vec
 from .lattice import Dir, Edge, Vertex, Window
 
@@ -95,6 +96,18 @@ class WeightField:
     window: Window
     x_origin: int = 0
 
+    def __post_init__(self) -> None:
+        # the rate is monotone in the level, so level M holds its extreme
+        try:
+            rate = self.profile.rate(self.window.M)
+        except OverflowError:
+            rate = math.inf
+        if not 0.0 < rate < math.inf:
+            raise ConfigError(
+                f"the {self.profile.value} rate at level M={self.window.M} is not a "
+                f"positive finite double; use a smaller height cap"
+            )
+
     def shifted(self, k: int) -> "WeightField":
         """Field whose weight at edge e equals this field's weight at the
         edge translated k steps to the left (so forests translate right)."""
@@ -135,54 +148,29 @@ class WeightField:
 
 
 @dataclass
-class GeodesicForest:
-    """Passage times plus the spanning forest of minimizing edges.
+class Forest:
+    """A spanning forest of the window rooted on the boundary, with a time
+    per vertex: the one record both pictures produce.
 
     Arrays have shape (M + 1, W), indexed by (level, column).  Row 0 is the
-    boundary: distance 0, no parent, each vertex its own root.
+    boundary: time 0, no parent (-1), each vertex its own root.  ``values``
+    are passage times (``value_key`` "dist", from the weight field) or the
+    clock values at which particles claimed each vertex ("occupancy_time");
+    in a particle run still in progress, unclaimed vertices hold root -1,
+    parent -1 and NaN.  ``label`` names the source: a weight profile or
+    "sidla".
     """
 
     window: Window
-    profile: WeightProfile
+    label: str
     seed: int
-    dist: np.ndarray
+    value_key: str
+    values: np.ndarray
     parent_dir: np.ndarray
     root_x: np.ndarray
 
-    value_key = "dist"
 
-    @property
-    def profile_label(self) -> str:
-        return self.profile.value
-
-    @property
-    def node_values(self) -> np.ndarray:
-        return self.dist
-
-    @property
-    def max_dist(self) -> float:
-        return float(self.dist.max())
-
-    def distance(self, v: Vertex) -> float:
-        v = self.window.canonicalize(v)
-        if v.y > self.window.M:
-            raise ValueError(f"vertex {v} above the height cap {self.window.M}")
-        return float(self.dist[v.y, self.window.column_of(v)])
-
-    def parent_edge(self, v: Vertex) -> Edge | None:
-        v = self.window.canonicalize(v)
-        if v.y == 0:
-            return None
-        d = Dir(int(self.parent_dir[v.y, self.window.column_of(v)]))
-        tail = Vertex(v.x - d.dx, v.y - 1)
-        return Edge(self.window.canonicalize(tail), d)
-
-    def root_of(self, v: Vertex) -> Vertex:
-        v = self.window.canonicalize(v)
-        return Vertex(int(self.root_x[v.y, self.window.column_of(v)]), 0)
-
-
-def build_forest(field: WeightField) -> GeodesicForest:
+def build_forest(field: WeightField) -> Forest:
     """Run the level dynamic program over the whole window.
 
     At each level the candidate passage time through either incoming edge
@@ -205,29 +193,7 @@ def build_forest(field: WeightField) -> GeodesicForest:
         parent_dir[y] = np.where(take_left, np.int8(Dir.LEFT), np.int8(Dir.RIGHT))
         tail_cols = np.where(take_left, cols_l, cols_r)
         root_x[y] = root_x[y - 1][tail_cols]
-    return GeodesicForest(win, field.profile, field.seed, dist, parent_dir, root_x)
-
-
-@dataclass
-class ForestSnapshot:
-    """A forest-shaped object reloaded from disk.
-
-    Quacks like GeodesicForest for analysis and rendering: exposes window,
-    node_values, parent_dir, root_x and the key the values were stored
-    under ("dist" for passage times, "occupancy_time" for particle runs).
-    """
-
-    window: Window
-    profile_label: str
-    seed: int
-    value_key: str
-    node_values: np.ndarray
-    parent_dir: np.ndarray
-    root_x: np.ndarray
-
-    def root_of(self, v: Vertex) -> Vertex:
-        v = self.window.canonicalize(v)
-        return Vertex(int(self.root_x[v.y, self.window.column_of(v)]), 0)
+    return Forest(win, field.profile.value, field.seed, "dist", dist, parent_dir, root_x)
 
 
 # JSON text of a parent direction, indexed by its Dir code, and the code of
@@ -236,40 +202,37 @@ _DIR_JSON = np.array([f'"{d.letter}"' for d in Dir], dtype=object)
 _DIR_CODE = {None: -1, **{d.letter: int(d) for d in Dir}}
 
 
-def snapshot_text(obj) -> str:
-    """Serialize a covered forest-like object to canonical JSON text.
+def snapshot_text(forest: Forest) -> str:
+    """Serialize a covered forest to canonical JSON text.
 
-    Vertices appear sorted by (y, x); float values are written with 17
-    significant digits so reloading reproduces them bit for bit.  Each
-    level is formatted by one template over its rows; non-finite values,
-    which JSON cannot hold, raise ConfigError naming the first such level.
+    The header goes through ``fileio.json_text``.  Vertices appear sorted
+    by (y, x); float values are written with 17 significant digits so
+    reloading reproduces them bit for bit.  Each level is formatted by one
+    template over its rows; non-finite values, which JSON cannot hold,
+    raise ConfigError naming the first such level.
     """
-    win = obj.window
+    win = forest.window
     W, M = win.W, win.M
-    values = obj.node_values
-    pdirs = obj.parent_dir
-    roots = obj.root_x
+    values = forest.values
+    pdirs = forest.parent_dir
+    roots = forest.root_x
     if np.any(roots < 0):
         raise ValueError("snapshot requires a fully covered window")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         y = int(np.argmin(finite))
         raise ConfigError(
-            f"{obj.value_key} is not finite at level {y} ({obj.profile_label}, "
+            f"{forest.value_key} is not finite at level {y} ({forest.label}, "
             f"{W}x{M}); a JSON snapshot cannot hold it"
         )
-    vertex = ('    {"x": %d, "y": %d, "' + obj.value_key
-              + '": %.17g, "parentDir": %s, "rootX": %d}')
+    vertex = ('    {"x": %d, "y": %d, ' + json_text(forest.value_key)
+              + ': %.17g, "parentDir": %s, "rootX": %d}')
     level = ",\n".join([vertex] * W)
     cols = 2 * np.arange(W, dtype=np.int64)
     cells: list = [None] * (5 * W)
-    chunks = [
-        "{\n"
-        f'  "window": {{"W": {W}, "M": {M}}},\n'
-        f'  "profile": {json.dumps(obj.profile_label)},\n'
-        f'  "seed": {obj.seed},\n'
-        '  "vertices": [\n'
-    ]
+    header = {"window": {"W": W, "M": M}, "profile": forest.label, "seed": forest.seed}
+    chunks = ["{\n", *(f"  {json_text(k)}: {json_text(v)},\n" for k, v in header.items()),
+              '  "vertices": [\n']
     for y in range(M + 1):
         cells[0::5] = (cols + (y & 1)).tolist()
         cells[1::5] = [y] * W
@@ -282,23 +245,23 @@ def snapshot_text(obj) -> str:
     return "".join(chunks)
 
 
-def check_invariants(forest_like) -> None:
-    """Raise ValueError unless a covered forest-like object is consistent.
+def check_invariants(forest: Forest) -> None:
+    """Raise ValueError unless a covered forest is consistent.
 
     Boundary labels must equal their own x, and every vertex above the
     boundary must carry its parent's root label, so every label is a
     boundary root.  Values must not decrease along a parent edge.
     """
-    win = forest_like.window
+    win = forest.window
     W, M = win.W, win.M
-    roots = forest_like.root_x
-    values = forest_like.node_values
+    roots = forest.root_x
+    values = forest.values
     bad = np.flatnonzero(roots[0] != 2 * np.arange(W))
     if bad.size:
         j = int(bad[0])
         raise ValueError(f"boundary vertex ({2 * j},0) has root label {int(roots[0, j])}")
     heads = np.arange(W, (M + 1) * W)
-    tails = incoming_tail_index(W, heads, forest_like.parent_dir[1:].ravel())
+    tails = incoming_tail_index(W, heads, forest.parent_dir[1:].ravel())
     for broken, what in (
         (roots.ravel()[heads] != roots.ravel()[tails], "a root label other than"),
         (values.ravel()[heads] < values.ravel()[tails], "a value below"),
@@ -318,40 +281,44 @@ def _column(vertices, key: str, dtype, path: str, codes=None) -> np.ndarray:
     try:
         return np.fromiter(items, dtype, len(vertices))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed snapshot {path}: bad {key!r} ({exc!r})") from exc
+        raise ConfigError(f"malformed snapshot {path}: bad {key!r} ({exc!r})") from exc
 
 
-def load_snapshot(path: str) -> ForestSnapshot:
+def load_snapshot(path: str) -> Forest:
     """Reload a snapshot written by snapshot_text.
 
-    Rejects with ValueError a vertex outside the window, a vertex listed
-    twice, a hole, a parent direction other than L or R, and arrays that
-    fail check_invariants.
+    Rejects with ConfigError a file that cannot be read or parsed as JSON,
+    a header that is missing or malformed, a vertex outside the window, a
+    vertex listed twice, a hole, a parent direction other than L or R, and
+    arrays that fail check_invariants.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        win = Window(int(doc["window"]["W"]), int(doc["window"]["M"]))
-        profile_label = str(doc["profile"])
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
+    try:
+        W, M = int(doc["window"]["W"]), int(doc["window"]["M"])
+        label = str(doc["profile"])
         seed = int(doc["seed"])
         vertices = doc["vertices"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed snapshot {path}: {exc}") from exc
+        value_key = "occupancy_time" if vertices and "occupancy_time" in vertices[0] else "dist"
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed snapshot {path}: {exc}") from exc
     if not vertices:
-        raise ValueError(f"snapshot {path} has no vertices")
-    W, M = win.W, win.M
-    value_key = "occupancy_time" if "occupancy_time" in vertices[0] else "dist"
+        raise ConfigError(f"snapshot {path} has no vertices")
+    win = Window(W, M)
     xs = _column(vertices, "x", np.int64, path) % win.period
     ys = _column(vertices, "y", np.int64, path)
     outside = (ys < 0) | (ys > M) | ((xs + ys) % 2 != 0)
     if outside.any():
         i = int(np.argmax(outside))
-        raise ValueError(f"snapshot vertex {Vertex(int(xs[i]), int(ys[i]))} outside window")
+        raise ConfigError(f"snapshot vertex {Vertex(int(xs[i]), int(ys[i]))} outside window")
     flat = ys * W + (xs >> 1)
     seen = np.bincount(flat, minlength=(M + 1) * W)
     if seen.max() > 1:
         y, j = divmod(int(np.argmax(seen)), W)
-        raise ValueError(f"snapshot {path} lists vertex {tuple(win.vertex_at(y, j))} twice")
+        raise ConfigError(f"snapshot {path} lists vertex {tuple(win.vertex_at(y, j))} twice")
     values = np.full((M + 1, W), np.nan, dtype=np.float64)
     pdirs = np.full((M + 1, W), -1, dtype=np.int8)
     roots = np.full((M + 1, W), -1, dtype=np.int64)
@@ -359,12 +326,12 @@ def load_snapshot(path: str) -> ForestSnapshot:
     pdirs.ravel()[flat] = _column(vertices, "parentDir", np.int8, path, _DIR_CODE)
     roots.ravel()[flat] = _column(vertices, "rootX", np.int64, path)
     if np.isnan(values).any() or np.any(roots < 0):
-        raise ValueError(f"snapshot {path} does not cover its window")
+        raise ConfigError(f"snapshot {path} does not cover its window")
     if np.any(pdirs[1:] < 0):
-        raise ValueError(f"snapshot {path} missing parent directions")
-    snap = ForestSnapshot(win, profile_label, seed, value_key, values, pdirs, roots)
+        raise ConfigError(f"snapshot {path} missing parent directions")
+    forest = Forest(win, label, seed, value_key, values, pdirs, roots)
     try:
-        check_invariants(snap)
+        check_invariants(forest)
     except ValueError as exc:
-        raise ValueError(f"inconsistent snapshot {path}: {exc}") from None
-    return snap
+        raise ConfigError(f"inconsistent snapshot {path}: {exc}") from None
+    return forest

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -74,10 +74,6 @@ def head(e: Edge) -> Vertex:
 def shift(v: Vertex, k: int) -> Vertex:
     """Translate horizontally by k fundamental steps (2k in x)."""
     return Vertex(v.x + 2 * k, v.y)
-
-
-def shift_edge(e: Edge, k: int) -> Edge:
-    return Edge(shift(e.tail, k), e.dir)
 
 
 @dataclass(frozen=True)
@@ -161,14 +157,6 @@ def in_edges(v: Vertex, window: Window | None = None) -> tuple[Edge, Edge]:
         left_tail = window.canonicalize(left_tail)
         right_tail = window.canonicalize(right_tail)
     return Edge(right_tail, Dir.RIGHT), Edge(left_tail, Dir.LEFT)
-
-
-def iter_edges(window: Window) -> Iterator[Edge]:
-    """All canonical edges of the window, by (level, tail x, direction)."""
-    for y in range(window.M):
-        for v in window.level_vertices(y):
-            yield Edge(v, Dir.LEFT)
-            yield Edge(v, Dir.RIGHT)
 
 
 def vertex_str(v: Vertex) -> str:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+from .fpp import Forest
 from .hashing import hash_u64
 from .lattice import Vertex
 
@@ -40,20 +42,20 @@ class RenderOptions:
 
     def __post_init__(self) -> None:
         if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+            raise ConfigError(f"scale must be positive, got {self.scale}")
         if self.max_level is not None and self.max_level < 0:
-            raise ValueError(f"max_level must be nonnegative, got {self.max_level}")
+            raise ConfigError(f"max_level must be nonnegative, got {self.max_level}")
 
 
-def render_svg(forest_like, options: RenderOptions = RenderOptions()) -> str:
-    """Render the forest (or covered particle state) as an SVG document.
+def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:
+    """Render a forest as an SVG document.
 
     Root labels must be boundary roots (fpp.check_invariants); vertices
     labeled -1 are not drawn.  Coordinates and stroke attributes come from
     small tables, one per x, per level and per root, and each level's
     segments are formatted by one template.
     """
-    win = forest_like.window
+    win = forest.window
     W, M = win.W, win.M
     top = M if options.max_level is None else min(options.max_level, M)
     s = options.scale
@@ -75,7 +77,7 @@ def render_svg(forest_like, options: RenderOptions = RenderOptions()) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
-        f"  <title>{forest_like.profile_label} seed={forest_like.seed} "
+        f"  <title>{forest.label} seed={forest.seed} "
         f"window={W}x{M}</title>\n"
         f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
     ]
@@ -90,8 +92,8 @@ def render_svg(forest_like, options: RenderOptions = RenderOptions()) -> str:
     red_text = f'stroke="{_HIGHLIGHT_COLOR}{tail}'
 
     red: list[str] = []
-    labels = forest_like.root_x
-    pdirs = forest_like.parent_dir
+    labels = forest.root_x
+    pdirs = forest.parent_dir
     cols = np.arange(W, dtype=np.int64)
     for y in range(1, top + 1):
         row = labels[y]

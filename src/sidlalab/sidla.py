@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .fpp import Forest
 from .hashing import (
     CLOCK_STREAM,
     COIN_STREAM,
@@ -59,18 +60,13 @@ class SimulationLimitError(RuntimeError):
 
 @dataclass
 class SidlaState:
-    """Occupied set, tree structure and clock of one particle run.
+    """One particle run: its forest, clock, counters and event log.
 
-    Arrays have shape (M + 1, W) like a geodesic forest; root_x is -1 on
-    vertices not yet claimed.  occ_time holds the clock value at which
-    each vertex was claimed (0 on the boundary).
+    The forest's values are the clock values at which each vertex was
+    claimed (0 on the boundary); unclaimed vertices hold root -1.
     """
 
-    window: Window
-    root_x: np.ndarray
-    parent_dir: np.ndarray
-    occ_time: np.ndarray
-    seed: int = 0
+    forest: Forest
     clock: float = 0.0
     n_rings: int = 0
     n_occupied: int = 0
@@ -78,45 +74,32 @@ class SidlaState:
     events: list = field(default_factory=list)
     log_events: bool = False
 
-    value_key = "occupancy_time"
-    profile_label = "sidla"
-
-    @property
-    def node_values(self) -> np.ndarray:
-        return self.occ_time
-
     def is_covered(self) -> bool:
-        return self.n_occupied >= self.window.W * self.window.M
-
-    def occupied(self, v: Vertex) -> bool:
-        v = self.window.canonicalize(v)
-        return int(self.root_x[v.y, self.window.column_of(v)]) >= 0
-
-    def owner_of(self, v: Vertex) -> int:
-        v = self.window.canonicalize(v)
-        return int(self.root_x[v.y, self.window.column_of(v)])
+        win = self.forest.window
+        return self.n_occupied >= win.W * win.M
 
 
 def new_state(window: Window, seed: int = 0, log_events: bool = False) -> SidlaState:
     W, M = window.W, window.M
     root_x = np.full((M + 1, W), -1, dtype=np.int64)
     parent_dir = np.full((M + 1, W), -1, dtype=np.int8)
-    occ_time = np.full((M + 1, W), np.nan, dtype=np.float64)
+    times = np.full((M + 1, W), np.nan, dtype=np.float64)
     root_x[0] = 2 * np.arange(W, dtype=np.int64)
-    occ_time[0] = 0.0
-    return SidlaState(window, root_x, parent_dir, occ_time, seed=seed,
-                      log_events=log_events)
+    times[0] = 0.0
+    forest = Forest(window, "sidla", seed, "occupancy_time", times, parent_dir, root_x)
+    return SidlaState(forest, log_events=log_events)
 
 
 def edge_in_tree(state: SidlaState, root_x_value: int, e: Edge) -> bool:
     """True if e is the parent edge of its head in the tree of that root."""
-    a = state.window.canonicalize(head(e))
-    if a.y > state.window.M:
+    forest = state.forest
+    a = forest.window.canonicalize(head(e))
+    if a.y > forest.window.M:
         return False
-    j = state.window.column_of(a)
+    j = forest.window.column_of(a)
     return (
-        int(state.root_x[a.y, j]) == root_x_value
-        and int(state.parent_dir[a.y, j]) == int(e.dir)
+        int(forest.root_x[a.y, j]) == root_x_value
+        and int(forest.parent_dir[a.y, j]) == int(e.dir)
     )
 
 
@@ -129,7 +112,7 @@ def walk_particle(
     maps the step index to a direction; the production drivers plug in a
     counter-hash stream, tests can pass explicit sequences.
     """
-    win = state.window
+    win = state.forest.window
     v = win.canonicalize(Vertex(root_x_value, 0))
     step = 0
     while True:
@@ -140,23 +123,23 @@ def walk_particle(
         if a.y <= win.M and edge_in_tree(state, root_x_value, e):
             v = a
             continue
-        if a.y <= win.M and not state.occupied(a):
+        if a.y <= win.M and state.forest.root_x[a.y, win.column_of(a)] < 0:
             return e
         return None
 
 
 def apply_extension(state: SidlaState, root_x_value: int, e: Edge, time: float) -> None:
     """Claim the head of e for the given root at the given clock value."""
-    win = state.window
-    a = win.canonicalize(head(e))
-    j = win.column_of(a)
-    if int(state.root_x[a.y, j]) >= 0:
+    forest = state.forest
+    a = forest.window.canonicalize(head(e))
+    j = forest.window.column_of(a)
+    if int(forest.root_x[a.y, j]) >= 0:
         raise ValueError(f"vertex {a} already occupied")
-    state.root_x[a.y, j] = root_x_value
-    state.parent_dir[a.y, j] = int(e.dir)
-    state.occ_time[a.y, j] = time
+    forest.root_x[a.y, j] = root_x_value
+    forest.parent_dir[a.y, j] = int(e.dir)
+    forest.values[a.y, j] = time
     state.n_occupied += 1
-    if a.y == win.M:
+    if a.y == forest.window.M:
         state.censored.add(root_x_value)
 
 
@@ -175,7 +158,7 @@ def ring_arrival(seed: int, ring_index: int, W: int) -> tuple[float, int]:
 def next_ring(state: SidlaState, seed: int) -> tuple[int, Edge | None]:
     """Advance the literal driver by one ring; returns (site_x, claimed edge)."""
     k = state.n_rings
-    gap, site_x = ring_arrival(seed, k, state.window.W)
+    gap, site_x = ring_arrival(seed, k, state.forest.window.W)
     state.clock += gap
     state.n_rings = k + 1
     e = walk_particle(state, site_x, hash_coin_stream(seed, k))
@@ -194,7 +177,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
         if state.n_rings >= max_rings:
             raise SimulationLimitError(
                 f"window not covered after {max_rings} rings "
-                f"(W={state.window.W}, M={state.window.M}); "
+                f"(W={state.forest.window.W}, M={state.forest.window.M}); "
                 f"the jumps driver has no such limit"
             )
         next_ring(state, seed)
@@ -207,18 +190,18 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     Free edges are grouped by level (one rate per level) as codes
     ``(y * 2W + x) * 2 + dir`` of their tails.  Each event bisects the prefix
     sums of count * rate for a level, then takes a uniform edge within it.
-    Owners, directions and times live in list mirrors of the state arrays.
+    Owners, directions and times live in list mirrors of the forest arrays.
     """
-    win = state.window
-    W, M, P = win.W, win.M, win.period
+    forest = state.forest
+    W, M, P = forest.window.W, forest.window.M, forest.window.period
     level_rate = [0.0] + [math.ldexp(1.0, -h) for h in range(1, M + 1)]
     free: list[list[int]] = [[] for _ in range(M + 1)]
     free[1] = [4 * j + d for j in range(W) for d in (0, 1)]
     pos = {code: i for i, code in enumerate(free[1])}
     # term[h] = len(free[h]) * 2**-h; exact, and summed left to right
     term = [len(lst) * rate for lst, rate in zip(free, level_rate)]
-    owner, pdir = state.root_x.tolist(), state.parent_dir.tolist()
-    occ = state.occ_time.tolist()
+    owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
+    occ = forest.values.tolist()
     censored, events, log = state.censored, state.events, state.log_events
     clock = state.clock
     mid = hash_u64(seed, JUMP_STREAM)
@@ -267,7 +250,7 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
             term[h + 1] = len(up) * level_rate[h + 1]
         else:
             censored.add(root)
-    state.root_x[:], state.parent_dir[:], state.occ_time[:] = owner, pdir, occ
+    forest.root_x[:], forest.parent_dir[:], forest.values[:] = owner, pdir, occ
     state.clock, state.n_rings = clock, n_events
     state.n_occupied += n_events
     return state

@@ -18,6 +18,9 @@ The last group are the per-vertex forest writers, loader and reductions
 ``reference_render_svg``, ``reference_slim_fractions`` and
 ``reference_flank_left_distances``): one Python step per vertex or per
 root, kept as the bitwise reference for the array forms in ``sidlalab``.
+
+``owner_of`` and ``truncated_mean_height`` are small forest helpers the
+oracles and the acceptance gate use, with no caller in the package.
 """
 
 from __future__ import annotations
@@ -33,12 +36,7 @@ import numpy as np
 from sidlalab.analysis import SlimParams, extract_tree, root_heights, slim_levels
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
-from sidlalab.fpp import (
-    ForestSnapshot,
-    GeodesicForest,
-    WeightField,
-    incoming_tail_columns,
-)
+from sidlalab.fpp import Forest, WeightField, incoming_tail_columns
 from sidlalab.hashing import JUMP_STREAM, exp_from_uniform, hash_uniform
 from sidlalab.render import _HIGHLIGHT_COLOR, RenderOptions, _fmt, root_color
 from sidlalab.lattice import (
@@ -53,6 +51,17 @@ from sidlalab.lattice import (
     out_edges,
 )
 from sidlalab.sidla import SidlaState, apply_extension, edge_in_tree, new_state
+
+
+def owner_of(forest: Forest, v: Vertex) -> int:
+    """Root label of a window vertex, -1 while it is unclaimed."""
+    return int(forest.root_x[v.y, forest.window.column_of(v)])
+
+
+def truncated_mean_height(forest: Forest) -> float:
+    """Mean over roots of min(height, M); censored trees count as M."""
+    heights, _ = root_heights(forest)
+    return float(heights.mean())
 
 
 def _canonical_x(window, level: int, j: int) -> int:
@@ -205,7 +214,7 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
     rate); each event picks a level proportionally to count * rate and
     then a uniform edge within the level.
     """
-    win = state.window
+    win = state.forest.window
     W, M = win.W, win.M
     level_rate = [0.0] + [math.ldexp(1.0, -h) for h in range(1, M + 1)]
     free: list[list[int]] = [[] for _ in range(M + 1)]
@@ -251,7 +260,7 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
         lst = free[chosen]
         i = min(int(hash_uniform(seed, JUMP_STREAM, k, 2) * len(lst)), len(lst) - 1)
         e = _decode_edge(win, lst[i])
-        root = state.owner_of(e.tail)
+        root = owner_of(state.forest, e.tail)
         a = win.canonicalize(head(e))
         apply_extension(state, root, e, state.clock)
         if state.log_events:
@@ -262,7 +271,7 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
                 remove_edge(code, a.y)
         if a.y < M:
             for d2 in (Dir.LEFT, Dir.RIGHT):
-                if not state.occupied(head(Edge(a, d2))):
+                if owner_of(state.forest, head(Edge(a, d2))) < 0:
                     add_edge(Edge(a, d2))
         k += 1
     state.n_rings = k
@@ -284,7 +293,7 @@ class CoupledRing:
 
 
 def reference_generate_rings(
-    forest: GeodesicForest,
+    forest: Forest,
     field: WeightField,
     aux: AuxClockField,
     horizon: float,
@@ -302,7 +311,7 @@ def reference_generate_rings(
         raise ConfigError(f"unknown repeats mode {repeats!r}; use full, base or none")
     win = forest.window
     W, M = win.W, win.M
-    max_dist = forest.max_dist
+    max_dist = float(forest.values.max())
     if horizon < max_dist:
         raise ValueError(
             f"horizon {horizon} below forest max distance {max_dist}; "
@@ -381,7 +390,7 @@ def reference_replay(rings: list[CoupledRing], window: Window) -> SidlaState:
                     )
             last = ring.path[-1]
             a = window.canonicalize(head(last))
-            if not state.occupied(a):
+            if owner_of(state.forest, a) < 0:
                 apply_extension(state, root_val, last, ring.time)
                 outcome = "extend"
                 claimed = edge_str(last)
@@ -420,14 +429,14 @@ def reference_pooled_gaps(rings, window: Window, horizon: float | None = None) -
 # Per-vertex forest writers, loader and reductions
 
 
-def reference_snapshot_text(obj) -> str:
-    """Serialize a covered forest-like object to canonical JSON text.
+def reference_snapshot_text(obj: Forest) -> str:
+    """Serialize a covered forest to canonical JSON text.
 
     Vertices appear sorted by (y, x); float values are written with 17
     significant digits so reloading reproduces them bit for bit.
     """
     win = obj.window
-    values = obj.node_values
+    values = obj.values
     pdirs = obj.parent_dir
     roots = obj.root_x
     if np.any(roots < 0):
@@ -449,7 +458,7 @@ def reference_snapshot_text(obj) -> str:
     return (
         "{\n"
         f'  "window": {{"W": {win.W}, "M": {win.M}}},\n'
-        f'  "profile": {json.dumps(obj.profile_label)},\n'
+        f'  "profile": {json.dumps(obj.label)},\n'
         f'  "seed": {obj.seed},\n'
         '  "vertices": [\n'
         f"{body}\n"
@@ -458,12 +467,12 @@ def reference_snapshot_text(obj) -> str:
     )
 
 
-def reference_load_snapshot(path: str) -> ForestSnapshot:
+def reference_load_snapshot(path: str) -> Forest:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
         win = Window(int(doc["window"]["W"]), int(doc["window"]["M"]))
-        profile_label = str(doc["profile"])
+        label = str(doc["profile"])
         seed = int(doc["seed"])
         vertices = doc["vertices"]
     except (KeyError, TypeError) as exc:
@@ -487,12 +496,12 @@ def reference_load_snapshot(path: str) -> ForestSnapshot:
         raise ValueError(f"snapshot {path} does not cover its window")
     if np.any(pdirs[1:] < 0):
         raise ValueError(f"snapshot {path} missing parent directions")
-    return ForestSnapshot(win, profile_label, seed, value_key, values, pdirs, roots)
+    return Forest(win, label, seed, value_key, values, pdirs, roots)
 
 
-def reference_render_svg(forest_like, options: RenderOptions = RenderOptions()) -> str:
+def reference_render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:
     """Render the forest (or covered particle state) as an SVG document."""
-    win = forest_like.window
+    win = forest.window
     W, M = win.W, win.M
     top = M if options.max_level is None else min(options.max_level, M)
     s = options.scale
@@ -514,7 +523,7 @@ def reference_render_svg(forest_like, options: RenderOptions = RenderOptions()) 
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f"  <title>{forest_like.profile_label} seed={forest_like.seed} "
+        f"  <title>{forest.label} seed={forest.seed} "
         f"window={W}x{M}</title>",
         f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
@@ -522,8 +531,8 @@ def reference_render_svg(forest_like, options: RenderOptions = RenderOptions()) 
     stroke = _fmt(0.16 * s)
     plain: list[str] = []
     red: list[str] = []
-    labels = forest_like.root_x
-    pdirs = forest_like.parent_dir
+    labels = forest.root_x
+    pdirs = forest.parent_dir
     for y in range(1, top + 1):
         for j in range(W):
             root = int(labels[y, j])
@@ -581,16 +590,16 @@ def reference_slim_fractions(obj, slim_d: float) -> list[float]:
     return slim_fracs
 
 
-def reference_flank_left_distances(forest_like, n: int) -> np.ndarray:
+def reference_flank_left_distances(forest: Forest, n: int) -> np.ndarray:
     """Left-flank distances of every root with a nonempty level-n slice.
 
     Pools the per-tree samples used by the tail bound; ordering follows
     ascending root x, so the output is deterministic."""
-    win = forest_like.window
+    win = forest.window
     if not 1 <= n <= win.M:
         raise ValueError(f"level {n} outside 1..{win.M}")
-    row = forest_like.root_x[n]
-    values = forest_like.node_values
+    row = forest.root_x[n]
+    values = forest.values
     out = []
     for x0 in np.unique(row):
         if x0 < 0:

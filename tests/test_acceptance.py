@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import truncated_mean_height
 from sidlalab.analysis import (
     chi_square_compare,
     cone_check,
@@ -25,7 +26,6 @@ from sidlalab.analysis import (
     level_profile,
     root_heights,
     shell_identity_check,
-    truncated_mean_height,
 )
 from sidlalab.cli import main as cli_main
 from sidlalab.coupling import verify_coupling
@@ -85,7 +85,7 @@ def test_04_two_pictures_share_one_law():
         h, _ = root_heights(fo)
         slice_fpp.append(level_profile(fo, 0, 1))
         h_fpp.append(min(int(h[0]), 16))
-        st = run_until_covered(win, seed, method="jumps")
+        st = run_until_covered(win, seed, method="jumps").forest
         h2, _ = root_heights(st)
         slice_sidla.append(level_profile(st, 0, 1))
         h_sidla.append(min(int(h2[0]), 16))
@@ -124,7 +124,7 @@ def test_06_trees_partition_every_level():
         fo = build_forest(WeightField(seed, WeightProfile.STRETCH, fpp_win))
         if not coverage_partition_check(fo, fpp_win):
             bad += 1
-        st = run_until_covered(sidla_win, seed, method="jumps")
+        st = run_until_covered(sidla_win, seed, method="jumps").forest
         if not coverage_partition_check(st, sidla_win):
             bad += 1
     line = record(6, "coverage-partition", bad == 0,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from oracles import brute_shell_counts, shell_weighted_sum, trees_by_subset_filter
 from sidlalab.analysis import (
-    CENSORED,
     Chi2Result,
     MonotoneTree,
     ShellProfile,
@@ -17,7 +17,6 @@ from sidlalab.analysis import (
     coverage_partition_check,
     enumerate_monotone_trees,
     extract_tree,
-    first_empty_level,
     flank_bound_test,
     flank_left_distances,
     flanks,
@@ -30,8 +29,6 @@ from sidlalab.analysis import (
     shell_profile,
     slim_levels,
     tail_height_estimate,
-    tree_height,
-    truncated_mean_height,
     wilson_interval,
 )
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
@@ -147,13 +144,8 @@ def test_tree_height_and_censoring():
     top_owners = set(int(x) for x in fo.root_x[8])
     for root in fo.window.boundary():
         t = extract_tree(fo, root)
-        h = tree_height(t)
-        if root.x in top_owners:
-            assert t.censored and h is CENSORED
-        else:
-            assert not t.censored
-            assert h == max((v.y for v in t.vertices()), default=0)
-    assert repr(CENSORED) == "CENSORED"
+        assert t.censored == (root.x in top_owners)
+        assert t.height() == max((v.y for v in t.vertices()), default=0)
 
 
 def test_level_profile_validation():
@@ -172,8 +164,6 @@ def test_slim_params_validation():
     SlimParams(D=4.0)
     with pytest.raises(ValueError):
         SlimParams(D=0.0)
-    with pytest.raises(ValueError):
-        SlimParams(D=1.0, delta=1.5)
 
 
 def test_slim_levels_thin_chain():
@@ -192,7 +182,7 @@ def fake_forest_one_column_tree():
     """W=4, M=2 handmade labels: tree of 0 owns (1,1) only."""
     root_x = np.array([[0, 2, 4, 6], [0, 2, 4, 6], [2, 2, 4, 6]])
     values = np.array([[0.0] * 4, [1.0, 2.0, 3.0, 4.0], [5.0] * 4])
-    return SimpleNamespace(window=Window(4, 2), root_x=root_x, node_values=values)
+    return SimpleNamespace(window=Window(4, 2), root_x=root_x, values=values)
 
 
 def test_flanks_verbatim_example():
@@ -240,17 +230,9 @@ def test_cone_check_on_real_and_corrupted_forest():
     fo = stretch_forest(seed=9, W=8, M=8)
     for root in fo.window.boundary():
         assert cone_check(fo, root)
-    bad = SimpleNamespace(
-        window=fo.window, root_x=fo.root_x.copy(), node_values=fo.dist
-    )
+    bad = replace(fo, root_x=fo.root_x.copy())
     bad.root_x[1, 4] = 0  # (9,1) cannot hang under root 0
     assert not cone_check(bad, ROOT)
-
-
-def test_first_empty_level():
-    fk = fake_forest_one_column_tree()
-    assert first_empty_level(fk, ROOT) == 2
-    assert first_empty_level(fk, Vertex(2, 0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +282,13 @@ def test_flank_bound_validation():
 def test_coverage_partition_on_forest():
     fo = stretch_forest(seed=11)
     assert coverage_partition_check(fo, fo.window)
-    bad = SimpleNamespace(window=fo.window, root_x=fo.root_x.copy())
+    bad = replace(fo, root_x=fo.root_x.copy())
     bad.root_x[3, 2] = 1  # odd label is not a root
     assert not coverage_partition_check(bad, fo.window)
-    assert not coverage_partition_check(
-        SimpleNamespace(window=fo.window, root_x=fo.root_x[:3]), fo.window
-    )
+    for label in (-1, 2 * fo.window.W):  # unclaimed, or beyond the period
+        bad.root_x[3, 2] = label
+        assert not coverage_partition_check(bad, fo.window)
+    assert not coverage_partition_check(replace(fo, root_x=fo.root_x[:3]), fo.window)
 
 
 def test_root_heights_match_level_profiles():
@@ -316,7 +299,6 @@ def test_root_heights_match_level_profiles():
         expect = max((m for m, c in enumerate(profile, start=1) if c > 0), default=0)
         assert heights[j] == expect
         assert censored[j] == (profile[-1] > 0)
-    assert truncated_mean_height(fo) == pytest.approx(float(np.mean(heights)))
 
 
 def test_tail_height_estimate():

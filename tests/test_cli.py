@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import sidlalab
-from sidlalab.cli import main
+from sidlalab import fpp
+from sidlalab.cli import EXIT_CONFIG, EXIT_FAULT, main
 from sidlalab.fpp import load_snapshot
 
 
@@ -104,6 +105,55 @@ def test_shells_exact_line(capsys):
 
 def test_shells_guard(capsys):
     assert run("shells", "--max-edges", "13") == 1
+    assert run("shells", "--max-edges", "-1") == 1
+
+
+def test_render_rejects_a_missing_or_malformed_snapshot(capsys):
+    assert run("render", "--in", "nope.json", "--out", "x.svg") == EXIT_CONFIG
+    assert "cannot read snapshot nope.json" in capsys.readouterr().err
+    Path("broken.json").write_text('{"window": {"W": 4,')
+    assert run("render", "--in", "broken.json", "--out", "x.svg") == EXIT_CONFIG
+    assert "cannot read snapshot broken.json" in capsys.readouterr().err
+    assert not Path("x.svg").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--scale", "0"), ("--max-level", "-1")])
+def test_render_rejects_bad_options(flag, value, capsys):
+    assert run("render", "-W", "6", "-M", "4", flag, value, "--out", "x.svg") == EXIT_CONFIG
+    assert not Path("x.svg").exists()
+
+
+def test_fpp_refuses_an_unrepresentable_rate(capsys):
+    """2**1024, the decreasing rate at level 1024, is no double."""
+    assert run("fpp", "-W", "1024", "-M", "1024", "--profile", "decreasing",
+               "--out", "f.json") == EXIT_CONFIG
+    assert "decreasing rate at level M=1024" in capsys.readouterr().err
+    assert not Path("f.json").exists()
+
+
+def test_stats_rejects_a_bad_kappa(capsys):
+    assert run("stats", "-W", "8", "-M", "4", "--flank-levels", "2",
+               "--kappa", "abc", "--out", "s.csv") == EXIT_CONFIG
+    assert "kappa must be comma-separated numbers" in capsys.readouterr().err
+    assert not Path("s.csv").exists()
+
+
+def test_compare_rejects_samples_too_small(capsys):
+    assert run("compare", "-W", "6", "-M", "3", "--replicas", "2",
+               "--out", "c.json") == EXIT_CONFIG
+    assert "samples too small" in capsys.readouterr().err
+    assert not Path("c.json").exists()
+
+
+def test_internal_value_error_is_a_fault(monkeypatch, capsys):
+    """Only ConfigError and an exhausted ring budget are usage errors; any
+    other ValueError is a bug and exits 3."""
+    def broken(field):
+        raise ValueError("broken level program")
+    monkeypatch.setattr(fpp, "build_forest", broken)
+    assert run("fpp", "-W", "8", "-M", "4", "--out", "f.json") == EXIT_FAULT
+    assert "internal fault: ValueError: broken level program" in capsys.readouterr().err
+    assert not Path("f.json").exists()
 
 
 def test_stats_survival_csv(capsys):

@@ -21,6 +21,7 @@ from sidlalab import analysis
 from sidlalab.analysis import MonotoneTree, flank_left_distances, slim_fractions
 from sidlalab.cli import main
 from sidlalab.errors import ConfigError
+from sidlalab.fileio import json_text
 from sidlalab.fpp import (
     WeightField,
     WeightProfile,
@@ -127,10 +128,8 @@ def render_options(W: int, M: int):
 
 
 def assert_same_snapshot(a, b):
-    assert (a.window, a.profile_label, a.seed, a.value_key) \
-        == (b.window, b.profile_label, b.seed, b.value_key)
-    for x, y in ((a.node_values, b.node_values), (a.parent_dir, b.parent_dir),
-                 (a.root_x, b.root_x)):
+    assert (a.window, a.label, a.seed, a.value_key) == (b.window, b.label, b.seed, b.value_key)
+    for x, y in ((a.values, b.values), (a.parent_dir, b.parent_dir), (a.root_x, b.root_x)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
@@ -156,7 +155,7 @@ def test_forest_path_matches_oracles(tmp_path_factory, fo, data):
 
 @pytest.mark.parametrize("seed,W,M", [(3, 6, 4), (8, 9, 9), (1, 12, 5)])
 def test_particle_state_path_matches_oracles(seed, W, M, tmp_path):
-    state = run_until_covered(Window(W, M), seed, method="jumps")
+    state = run_until_covered(Window(W, M), seed, method="jumps").forest
     check_invariants(state)
     text = snapshot_text(state)
     assert text == reference_snapshot_text(state)
@@ -177,9 +176,9 @@ def test_slim_fractions_cross_checks_the_tallest_tree(monkeypatch, tmp_path, cap
     calls = []
     lift = analysis.extract_tree
 
-    def lift_one_level_short(forest_like, root):
+    def lift_one_level_short(forest, root):
         calls.append(root)
-        tree = lift(forest_like, root)
+        tree = lift(forest, root)
         top = tree.height()
         return MonotoneTree(tree.root, frozenset(e for e in tree.edges if e.tail.y < top - 1))
 
@@ -194,7 +193,17 @@ def test_slim_fractions_cross_checks_the_tallest_tree(monkeypatch, tmp_path, cap
 
 
 # ---------------------------------------------------------------------------
-# Loader rejections and the non-finite guard
+# The JSON writer, loader rejections and the non-finite guard
+
+
+def test_json_text_rules():
+    doc = {"ok": True, "n": 3, "inner": {"x": 0.1, "nan": float("nan")}, "s": 'a"b'}
+    text = json_text(doc)
+    assert text == '{"ok": true, "n": 3, "inner": {"x": 0.10000000000000001, "nan": null}, "s": "a\\"b"}'
+    assert json.loads(text)["inner"]["x"] == 0.1
+    for bad in (float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            json_text({"v": bad})
 
 
 def small_snapshot():
@@ -259,17 +268,21 @@ def test_loader_rejects_wrong_boundary_label_and_falling_value(tmp_path):
 
 def test_snapshot_refuses_non_finite_values():
     fo = build_forest(WeightField(2, WeightProfile.EDEN, Window(4, 3)))
-    fo.dist[2, 1] = np.inf
+    fo.values[2, 1] = np.inf
     with pytest.raises(ConfigError, match="not finite at level 2"):
         snapshot_text(fo)
 
 
 def test_fpp_refuses_to_write_inf_at_stretch_overflow(tmp_path, monkeypatch, capsys):
     """From level 1023 the stretch weights, of order 2**1023, push passage
-    times past the largest double to inf, which JSON cannot hold."""
+    times past the largest double to inf, which JSON cannot hold.  From
+    M = 1075 the level-M rate itself underflows to 0, which the weight field
+    refuses before any work."""
     monkeypatch.chdir(tmp_path)
     with np.errstate(over="ignore", divide="ignore"):
-        code = main(["fpp", "-W", "1100", "-M", "1100", "--out", "f.json"])
+        code = main(["fpp", "-W", "1074", "-M", "1074", "--out", "f.json"])
     assert code == 1
     assert "dist is not finite at level 1023" in capsys.readouterr().err
+    assert main(["fpp", "-W", "1100", "-M", "1100", "--out", "f.json"]) == 1
+    assert "stretch rate at level M=1100" in capsys.readouterr().err
     assert not (tmp_path / "f.json").exists()

@@ -8,11 +8,11 @@ from oracles import brute_force_forest
 from sidlalab.analysis import extract_tree
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import (
-    GeodesicForest,
     WeightField,
     WeightProfile,
     build_forest,
     incoming_tail_columns,
+    incoming_tail_index,
     load_snapshot,
     snapshot_text,
 )
@@ -78,7 +78,7 @@ def test_profiles_have_distinct_scales():
     mx = {}
     for profile in WeightProfile:
         fo = build_forest(WeightField(seed=5, profile=profile, window=win))
-        mx[profile] = fo.max_dist
+        mx[profile] = fo.values.max()
     assert mx[WeightProfile.DECREASING] < mx[WeightProfile.EDEN]
     assert mx[WeightProfile.EDEN] < mx[WeightProfile.STRETCH]
     # stretch distances to level n scale like 2^n
@@ -94,15 +94,16 @@ def test_forest_matches_brute_force(profile, seed):
     field = WeightField(seed=seed, profile=profile, window=Window(7, 7))
     fo = build_forest(field)
     bd, bp, br = brute_force_forest(field)
-    assert np.array_equal(fo.dist, bd)
+    assert np.array_equal(fo.values, bd)
     assert np.array_equal(fo.parent_dir, bp)
     assert np.array_equal(fo.root_x, br)
 
 
 def test_forest_basic_shape_and_monotonicity():
     fo = build_forest(small_field(seed=2, W=12, M=10))
-    assert fo.dist.shape == (11, 12)
-    assert (fo.dist[0] == 0.0).all()
+    assert (fo.label, fo.seed, fo.value_key) == ("stretch", 2, "dist")
+    assert fo.values.shape == (11, 12)
+    assert (fo.values[0] == 0.0).all()
     assert (fo.parent_dir[0] == -1).all()
     assert np.isin(fo.parent_dir[1:], [0, 1]).all()
     # dist strictly increases along parent chains
@@ -110,8 +111,9 @@ def test_forest_basic_shape_and_monotonicity():
     for m in range(1, 11):
         for j in range(12):
             v = win.vertex_at(m, j)
-            e = fo.parent_edge(v)
-            assert fo.distance(v) > fo.distance(e.tail)
+            d = Dir(int(fo.parent_dir[m, j]))
+            tail = win.canonicalize(Vertex(v.x - d.dx, m - 1))
+            assert fo.values[m, j] > fo.values[m - 1, win.column_of(tail)]
 
 
 def test_root_labels_are_boundary_even_x():
@@ -119,12 +121,6 @@ def test_root_labels_are_boundary_even_x():
     W = fo.window.W
     assert sorted(set(fo.root_x[0])) == list(range(0, 2 * W, 2))
     assert np.isin(fo.root_x, np.arange(0, 2 * W, 2)).all()
-
-
-def test_distance_above_cap_raises():
-    fo = build_forest(small_field())
-    with pytest.raises(ValueError):
-        fo.distance(Vertex(1, 7))
 
 
 def test_tie_breaks_left():
@@ -151,7 +147,7 @@ def test_shift_covariance():
     for k in (1, 3, 7):
         fo0 = build_forest(base)
         fok = build_forest(base.shifted(k))
-        assert np.array_equal(fok.dist, np.roll(fo0.dist, k, axis=1))
+        assert np.array_equal(fok.values, np.roll(fo0.values, k, axis=1))
         assert np.array_equal(fok.parent_dir, np.roll(fo0.parent_dir, k, axis=1))
         rolled_roots = (np.roll(fo0.root_x, k, axis=1) + 2 * k) % win.period
         assert np.array_equal(fok.root_x, rolled_roots)
@@ -172,13 +168,12 @@ def test_trees_partition_vertices():
 
 def test_root_of_follows_parents():
     fo = build_forest(small_field(seed=12))
-    v = Vertex(0, 6)
-    r = fo.root_of(v)
-    assert r.y == 0
-    cur = v
-    while cur.y > 0:
-        cur = fo.parent_edge(cur).tail
-    assert fo.window.canonicalize(cur) == r
+    W = fo.window.W
+    cur = 6 * W  # flat index of the vertex (0, 6)
+    root = fo.root_x.flat[cur]
+    while cur >= W:
+        cur = int(incoming_tail_index(W, np.array([cur]), fo.parent_dir.flat[cur])[0])
+    assert root == 2 * cur
 
 
 def test_exact_candidate_ties_never_occur_in_a_million_vertices():
@@ -193,7 +188,7 @@ def test_exact_candidate_ties_never_occur_in_a_million_vertices():
         for level in range(1, 257):
             cols_r, cols_l = incoming_tail_columns(1024, level)
             w_r, w_l = field.incoming_weights(level)
-            prev = fo.dist[level - 1]
+            prev = fo.values[level - 1]
             ties += int(np.count_nonzero((prev[cols_r] + w_r)
                                          == (prev[cols_l] + w_l)))
             total += 1024
@@ -224,7 +219,7 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
     p.write_text(text)
     snap = load_snapshot(str(p))
     assert snap.value_key == "dist"
-    assert np.array_equal(snap.node_values, fo.dist)
+    assert np.array_equal(snap.values, fo.values)
     assert np.array_equal(snap.parent_dir, fo.parent_dir)
     assert np.array_equal(snap.root_x, fo.root_x)
     assert snap.window == fo.window
@@ -240,5 +235,19 @@ def test_snapshot_text_deterministic():
 def test_load_snapshot_rejects_bad_payload(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"schema": "other"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="malformed snapshot"):
         load_snapshot(str(p))
+    p.write_text('{"window": {"W": 4, "M": 3}, "profile": "stretch", "seed": 1')
+    with pytest.raises(ConfigError, match="cannot read snapshot"):
+        load_snapshot(str(p))
+    with pytest.raises(ConfigError, match="cannot read snapshot"):
+        load_snapshot(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("profile,M", [("decreasing", 1024), ("stretch", 1075)])
+def test_unrepresentable_rate_is_refused_up_front(profile, M):
+    """The level-M rate of decreasing overflows at M = 1024; that of
+    stretch underflows to 0 at M = 1075."""
+    with pytest.raises(ConfigError, match=f"{profile} rate at level M={M}"):
+        WeightField(1, WeightProfile(profile), Window(M, M))
+    WeightField(1, WeightProfile(profile), Window(M - 1, M - 1))

@@ -11,12 +11,10 @@ from sidlalab.lattice import (
     head,
     in_cone,
     in_edges,
-    iter_edges,
     out_edges,
     parse_edge,
     parse_vertex,
     shift,
-    shift_edge,
     vertex_str,
 )
 
@@ -57,12 +55,6 @@ def test_shift_moves_two_columns(v, k):
     w = shift(v, k)
     assert w == Vertex(v.x + 2 * k, v.y)
     assert w.is_valid()
-
-
-@given(valid_vertices, st.sampled_from(list(Dir)), st.integers(-9, 9))
-def test_shift_edge_commutes_with_head(v, d, k):
-    e = Edge(v, d)
-    assert head(shift_edge(e, k)) == shift(head(e), k)
 
 
 def test_window_validation():
@@ -140,13 +132,6 @@ def test_in_edges_canonicalized_in_window():
     assert e_r.tail == win.canonicalize(Vertex(-1, 1))
     assert e_l.tail == Vertex(1, 1)
 
-
-def test_iter_edges_count():
-    win = Window(5, 3)
-    edges = list(iter_edges(win))
-    assert len(edges) == 2 * 5 * 3
-    assert len(set(edges)) == len(edges)
-    assert all(1 <= e.level <= 3 for e in edges)
 
 
 @given(valid_vertices)

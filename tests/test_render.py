@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from sidlalab.errors import ConfigError
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
 from sidlalab.lattice import Vertex, Window
 from sidlalab.render import RenderOptions, render_svg, root_color
@@ -16,9 +17,9 @@ def forest(seed=21, W=8, M=6):
 
 def test_options_validation():
     RenderOptions()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RenderOptions(scale=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RenderOptions(max_level=-1)
 
 
@@ -81,6 +82,6 @@ def test_no_full_width_seam_segments():
 
 def test_renders_particle_state_too():
     state = run_until_covered(Window(6, 4), seed=3, method="jumps")
-    svg = render_svg(state)
+    svg = render_svg(state.forest)
     ET.fromstring(svg)
-    assert "sidla" in svg  # profile label lands in the metadata title
+    assert "sidla" in svg  # the forest label lands in the metadata title

@@ -43,15 +43,15 @@ def coins(seq):
 
 
 def test_new_state_layout():
-    state = new_state(Window(3, 2))
-    assert state.root_x.shape == (3, 3)
-    assert (state.root_x[0] == [0, 2, 4]).all()
-    assert (state.root_x[1:] == -1).all()
-    assert (state.occ_time[0] == 0.0).all()
-    assert np.isnan(state.occ_time[1:]).all()
+    state = new_state(Window(3, 2), seed=4)
+    fo = state.forest
+    assert (fo.label, fo.seed, fo.value_key) == ("sidla", 4, "occupancy_time")
+    assert fo.root_x.shape == (3, 3)
+    assert (fo.root_x[0] == [0, 2, 4]).all()
+    assert (fo.root_x[1:] == -1).all()
+    assert (fo.values[0] == 0.0).all()
+    assert np.isnan(fo.values[1:]).all()
     assert not state.is_covered()
-    assert state.occupied(Vertex(0, 0))
-    assert not state.occupied(Vertex(1, 1))
 
 
 def test_edge_in_tree():
@@ -139,17 +139,18 @@ def test_ring_clock_advances():
 def test_run_until_covered(method):
     win = Window(4, 3)
     state = run_until_covered(win, seed=5, method=method)
+    fo = state.forest
     assert state.is_covered()
-    assert (state.root_x >= 0).all()
-    assert np.isin(state.root_x, [0, 2, 4, 6]).all()
-    assert coverage_partition_check(state, win)
+    assert (fo.root_x >= 0).all()
+    assert np.isin(fo.root_x, [0, 2, 4, 6]).all()
+    assert coverage_partition_check(fo, win)
     # occupancy time increases strictly along parent chains
     for m in range(1, win.M + 1):
         for j in range(win.W):
             v = win.vertex_at(m, j)
-            d = Dir(int(state.parent_dir[m, j]))
+            d = Dir(int(fo.parent_dir[m, j]))
             tail = win.canonicalize(Vertex(v.x - d.dx, v.y - 1))
-            assert state.occ_time[m, j] > state.occ_time[tail.y, win.column_of(tail)]
+            assert fo.values[m, j] > fo.values[tail.y, win.column_of(tail)]
 
 
 def test_method_validation_and_budget():
@@ -169,8 +170,8 @@ def test_drivers_agree_in_law():
     for seed in range(reps):
         s1 = run_until_covered(win, seed=seed, method="rings")
         s2 = run_until_covered(win, seed=10_000 + seed, method="jumps")
-        h_rings[level_profile(s1, Vertex(0, 0), 1)] += 1
-        h_jumps[level_profile(s2, Vertex(0, 0), 1)] += 1
+        h_rings[level_profile(s1.forest, Vertex(0, 0), 1)] += 1
+        h_jumps[level_profile(s2.forest, Vertex(0, 0), 1)] += 1
     table = np.array([h_rings, h_jumps])
     table = table[:, table.sum(axis=0) > 0]
     chi, p, dof, _ = stats.chi2_contingency(table)
@@ -202,8 +203,8 @@ def test_runs_are_deterministic():
     win = Window(4, 3)
     a = run_until_covered(win, seed=33, method="rings")
     b = run_until_covered(win, seed=33, method="rings")
-    assert np.array_equal(a.root_x, b.root_x)
-    assert np.array_equal(a.occ_time, b.occ_time)
+    assert np.array_equal(a.forest.root_x, b.forest.root_x)
+    assert np.array_equal(a.forest.values, b.forest.values)
     assert a.clock == b.clock
 
 
@@ -224,7 +225,7 @@ JUMPS_GOLDEN = [
 def test_jumps_golden_digests(case, digest, clock_hex, censored, n_rings):
     W, M, seed = case
     state = run_until_covered(Window(W, M), seed, method="jumps", log_events=True)
-    text = snapshot_text(state) + events_csv_text(state)
+    text = snapshot_text(state.forest) + events_csv_text(state)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert float.hex(state.clock) == clock_hex
     assert sorted(state.censored) == censored
@@ -246,9 +247,9 @@ def test_jumps_match_reference_bitwise(case):
     win = Window(W, M)
     fast = run_until_covered(win, seed, method="jumps", log_events=True)
     ref = reference_jumps(new_state(win, seed=seed, log_events=True), seed)
-    assert np.array_equal(fast.root_x, ref.root_x)
-    assert np.array_equal(fast.parent_dir, ref.parent_dir)
-    assert fast.occ_time.tobytes() == ref.occ_time.tobytes()
+    assert np.array_equal(fast.forest.root_x, ref.forest.root_x)
+    assert np.array_equal(fast.forest.parent_dir, ref.forest.parent_dir)
+    assert fast.forest.values.tobytes() == ref.forest.values.tobytes()
     assert fast.events == ref.events
     assert float.hex(fast.clock) == float.hex(ref.clock)
     assert fast.censored == ref.censored
