@@ -3,9 +3,8 @@
 Two families of checks live here.  The exact family works on finite
 monotone trees in integer and dyadic-rational arithmetic: the outer-shell
 weight identity (the level-i outer boundary counts, weighted ``2**-i``,
-always sum to exactly 1), an exhaustive enumerator of small monotone
-trees, and lattice geometry for flank vertices and their triangle.  The
-statistical family summarizes simulation samples: tree heights with
+always sum to exactly 1) and an exhaustive enumerator of small monotone
+trees.  The statistical family summarizes simulation samples: tree heights with
 censoring, slice profiles, the flank distance tail bound, survival curves
 with binomial confidence bands, and the generic KS and chi-square tests
 used to compare the particle picture with the weight picture.
@@ -20,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
@@ -56,18 +55,6 @@ class MonotoneTree:
 
     def height(self) -> int:
         return max(v.y for v in self.vertices())
-
-
-def is_monotone_tree(root: Vertex, edges: Iterable[Edge]) -> bool:
-    """Check the unique-incoming-edge tree property over the edge set."""
-    edges = list(edges)
-    heads = [head(e) for e in edges]
-    if len(set(heads)) != len(heads):
-        return False
-    if root in heads:
-        return False
-    verts = {root} | set(heads)
-    return all(e.tail in verts for e in edges)
 
 
 def extract_tree(forest: Forest, root) -> MonotoneTree:
@@ -188,7 +175,7 @@ def enumerate_monotone_trees(
 
 
 # ---------------------------------------------------------------------------
-# Slimness, flanks and the triangle
+# Slimness and flanks
 
 
 @dataclass(frozen=True)
@@ -208,97 +195,6 @@ def slim_levels(tree: MonotoneTree, params: SlimParams) -> list[int]:
     counts = tree.level_counts()
     h = tree.height()
     return [n for n in range(1, h + 1) if 0 < counts.get(n, 0) < params.D]
-
-
-def _triangle_lattice_points(a: Vertex, b: Vertex, c: Vertex) -> frozenset[Vertex]:
-    """Lattice vertices (x+y even) inside the closed triangle abc, by exact
-    integer cross products."""
-
-    def cross(o: Vertex, p: Vertex, q: Vertex) -> int:
-        return (p.x - o.x) * (q.y - o.y) - (p.y - o.y) * (q.x - o.x)
-
-    orient = cross(a, b, c)
-    if orient == 0:
-        raise ValueError(f"degenerate triangle {a}, {b}, {c}")
-    if orient < 0:
-        b, c = c, b
-    points = []
-    xs = (a.x, b.x, c.x)
-    ys = (a.y, b.y, c.y)
-    for y in range(min(ys), max(ys) + 1):
-        for x in range(min(xs), max(xs) + 1):
-            if (x + y) % 2 != 0:
-                continue
-            p = Vertex(x, y)
-            if (
-                cross(a, b, p) >= 0
-                and cross(b, c, p) >= 0
-                and cross(c, a, p) >= 0
-            ):
-                points.append(p)
-    return frozenset(points)
-
-
-@dataclass(frozen=True)
-class FlankInfo:
-    """The two vertices flanking a level slice, their distances, and the
-    triangle spanned per the verbatim hull definition.
-
-    Coordinates are unwrapped relative to the root (the left flank can
-    have negative x); the triangle may fail to contain non-contiguous
-    slices above the base level, which is reported, not repaired.
-    """
-
-    n: int
-    l_n: Vertex
-    r_n: Vertex
-    left_dist: float
-    right_dist: float
-    M_n: float
-    slice_size: int
-    triangle: frozenset[Vertex]
-
-
-def flanks(forest: Forest, root, n: int) -> FlankInfo:
-    """Locate the flanking vertices of the root's level-n slice.
-
-    Distances are read off the forest values (passage time, or occupancy
-    time for a replayed state).  The window must be wide enough for the
-    slice plus flanks to fit without wrapping.
-    """
-    win = forest.window
-    x0 = root.x if isinstance(root, Vertex) else int(root)
-    if not 1 <= n <= win.M:
-        raise ValueError(f"level {n} outside 1..{win.M}")
-    cols = np.nonzero(forest.root_x[n] == x0)[0]
-    if len(cols) == 0:
-        raise ValueError(f"tree of root {x0} has an empty level-{n} slice")
-    xs = (n & 1) + 2 * cols
-    dxs = (xs - x0) % win.period
-    dxs = np.where(dxs > win.W, dxs - win.period, dxs)
-    dx_min, dx_max = int(dxs.min()), int(dxs.max())
-    if (dx_max + 2) - (dx_min - 2) >= win.period:
-        raise ValueError(
-            f"flanks of the level-{n} slice wrap around the window (W={win.W})"
-        )
-    l_n = Vertex(x0 + dx_min - 2, n)
-    r_n = Vertex(x0 + dx_max + 2, n)
-    values = forest.values
-    left_dist = float(values[n, win.column_of(win.canonicalize(l_n))])
-    right_dist = float(values[n, win.column_of(win.canonicalize(r_n))])
-    k = int(len(cols))
-    apex = Vertex(l_n.x + (k + 1), l_n.y + (k + 1))
-    triangle = _triangle_lattice_points(l_n, r_n, apex)
-    return FlankInfo(
-        n=n,
-        l_n=l_n,
-        r_n=r_n,
-        left_dist=left_dist,
-        right_dist=right_dist,
-        M_n=max(left_dist, right_dist),
-        slice_size=k,
-        triangle=triangle,
-    )
 
 
 def flank_left_distances(forest: Forest, n: int) -> np.ndarray:

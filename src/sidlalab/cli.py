@@ -16,6 +16,7 @@ budget), 2 verification failure, 3 internal fault (any other exception).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -67,9 +68,12 @@ def _check_replicas(args: argparse.Namespace) -> None:
 
 
 def _run_tasks(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    # a fork pool starts all its workers up front, so never ask for more
+    # than there are tasks or CPUs
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -256,6 +260,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         kappas = [float(k) for k in args.kappa.split(",")] if args.kappa else [2.0, 4.0]
     except ValueError:
         raise ConfigError(f"kappa must be comma-separated numbers, got {args.kappa!r}") from None
+    for kappa in kappas:
+        if not kappa > 1.0:
+            raise ConfigError(f"kappa must exceed 1, got {kappa:g}")
     if not args.slim_d > 0:
         raise ConfigError(f"slim threshold must be positive, got {args.slim_d}")
 

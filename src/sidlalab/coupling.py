@@ -168,7 +168,7 @@ def generate_rings(
         )
     heads = np.arange(W, (M + 1) * W, dtype=np.int64)
     win_dir = forest.parent_dir[1:].ravel()
-    w_r, w_l = np.hstack([field.incoming_weights(y) for y in range(1, M + 1)])
+    w_r, w_l = (w.ravel() for w in field.incoming_weights(1, M))
     parts = []
     for d in [win_dir] if repeats == "none" else [win_dir, 1 - win_dir]:
         tails = incoming_tail_index(W, heads, d)

@@ -9,6 +9,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def json_text(value) -> str:
     """One line of canonical JSON for a value or a flat or nested mapping.
@@ -38,9 +40,18 @@ def json_text(value) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never see
-    a half-written file."""
+    a half-written file.  A missing directory, or a path that is one, is
+    a ConfigError; a failed write leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

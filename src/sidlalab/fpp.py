@@ -8,7 +8,7 @@ the classical Eden-type growth, and the decreasing profile inverts the
 stretch so that high edges are fast.
 
 Weights are recomputed on demand from the counter hash rather than stored:
-a field object is just (seed, profile, window, horizontal origin).  The
+a field object is just (seed, profile, window).  The
 passage time from the boundary to every vertex then satisfies a one-level
 dynamic program, because every path from the boundary climbs exactly one
 level per edge.  Running the program level by level yields, for each
@@ -87,6 +87,15 @@ def incoming_tail_index(W: int, head: np.ndarray, d) -> np.ndarray:
     return (level - 1) * W + _tail_column(W, level, col, d)
 
 
+# Weights hashed per incoming_weights call in build_forest: whole levels of
+# about this many edges, so the hash temporaries stay O(block), not O(W * M).
+WEIGHT_BLOCK = 1 << 16
+
+# Dir codes of the (right-step, left-step) pair incoming_weights returns,
+# as a column to broadcast against head columns.
+_IN_DIRS = np.array([[Dir.RIGHT], [Dir.LEFT]], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class WeightField:
     """Deterministic exponential weight field keyed on edge addresses."""
@@ -94,7 +103,6 @@ class WeightField:
     seed: int
     profile: WeightProfile
     window: Window
-    x_origin: int = 0
 
     def __post_init__(self) -> None:
         # the rate is monotone in the level, so level M holds its extreme
@@ -108,43 +116,28 @@ class WeightField:
                 f"positive finite double; use a smaller height cap"
             )
 
-    def shifted(self, k: int) -> "WeightField":
-        """Field whose weight at edge e equals this field's weight at the
-        edge translated k steps to the left (so forests translate right)."""
-        return WeightField(
-            self.seed, self.profile, self.window,
-            (self.x_origin + 2 * k) % self.window.period,
-        )
-
-    def _key_x(self, x: int) -> int:
-        return (x - self.x_origin) % self.window.period
-
     def weight(self, e: Edge) -> float:
         """Waiting time of a single canonical edge."""
         tail = self.window.canonicalize(e.tail)
-        u = hash_uniform(
-            self.seed, WEIGHT_STREAM, self._key_x(tail.x), tail.y, int(e.dir)
-        )
+        u = hash_uniform(self.seed, WEIGHT_STREAM, tail.x, tail.y, int(e.dir))
         return float(exp_from_uniform(u, self.profile.rate(e.level)))
 
-    def incoming_weights(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weights of all edges into a level, as (right-step, left-step)
-        arrays indexed by head column."""
-        if not 1 <= level <= self.window.M:
-            raise ValueError(f"level {level} outside 1..{self.window.M}")
+    def incoming_weights(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of all edges into levels lo..hi, as (right-step, left-step)
+        arrays of shape (hi - lo + 1, W): row i holds level lo + i, indexed
+        by head column.  One vector hash covers the whole block."""
+        if not 1 <= lo <= hi <= self.window.M:
+            raise ValueError(f"levels {lo}..{hi} outside 1..{self.window.M}")
         W = self.window.W
-        cols_r, cols_l = incoming_tail_columns(W, level)
-        tail_parity = (level - 1) & 1
-        rate = self.profile.rate(level)
-        ws = []
-        for cols, d in ((cols_r, Dir.RIGHT), (cols_l, Dir.LEFT)):
-            xs = ((tail_parity + 2 * cols) - self.x_origin) % self.window.period
-            u = hash_uniform_vec(
-                self.seed,
-                [WEIGHT_STREAM, xs.astype(np.uint64), level - 1, int(d)],
-            )
-            ws.append(exp_from_uniform(u, rate))
-        return ws[0], ws[1]
+        level = np.arange(lo, hi + 1, dtype=np.int64)[:, None, None]
+        tail_x = ((level - 1) & 1) + 2 * _tail_column(
+            W, level, np.arange(W, dtype=np.int64), _IN_DIRS)
+        u = hash_uniform_vec(self.seed, [
+            WEIGHT_STREAM, tail_x.astype(np.uint64), (level - 1).astype(np.uint64),
+            _IN_DIRS.astype(np.uint64)])
+        rate = np.array([self.profile.rate(y) for y in range(lo, hi + 1)])
+        w = exp_from_uniform(u, rate[:, None, None])
+        return w[:, 0], w[:, 1]
 
 
 @dataclass
@@ -175,7 +168,8 @@ def build_forest(field: WeightField) -> Forest:
 
     At each level the candidate passage time through either incoming edge
     is the tail's passage time plus the edge weight; the minimum wins and
-    ties go to the LEFT-step edge.
+    ties go to the LEFT-step edge.  Weights are hashed for blocks of whole
+    levels of about WEIGHT_BLOCK edges each.
     """
     win = field.window
     W, M = win.W, win.M
@@ -183,16 +177,18 @@ def build_forest(field: WeightField) -> Forest:
     parent_dir = np.full((M + 1, W), -1, dtype=np.int8)
     root_x = np.zeros((M + 1, W), dtype=np.int64)
     root_x[0] = 2 * np.arange(W, dtype=np.int64)
-    for y in range(1, M + 1):
-        w_r, w_l = field.incoming_weights(y)
-        cols_r, cols_l = incoming_tail_columns(W, y)
-        cand_r = dist[y - 1][cols_r] + w_r
-        cand_l = dist[y - 1][cols_l] + w_l
-        take_left = cand_l <= cand_r
-        dist[y] = np.where(take_left, cand_l, cand_r)
-        parent_dir[y] = np.where(take_left, np.int8(Dir.LEFT), np.int8(Dir.RIGHT))
-        tail_cols = np.where(take_left, cols_l, cols_r)
-        root_x[y] = root_x[y - 1][tail_cols]
+    step = max(1, WEIGHT_BLOCK // (2 * W))
+    for lo in range(1, M + 1, step):
+        hi = min(lo + step - 1, M)
+        block_r, block_l = field.incoming_weights(lo, hi)
+        for y, w_r, w_l in zip(range(lo, hi + 1), block_r, block_l):
+            cols_r, cols_l = incoming_tail_columns(W, y)
+            cand_r = dist[y - 1][cols_r] + w_r
+            cand_l = dist[y - 1][cols_l] + w_l
+            take_left = cand_l <= cand_r
+            dist[y] = np.where(take_left, cand_l, cand_r)
+            parent_dir[y] = np.where(take_left, np.int8(Dir.LEFT), np.int8(Dir.RIGHT))
+            root_x[y] = root_x[y - 1][np.where(take_left, cols_l, cols_r)]
     return Forest(win, field.profile.value, field.seed, "dist", dist, parent_dir, root_x)
 
 

@@ -17,7 +17,9 @@ test suite checks this directly.
 
 The chain folds in one address part at a time, so a hashed prefix can
 stand in for the seed: ``hash_u64(s, *a, *b) == hash_u64(hash_u64(s, *a), *b)``
-(likewise ``hash_uniform`` for non-empty b); hot loops hash a prefix once.
+(likewise ``hash_uniform`` for non-empty b).  Hot loops therefore hash a
+prefix once with the scalar path and then draw a whole block of addresses
+under it with one vector call, never one scalar hash per iteration.
 """
 
 from __future__ import annotations

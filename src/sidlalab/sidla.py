@@ -21,8 +21,9 @@ Two drivers produce the same process law:
 
 Both drivers share one state layout, draw from tagged counter-hash streams
 keyed by (seed, counter), and record an event log suitable for CSV export.
-The jumps loop runs on integer state only and hashes its (seed, stream)
-address prefix once per run and each event counter once per event.
+The jumps loop runs on integer state only.  It hashes its (seed, stream)
+address prefix once per run and draws the uniforms of a whole block of
+events with one vector hash.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from .hashing import (
     CLOCK_STREAM,
     COIN_STREAM,
     JUMP_STREAM,
+    TINY,
     exp_from_uniform,
     hash_u64,
     hash_uniform,
+    hash_uniform_vec,
 )
 from .lattice import Dir, Edge, Vertex, Window, edge_str, head
 
@@ -52,6 +55,10 @@ DEFAULT_RING_BUDGET_FACTOR = 10_000
 # Largest cap for which the literal driver fits comfortably inside the
 # default ring budget (expected rings ~ W * 2**(M+1) vs budget 1e4 * W * M).
 AUTO_LITERAL_MAX_CAP = 12
+
+# Events whose uniforms the jumps driver draws per vector hash; bounds its
+# hash temporaries to O(block) instead of O(W * M).
+JUMP_BLOCK = 1 << 16
 
 
 class SimulationLimitError(RuntimeError):
@@ -184,6 +191,18 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
     return state
 
 
+def _jump_draws(seed: int, n_events: int):
+    """Yield (Exp(1) variate, level uniform, edge uniform) for events
+    0..n_events-1 of a jumps run: ``hash_uniform(mid, k, j)`` for j = 0, 1, 2
+    with ``mid = hash_u64(seed, JUMP_STREAM)``, a block of events per vector
+    hash.  The variate is ``-log1p(-u0)``, as in exp_from_uniform."""
+    mid = hash_u64(seed, JUMP_STREAM)
+    for lo in range(0, n_events, JUMP_BLOCK):
+        k = np.arange(lo, min(lo + JUMP_BLOCK, n_events), dtype=np.uint64)
+        u = hash_uniform_vec(mid, [k[:, None], np.arange(3, dtype=np.uint64)])
+        yield from zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
+
+
 def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     """Sample extension events directly from the free-edge clocks.
 
@@ -204,19 +223,18 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     occ = forest.values.tolist()
     censored, events, log = state.censored, state.events, state.log_events
     clock = state.clock
-    mid = hash_u64(seed, JUMP_STREAM)
     n_events = W * M - state.n_occupied
-    for k in range(n_events):
+    for e0, u1, u2 in _jump_draws(seed, n_events):
         pref = list(accumulate(term))
         rate_sum = pref[-1]
-        mk = hash_u64(mid, k)
-        clock += float(exp_from_uniform(hash_uniform(mk, 0), rate_sum))
-        h = bisect_right(pref, hash_uniform(mk, 1) * rate_sum, 1)
+        w = e0 / rate_sum
+        clock += w if w > 0.0 else TINY
+        h = bisect_right(pref, u1 * rate_sum, 1)
         if h > M:  # r rounded up to a subnormal rate_sum: last non-empty level
             h = max(i for i in range(1, M + 1) if free[i])
         lst = free[h]
         n = len(lst)
-        code = lst[min(int(hash_uniform(mk, 2) * n), n - 1)]
+        code = lst[min(int(u2 * n), n - 1)]
         d = code & 1
         base = (h - 1) * P
         x = (code >> 1) - base

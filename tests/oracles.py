@@ -19,8 +19,14 @@ The last group are the per-vertex forest writers, loader and reductions
 ``reference_flank_left_distances``): one Python step per vertex or per
 root, kept as the bitwise reference for the array forms in ``sidlalab``.
 
+``exact_forest`` reruns the forest program in exact rational arithmetic,
+so rounding cannot move a root unnoticed.
+
 ``owner_of`` and ``truncated_mean_height`` are small forest helpers the
-oracles and the acceptance gate use, with no caller in the package.
+oracles and the acceptance gate use, with no caller in the package;
+``is_monotone_tree`` and ``flanks`` (one root's flank vertices and their
+triangle, the per-root reference for ``analysis.flank_left_distances``)
+are likewise test-only.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -136,6 +143,50 @@ def brute_force_forest(field):
             parent[m, j] = int(Dir.LEFT) if via_l <= via_r else int(Dir.RIGHT)
             root[m, j] = vroot(v)
     return dist, parent, root
+
+
+def exact_forest(field):
+    """Parent directions and root labels of the level DP run in exact
+    rational arithmetic over the same float64 weights.
+
+    Each passage time is the exact ``Fraction`` sum of the weights on its
+    path, so a comparison that float rounding decides differently shows up
+    as another parent direction or root label.  Exact ties go LEFT, as in
+    ``build_forest``.  Returns ``(parent_dir, root_x)``.
+    """
+    win = field.window
+    W, M = win.W, win.M
+    parent = np.full((M + 1, W), -1, dtype=np.int8)
+    root = np.zeros((M + 1, W), dtype=np.int64)
+    root[0, :] = np.arange(0, 2 * W, 2, dtype=np.int64)
+    dist = [Fraction(0)] * W
+    for m in range(1, M + 1):
+        row = []
+        for j in range(W):
+            best = None
+            # RIGHT first, so an exact tie is won by the LEFT edge after it
+            for e in in_edges(Vertex(_canonical_x(win, m, j), m), win):
+                jt = win.column_of(e.tail)
+                via = dist[jt] + Fraction(field.weight(e))
+                if best is None or via <= best:
+                    best = via
+                    parent[m, j] = int(e.dir)
+                    root[m, j] = root[m - 1, jt]
+            row.append(best)
+        dist = row
+    return parent, root
+
+
+def is_monotone_tree(root: Vertex, edges: Iterable[Edge]) -> bool:
+    """Check the unique-incoming-edge tree property over the edge set."""
+    edges = list(edges)
+    heads = [head(e) for e in edges]
+    if len(set(heads)) != len(heads):
+        return False
+    if root in heads:
+        return False
+    verts = {root} | set(heads)
+    return all(e.tail in verts for e in edges)
 
 
 def is_tree_edge_set(root: Vertex, edges) -> bool:
@@ -317,7 +368,7 @@ def reference_generate_rings(
             f"horizon {horizon} below forest max distance {max_dist}; "
             f"rings after coverage would be censored"
         )
-    weights = [None] + [field.incoming_weights(y) for y in range(1, M + 1)]
+    weights = [None] + list(zip(*field.incoming_weights(1, M)))
     children: list[list[list[tuple[int, Dir]]]] = [
         [[] for _ in range(W)] for _ in range(M)
     ]
@@ -612,3 +663,94 @@ def reference_flank_left_distances(forest: Forest, n: int) -> np.ndarray:
         col = win.column_of(win.canonicalize(Vertex(lx, n)))
         out.append(float(values[n, col]))
     return np.asarray(out, dtype=np.float64)
+
+
+def _triangle_lattice_points(a: Vertex, b: Vertex, c: Vertex) -> frozenset[Vertex]:
+    """Lattice vertices (x+y even) inside the closed triangle abc, by exact
+    integer cross products."""
+
+    def cross(o: Vertex, p: Vertex, q: Vertex) -> int:
+        return (p.x - o.x) * (q.y - o.y) - (p.y - o.y) * (q.x - o.x)
+
+    orient = cross(a, b, c)
+    if orient == 0:
+        raise ValueError(f"degenerate triangle {a}, {b}, {c}")
+    if orient < 0:
+        b, c = c, b
+    points = []
+    xs = (a.x, b.x, c.x)
+    ys = (a.y, b.y, c.y)
+    for y in range(min(ys), max(ys) + 1):
+        for x in range(min(xs), max(xs) + 1):
+            if (x + y) % 2 != 0:
+                continue
+            p = Vertex(x, y)
+            if (
+                cross(a, b, p) >= 0
+                and cross(b, c, p) >= 0
+                and cross(c, a, p) >= 0
+            ):
+                points.append(p)
+    return frozenset(points)
+
+
+@dataclass(frozen=True)
+class FlankInfo:
+    """The two vertices flanking a level slice, their distances, and the
+    triangle spanned per the verbatim hull definition.
+
+    Coordinates are unwrapped relative to the root (the left flank can
+    have negative x); the triangle may fail to contain non-contiguous
+    slices above the base level, which is reported, not repaired.
+    """
+
+    n: int
+    l_n: Vertex
+    r_n: Vertex
+    left_dist: float
+    right_dist: float
+    M_n: float
+    slice_size: int
+    triangle: frozenset[Vertex]
+
+
+def flanks(forest: Forest, root, n: int) -> FlankInfo:
+    """Locate the flanking vertices of the root's level-n slice.
+
+    Distances are read off the forest values (passage time, or occupancy
+    time for a replayed state).  The window must be wide enough for the
+    slice plus flanks to fit without wrapping.
+    """
+    win = forest.window
+    x0 = root.x if isinstance(root, Vertex) else int(root)
+    if not 1 <= n <= win.M:
+        raise ValueError(f"level {n} outside 1..{win.M}")
+    cols = np.nonzero(forest.root_x[n] == x0)[0]
+    if len(cols) == 0:
+        raise ValueError(f"tree of root {x0} has an empty level-{n} slice")
+    xs = (n & 1) + 2 * cols
+    dxs = (xs - x0) % win.period
+    dxs = np.where(dxs > win.W, dxs - win.period, dxs)
+    dx_min, dx_max = int(dxs.min()), int(dxs.max())
+    if (dx_max + 2) - (dx_min - 2) >= win.period:
+        raise ValueError(
+            f"flanks of the level-{n} slice wrap around the window (W={win.W})"
+        )
+    l_n = Vertex(x0 + dx_min - 2, n)
+    r_n = Vertex(x0 + dx_max + 2, n)
+    values = forest.values
+    left_dist = float(values[n, win.column_of(win.canonicalize(l_n))])
+    right_dist = float(values[n, win.column_of(win.canonicalize(r_n))])
+    k = int(len(cols))
+    apex = Vertex(l_n.x + (k + 1), l_n.y + (k + 1))
+    triangle = _triangle_lattice_points(l_n, r_n, apex)
+    return FlankInfo(
+        n=n,
+        l_n=l_n,
+        r_n=r_n,
+        left_dist=left_dist,
+        right_dist=right_dist,
+        M_n=max(left_dist, right_dist),
+        slice_size=k,
+        triangle=triangle,
+    )

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_shell_counts, shell_weighted_sum, trees_by_subset_filter
+from oracles import (
+    brute_shell_counts,
+    flanks,
+    is_monotone_tree,
+    shell_weighted_sum,
+    trees_by_subset_filter,
+)
 from sidlalab.analysis import (
     Chi2Result,
     MonotoneTree,
@@ -19,9 +25,7 @@ from sidlalab.analysis import (
     extract_tree,
     flank_bound_test,
     flank_left_distances,
-    flanks,
     histogram,
-    is_monotone_tree,
     ks_test_exp1,
     level_profile,
     root_heights,

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import sidlalab
-from sidlalab import fpp
+from sidlalab import cli, fpp
 from sidlalab.cli import EXIT_CONFIG, EXIT_FAULT, main
+from sidlalab.fileio import atomic_write_text
 from sidlalab.fpp import load_snapshot
 
 
@@ -136,6 +137,65 @@ def test_stats_rejects_a_bad_kappa(capsys):
                "--kappa", "abc", "--out", "s.csv") == EXIT_CONFIG
     assert "kappa must be comma-separated numbers" in capsys.readouterr().err
     assert not Path("s.csv").exists()
+
+
+@pytest.mark.parametrize("kappa", ["0.5", "1", "2,nan"])
+def test_stats_rejects_a_kappa_not_above_one(kappa, capsys):
+    assert run("stats", "-W", "8", "-M", "4", "--flank-levels", "2",
+               "--kappa", kappa, "--out", "s.csv") == EXIT_CONFIG
+    assert "kappa must exceed 1" in capsys.readouterr().err
+    assert not Path("s.csv").exists()
+
+
+def test_missing_output_directory_is_a_config_error(in_tmp, capsys):
+    assert run("fpp", "-W", "8", "-M", "4", "--out", "missing/x.json") == EXIT_CONFIG
+    assert "directory" in capsys.readouterr().err
+    assert list(in_tmp.iterdir()) == []
+    (in_tmp / "d").mkdir()
+    assert run("fpp", "-W", "8", "-M", "4", "--out", "d") == EXIT_CONFIG
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in in_tmp.rglob("*")] == ["d"]
+
+
+def test_failed_write_leaves_no_temp_file(in_tmp, monkeypatch):
+    def broken(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", broken)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text("x.txt", "text")
+    assert list(in_tmp.iterdir()) == []
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [
+    ("5000", 8, [2]), ("5000", 1, []), ("2", 8, [2]), ("3", 2, [2]), ("1", 8, [])])
+def test_jobs_are_clamped_to_tasks_and_cpus(jobs, cpus, workers, monkeypatch, capsys):
+    """A fork pool starts every worker up front, so --jobs is clamped to
+    the replicas and the CPUs, and one worker runs serially."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run("fpp", "-W", "6", "-M", "4", "--replicas", "2", "--jobs", jobs,
+               "--out", "j.json") == 0
+    assert _RecordingPool.made == workers
+    assert Path("j_s1.json").exists() and Path("j_s2.json").exists()
 
 
 def test_compare_rejects_samples_too_small(capsys):

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import brute_force_forest
+from oracles import brute_force_forest, exact_forest
+from sidlalab import fpp
 from sidlalab.analysis import extract_tree
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import (
@@ -57,20 +58,51 @@ def test_weight_positive_and_deterministic():
 
 
 def test_incoming_weights_match_scalar():
-    field = small_field(seed=11)
-    win = field.window
-    for level in (1, 2, 5):
-        w_r, w_l = field.incoming_weights(level)
-        cols_r, cols_l = incoming_tail_columns(win.W, level)
-        for j in range(win.W):
-            v = win.vertex_at(level, j)
-            tail_r = win.vertex_at(level - 1, int(cols_r[j]))
-            tail_l = win.vertex_at(level - 1, int(cols_l[j]))
-            assert w_r[j] == field.weight(Edge(tail_r, Dir.RIGHT))
-            assert w_l[j] == field.weight(Edge(tail_l, Dir.LEFT))
-            # sanity: those edges really point at v
-            assert (tail_r.x + 1) % win.period == v.x % win.period
-            assert (tail_l.x - 1) % win.period == v.x % win.period
+    """Every row of a multi-level block equals the scalar weights of the
+    edges into its level, for even and odd widths and partial blocks."""
+    for W, M, lo, hi in ((6, 6, 1, 6), (6, 6, 2, 4), (7, 5, 1, 5), (7, 5, 5, 5)):
+        field = small_field(seed=11, W=W, M=M)
+        win = field.window
+        block_r, block_l = field.incoming_weights(lo, hi)
+        assert block_r.shape == block_l.shape == (hi - lo + 1, W)
+        for level, w_r, w_l in zip(range(lo, hi + 1), block_r, block_l):
+            cols_r, cols_l = incoming_tail_columns(W, level)
+            for j in range(W):
+                v = win.vertex_at(level, j)
+                tail_r = win.vertex_at(level - 1, int(cols_r[j]))
+                tail_l = win.vertex_at(level - 1, int(cols_l[j]))
+                assert w_r[j] == field.weight(Edge(tail_r, Dir.RIGHT))
+                assert w_l[j] == field.weight(Edge(tail_l, Dir.LEFT))
+                # sanity: those edges really point at v
+                assert (tail_r.x + 1) % win.period == v.x % win.period
+                assert (tail_l.x - 1) % win.period == v.x % win.period
+    for lo, hi in ((0, 1), (3, 2), (1, 6)):
+        with pytest.raises(ValueError):
+            field.incoming_weights(lo, hi)
+
+
+@pytest.mark.parametrize("block", [1, 2 * 14 * 5 + 3, 1 << 16])
+def test_forest_is_the_same_for_every_weight_block(monkeypatch, block):
+    """Hashing the weights a block of levels at a time, with blocks that
+    split the window unevenly, leaves the forest bit for bit unchanged;
+    the reference hashes every level of the window in one call."""
+    field = small_field(seed=8, W=14, M=12)
+    monkeypatch.setattr(fpp, "WEIGHT_BLOCK", 2 * 14 * 12)
+    ref = build_forest(field)
+    monkeypatch.setattr(fpp, "WEIGHT_BLOCK", block)
+    fo = build_forest(field)
+    assert np.array_equal(fo.values, ref.values)
+    assert np.array_equal(fo.parent_dir, ref.parent_dir)
+    assert np.array_equal(fo.root_x, ref.root_x)
+
+
+def test_build_forest_hashes_a_small_window_in_one_call(monkeypatch):
+    calls = []
+    real = fpp.hash_uniform_vec
+    monkeypatch.setattr(fpp, "hash_uniform_vec",
+                        lambda seed, parts: calls.append(seed) or real(seed, parts))
+    build_forest(WeightField(1, WeightProfile.STRETCH, Window(64, 32)))
+    assert len(calls) == 1
 
 
 def test_profiles_have_distinct_scales():
@@ -97,6 +129,21 @@ def test_forest_matches_brute_force(profile, seed):
     assert np.array_equal(fo.values, bd)
     assert np.array_equal(fo.parent_dir, bp)
     assert np.array_equal(fo.root_x, br)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decreasing_forest_matches_exact_arithmetic(seed):
+    """Rerunning the DP in exact rationals over the same float weights
+    gives the same parent directions and root labels, so no rounding
+    decides a comparison; at 64x64 the smallest weights fall below half
+    an ulp of their tails' times, and the roots still agree."""
+    field = WeightField(seed, WeightProfile.DECREASING, Window(32, 32))
+    fo = build_forest(field)
+    parent, root = exact_forest(field)
+    assert np.array_equal(fo.parent_dir, parent)
+    assert np.array_equal(fo.root_x, root)
+    field = WeightField(seed, WeightProfile.DECREASING, Window(64, 64))
+    assert np.array_equal(build_forest(field).root_x, exact_forest(field)[1])
 
 
 def test_forest_basic_shape_and_monotonicity():
@@ -127,8 +174,8 @@ def test_tie_breaks_left():
     # a stub field whose two incoming weights are always equal
     win = Window(4, 3)
 
-    def equal_weights(level):
-        return np.full(4, 0.5), np.full(4, 0.5)
+    def equal_weights(lo, hi):
+        return np.full((hi - lo + 1, 4), 0.5), np.full((hi - lo + 1, 4), 0.5)
 
     stub = SimpleNamespace(
         window=win,
@@ -138,19 +185,6 @@ def test_tie_breaks_left():
     )
     fo = build_forest(stub)
     assert (fo.parent_dir[1:] == int(Dir.LEFT)).all()
-
-
-def test_shift_covariance():
-    """Shifting the hash origin by k columns rolls the whole forest."""
-    win = Window(8, 6)
-    base = WeightField(seed=6, profile=WeightProfile.STRETCH, window=win)
-    for k in (1, 3, 7):
-        fo0 = build_forest(base)
-        fok = build_forest(base.shifted(k))
-        assert np.array_equal(fok.values, np.roll(fo0.values, k, axis=1))
-        assert np.array_equal(fok.parent_dir, np.roll(fo0.parent_dir, k, axis=1))
-        rolled_roots = (np.roll(fo0.root_x, k, axis=1) + 2 * k) % win.period
-        assert np.array_equal(fok.root_x, rolled_roots)
 
 
 def test_trees_partition_vertices():
@@ -185,9 +219,9 @@ def test_exact_candidate_ties_never_occur_in_a_million_vertices():
     for seed in (1, 2, 3, 4):
         field = WeightField(seed, WeightProfile.STRETCH, Window(1024, 256))
         fo = build_forest(field)
-        for level in range(1, 257):
+        block_r, block_l = field.incoming_weights(1, 256)
+        for level, w_r, w_l in zip(range(1, 257), block_r, block_l):
             cols_r, cols_l = incoming_tail_columns(1024, level)
-            w_r, w_l = field.incoming_weights(level)
             prev = fo.values[level - 1]
             ties += int(np.count_nonzero((prev[cols_r] + w_r)
                                          == (prev[cols_l] + w_l)))

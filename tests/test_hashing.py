@@ -88,3 +88,14 @@ def test_exp_variates_have_right_law():
     d, p = stats.kstest(w, "expon", args=(0, 2.0))
     assert p > 1e-4, (d, p)
     assert np.mean(w) == pytest.approx(2.0, rel=0.05)
+
+
+def test_vector_log1p_matches_scalar_bitwise():
+    """The jumps driver takes -log1p(-u) over a block of uniforms in one
+    vector op where exp_from_uniform takes it one scalar at a time; a numpy
+    whose SIMD log1p rounds differently would change every particle run."""
+    u = np.concatenate([hash_uniform_vec(31, [np.arange(100_000, dtype=np.uint64)]),
+                        [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53]])
+    vec = -np.log1p(-u)
+    scalar = np.array([-np.log1p(-x) for x in u.tolist()])
+    assert np.array_equal(vec.view(np.uint64), scalar.view(np.uint64))

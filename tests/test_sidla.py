@@ -10,8 +10,10 @@ from scipy import stats
 
 from oracles import reference_jumps
 
+from sidlalab import sidla
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import snapshot_text
+from sidlalab.hashing import JUMP_STREAM, hash_u64, hash_uniform
 from sidlalab.lattice import Dir, Edge, Vertex, Window
 from sidlalab.sidla import (
     SimulationLimitError,
@@ -254,6 +256,22 @@ def test_jumps_match_reference_bitwise(case):
     assert float.hex(fast.clock) == float.hex(ref.clock)
     assert fast.censored == ref.censored
     assert (fast.n_rings, fast.n_occupied) == (ref.n_rings, ref.n_occupied)
+
+
+def test_jump_draws_match_per_event_hashes(monkeypatch):
+    """The block draw equals the per-event scalar hashes, across blocks
+    that split the run unevenly, and a whole run with such blocks still
+    matches the reference driver bit for bit."""
+    monkeypatch.setattr(sidla, "JUMP_BLOCK", 7)
+    mid = hash_u64(5, JUMP_STREAM)
+    expect = [(float(-np.log1p(-hash_uniform(mid, k, 0))), hash_uniform(mid, k, 1),
+               hash_uniform(mid, k, 2)) for k in range(30)]
+    assert list(sidla._jump_draws(5, 30)) == expect
+    win = Window(9, 5)
+    fast = run_until_covered(win, 5, method="jumps", log_events=True)
+    ref = reference_jumps(new_state(win, seed=5, log_events=True), 5)
+    assert fast.forest.values.tobytes() == ref.forest.values.tobytes()
+    assert fast.events == ref.events
 
 
 def loop_level_choice(counts, u):
