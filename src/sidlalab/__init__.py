@@ -17,8 +17,8 @@ rotated upper-half-plane lattice and verifies that they agree:
   drawings, and the command-line front end.
 """
 
-from .errors import ConfigError, CouplingFault, VerificationFailure
-from .lattice import Dir, Edge, Vertex, Window, head, in_cone, shift
+from .errors import ConfigError, CouplingFault
+from .lattice import Dir, Edge, Vertex, Window, head
 from .fpp import (
     Forest,
     WeightField,
@@ -42,17 +42,14 @@ __all__ = [
     "RingKind",
     "SidlaState",
     "SimulationLimitError",
-    "VerificationFailure",
     "Vertex",
     "WeightField",
     "WeightProfile",
     "Window",
     "build_forest",
     "head",
-    "in_cone",
     "load_snapshot",
     "run_until_covered",
-    "shift",
     "snapshot_text",
     "verify_coupling",
     "__version__",

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
 from .errors import ConfigError
-from .fpp import Forest
+from .fpp import Forest, slice_sizes, tree_heights
 from .lattice import Dir, Edge, Vertex, Window, head
 
 ENUMERATION_GUARD = 12
@@ -40,7 +40,6 @@ class MonotoneTree:
 
     root: Vertex
     edges: frozenset[Edge]
-    censored: bool = False
 
     def vertices(self) -> set[Vertex]:
         verts = {self.root}
@@ -78,21 +77,17 @@ def extract_tree(forest: Forest, root) -> MonotoneTree:
             xu = unwrapped[tail] + d.dx
             unwrapped[v] = xu
             edges.append(Edge(Vertex(xu - d.dx, m - 1), d))
-    censored = bool(np.any(labels[win.M] == x0))
-    return MonotoneTree(Vertex(x0, 0), frozenset(edges), censored)
+    return MonotoneTree(Vertex(x0, 0), frozenset(edges))
 
 
-def level_profile(obj: MonotoneTree | Forest, root, m: int) -> int:
-    """Size of the root's level-m slice, |T^m(root)|, in a tree or a forest."""
+def level_profile(forest: Forest, root, m: int) -> int:
+    """Size of the root's level-m slice, |T^m(root)|, in a forest."""
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
-    if isinstance(obj, MonotoneTree):
-        return sum(1 for v in obj.vertices() if v.y == m)
-    win = obj.window
-    if m > win.M:
-        raise ValueError(f"level {m} above cap {win.M}")
+    if m > forest.window.M:
+        raise ValueError(f"level {m} above cap {forest.window.M}")
     x = root.x if isinstance(root, Vertex) else int(root)
-    return int(np.count_nonzero(obj.root_x[m] == x))
+    return int(np.count_nonzero(forest.root_x[m] == x))
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +212,6 @@ def flank_left_distances(forest: Forest, n: int) -> np.ndarray:
     return forest.values[n, left_cols].astype(np.float64)
 
 
-def cone_check(forest: Forest, root) -> bool:
-    """Every vertex of the root's tree lies in the upward cone of the root
-    and no slice exceeds the cone width m+1."""
-    win = forest.window
-    x0 = root.x if isinstance(root, Vertex) else int(root)
-    for m in range(1, win.M + 1):
-        cols = np.nonzero(forest.root_x[m] == x0)[0]
-        if len(cols) == 0:
-            continue
-        if len(cols) > m + 1:
-            return False
-        xs = (m & 1) + 2 * cols
-        dxs = (xs - x0) % win.period
-        dxs = np.where(dxs > win.W, dxs - win.period, dxs)
-        if np.any(np.abs(dxs) > m):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Binomial confidence helpers
 
@@ -321,46 +297,34 @@ def coverage_partition_check(forest: Forest, window: Window) -> bool:
 
 
 def root_heights(forest: Forest) -> tuple[np.ndarray, np.ndarray]:
-    """Per-root tree heights and censoring flags, vectorized per level.
+    """Per-root tree heights and censoring flags, read from the slice-size
+    table.
 
     Returns (heights, censored), both indexed by boundary column; censored
-    roots own a vertex at the cap, so their height equals M as a lower
-    bound."""
-    win = forest.window
-    W, M = win.W, win.M
-    heights = np.zeros(W, dtype=np.int64)
-    for m in range(1, M + 1):
-        cols = np.unique(forest.root_x[m] >> 1)
-        heights[cols] = m
-    censored = np.zeros(W, dtype=bool)
-    censored[np.unique(forest.root_x[M] >> 1)] = True
-    return heights, censored
+    roots reach the cap, so their height M is a lower bound."""
+    heights = tree_heights(slice_sizes(forest))
+    return heights, heights == forest.window.M
 
 
 def slim_fractions(forest: Forest, D: float) -> np.ndarray:
     """Per tree of positive height below the cap, in ascending root order:
     the fraction of its levels whose slice is nonempty and narrower than D.
 
-    Slice sizes of every tree come from one count over (root column,
-    level).  The tallest tree, the likeliest to cross the seam, is also
-    lifted with ``extract_tree`` and counted with ``slim_levels``; a
-    disagreement with the table raises RuntimeError."""
-    win = forest.window
-    W, M = win.W, win.M
-    heights, censored = root_heights(forest)
-    labels = forest.root_x[1:]
-    owned = labels >= 0
-    levels = np.broadcast_to(np.arange(M)[:, None], labels.shape)
-    keys = (labels[owned] >> 1) * M + levels[owned]
-    sizes = np.bincount(keys, minlength=W * M).reshape(W, M)
-    slim = np.count_nonzero((sizes > 0) & (sizes < D), axis=1)
+    Slice sizes, heights and censoring of every tree come from the
+    slice-size table.  The tallest tree, the likeliest to cross the seam,
+    is also lifted with ``extract_tree`` and counted with ``slim_levels``;
+    a disagreement with the table raises RuntimeError."""
+    M = forest.window.M
+    sizes = slice_sizes(forest)
+    heights = tree_heights(sizes)
+    slim = np.count_nonzero((sizes[:, 1:] > 0) & (sizes[:, 1:] < D), axis=1)
     j = int(np.argmax(heights))
     tree = extract_tree(forest, 2 * j)
     counts = tree.level_counts()
-    if ([counts[m] for m in range(1, M + 1)] != sizes[j].tolist()
+    if ([counts[m] for m in range(1, M + 1)] != sizes[j, 1:].tolist()
             or len(slim_levels(tree, SlimParams(D))) != slim[j]):
         raise RuntimeError(f"slice-size table disagrees with the tree of root {2 * j}")
-    kept = ~censored & (heights >= 1)
+    kept = (heights < M) & (heights >= 1)
     return slim[kept] / heights[kept]
 
 
@@ -432,30 +396,18 @@ class Chi2Result:
     n_bins: int
 
 
-def _align_histograms(hist_a, hist_b) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(hist_a, Mapping) and isinstance(hist_b, Mapping):
-        keys = sorted(set(hist_a) | set(hist_b))
-        a = np.array([hist_a.get(k, 0) for k in keys], dtype=np.float64)
-        b = np.array([hist_b.get(k, 0) for k in keys], dtype=np.float64)
-        return a, b
-    a = np.asarray(hist_a, dtype=np.float64)
-    b = np.asarray(hist_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(
-            f"bin mismatch: shapes {a.shape} vs {b.shape}; "
-            f"pass aligned sequences or label->count mappings"
-        )
-    return a, b
-
-
-def chi_square_compare(hist_a, hist_b) -> Chi2Result:
-    """Two-sample chi-square on a 2 x k contingency table.
+def chi_square_compare(hist_a: Mapping[int, int],
+                       hist_b: Mapping[int, int]) -> Chi2Result:
+    """Two-sample chi-square on a 2 x k contingency table of two
+    label -> count mappings, over the union of their labels.
 
     Adjacent-style pooling: while some expected count drops below 5, the
     smallest-expectation bin is merged into a neighbor.  Identical
     histograms give statistic 0 and p = 1.
     """
-    a, b = _align_histograms(hist_a, hist_b)
+    keys = sorted(set(hist_a) | set(hist_b))
+    a = np.array([hist_a.get(k, 0) for k in keys], dtype=np.float64)
+    b = np.array([hist_b.get(k, 0) for k in keys], dtype=np.float64)
     keep = (a + b) > 0
     a, b = a[keep], b[keep]
     if a.size == 0 or a.sum() == 0 or b.sum() == 0:

@@ -11,7 +11,3 @@ class CouplingFault(RuntimeError):
     This is an internal-consistency failure, not a statistical one: it means
     the ring generator and the replay engine disagree about the tree.
     """
-
-
-class VerificationFailure(AssertionError):
-    """A verification command found a real mismatch (exit code 2 territory)."""

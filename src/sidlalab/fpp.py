@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .fileio import json_text
-from .hashing import WEIGHT_STREAM, exp_from_uniform, hash_uniform, hash_uniform_vec
-from .lattice import Dir, Edge, Vertex, Window
+from .hashing import WEIGHT_STREAM, exp_from_uniform, hash_uniform_vec
+from .lattice import Dir, Vertex, Window
 
 
 class WeightProfile(Enum):
@@ -116,12 +116,6 @@ class WeightField:
                 f"positive finite double; use a smaller height cap"
             )
 
-    def weight(self, e: Edge) -> float:
-        """Waiting time of a single canonical edge."""
-        tail = self.window.canonicalize(e.tail)
-        u = hash_uniform(self.seed, WEIGHT_STREAM, tail.x, tail.y, int(e.dir))
-        return float(exp_from_uniform(u, self.profile.rate(e.level)))
-
     def incoming_weights(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Weights of all edges into levels lo..hi, as (right-step, left-step)
         arrays of shape (hi - lo + 1, W): row i holds level lo + i, indexed
@@ -161,6 +155,28 @@ class Forest:
     values: np.ndarray
     parent_dir: np.ndarray
     root_x: np.ndarray
+
+
+def slice_sizes(forest: Forest) -> np.ndarray:
+    """The slice-size table: ``sizes[j, m] = |T^m(root 2j)|``, the number
+    of level-m vertices labelled with root 2j, for m = 0..M; shape (W, M+1).
+
+    One count over (root column, level); unclaimed vertices count for no
+    root.  Heights and censoring are read from this table.
+    """
+    W, M = forest.window.W, forest.window.M
+    labels = forest.root_x
+    owned = labels >= 0
+    levels = np.broadcast_to(np.arange(M + 1)[:, None], labels.shape)
+    keys = (labels[owned] >> 1) * (M + 1) + levels[owned]
+    return np.bincount(keys, minlength=W * (M + 1)).reshape(W, M + 1)
+
+
+def tree_heights(sizes: np.ndarray) -> np.ndarray:
+    """Each root's height, its last non-empty level, from a slice_sizes
+    table.  The root itself fills level 0, so a height is at least 0; a
+    tree is censored exactly when its height is the cap M."""
+    return sizes.shape[1] - 1 - np.argmax(sizes[:, ::-1] > 0, axis=1)
 
 
 def build_forest(field: WeightField) -> Forest:

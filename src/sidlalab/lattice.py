@@ -71,11 +71,6 @@ def head(e: Edge) -> Vertex:
     return Vertex(e.tail.x + e.dir.dx, e.tail.y + 1)
 
 
-def shift(v: Vertex, k: int) -> Vertex:
-    """Translate horizontally by k fundamental steps (2k in x)."""
-    return Vertex(v.x + 2 * k, v.y)
-
-
 @dataclass(frozen=True)
 class Window:
     """Cyclic simulation window: W columns per level, levels 0..M."""
@@ -101,18 +96,8 @@ class Window:
     def canonicalize(self, v: Vertex) -> Vertex:
         return Vertex(v.x % self.period, v.y)
 
-    def canonicalize_edge(self, e: Edge) -> Edge:
-        return Edge(self.canonicalize(e.tail), e.dir)
-
     def contains(self, v: Vertex) -> bool:
         return 0 <= v.y <= self.M and v.is_valid()
-
-    def rel_x(self, v: Vertex, base: Vertex) -> int:
-        """Horizontal displacement from base to v, lifted to (-W, W]."""
-        dx = (v.x - base.x) % self.period
-        if dx > self.W:
-            dx -= self.period
-        return dx
 
     def column_of(self, v: Vertex) -> int:
         """Column index 0..W-1 of a canonical vertex within its level."""
@@ -130,57 +115,5 @@ class Window:
         return self.level_vertices(0)
 
 
-def in_cone(base: Vertex, v: Vertex, window: Window | None = None) -> bool:
-    """True if v lies in the light cone opening upward from base.
-
-    With a window, the horizontal displacement is first lifted to the
-    representative nearest base.
-    """
-    dy = v.y - base.y
-    if dy < 0:
-        return False
-    dx = window.rel_x(v, base) if window is not None else v.x - base.x
-    return abs(dx) <= dy
-
-
-def out_edges(v: Vertex) -> tuple[Edge, Edge]:
-    return Edge(v, Dir.LEFT), Edge(v, Dir.RIGHT)
-
-
-def in_edges(v: Vertex, window: Window | None = None) -> tuple[Edge, Edge]:
-    """The two edges whose head is v, tails one level down."""
-    if v.y < 1:
-        raise ValueError(f"vertex {v} has no incoming edges")
-    left_tail = Vertex(v.x + 1, v.y - 1)  # arrives by a LEFT step
-    right_tail = Vertex(v.x - 1, v.y - 1)
-    if window is not None:
-        left_tail = window.canonicalize(left_tail)
-        right_tail = window.canonicalize(right_tail)
-    return Edge(right_tail, Dir.RIGHT), Edge(left_tail, Dir.LEFT)
-
-
-def vertex_str(v: Vertex) -> str:
-    return f"{v.x},{v.y}"
-
-
-def parse_vertex(s: str) -> Vertex:
-    try:
-        xs, ys = s.split(",")
-        v = Vertex(int(xs), int(ys))
-    except ValueError as exc:
-        raise ValueError(f"expected 'x,y', got {s!r}") from exc
-    if not v.is_valid():
-        raise ValueError(f"{s!r} is not a lattice vertex (need x+y even, y >= 0)")
-    return v
-
-
 def edge_str(e: Edge) -> str:
     return f"{e.tail.x},{e.tail.y},{e.dir.letter}"
-
-
-def parse_edge(s: str) -> Edge:
-    try:
-        xs, ys, ds = s.split(",")
-    except ValueError as exc:
-        raise ValueError(f"expected 'x,y,L|R', got {s!r}") from exc
-    return Edge(parse_vertex(f"{xs},{ys}"), Dir.from_letter(ds))

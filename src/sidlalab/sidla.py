@@ -70,14 +70,14 @@ class SidlaState:
     """One particle run: its forest, clock, counters and event log.
 
     The forest's values are the clock values at which each vertex was
-    claimed (0 on the boundary); unclaimed vertices hold root -1.
+    claimed (0 on the boundary); unclaimed vertices hold root -1.  Heights
+    and censoring are read from the forest (``fpp.slice_sizes``).
     """
 
     forest: Forest
     clock: float = 0.0
     n_rings: int = 0
     n_occupied: int = 0
-    censored: set = field(default_factory=set)
     events: list = field(default_factory=list)
     log_events: bool = False
 
@@ -146,8 +146,6 @@ def apply_extension(state: SidlaState, root_x_value: int, e: Edge, time: float) 
     forest.parent_dir[a.y, j] = int(e.dir)
     forest.values[a.y, j] = time
     state.n_occupied += 1
-    if a.y == forest.window.M:
-        state.censored.add(root_x_value)
 
 
 def hash_coin_stream(seed: int, ring_index: int) -> Callable[[int], Dir]:
@@ -221,7 +219,7 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     term = [len(lst) * rate for lst, rate in zip(free, level_rate)]
     owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
     occ = forest.values.tolist()
-    censored, events, log = state.censored, state.events, state.log_events
+    events, log = state.events, state.log_events
     clock = state.clock
     n_events = W * M - state.n_occupied
     for e0, u1, u2 in _jump_draws(seed, n_events):
@@ -266,8 +264,6 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
                     pos[c2] = len(up)
                     up.append(c2)
             term[h + 1] = len(up) * level_rate[h + 1]
-        else:
-            censored.add(root)
     forest.root_x[:], forest.parent_dir[:], forest.values[:] = owner, pdir, occ
     state.clock, state.n_rings = clock, n_events
     state.n_occupied += n_events

@@ -22,11 +22,13 @@ root, kept as the bitwise reference for the array forms in ``sidlalab``.
 ``exact_forest`` reruns the forest program in exact rational arithmetic,
 so rounding cannot move a root unnoticed.
 
-``owner_of`` and ``truncated_mean_height`` are small forest helpers the
-oracles and the acceptance gate use, with no caller in the package;
-``is_monotone_tree`` and ``flanks`` (one root's flank vertices and their
-triangle, the per-root reference for ``analysis.flank_left_distances``)
-are likewise test-only.
+``owner_of``, ``truncated_mean_height``, ``cone_check``, the lattice
+helpers ``rel_x``, ``in_cone``, ``in_edges`` and ``out_edges``, and
+``edge_weight`` (one edge's weight from one scalar hash, the reference for
+``WeightField.incoming_weights``) are small helpers the oracles and the
+acceptance gate use, with no caller in the package; ``is_monotone_tree``
+and ``flanks`` (one root's flank vertices and their triangle, the per-root
+reference for ``analysis.flank_left_distances``) are likewise test-only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from sidlalab.analysis import SlimParams, extract_tree, root_heights, slim_level
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import Forest, WeightField, incoming_tail_columns
-from sidlalab.hashing import JUMP_STREAM, exp_from_uniform, hash_uniform
+from sidlalab.hashing import JUMP_STREAM, WEIGHT_STREAM, exp_from_uniform, hash_uniform
 from sidlalab.render import _HIGHLIGHT_COLOR, RenderOptions, _fmt, root_color
 from sidlalab.lattice import (
     Dir,
@@ -53,9 +55,6 @@ from sidlalab.lattice import (
     Window,
     edge_str,
     head,
-    in_cone,
-    in_edges,
-    out_edges,
 )
 from sidlalab.sidla import SidlaState, apply_extension, edge_in_tree, new_state
 
@@ -69,6 +68,69 @@ def truncated_mean_height(forest: Forest) -> float:
     """Mean over roots of min(height, M); censored trees count as M."""
     heights, _ = root_heights(forest)
     return float(heights.mean())
+
+
+def rel_x(window: Window, v: Vertex, base: Vertex) -> int:
+    """Horizontal displacement from base to v, lifted to (-W, W]."""
+    dx = (v.x - base.x) % window.period
+    if dx > window.W:
+        dx -= window.period
+    return dx
+
+
+def in_cone(base: Vertex, v: Vertex, window: Window | None = None) -> bool:
+    """True if v lies in the light cone opening upward from base.
+
+    With a window, the horizontal displacement is first lifted to the
+    representative nearest base.
+    """
+    dy = v.y - base.y
+    if dy < 0:
+        return False
+    dx = rel_x(window, v, base) if window is not None else v.x - base.x
+    return abs(dx) <= dy
+
+
+def out_edges(v: Vertex) -> tuple[Edge, Edge]:
+    return Edge(v, Dir.LEFT), Edge(v, Dir.RIGHT)
+
+
+def in_edges(v: Vertex, window: Window | None = None) -> tuple[Edge, Edge]:
+    """The two edges whose head is v, tails one level down."""
+    if v.y < 1:
+        raise ValueError(f"vertex {v} has no incoming edges")
+    left_tail = Vertex(v.x + 1, v.y - 1)  # arrives by a LEFT step
+    right_tail = Vertex(v.x - 1, v.y - 1)
+    if window is not None:
+        left_tail = window.canonicalize(left_tail)
+        right_tail = window.canonicalize(right_tail)
+    return Edge(right_tail, Dir.RIGHT), Edge(left_tail, Dir.LEFT)
+
+
+def edge_weight(field: WeightField, e: Edge) -> float:
+    """Waiting time of a single canonical edge."""
+    tail = field.window.canonicalize(e.tail)
+    u = hash_uniform(field.seed, WEIGHT_STREAM, tail.x, tail.y, int(e.dir))
+    return float(exp_from_uniform(u, field.profile.rate(e.level)))
+
+
+def cone_check(forest: Forest, root) -> bool:
+    """Every vertex of the root's tree lies in the upward cone of the root
+    and no slice exceeds the cone width m+1."""
+    win = forest.window
+    x0 = root.x if isinstance(root, Vertex) else int(root)
+    for m in range(1, win.M + 1):
+        cols = np.nonzero(forest.root_x[m] == x0)[0]
+        if len(cols) == 0:
+            continue
+        if len(cols) > m + 1:
+            return False
+        xs = (m & 1) + 2 * cols
+        dxs = (xs - x0) % win.period
+        dxs = np.where(dxs > win.W, dxs - win.period, dxs)
+        if np.any(np.abs(dxs) > m):
+            return False
+    return True
 
 
 def _canonical_x(window, level: int, j: int) -> int:
@@ -107,7 +169,7 @@ def brute_force_forest(field):
                 cur = e.tail
             total = 0.0
             for e in reversed(edges_down):
-                total = total + field.weight(e)
+                total = total + edge_weight(field, e)
             sums.append(total)
         return sums
 
@@ -127,8 +189,8 @@ def brute_force_forest(field):
             return cv.x
         if cv not in memo_root:
             e_r, e_l = in_edges(cv, win)
-            via_r = vdist(e_r.tail) + field.weight(e_r)
-            via_l = vdist(e_l.tail) + field.weight(e_l)
+            via_r = vdist(e_r.tail) + edge_weight(field, e_r)
+            via_l = vdist(e_l.tail) + edge_weight(field, e_l)
             up = e_l if via_l <= via_r else e_r
             memo_root[cv] = vroot(up.tail)
         return memo_root[cv]
@@ -138,8 +200,8 @@ def brute_force_forest(field):
             v = Vertex(_canonical_x(win, m, j), m)
             dist[m, j] = vdist(v)
             e_r, e_l = in_edges(v, win)
-            via_r = vdist(e_r.tail) + field.weight(e_r)
-            via_l = vdist(e_l.tail) + field.weight(e_l)
+            via_r = vdist(e_r.tail) + edge_weight(field, e_r)
+            via_l = vdist(e_l.tail) + edge_weight(field, e_l)
             parent[m, j] = int(Dir.LEFT) if via_l <= via_r else int(Dir.RIGHT)
             root[m, j] = vroot(v)
     return dist, parent, root
@@ -167,7 +229,7 @@ def exact_forest(field):
             # RIGHT first, so an exact tie is won by the LEFT edge after it
             for e in in_edges(Vertex(_canonical_x(win, m, j), m), win):
                 jt = win.column_of(e.tail)
-                via = dist[jt] + Fraction(field.weight(e))
+                via = dist[jt] + Fraction(edge_weight(field, e))
                 if best is None or via <= best:
                     best = via
                     parent[m, j] = int(e.dir)

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_shell_counts,
+    cone_check,
     flanks,
     is_monotone_tree,
     shell_weighted_sum,
@@ -19,7 +20,6 @@ from sidlalab.analysis import (
     ShellProfile,
     SlimParams,
     chi_square_compare,
-    cone_check,
     coverage_partition_check,
     enumerate_monotone_trees,
     extract_tree,
@@ -35,9 +35,10 @@ from sidlalab.analysis import (
     tail_height_estimate,
     wilson_interval,
 )
-from sidlalab.fpp import WeightField, WeightProfile, build_forest
+from sidlalab.fpp import WeightField, WeightProfile, build_forest, slice_sizes
 from sidlalab.hashing import hash_uniform_vec, exp_from_uniform
 from sidlalab.lattice import Dir, Edge, Vertex, Window
+from sidlalab.sidla import run_until_covered
 
 ROOT = Vertex(0, 0)
 E_L = Edge(ROOT, Dir.LEFT)
@@ -69,20 +70,20 @@ def test_is_monotone_tree_examples():
 
 
 def test_root_only_shell():
-    t = MonotoneTree(ROOT, frozenset(), False)
+    t = MonotoneTree(ROOT, frozenset())
     sp = shell_profile(t)
     assert dict(sp.counts) == {1: 2}
     assert sp.weighted_sum() == Fraction(1)
 
 
 def test_one_edge_shell():
-    t = MonotoneTree(ROOT, frozenset([E_R]), False)
+    t = MonotoneTree(ROOT, frozenset([E_R]))
     assert dict(shell_profile(t).counts) == {1: 1, 2: 2}
     assert shell_identity_check(t)
 
 
 def test_two_edge_shell():
-    t = MonotoneTree(ROOT, frozenset([E_L, E_R]), False)
+    t = MonotoneTree(ROOT, frozenset([E_L, E_R]))
     assert dict(shell_profile(t).counts) == {2: 4}
     assert shell_identity_check(t)
 
@@ -140,16 +141,17 @@ def test_extract_tree_round_trip():
         t = extract_tree(fo, root)
         assert is_monotone_tree(t.root, t.edges)
         for m in range(1, fo.window.M + 1):
-            assert level_profile(t, root, m) == level_profile(fo, root, m)
+            assert t.level_counts()[m] == level_profile(fo, root, m)
 
 
 def test_tree_height_and_censoring():
     fo = stretch_forest(seed=5, W=8, M=8)
     top_owners = set(int(x) for x in fo.root_x[8])
-    for root in fo.window.boundary():
+    heights, censored = root_heights(fo)
+    for j, root in enumerate(fo.window.boundary()):
         t = extract_tree(fo, root)
-        assert t.censored == (root.x in top_owners)
-        assert t.height() == max((v.y for v in t.vertices()), default=0)
+        assert (t.height() == 8) == (root.x in top_owners) == censored[j]
+        assert t.height() == max((v.y for v in t.vertices()), default=0) == heights[j]
 
 
 def test_level_profile_validation():
@@ -176,7 +178,6 @@ def test_slim_levels_thin_chain():
         frozenset(
             [E_R, Edge(Vertex(1, 1), Dir.RIGHT), Edge(Vertex(2, 2), Dir.RIGHT)]
         ),
-        False,
     )
     assert slim_levels(chain, SlimParams(D=2.0)) == [1, 2, 3]
     assert slim_levels(chain, SlimParams(D=1.0)) == []  # strict on both sides
@@ -305,6 +306,37 @@ def test_root_heights_match_level_profiles():
         assert censored[j] == (profile[-1] > 0)
 
 
+@st.composite
+def table_case(draw):
+    W = draw(st.integers(min_value=1, max_value=16))
+    M = draw(st.integers(min_value=1, max_value=W))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    # the particle picture runs the stretch rates only
+    profile = draw(st.sampled_from([None, *WeightProfile]))
+    return W, M, seed, profile
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_case())
+def test_slice_size_table_matches_trees(case):
+    """The slice-size table equals level_profile at every (root, level) of
+    the fpp forest for every profile and of the jumps particle forest, and
+    the heights read from it are the lifted trees' heights."""
+    W, M, seed, profile = case
+    win = Window(W, M)
+    if profile is None:
+        fo = run_until_covered(win, seed, method="jumps").forest
+    else:
+        fo = build_forest(WeightField(seed, profile, win))
+    sizes = slice_sizes(fo)
+    assert sizes.shape == (W, M + 1)
+    heights, censored = root_heights(fo)
+    for j, root in enumerate(win.boundary()):
+        assert sizes[j].tolist() == [level_profile(fo, root, m) for m in range(M + 1)]
+        assert heights[j] == extract_tree(fo, root).height()
+    assert np.array_equal(censored, heights == M)
+
+
 def test_tail_height_estimate():
     heights = np.array([0, 1, 1, 2, 5, 5, 5, 8])
     surv = tail_height_estimate(heights, [1, 2, 5, 8])
@@ -385,11 +417,11 @@ def test_chdtrc_matches_chi2_sf_bitwise():
         assert chdtrc(dof, x).tobytes() == chi2.sf(x, dof).tobytes(), dof
 
 
-def test_chi_square_mismatched_sequences():
-    with pytest.raises(ValueError):
-        chi_square_compare([1, 2, 3], [1, 2])
+def test_chi_square_needs_two_nonempty_histograms():
     with pytest.raises(ValueError):
         chi_square_compare({}, {})
+    with pytest.raises(ValueError):
+        chi_square_compare({0: 5, 1: 0}, {})
 
 
 def test_chi_square_accepts_union_of_keys():

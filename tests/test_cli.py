@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,10 +6,11 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sidlalab
-from sidlalab import cli, fpp
+from sidlalab import cli, coupling, fpp
 from sidlalab.cli import EXIT_CONFIG, EXIT_FAULT, main
 from sidlalab.fileio import atomic_write_text
 from sidlalab.fpp import load_snapshot
@@ -95,6 +97,42 @@ def test_couple_names_exact_zero_gaps(capsys):
     assert "1229 of 8120 ring gaps are exact zeros" in err
     assert "decreasing profile at M=64" in err
     assert not Path("c.json").exists() and not Path("g.csv").exists()
+
+
+def test_couple_guards_zero_gaps_pooled_from_small_replicas(monkeypatch, capsys):
+    """Replicas of fewer than 10 gaps each still reach the pooled gap test,
+    so the exact-zero guard runs on the pooled sample."""
+    verify = coupling.verify_coupling
+
+    def few_gaps(seed, window, **kwargs):
+        rep = verify(seed, window, **kwargs)
+        gaps = np.array([0.0, 1.0, 0.5, 2.0, 0.25, 1.5]) if seed == 1 else np.ones(6)
+        return dataclasses.replace(rep, gap_sites=np.zeros(6, dtype=np.int64),
+                                   gap_sample=gaps)
+
+    monkeypatch.setattr(coupling, "verify_coupling", few_gaps)
+    assert run("couple", "-W", "8", "-M", "4", "--replicas", "2",
+               "--repeats", "base", "--out", "c.json", "--gaps-out", "g.csv") == 1
+    err = capsys.readouterr().err
+    assert "1 of 12 ring gaps are exact zeros" in err
+    assert "stretch profile at M=4" in err
+    assert not Path("c.json").exists() and not Path("g.csv").exists()
+
+
+@pytest.mark.parametrize("command,profile", [("stats", "eden"), ("render", "decreasing")])
+def test_particle_picture_refuses_other_profiles(command, profile, capsys):
+    """The particle drivers run the stretch rates only; another profile is
+    refused before any work, naming it, and nothing is written."""
+    assert run(command, "--picture", "sidla", "--profile", profile,
+               "-W", "16", "-M", "8", "--out", "out.x") == EXIT_CONFIG
+    assert f"--profile {profile}" in capsys.readouterr().err
+    assert not Path("out.x").exists()
+
+
+def test_render_takes_no_replica_options(capsys):
+    for flag in ("--replicas", "--jobs"):
+        assert run("render", flag, "2", "-W", "8", "-M", "4") == EXIT_CONFIG
+    assert not list(Path(".").iterdir())
 
 
 def test_shells_exact_line(capsys):
