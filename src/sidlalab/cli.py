@@ -64,10 +64,14 @@ def _window(args: argparse.Namespace) -> Window:
 
 
 def _check_picture(args: argparse.Namespace) -> None:
-    # the particle drivers run the stretch rates only
+    # the particle drivers run the stretch rates only, and --method (None
+    # unless given) picks one of them, so it means nothing for fpp
     if args.picture == "sidla" and args.profile != "stretch":
         raise ConfigError(f"the sidla picture runs only the stretch profile, "
                           f"got --profile {args.profile}")
+    if args.picture == "fpp" and args.method is not None:
+        raise ConfigError(f"--method picks a particle driver; the fpp picture "
+                          f"takes none, got --method {args.method}")
 
 
 def _check_replicas(args: argparse.Namespace) -> None:
@@ -110,15 +114,14 @@ def _fpp_task(task):
 def cmd_fpp(args: argparse.Namespace) -> int:
     win = _window(args)
     _check_replicas(args)
-    profile = fpp.WeightProfile.parse(args.profile)
-    tasks = [(s, win.W, win.M, profile.value)
+    tasks = [(s, win.W, win.M, args.profile)
              for s in range(args.seed, args.seed + args.replicas)]
     multi = args.replicas > 1
-    stem = f"fpp_w{win.W}_m{win.M}_{profile.value}"
+    stem = f"fpp_w{win.W}_m{win.M}_{args.profile}"
     for seed, text, max_dist in _run_tasks(_fpp_task, tasks, args.jobs):
         path = _out_path(args.out, stem, seed, ".json", multi)
         atomic_write_text(path, text)
-        print(f"fpp seed={seed} window={win.W}x{win.M} profile={profile.value} "
+        print(f"fpp seed={seed} window={win.W}x{win.M} profile={args.profile} "
               f"interior={win.W * win.M} maxdist={format(max_dist, '.17g')} "
               f"wrote={path}")
     return EXIT_OK
@@ -172,15 +175,12 @@ def _couple_task(task):
 def cmd_couple(args: argparse.Namespace) -> int:
     win = _window(args)
     _check_replicas(args)
-    profile = fpp.WeightProfile.parse(args.profile)
     if args.horizon_factor < 1.0:
         raise ConfigError(
             f"horizon factor must be >= 1 (horizon below the coverage time "
             f"would censor rings), got {args.horizon_factor}"
         )
-    if args.repeats not in ("auto",) + coupling.REPEAT_MODES:
-        raise ConfigError(f"unknown repeats mode {args.repeats!r}")
-    tasks = [(s, win.W, win.M, profile.value, args.horizon_factor, args.repeats)
+    tasks = [(s, win.W, win.M, args.profile, args.horizon_factor, args.repeats)
              for s in range(args.seed, args.seed + args.replicas)]
     reports = _run_tasks(_couple_task, tasks, args.jobs)
 
@@ -193,7 +193,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
         if zeros:
             raise ConfigError(
                 f"{zeros} of {len(gaps)} ring gaps are exact zeros: float ties "
-                f"between ring times in the {profile.value} profile at M={win.M}; "
+                f"between ring times in the {args.profile} profile at M={win.M}; "
                 f"the exponential gap test needs positive gaps"
             )
         ks = analysis.ks_test_exp1(gaps)
@@ -265,9 +265,6 @@ def _stats_task(task):
 def cmd_stats(args: argparse.Namespace) -> int:
     win = _window(args)
     _check_replicas(args)
-    profile = fpp.WeightProfile.parse(args.profile)
-    if args.picture not in ("fpp", "sidla"):
-        raise ConfigError(f"unknown picture {args.picture!r}; use fpp or sidla")
     _check_picture(args)
     levels = _parse_levels(args.levels, win.M) if args.levels else \
         _default_levels(win.M)
@@ -283,7 +280,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not args.slim_d > 0:
         raise ConfigError(f"slim threshold must be positive, got {args.slim_d}")
 
-    tasks = [(args.picture, s, win.W, win.M, profile.value, args.method,
+    tasks = [(args.picture, s, win.W, win.M, args.profile, args.method or "auto",
               args.slim_d, tuple(flank_levels))
              for s in range(args.seed, args.seed + args.replicas)]
     results = _run_tasks(_stats_task, tasks, args.jobs)
@@ -396,13 +393,30 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # render
 
 
+# render's sampling options as (flag, default).  The parser defaults them
+# to None, so that one given next to --in can be told apart and refused.
+_RENDER_SAMPLING = {
+    "seed": ("--seed", 1), "width": ("-W/--width", 16), "height": ("-M/--height", 8),
+    "picture": ("--picture", "fpp"), "profile": ("--profile", "stretch"),
+    "method": ("--method", None),
+}
+
+
 def cmd_render(args: argparse.Namespace) -> int:
-    _check_picture(args)
+    given = [flag for dest, (flag, _) in _RENDER_SAMPLING.items()
+             if getattr(args, dest) is not None]
     if args.input:
+        if given:
+            raise ConfigError(f"render --in draws the snapshot's own window and "
+                              f"seed; it takes no {', '.join(given)}")
         forest = fpp.load_snapshot(args.input)
     else:
+        for dest, (_, default) in _RENDER_SAMPLING.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        _check_picture(args)
         forest = _picture_run(args.picture, args.seed, args.width, args.height,
-                              args.profile, args.method)
+                              args.profile, args.method or "auto")
     win, seed = forest.window, forest.seed
     if args.highlight_root.lower() == "none":
         highlight = None
@@ -484,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--picture", choices=["fpp", "sidla"], default="fpp",
                     help="which sampler to draw from (default fpp)")
     sp.add_argument("--method", choices=["auto", "rings", "jumps"],
-                    default="auto", help="sidla driver (default auto)")
+                    default=None, help="sidla driver (default auto)")
     sp.add_argument("--levels", default=None,
                     help="comma-separated survival levels (default powers "
                          "of 2)")
@@ -513,10 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("render", help="draw a forest as SVG")
     _add_common(sp)
     _add_profile(sp)
-    sp.add_argument("--picture", choices=["fpp", "sidla"], default="fpp",
+    sp.add_argument("--picture", choices=["fpp", "sidla"],
                     help="sampler when no input file is given (default fpp)")
     sp.add_argument("--method", choices=["auto", "rings", "jumps"],
-                    default="auto", help="sidla driver (default auto)")
+                    help="sidla driver (default auto)")
     sp.add_argument("--in", dest="input", default=None,
                     help="render an existing snapshot JSON instead of "
                          "sampling")
@@ -527,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-level", type=int, default=None,
                     help="clip drawing above this level")
     sp.add_argument("--out", default=None, help="output SVG path")
-    sp.set_defaults(func=cmd_render)
+    sp.set_defaults(func=cmd_render, **dict.fromkeys(_RENDER_SAMPLING))
 
     return p
 

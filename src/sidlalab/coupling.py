@@ -245,7 +245,6 @@ def replay(rings: Rings) -> SidlaState:
     state.forest.root_x.flat[claimed] = owner[claimed]
     state.forest.parent_dir.flat[claimed] = rings.dir[by]
     state.forest.values.flat[claimed] = rings.time[by]
-    state.n_occupied = len(claimed)
     state.n_rings = n
     state.clock = float(rings.time[-1]) if n else 0.0
     return state

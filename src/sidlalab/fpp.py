@@ -49,14 +49,6 @@ class WeightProfile(Enum):
             return 1.0
         return math.ldexp(1.0, level)
 
-    @classmethod
-    def parse(cls, s: str) -> "WeightProfile":
-        try:
-            return cls(s.lower())
-        except ValueError:
-            names = ", ".join(p.value for p in cls)
-            raise ConfigError(f"unknown profile {s!r}; choose one of {names}") from None
-
 
 def _tail_column(W: int, level, col, d):
     """Column of the tail of the edge that enters column col of a level by

@@ -38,21 +38,10 @@ class Dir(IntEnum):
     def letter(self) -> str:
         return "L" if self is Dir.LEFT else "R"
 
-    @classmethod
-    def from_letter(cls, s: str) -> "Dir":
-        if s == "L":
-            return cls.LEFT
-        if s == "R":
-            return cls.RIGHT
-        raise ValueError(f"direction must be 'L' or 'R', got {s!r}")
-
 
 class Vertex(NamedTuple):
     x: int
     y: int
-
-    def is_valid(self) -> bool:
-        return self.y >= 0 and (self.x + self.y) % 2 == 0
 
 
 class Edge(NamedTuple):
@@ -96,23 +85,8 @@ class Window:
     def canonicalize(self, v: Vertex) -> Vertex:
         return Vertex(v.x % self.period, v.y)
 
-    def contains(self, v: Vertex) -> bool:
-        return 0 <= v.y <= self.M and v.is_valid()
-
-    def column_of(self, v: Vertex) -> int:
-        """Column index 0..W-1 of a canonical vertex within its level."""
-        return (v.x % self.period) >> 1
-
     def vertex_at(self, level: int, column: int) -> Vertex:
         return Vertex((level & 1) + 2 * column, level)
-
-    def level_vertices(self, level: int) -> list[Vertex]:
-        if not 0 <= level <= self.M:
-            raise ValueError(f"level {level} outside window (0..{self.M})")
-        return [self.vertex_at(level, j) for j in range(self.W)]
-
-    def boundary(self) -> list[Vertex]:
-        return self.level_vertices(0)
 
 
 def edge_str(e: Edge) -> str:

@@ -13,17 +13,20 @@ Two drivers produce the same process law:
 
 * ``rings``: the literal event loop, one coin-walk per ring.  Faithful but
   needs on the order of ``W * 2**M`` rings to cover the window, since the
-  top level extends with probability ``2**-M`` per ring.
+  top level extends with probability ``2**-M`` per ring; the ring budget,
+  not the speed of a ring, is what limits it to small caps.
 * ``jumps``: exponential-clock thinning.  Each free edge at level h rings
   independently at rate ``2**-h`` (rings arrive at rate W and the walk
   claims the edge with probability ``2**-h / W``), so the next extension
   can be sampled directly.  Exactly ``W * M`` events cover the window.
 
-Both drivers share one state layout, draw from tagged counter-hash streams
-keyed by (seed, counter), and record an event log suitable for CSV export.
-The jumps loop runs on integer state only.  It hashes its (seed, stream)
-address prefix once per run and draws the uniforms of a whole block of
-events with one vector hash.
+Both drivers run on integer state only: owners, parent directions and
+times live in list mirrors of the forest arrays, written back at the end.
+Each draws from tagged counter-hash streams keyed by (seed, counter): it
+hashes its (seed, stream) address prefix once per run and draws a whole
+block of rings or events with one vector hash per stream, never one
+scalar hash per ring or coin.  Both record an event log suitable for CSV
+export.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -43,12 +45,11 @@ from .hashing import (
     COIN_STREAM,
     JUMP_STREAM,
     TINY,
-    exp_from_uniform,
     hash_u64,
-    hash_uniform,
+    hash_u64_vec,
     hash_uniform_vec,
 )
-from .lattice import Dir, Edge, Vertex, Window, edge_str, head
+from .lattice import Window
 
 DEFAULT_RING_BUDGET_FACTOR = 10_000
 
@@ -59,6 +60,10 @@ AUTO_LITERAL_MAX_CAP = 12
 # Events whose uniforms the jumps driver draws per vector hash; bounds its
 # hash temporaries to O(block) instead of O(W * M).
 JUMP_BLOCK = 1 << 16
+
+# Words the rings driver hashes per block: whole rings of M + 2 words each
+# (a clock gap, a site and M coins).
+RING_BLOCK = 1 << 16
 
 
 class SimulationLimitError(RuntimeError):
@@ -77,13 +82,13 @@ class SidlaState:
     forest: Forest
     clock: float = 0.0
     n_rings: int = 0
-    n_occupied: int = 0
     events: list = field(default_factory=list)
     log_events: bool = False
 
-    def is_covered(self) -> bool:
-        win = self.forest.window
-        return self.n_occupied >= win.W * win.M
+    @property
+    def n_occupied(self) -> int:
+        """Claimed vertices above the boundary."""
+        return int(np.count_nonzero(self.forest.root_x[1:] >= 0))
 
 
 def new_state(window: Window, seed: int = 0, log_events: bool = False) -> SidlaState:
@@ -97,95 +102,73 @@ def new_state(window: Window, seed: int = 0, log_events: bool = False) -> SidlaS
     return SidlaState(forest, log_events=log_events)
 
 
-def edge_in_tree(state: SidlaState, root_x_value: int, e: Edge) -> bool:
-    """True if e is the parent edge of its head in the tree of that root."""
-    forest = state.forest
-    a = forest.window.canonicalize(head(e))
-    if a.y > forest.window.M:
-        return False
-    j = forest.window.column_of(a)
-    return (
-        int(forest.root_x[a.y, j]) == root_x_value
-        and int(forest.parent_dir[a.y, j]) == int(e.dir)
-    )
+def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
+    """Yield (clock gap, site x, coins) for rings lo..hi-1 of a rings run.
 
-
-def walk_particle(
-    state: SidlaState, root_x_value: int, coin_at: Callable[[int], Dir]
-) -> Edge | None:
-    """Run one coin-walk from the given boundary root.
-
-    Returns the claimed edge, or None if the particle vanished.  coin_at
-    maps the step index to a direction; the production drivers plug in a
-    counter-hash stream, tests can pass explicit sequences.
+    Ring k's gap is ``exp_from_uniform(hash_uniform(seed, CLOCK_STREAM, k,
+    0), W)``, its site ``2 * min(int(u1 * W), W - 1)`` with ``u1 =
+    hash_uniform(seed, CLOCK_STREAM, k, 1)``, and its coin at step s
+    ``hash_u64(seed, COIN_STREAM, k, s) & 1`` for s < M (a walk that has
+    climbed to the cap leaves the window whatever its next coin).  Each
+    stream's prefix is hashed once; a block of rings takes one vector hash
+    per stream.
     """
-    win = state.forest.window
-    v = win.canonicalize(Vertex(root_x_value, 0))
-    step = 0
-    while True:
-        d = coin_at(step)
-        step += 1
-        e = Edge(v, d)
-        a = win.canonicalize(head(e))
-        if a.y <= win.M and edge_in_tree(state, root_x_value, e):
-            v = a
-            continue
-        if a.y <= win.M and state.forest.root_x[a.y, win.column_of(a)] < 0:
-            return e
-        return None
-
-
-def apply_extension(state: SidlaState, root_x_value: int, e: Edge, time: float) -> None:
-    """Claim the head of e for the given root at the given clock value."""
-    forest = state.forest
-    a = forest.window.canonicalize(head(e))
-    j = forest.window.column_of(a)
-    if int(forest.root_x[a.y, j]) >= 0:
-        raise ValueError(f"vertex {a} already occupied")
-    forest.root_x[a.y, j] = root_x_value
-    forest.parent_dir[a.y, j] = int(e.dir)
-    forest.values[a.y, j] = time
-    state.n_occupied += 1
-
-
-def hash_coin_stream(seed: int, ring_index: int) -> Callable[[int], Dir]:
-    return lambda step: Dir(hash_u64(seed, COIN_STREAM, ring_index, step) & 1)
-
-
-def ring_arrival(seed: int, ring_index: int, W: int) -> tuple[float, int]:
-    """Clock gap and boundary site of one ring: Exp(W) gap, uniform site."""
-    gap = float(exp_from_uniform(hash_uniform(seed, CLOCK_STREAM, ring_index, 0), W))
-    u = hash_uniform(seed, CLOCK_STREAM, ring_index, 1)
-    site = min(int(u * W), W - 1)
-    return gap, 2 * site
-
-
-def next_ring(state: SidlaState, seed: int) -> tuple[int, Edge | None]:
-    """Advance the literal driver by one ring; returns (site_x, claimed edge)."""
-    k = state.n_rings
-    gap, site_x = ring_arrival(seed, k, state.forest.window.W)
-    state.clock += gap
-    state.n_rings = k + 1
-    e = walk_particle(state, site_x, hash_coin_stream(seed, k))
-    if e is not None:
-        apply_extension(state, site_x, e, state.clock)
-    if state.log_events:
-        state.events.append(
-            (site_x, state.clock, "extend" if e is not None else "vanish",
-             edge_str(e) if e is not None else "")
-        )
-    return site_x, e
+    clock_mid = hash_u64(seed, CLOCK_STREAM)
+    coin_mid = hash_u64(seed, COIN_STREAM)
+    step = max(1, RING_BLOCK // (M + 2))
+    draws, steps = np.arange(2, dtype=np.uint64), np.arange(M, dtype=np.uint64)
+    for a in range(lo, hi, step):
+        k = np.arange(a, min(a + step, hi), dtype=np.uint64)[:, None]
+        u = hash_uniform_vec(clock_mid, [k, draws])
+        gap = -np.log1p(-u[:, 0]) / W
+        gap = np.where(gap > 0.0, gap, TINY)
+        site = 2 * np.minimum((u[:, 1] * W).astype(np.int64), W - 1)
+        coins = hash_u64_vec(coin_mid, [k, steps]) & np.uint64(1)
+        yield from zip(gap.tolist(), site.tolist(), coins.tolist())
 
 
 def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
-    while not state.is_covered():
-        if state.n_rings >= max_rings:
-            raise SimulationLimitError(
-                f"window not covered after {max_rings} rings "
-                f"(W={state.forest.window.W}, M={state.forest.window.M}); "
-                f"the jumps driver has no such limit"
-            )
-        next_ring(state, seed)
+    """Ring the clock until every vertex is claimed, at most max_rings times.
+
+    Each ring drops a particle on its site and walks it up by its coins
+    while the edge taken is its own tree's parent edge; it claims a free
+    head and vanishes on a foreign one or at the cap.
+    """
+    forest = state.forest
+    W, M, P = forest.window.W, forest.window.M, forest.window.period
+    owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
+    occ = forest.values.tolist()
+    events, log = state.events, state.log_events
+    clock, n = state.clock, state.n_rings
+    need = W * M - state.n_occupied
+    for gap, root, coins in _ring_draws(seed, n, max_rings, W, M):
+        clock += gap
+        n += 1
+        x = root
+        edge = ""
+        for y, d in enumerate(coins):
+            hx = (x + 2 * d - 1) % P
+            row, j = y + 1, hx >> 1
+            o = owner[row][j]
+            if o == root and pdir[row][j] == d:
+                x = hx
+                continue
+            if o < 0:
+                owner[row][j], pdir[row][j], occ[row][j] = root, d, clock
+                need -= 1
+                edge = f"{x},{y},{'LR'[d]}"
+            break
+        if log:
+            events.append((root, clock, "extend" if edge else "vanish", edge))
+        if not need:
+            break
+    forest.root_x[:], forest.parent_dir[:], forest.values[:] = owner, pdir, occ
+    state.clock, state.n_rings = clock, n
+    if need:
+        raise SimulationLimitError(
+            f"window not covered after {max_rings} rings "
+            f"(W={W}, M={M}); the jumps driver has no such limit"
+        )
     return state
 
 
@@ -240,7 +223,7 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
         hx = (x + 2 * d - 1) % P
         j = hx >> 1
         if owner[h][j] >= 0:
-            raise ValueError(f"vertex {Vertex(hx, h)} already occupied")
+            raise ValueError(f"vertex ({hx}, {h}) already occupied")
         owner[h][j] = root
         pdir[h][j] = d
         occ[h][j] = clock
@@ -266,7 +249,6 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
             term[h + 1] = len(up) * level_rate[h + 1]
     forest.root_x[:], forest.parent_dir[:], forest.values[:] = owner, pdir, occ
     state.clock, state.n_rings = clock, n_events
-    state.n_occupied += n_events
     return state
 
 
@@ -274,7 +256,6 @@ def run_until_covered(
     window: Window,
     seed: int,
     method: str = "auto",
-    ring_budget_factor: int = DEFAULT_RING_BUDGET_FACTOR,
     log_events: bool = False,
 ) -> SidlaState:
     """Run the particle system until every window vertex is claimed.
@@ -282,7 +263,7 @@ def run_until_covered(
     method is "rings" (literal event loop), "jumps" (clock thinning) or
     "auto", which picks rings for small caps and jumps otherwise.  The
     rings driver stops with SimulationLimitError if coverage takes more
-    than ring_budget_factor * W * M rings.
+    than DEFAULT_RING_BUDGET_FACTOR * W * M rings.
     """
     if method not in ("auto", "rings", "jumps"):
         raise ConfigError(f"unknown method {method!r}; use auto, rings or jumps")
@@ -290,7 +271,7 @@ def run_until_covered(
     if method == "auto":
         method = "rings" if window.M <= AUTO_LITERAL_MAX_CAP else "jumps"
     if method == "rings":
-        return _run_rings(state, seed, ring_budget_factor * window.W * window.M)
+        return _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M)
     return _run_jumps(state, seed)
 
 

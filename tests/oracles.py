@@ -4,9 +4,15 @@ Everything here is deliberately naive: distances come from enumerating
 every monotone path one by one, trees come from filtering edge subsets,
 and shell counts come straight from the definition.  Slow, but honest,
 and sharing no code path with the implementations under test, except
-that ``reference_jumps`` and ``reference_replay`` claim vertices through
-``sidla.apply_extension`` and ``reference_generate_rings`` draws repeat
-arrivals from ``coupling.AuxClockField.offsets``.
+that ``reference_generate_rings`` draws repeat arrivals from
+``coupling.AuxClockField.offsets``.
+
+The object walk API (``edge_in_tree``, ``walk_particle``,
+``apply_extension``, ``hash_coin_stream``, ``ring_arrival`` and
+``next_ring``: Vertex/Edge objects and one scalar hash per coin) is the
+literal particle rule, one ring at a time.  ``reference_rings`` drives it
+as the bitwise reference for ``sidla._run_rings``; ``reference_jumps`` and
+``reference_replay`` claim vertices through ``apply_extension``.
 
 The ``reference_*`` ring functions are the object-based coupling engine
 (one ``CoupledRing`` per ring carrying its whole path, a tuple sort and a
@@ -23,7 +29,9 @@ root, kept as the bitwise reference for the array forms in ``sidlalab``.
 so rounding cannot move a root unnoticed.
 
 ``owner_of``, ``truncated_mean_height``, ``cone_check``, the lattice
-helpers ``rel_x``, ``in_cone``, ``in_edges`` and ``out_edges``, and
+helpers ``dir_from_letter``, ``is_valid``, ``contains``, ``column_of``,
+``level_vertices``, ``boundary``, ``rel_x``, ``in_cone``, ``in_edges`` and
+``out_edges``, and
 ``edge_weight`` (one edge's weight from one scalar hash, the reference for
 ``WeightField.incoming_weights``) are small helpers the oracles and the
 acceptance gate use, with no caller in the package; ``is_monotone_tree``
@@ -38,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,7 +54,15 @@ from sidlalab.analysis import SlimParams, extract_tree, root_heights, slim_level
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import Forest, WeightField, incoming_tail_columns
-from sidlalab.hashing import JUMP_STREAM, WEIGHT_STREAM, exp_from_uniform, hash_uniform
+from sidlalab.hashing import (
+    CLOCK_STREAM,
+    COIN_STREAM,
+    JUMP_STREAM,
+    WEIGHT_STREAM,
+    exp_from_uniform,
+    hash_u64,
+    hash_uniform,
+)
 from sidlalab.render import _HIGHLIGHT_COLOR, RenderOptions, _fmt, root_color
 from sidlalab.lattice import (
     Dir,
@@ -56,12 +72,43 @@ from sidlalab.lattice import (
     edge_str,
     head,
 )
-from sidlalab.sidla import SidlaState, apply_extension, edge_in_tree, new_state
+from sidlalab.sidla import SidlaState, SimulationLimitError, new_state
+
+
+def dir_from_letter(s: str) -> Dir:
+    if s == "L":
+        return Dir.LEFT
+    if s == "R":
+        return Dir.RIGHT
+    raise ValueError(f"direction must be 'L' or 'R', got {s!r}")
+
+
+def is_valid(v: Vertex) -> bool:
+    return v.y >= 0 and (v.x + v.y) % 2 == 0
+
+
+def contains(window: Window, v: Vertex) -> bool:
+    return 0 <= v.y <= window.M and is_valid(v)
+
+
+def column_of(window: Window, v: Vertex) -> int:
+    """Column index 0..W-1 of a canonical vertex within its level."""
+    return (v.x % window.period) >> 1
+
+
+def level_vertices(window: Window, level: int) -> list[Vertex]:
+    if not 0 <= level <= window.M:
+        raise ValueError(f"level {level} outside window (0..{window.M})")
+    return [window.vertex_at(level, j) for j in range(window.W)]
+
+
+def boundary(window: Window) -> list[Vertex]:
+    return level_vertices(window, 0)
 
 
 def owner_of(forest: Forest, v: Vertex) -> int:
     """Root label of a window vertex, -1 while it is unclaimed."""
-    return int(forest.root_x[v.y, forest.window.column_of(v)])
+    return int(forest.root_x[v.y, column_of(forest.window, v)])
 
 
 def truncated_mean_height(forest: Forest) -> float:
@@ -228,7 +275,7 @@ def exact_forest(field):
             best = None
             # RIGHT first, so an exact tie is won by the LEFT edge after it
             for e in in_edges(Vertex(_canonical_x(win, m, j), m), win):
-                jt = win.column_of(e.tail)
+                jt = column_of(win, e.tail)
                 via = dist[jt] + Fraction(edge_weight(field, e))
                 if best is None or via <= best:
                     best = via
@@ -308,6 +355,104 @@ def shell_weighted_sum(counts: dict[int, int]) -> Fraction:
     )
 
 
+# ---------------------------------------------------------------------------
+# The object walk API and the literal ring driver
+
+
+def edge_in_tree(state: SidlaState, root_x_value: int, e: Edge) -> bool:
+    """True if e is the parent edge of its head in the tree of that root."""
+    forest = state.forest
+    a = forest.window.canonicalize(head(e))
+    if a.y > forest.window.M:
+        return False
+    j = column_of(forest.window, a)
+    return (
+        int(forest.root_x[a.y, j]) == root_x_value
+        and int(forest.parent_dir[a.y, j]) == int(e.dir)
+    )
+
+
+def walk_particle(
+    state: SidlaState, root_x_value: int, coin_at: Callable[[int], Dir]
+) -> Edge | None:
+    """Run one coin-walk from the given boundary root.
+
+    Returns the claimed edge, or None if the particle vanished.  coin_at
+    maps the step index to a direction; the literal driver plugs in a
+    counter-hash stream, tests can pass explicit sequences.
+    """
+    win = state.forest.window
+    v = win.canonicalize(Vertex(root_x_value, 0))
+    step = 0
+    while True:
+        d = coin_at(step)
+        step += 1
+        e = Edge(v, d)
+        a = win.canonicalize(head(e))
+        if a.y <= win.M and edge_in_tree(state, root_x_value, e):
+            v = a
+            continue
+        if a.y <= win.M and state.forest.root_x[a.y, column_of(win, a)] < 0:
+            return e
+        return None
+
+
+def apply_extension(state: SidlaState, root_x_value: int, e: Edge, time: float) -> None:
+    """Claim the head of e for the given root at the given clock value."""
+    forest = state.forest
+    a = forest.window.canonicalize(head(e))
+    j = column_of(forest.window, a)
+    if int(forest.root_x[a.y, j]) >= 0:
+        raise ValueError(f"vertex {a} already occupied")
+    forest.root_x[a.y, j] = root_x_value
+    forest.parent_dir[a.y, j] = int(e.dir)
+    forest.values[a.y, j] = time
+
+
+def hash_coin_stream(seed: int, ring_index: int) -> Callable[[int], Dir]:
+    return lambda step: Dir(hash_u64(seed, COIN_STREAM, ring_index, step) & 1)
+
+
+def ring_arrival(seed: int, ring_index: int, W: int) -> tuple[float, int]:
+    """Clock gap and boundary site of one ring: Exp(W) gap, uniform site."""
+    gap = float(exp_from_uniform(hash_uniform(seed, CLOCK_STREAM, ring_index, 0), W))
+    u = hash_uniform(seed, CLOCK_STREAM, ring_index, 1)
+    site = min(int(u * W), W - 1)
+    return gap, 2 * site
+
+
+def next_ring(state: SidlaState, seed: int) -> tuple[int, Edge | None]:
+    """Advance the literal driver by one ring; returns (site_x, claimed edge)."""
+    k = state.n_rings
+    gap, site_x = ring_arrival(seed, k, state.forest.window.W)
+    state.clock += gap
+    state.n_rings = k + 1
+    e = walk_particle(state, site_x, hash_coin_stream(seed, k))
+    if e is not None:
+        apply_extension(state, site_x, e, state.clock)
+    if state.log_events:
+        state.events.append(
+            (site_x, state.clock, "extend" if e is not None else "vanish",
+             edge_str(e) if e is not None else "")
+        )
+    return site_x, e
+
+
+def reference_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
+    """The object-based rings driver, kept as the bitwise reference for
+    ``sidla._run_rings``: one ``next_ring`` per ring, each coin and each
+    clock draw its own scalar hash chain."""
+    win = state.forest.window
+    while state.n_occupied < win.W * win.M:
+        if state.n_rings >= max_rings:
+            raise SimulationLimitError(
+                f"window not covered after {max_rings} rings "
+                f"(W={win.W}, M={win.M}); the jumps driver has no such limit"
+            )
+        next_ring(state, seed)
+    return state
+
+
 def _edge_code(window: Window, e: Edge) -> int:
     return (e.tail.y * window.period + e.tail.x) * 2 + int(e.dir)
 
@@ -347,7 +492,7 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
             lst[i] = last
             pos[last] = i
 
-    for v in win.boundary():
+    for v in boundary(win):
         for d in (Dir.LEFT, Dir.RIGHT):
             add_edge(Edge(v, d))
 
@@ -458,7 +603,7 @@ def reference_generate_rings(
             for d in (Dir.LEFT, Dir.RIGHT):
                 e = Edge(v, d)
                 a = win.canonicalize(head(e))
-                ja = win.column_of(a)
+                ja = column_of(win, a)
                 w_r, w_l = weights[a.y]
                 w = float(w_l[ja]) if d is Dir.LEFT else float(w_r[ja])
                 child_col = next((jc for jc, dc in kids if dc is d), None)
@@ -598,13 +743,13 @@ def reference_load_snapshot(path: str) -> Forest:
     roots = np.full((win.M + 1, win.W), -1, dtype=np.int64)
     for rec in vertices:
         v = win.canonicalize(Vertex(int(rec["x"]), int(rec["y"])))
-        if not win.contains(v):
+        if not contains(win, v):
             raise ValueError(f"snapshot vertex {v} outside window")
-        j = win.column_of(v)
+        j = column_of(win, v)
         values[v.y, j] = float(rec[value_key])
         roots[v.y, j] = int(rec["rootX"])
         if rec["parentDir"] is not None:
-            pdirs[v.y, j] = int(Dir.from_letter(rec["parentDir"]))
+            pdirs[v.y, j] = int(dir_from_letter(rec["parentDir"]))
     if np.isnan(values).any() or np.any(roots < 0):
         raise ValueError(f"snapshot {path} does not cover its window")
     if np.any(pdirs[1:] < 0):
@@ -722,7 +867,7 @@ def reference_flank_left_distances(forest: Forest, n: int) -> np.ndarray:
         dxs = (xs - int(x0)) % win.period
         dxs = np.where(dxs > win.W, dxs - win.period, dxs)
         lx = int(x0) + int(dxs.min()) - 2
-        col = win.column_of(win.canonicalize(Vertex(lx, n)))
+        col = column_of(win, win.canonicalize(Vertex(lx, n)))
         out.append(float(values[n, col]))
     return np.asarray(out, dtype=np.float64)
 
@@ -801,8 +946,8 @@ def flanks(forest: Forest, root, n: int) -> FlankInfo:
     l_n = Vertex(x0 + dx_min - 2, n)
     r_n = Vertex(x0 + dx_max + 2, n)
     values = forest.values
-    left_dist = float(values[n, win.column_of(win.canonicalize(l_n))])
-    right_dist = float(values[n, win.column_of(win.canonicalize(r_n))])
+    left_dist = float(values[n, column_of(win, win.canonicalize(l_n))])
+    right_dist = float(values[n, column_of(win, win.canonicalize(r_n))])
     k = int(len(cols))
     apex = Vertex(l_n.x + (k + 1), l_n.y + (k + 1))
     triangle = _triangle_lattice_points(l_n, r_n, apex)

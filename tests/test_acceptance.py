@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import cone_check, truncated_mean_height
+from oracles import (
+    apply_extension,
+    cone_check,
+    hash_coin_stream,
+    truncated_mean_height,
+    walk_particle,
+)
 from sidlalab.analysis import (
     chi_square_compare,
     coverage_partition_check,
@@ -31,13 +37,7 @@ from sidlalab.cli import main as cli_main
 from sidlalab.coupling import verify_coupling
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
 from sidlalab.lattice import Dir, Edge, Vertex, Window
-from sidlalab.sidla import (
-    apply_extension,
-    hash_coin_stream,
-    new_state,
-    run_until_covered,
-    walk_particle,
-)
+from sidlalab.sidla import new_state, run_until_covered
 
 LINES = []
 

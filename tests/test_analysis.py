@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    boundary,
     brute_shell_counts,
     cone_check,
     flanks,
@@ -137,7 +138,7 @@ def test_shell_splits_at_a_full_first_level():
 
 def test_extract_tree_round_trip():
     fo = stretch_forest(seed=5)
-    for root in fo.window.boundary():
+    for root in boundary(fo.window):
         t = extract_tree(fo, root)
         assert is_monotone_tree(t.root, t.edges)
         for m in range(1, fo.window.M + 1):
@@ -148,7 +149,7 @@ def test_tree_height_and_censoring():
     fo = stretch_forest(seed=5, W=8, M=8)
     top_owners = set(int(x) for x in fo.root_x[8])
     heights, censored = root_heights(fo)
-    for j, root in enumerate(fo.window.boundary()):
+    for j, root in enumerate(boundary(fo.window)):
         t = extract_tree(fo, root)
         assert (t.height() == 8) == (root.x in top_owners) == censored[j]
         assert t.height() == max((v.y for v in t.vertices()), default=0) == heights[j]
@@ -223,7 +224,7 @@ def test_flank_left_distances_pools_all_roots():
     n = 2
     pooled = flank_left_distances(fo, n)
     roots = [
-        r for r in fo.window.boundary()
+        r for r in boundary(fo.window)
         if np.any(fo.root_x[n] == r.x)
     ]
     assert len(pooled) == len(roots)
@@ -233,7 +234,7 @@ def test_flank_left_distances_pools_all_roots():
 
 def test_cone_check_on_real_and_corrupted_forest():
     fo = stretch_forest(seed=9, W=8, M=8)
-    for root in fo.window.boundary():
+    for root in boundary(fo.window):
         assert cone_check(fo, root)
     bad = replace(fo, root_x=fo.root_x.copy())
     bad.root_x[1, 4] = 0  # (9,1) cannot hang under root 0
@@ -299,7 +300,7 @@ def test_coverage_partition_on_forest():
 def test_root_heights_match_level_profiles():
     fo = stretch_forest(seed=13, W=8, M=8)
     heights, censored = root_heights(fo)
-    for j, root in enumerate(fo.window.boundary()):
+    for j, root in enumerate(boundary(fo.window)):
         profile = [level_profile(fo, root, m) for m in range(1, 9)]
         expect = max((m for m, c in enumerate(profile, start=1) if c > 0), default=0)
         assert heights[j] == expect
@@ -331,7 +332,7 @@ def test_slice_size_table_matches_trees(case):
     sizes = slice_sizes(fo)
     assert sizes.shape == (W, M + 1)
     heights, censored = root_heights(fo)
-    for j, root in enumerate(win.boundary()):
+    for j, root in enumerate(boundary(win)):
         assert sizes[j].tolist() == [level_profile(fo, root, m) for m in range(M + 1)]
         assert heights[j] == extract_tree(fo, root).height()
     assert np.array_equal(censored, heights == M)

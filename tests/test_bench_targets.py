@@ -1,12 +1,18 @@
-"""The benchmark's tracer wraps package functions by name; a rename must
-fail here, in the tier-1 suite, not only in the slower benchmark
-self-tests.  The names are resolved without installing the tracer."""
+"""The benchmark's tracer wraps package functions by name and reads
+attributes of their results; a rename must fail here, in the tier-1
+suite, not only in the slower benchmark self-tests.  The names are
+resolved, and the counters fed real results, without installing the
+tracer."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from sidlalab import coupling, fpp, render, sidla
+from sidlalab.fileio import atomic_write_text
+from sidlalab.lattice import Window
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -31,3 +37,38 @@ def test_tracer_target_exists(mod, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def counter_cases(tmp_path):
+    """(span name, args, result) of a tiny real call per counted target."""
+    win = Window(6, 3)
+    field = fpp.WeightField(2, fpp.WeightProfile.STRETCH, win)
+    forest = fpp.build_forest(field)
+    rings = coupling.generate_rings(forest, field, coupling.AuxClockField(2, win),
+                                    1.5 * float(forest.values.max()), "base")
+    text = fpp.snapshot_text(forest)
+    svg = render.render_svg(forest)
+    path = str(tmp_path / "f.json")
+    cases = [
+        ("fpp.build_forest", (field,), forest),
+        ("fpp.snapshot_text", (forest,), text),
+        ("coupling.generate_rings", (forest, field), rings),
+        ("coupling.replay", (rings,), coupling.replay(rings)),
+        ("render.render_svg", (forest,), svg),
+        ("fileio.atomic_write_text", (path, text), atomic_write_text(path, text)),
+    ]
+    for method in ("rings", "jumps"):
+        cases.append(("sidla.run_until_covered", (win, 1),
+                      sidla.run_until_covered(win, 1, method=method)))
+    return cases
+
+
+def test_tracer_counters_read_real_results(tmp_path):
+    counters = {name: fn for _, _, name, fn in load_tracer().SPAN_TARGETS if fn}
+    cases = counter_cases(tmp_path)
+    assert {name for name, _, _ in cases} == set(counters)
+    for name, args, result in cases:
+        values = counters[name](args, result)
+        assert values, name
+        for key, value in values.items():
+            assert type(value) is int and value >= 0, (name, key, value)

@@ -129,6 +129,42 @@ def test_particle_picture_refuses_other_profiles(command, profile, capsys):
     assert not Path("out.x").exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "render"])
+def test_fpp_picture_refuses_a_method(command, capsys):
+    """--method picks a particle driver; given with the fpp picture it is
+    refused, naming it, and nothing is written."""
+    assert run(command, "--picture", "fpp", "--method", "rings",
+               "-W", "8", "-M", "4", "--out", "out.x") == EXIT_CONFIG
+    assert "--method rings" in capsys.readouterr().err
+    assert not Path("out.x").exists()
+
+
+@pytest.mark.parametrize("command", ["fpp", "couple", "stats", "render"])
+def test_unknown_profile_is_refused(command, capsys):
+    assert run(command, "--profile", "bogus", "-W", "8", "-M", "4",
+               "--out", "out.x") == EXIT_CONFIG
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not Path("out.x").exists()
+
+
+def test_render_in_refuses_sampling_options(capsys):
+    """A snapshot carries its own window and seed; a sampling option given
+    next to --in is refused, naming it, and no SVG is written.  The drawing
+    options still apply."""
+    assert run("fpp", "-W", "8", "-M", "4", "--out", "f.json") == 0
+    for extra in (["--seed", "1"], ["-W", "99", "-M", "3"], ["--picture", "fpp"],
+                  ["--profile", "stretch"], ["--method", "rings"]):
+        assert run("render", "--in", "f.json", *extra, "--out", "x.svg") == EXIT_CONFIG
+        assert f"takes no {extra[0]}" in capsys.readouterr().err
+    assert run("render", "--in", "f.json", "--seed", "5", "--picture", "sidla",
+               "--out", "x.svg") == EXIT_CONFIG
+    assert "takes no --seed, --picture" in capsys.readouterr().err
+    assert not Path("x.svg").exists()
+    assert run("render", "--in", "f.json", "--highlight-root", "none",
+               "--scale", "6", "--max-level", "2", "--out", "x.svg") == 0
+    assert Path("x.svg").exists()
+
+
 def test_render_takes_no_replica_options(capsys):
     for flag in ("--replicas", "--jobs"):
         assert run("render", flag, "2", "-W", "8", "-M", "4") == EXIT_CONFIG

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    column_of,
     interring_gaps,
     reference_generate_rings,
     reference_pooled_gaps,
@@ -289,7 +290,7 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
     # differently, but they must assign the same (head, last step) pairs
     group = np.cumsum(np.r_[True, np.any([np.diff(k) != 0 for k in keys], axis=0)])
     last = [(win.canonicalize(r.target), r.path[-1].dir) for r in ref]
-    ref_code = np.array([(2 * ((v.y * W) + win.column_of(v)) + int(d)) for v, d in last],
+    ref_code = np.array([(2 * ((v.y * W) + column_of(win, v)) + int(d)) for v, d in last],
                         dtype=np.int64)
     code = 2 * rings.head + rings.dir
     assert np.array_equal(code[np.lexsort((code, group))],

@@ -1,7 +1,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import in_cone, in_edges, out_edges, rel_x
+from oracles import (
+    boundary,
+    column_of,
+    contains,
+    dir_from_letter,
+    in_cone,
+    in_edges,
+    is_valid,
+    level_vertices,
+    out_edges,
+    rel_x,
+)
 from sidlalab.errors import ConfigError
 from sidlalab.lattice import Dir, Edge, Vertex, Window, edge_str, head
 
@@ -15,17 +26,17 @@ valid_vertices = st.builds(
 def test_dir_basics():
     assert Dir.LEFT.dx == -1 and Dir.RIGHT.dx == 1
     assert Dir.LEFT.letter == "L" and Dir.RIGHT.letter == "R"
-    assert Dir.from_letter("L") is Dir.LEFT
-    assert Dir.from_letter("R") is Dir.RIGHT
+    assert dir_from_letter("L") is Dir.LEFT
+    assert dir_from_letter("R") is Dir.RIGHT
     with pytest.raises(ValueError):
-        Dir.from_letter("X")
+        dir_from_letter("X")
 
 
 def test_vertex_validity():
-    assert Vertex(0, 0).is_valid()
-    assert Vertex(-3, 1).is_valid()
-    assert not Vertex(1, 0).is_valid()  # parity
-    assert not Vertex(0, -2).is_valid()  # below the boundary
+    assert is_valid(Vertex(0, 0))
+    assert is_valid(Vertex(-3, 1))
+    assert not is_valid(Vertex(1, 0))  # parity
+    assert not is_valid(Vertex(0, -2))  # below the boundary
 
 
 def test_head_and_level():
@@ -67,14 +78,14 @@ def test_window_rel_x_is_centered_lift():
 
 def test_window_columns_and_vertices():
     win = Window(4, 4)
-    assert [win.column_of(Vertex(x, 0)) for x in (0, 2, 4, 6)] == [0, 1, 2, 3]
-    assert win.column_of(Vertex(8, 0)) == 0
+    assert [column_of(win, Vertex(x, 0)) for x in (0, 2, 4, 6)] == [0, 1, 2, 3]
+    assert column_of(win, Vertex(8, 0)) == 0
     assert win.vertex_at(2, 1) == Vertex(2, 2)
-    level1 = win.level_vertices(1)
+    level1 = level_vertices(win, 1)
     assert level1 == [Vertex(1, 1), Vertex(3, 1), Vertex(5, 1), Vertex(7, 1)]
-    assert win.boundary() == [Vertex(0, 0), Vertex(2, 0), Vertex(4, 0), Vertex(6, 0)]
-    assert all(win.contains(v) for v in level1)
-    assert not win.contains(Vertex(0, 5))
+    assert boundary(win) == [Vertex(0, 0), Vertex(2, 0), Vertex(4, 0), Vertex(6, 0)]
+    assert all(contains(win, v) for v in level1)
+    assert not contains(win, Vertex(0, 5))
 
 
 def test_in_cone_plain():
@@ -97,7 +108,7 @@ def test_in_cone_wraps_inside_window():
 def test_out_in_edge_consistency(v):
     for e in out_edges(v):
         assert e.tail == v
-        assert head(e).is_valid()
+        assert is_valid(head(e))
     if v.y > 0:
         e_r, e_l = in_edges(v)
         assert e_r.dir is Dir.RIGHT and e_l.dir is Dir.LEFT
@@ -114,4 +125,4 @@ def test_in_edges_canonicalized_in_window():
 @given(valid_vertices, st.sampled_from(list(Dir)))
 def test_edge_str_roundtrip(v, d):
     xs, ys, letter = edge_str(Edge(v, d)).split(",")
-    assert Edge(Vertex(int(xs), int(ys)), Dir.from_letter(letter)) == Edge(v, d)
+    assert Edge(Vertex(int(xs), int(ys)), dir_from_letter(letter)) == Edge(v, d)

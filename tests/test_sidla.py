@@ -8,7 +8,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from oracles import reference_jumps
+from oracles import (
+    apply_extension,
+    column_of,
+    edge_in_tree,
+    hash_coin_stream,
+    next_ring,
+    reference_jumps,
+    reference_rings,
+    ring_arrival,
+    walk_particle,
+)
 
 from sidlalab import sidla
 from sidlalab.errors import ConfigError
@@ -17,15 +27,9 @@ from sidlalab.hashing import JUMP_STREAM, hash_u64, hash_uniform
 from sidlalab.lattice import Dir, Edge, Vertex, Window
 from sidlalab.sidla import (
     SimulationLimitError,
-    apply_extension,
-    edge_in_tree,
     events_csv_text,
-    hash_coin_stream,
     new_state,
-    next_ring,
-    ring_arrival,
     run_until_covered,
-    walk_particle,
 )
 from sidlalab.analysis import coverage_partition_check, level_profile, root_heights
 
@@ -59,7 +63,7 @@ def test_new_state_layout():
     assert (fo.root_x[1:] == -1).all()
     assert (fo.values[0] == 0.0).all()
     assert np.isnan(fo.values[1:]).all()
-    assert not state.is_covered()
+    assert state.n_occupied == 0
 
 
 def test_edge_in_tree():
@@ -148,7 +152,7 @@ def test_run_until_covered(method):
     win = Window(4, 3)
     state = run_until_covered(win, seed=5, method=method)
     fo = state.forest
-    assert state.is_covered()
+    assert state.n_occupied == win.W * win.M
     assert (fo.root_x >= 0).all()
     assert np.isin(fo.root_x, [0, 2, 4, 6]).all()
     assert coverage_partition_check(fo, win)
@@ -158,14 +162,15 @@ def test_run_until_covered(method):
             v = win.vertex_at(m, j)
             d = Dir(int(fo.parent_dir[m, j]))
             tail = win.canonicalize(Vertex(v.x - d.dx, v.y - 1))
-            assert fo.values[m, j] > fo.values[tail.y, win.column_of(tail)]
+            assert fo.values[m, j] > fo.values[tail.y, column_of(win, tail)]
 
 
-def test_method_validation_and_budget():
+def test_method_validation_and_budget(monkeypatch):
     with pytest.raises(ConfigError):
         run_until_covered(Window(4, 3), seed=1, method="spin")
+    monkeypatch.setattr(sidla, "DEFAULT_RING_BUDGET_FACTOR", 1)
     with pytest.raises(SimulationLimitError):
-        run_until_covered(Window(4, 4), seed=1, method="rings", ring_budget_factor=1)
+        run_until_covered(Window(4, 4), seed=1, method="rings")
 
 
 def test_drivers_agree_in_law():
@@ -238,6 +243,67 @@ def test_jumps_golden_digests(case, digest, clock_hex, censored, n_rings):
     assert float.hex(state.clock) == clock_hex
     assert censored_roots(state) == censored
     assert state.n_rings == n_rings
+
+
+# Digests of the rings driver's full output, recorded on the object-based
+# driver (now tests/oracles.reference_rings), as for JUMPS_GOLDEN; the
+# 24x12 run spans about 40 draw blocks.
+RINGS_GOLDEN = [
+    ((1, 1, 0), 'f0f4f912f65ad3d8ea0e9886b89fc2ea4798d1d9ba73bca3183ca24ee37b4c2e', '0x1.d5b763d9afb7ap-2', [0], 1),
+    ((5, 3, 2), '34fcd74d3b209f21e4e00f5eee24282339729b75ccda02f194b3708da0fef69d', '0x1.517420ea68b58p+2', [0, 4, 6], 36),
+    ((8, 4, 3), 'f70a72cfb017ddbb38da4cb7fa12b83b6086837d7f23347dcfa3b913e585e9f4', '0x1.4e6274c660260p+5', [0, 8, 14], 352),
+    ((16, 8, 1), '4e8957ff99e1c7c9ccfb9db3fa7f537efae1c72593966810ef629dd7ea51a3a7', '0x1.9874be85282abp+8', [0, 2, 6, 8, 14, 16, 20, 24], 6501),
+    ((9, 9, 7), '81f018150a19e8748b0b0475dca3a47ceef306068b2671b15ba7964e1956d13c', '0x1.be9e02f824559p+10', [4, 6, 14], 16072),
+    ((24, 12, 1), '2b16458f468c6fbffe886fc0ef5badff55dab848bb28bde19c753befeea18fc6', '0x1.e40679e1f5720p+12', [0, 6, 10, 14, 20, 34, 38], 185094),
+]
+
+
+@pytest.mark.parametrize("case,digest,clock_hex,censored,n_rings", RINGS_GOLDEN)
+def test_rings_golden_digests(case, digest, clock_hex, censored, n_rings):
+    W, M, seed = case
+    state = run_until_covered(Window(W, M), seed, method="rings", log_events=True)
+    text = snapshot_text(state.forest) + events_csv_text(state)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert float.hex(state.clock) == clock_hex
+    assert censored_roots(state) == censored
+    assert state.n_rings == n_rings
+
+
+def assert_same_run(fast, ref):
+    assert np.array_equal(fast.forest.root_x, ref.forest.root_x)
+    assert np.array_equal(fast.forest.parent_dir, ref.forest.parent_dir)
+    assert fast.forest.values.tobytes() == ref.forest.values.tobytes()
+    assert fast.events == ref.events
+    assert float.hex(fast.clock) == float.hex(ref.clock)
+    assert (fast.n_rings, fast.n_occupied) == (ref.n_rings, ref.n_occupied)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(
+           lambda W: st.tuples(st.just(W), st.integers(min_value=1, max_value=min(W, 6)))),
+       st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=40))
+@example((10, 6), 1, 3)  # needs far more than one ring per vertex
+def test_rings_match_reference_bitwise(window, seed, block_words):
+    """Draw blocks of a few rings split the run; the block driver matches
+    the object walk ring for ring.  With a budget of one ring per vertex
+    both give up after the same rings, in the same state."""
+    W, M = window
+    win = Window(W, M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sidla, "RING_BLOCK", block_words)
+        for budget in (10_000 * W * M, W * M):
+            runs = []
+            for run in (sidla._run_rings, reference_rings):
+                state = new_state(win, seed, log_events=True)
+                try:
+                    run(state, seed, budget)
+                    runs.append((False, state))
+                except SimulationLimitError:
+                    runs.append((True, state))
+            (gave_up, fast), (ref_gave_up, ref) = runs
+            assert gave_up == ref_gave_up == (fast.n_occupied < W * M)
+            assert_same_run(fast, ref)
 
 
 @st.composite
