@@ -47,10 +47,7 @@ class MonotoneTree:
         return verts
 
     def level_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for v in self.vertices():
-            counts[v.y] += 1
-        return counts
+        return Counter(v.y for v in self.vertices())
 
     def height(self) -> int:
         return max(v.y for v in self.vertices())
@@ -227,10 +224,6 @@ def wilson_interval(successes: int, n: int, z: float) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def wilson_upper_99(successes: int, n: int) -> float:
-    return wilson_interval(successes, n, _Z_99_ONE_SIDED)[1]
-
-
 @dataclass(frozen=True)
 class FlankBoundReport:
     """Tail-frequency check of flank distances against the 1/kappa bound."""
@@ -266,7 +259,7 @@ def flank_bound_test(samples, n: int, kappa: float) -> FlankBoundReport:
     threshold = kappa * math.ldexp(1.0, n + 1)
     n_exceed = int(np.count_nonzero(arr > threshold))
     freq = n_exceed / arr.size
-    upper = wilson_upper_99(n_exceed, arr.size)
+    upper = wilson_interval(n_exceed, arr.size, _Z_99_ONE_SIDED)[1]
     bound = 1.0 / kappa
     return FlankBoundReport(
         n=n,

@@ -322,14 +322,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _default_levels(M: int) -> list[int]:
-    levels = []
-    n = 1
-    while n <= M:
-        levels.append(n)
-        n *= 2
-    if levels[-1] != M:
-        levels.append(M)
-    return levels
+    levels = [1 << k for k in range(M.bit_length())]  # the powers of 2 up to M
+    return levels if levels[-1] == M else levels + [M]
 
 
 def _parse_levels(text: str, M: int) -> list[int]:
@@ -350,9 +344,8 @@ def _compare_task(task):
     picture, seed, W, M, profile_value, method, height_clip = task
     forest = _picture_run(picture, seed, W, M, profile_value, method)
     t1 = analysis.level_profile(forest, 0, 1)
-    heights, censored = analysis.root_heights(forest)
-    h0 = int(heights[0])
-    return t1, min(h0, height_clip)
+    heights, _ = analysis.root_heights(forest)
+    return t1, min(int(heights[0]), height_clip)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -293,8 +293,8 @@ def load_snapshot(path: str) -> Forest:
 
     Rejects with ConfigError a file that cannot be read or parsed as JSON,
     a header that is missing or malformed, a vertex outside the window, a
-    vertex listed twice, a hole, a parent direction other than L or R, and
-    arrays that fail check_invariants.
+    vertex listed twice, a non-finite value, a hole, a parent direction other
+    than L or R, and arrays that fail check_invariants.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -329,8 +329,12 @@ def load_snapshot(path: str) -> Forest:
     values.ravel()[flat] = _column(vertices, value_key, np.float64, path)
     pdirs.ravel()[flat] = _column(vertices, "parentDir", np.int8, path, _DIR_CODE)
     roots.ravel()[flat] = _column(vertices, "rootX", np.int64, path)
-    if np.isnan(values).any() or np.any(roots < 0):
+    if seen.min() == 0 or np.any(roots < 0):
         raise ConfigError(f"snapshot {path} does not cover its window")
+    if not np.isfinite(values).all():
+        y, j = divmod(int(np.argmin(np.isfinite(values))), W)
+        raise ConfigError(f"snapshot {path}: {value_key} {values[y, j]} of vertex "
+                          f"{tuple(win.vertex_at(y, j))} is not finite")
     if np.any(pdirs[1:] < 0):
         raise ConfigError(f"snapshot {path} missing parent directions")
     forest = Forest(win, label, seed, value_key, values, pdirs, roots)

@@ -80,8 +80,9 @@ def hash_u64_vec(seed: int, parts: list) -> np.ndarray:
 
     Arrays are broadcast against each other; ints act as constants.
     """
-    state = None
-    seed_w = np.uint64(seed & _MASK)
+    if not parts:
+        raise ValueError("empty address tuple")
+    state = np.uint64(seed & _MASK)
     # wraparound mod 2**64 is the point here; keep numpy quiet about it
     with np.errstate(over="ignore"):
         for p in parts:
@@ -89,19 +90,12 @@ def hash_u64_vec(seed: int, parts: list) -> np.ndarray:
                 word = p.astype(np.uint64, copy=False)
             else:
                 word = np.uint64(p & _MASK)
-            if state is None:
-                state = seed_w ^ word
-            else:
-                state = state ^ word
-            z = state + _U64_GOLDEN
+            z = (state ^ word) + _U64_GOLDEN
             z = z ^ (z >> _U64_30)
             z = z * _U64_MIX_A
             z = z ^ (z >> _U64_27)
             z = z * _U64_MIX_B
-            z = z ^ (z >> _U64_31)
-            state = z
-    if state is None:
-        raise ValueError("empty address tuple")
+            state = z ^ (z >> _U64_31)
     return np.asarray(state, dtype=np.uint64)
 
 

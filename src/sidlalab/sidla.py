@@ -18,15 +18,14 @@ Two drivers produce the same process law:
 * ``jumps``: exponential-clock thinning.  Each free edge at level h rings
   independently at rate ``2**-h`` (rings arrive at rate W and the walk
   claims the edge with probability ``2**-h / W``), so the next extension
-  can be sampled directly.  Exactly ``W * M`` events cover the window.
+  can be sampled directly.  Exactly ``W * M`` events cover the window, each
+  at O(band) cost: only the few levels that hold free edges take part.
 
-Both drivers run on integer state only: owners, parent directions and
-times live in list mirrors of the forest arrays, written back at the end.
-Each draws from tagged counter-hash streams keyed by (seed, counter): it
-hashes its (seed, stream) address prefix once per run and draws a whole
-block of rings or events with one vector hash per stream, never one
-scalar hash per ring or coin.  Both record an event log suitable for CSV
-export.
+Both drivers run on integer state only, list mirrors of the forest arrays
+written back at the end.  Each hashes its (seed, stream) address prefix
+once per run and draws a whole block of rings or events with one vector
+hash per stream, never one scalar hash per ring or coin.  Both record an
+event log suitable for CSV export.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -188,52 +187,61 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     """Sample extension events directly from the free-edge clocks.
 
     Free edges are grouped by level (one rate per level) as codes
-    ``(y * 2W + x) * 2 + dir`` of their tails.  Each event bisects the prefix
-    sums of count * rate for a level, then takes a uniform edge within it.
-    Owners, directions and times live in list mirrors of the forest arrays.
+    ``(y * 2W + x) * 2 + dir`` of their tails; ``pos[code]`` is a code's
+    place in its level's list, -1 if not free.  Each event bisects the
+    prefix sums of count * rate for a level, then takes a uniform edge
+    within it.  Only levels low..top (the lowest with free edges, the
+    highest reached) hold any: the sums are 0.0 below and constant above,
+    so an event sums the band alone, in the same float adds, at O(band)
+    cost.  Owners, directions and times are flat lists, ``level * W + col``.
     """
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
     level_rate = [0.0] + [math.ldexp(1.0, -h) for h in range(1, M + 1)]
     free: list[list[int]] = [[] for _ in range(M + 1)]
     free[1] = [4 * j + d for j in range(W) for d in (0, 1)]
-    pos = {code: i for i, code in enumerate(free[1])}
+    pos = [-1] * (4 * W * M)
+    for i, code in enumerate(free[1]):
+        pos[code] = i
     # term[h] = len(free[h]) * 2**-h; exact, and summed left to right
     term = [len(lst) * rate for lst, rate in zip(free, level_rate)]
-    owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
-    occ = forest.values.tolist()
+    low = top = 1
+    owner, pdir = forest.root_x.ravel().tolist(), forest.parent_dir.ravel().tolist()
+    occ = forest.values.ravel().tolist()
     events, log = state.events, state.log_events
     clock = state.clock
     n_events = W * M - state.n_occupied
     for e0, u1, u2 in _jump_draws(seed, n_events):
-        pref = list(accumulate(term))
+        pref = list(accumulate(term[low:top + 1]))
         rate_sum = pref[-1]
         w = e0 / rate_sum
         clock += w if w > 0.0 else TINY
-        h = bisect_right(pref, u1 * rate_sum, 1)
-        if h > M:  # r rounded up to a subnormal rate_sum: last non-empty level
-            h = max(i for i in range(1, M + 1) if free[i])
+        h = low + bisect_right(pref, u1 * rate_sum)
+        if h > top:  # r rounded up to a subnormal rate_sum: last non-empty level
+            h = max(i for i in range(low, top + 1) if free[i])
         lst = free[h]
         n = len(lst)
-        code = lst[min(int(u2 * n), n - 1)]
+        k = int(u2 * n)
+        code = lst[k if k < n else n - 1]
         d = code & 1
         base = (h - 1) * P
         x = (code >> 1) - base
-        root = owner[h - 1][x >> 1]
+        root = owner[code >> 2]  # the tail's flat index
         hx = (x + 2 * d - 1) % P
-        j = hx >> 1
-        if owner[h][j] >= 0:
+        v = h * W + (hx >> 1)
+        if owner[v] >= 0:
             raise ValueError(f"vertex ({hx}, {h}) already occupied")
-        owner[h][j] = root
-        pdir[h][j] = d
-        occ[h][j] = clock
+        owner[v] = root
+        pdir[v] = d
+        occ[v] = clock
         if log:
             events.append((root, clock, "extend", f"{x},{h - 1},{'LR'[d]}"))
         # both in-edges of the new vertex die, Right (from hx - 1) before Left
         # (from hx + 1): the order fixes where swap-with-last moves codes
         for dead in ((base + (hx - 1) % P) * 2 + 1, (base + (hx + 1) % P) * 2):
-            i = pos.pop(dead, None)
-            if i is not None:
+            i = pos[dead]
+            if i >= 0:
+                pos[dead] = -1
                 last = lst.pop()
                 if last != dead:
                     lst[i] = last
@@ -241,13 +249,20 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
         term[h] = len(lst) * level_rate[h]
         if h < M:
             up = free[h + 1]
-            for d2 in (0, 1):
-                if owner[h + 1][((hx + 2 * d2 - 1) % P) >> 1] < 0:
-                    c2 = ((h * P + hx) << 1) + d2
-                    pos[c2] = len(up)
-                    up.append(c2)
+            row = (h + 1) * W
+            c2 = (h * P + hx) << 1  # the Left out-edge; Right is c2 + 1
+            if owner[row + ((hx - 1) % P >> 1)] < 0:
+                pos[c2] = len(up)
+                up.append(c2)
+            if owner[row + ((hx + 1) % P >> 1)] < 0:
+                pos[c2 + 1] = len(up)
+                up.append(c2 + 1)
             term[h + 1] = len(up) * level_rate[h + 1]
-    forest.root_x[:], forest.parent_dir[:], forest.values[:] = owner, pdir, occ
+            if h == top:
+                top = h + 1
+        while low < top and not free[low]:
+            low += 1
+    forest.root_x.flat, forest.parent_dir.flat, forest.values.flat = owner, pdir, occ
     state.clock, state.n_rings = clock, n_events
     return state
 
@@ -276,9 +291,9 @@ def run_until_covered(
 
 
 def events_csv_text(state: SidlaState) -> str:
-    """Ring event log as CSV with columns site_x,time,outcome,edge."""
-    lines = ["site_x,time,outcome,edge"]
-    for site_x, t, outcome, edge in state.events:
-        tail = f'"{edge}"' if edge else ""
-        lines.append(f"{site_x},{format(t, '.17g')},{outcome},{tail}")
-    return "\n".join(lines) + "\n"
+    """Ring event log as CSV with columns site_x,time,outcome,edge, formatted
+    by one template over all rows; a non-empty edge is quoted."""
+    events = state.events
+    rows = "".join(['%s,%.17g,%s,"%s"\n' if e else "%s,%.17g,%s,%s\n"
+                    for _, _, _, e in events])
+    return "site_x,time,outcome,edge\n" + rows % tuple(chain.from_iterable(events))

@@ -305,6 +305,24 @@ def test_stats_survival_csv(capsys):
     assert surv == sorted(surv, reverse=True)
 
 
+@pytest.mark.parametrize("M,levels", [(1, [1]), (5, [1, 2, 4, 5]), (8, [1, 2, 4, 8])])
+def test_stats_default_levels_are_powers_of_two_and_the_cap(M, levels):
+    assert run("stats", "-W", "8", "-M", str(M), "--out", "s.csv") == 0
+    rows = Path("s.csv").read_text().strip().split("\n")[1:]
+    assert [int(r.split(",")[0]) for r in rows] == levels
+
+
+def test_render_in_refuses_a_non_finite_value(capsys):
+    assert run("fpp", "--seed", "5", "-W", "4", "-M", "3", "--out", "f.json") == 0
+    doc = json.loads(Path("f.json").read_text())
+    doc["vertices"][-1]["dist"] = float("inf")  # a top-level vertex
+    Path("f.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("render", "--in", "f.json", "--out", "r.svg") == EXIT_CONFIG
+    assert "is not finite" in capsys.readouterr().err
+    assert not Path("r.svg").exists()
+
+
 def test_stats_flank_skip_on_small_sample(capsys):
     code = run("stats", "--seed", "4", "-W", "16", "-M", "8",
                "--flank-levels", "2", "--kappa", "2",

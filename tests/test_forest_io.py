@@ -5,6 +5,7 @@ per-vertex implementations and against those implementations, kept in
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def small_snapshot():
 def rejects(tmp_path, doc, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ConfigError, match=match):
         load_snapshot(str(path))
 
 
@@ -264,6 +265,15 @@ def test_loader_rejects_wrong_boundary_label_and_falling_value(tmp_path):
     doc = small_snapshot()
     vertex(doc, 1, 3)["dist"] = -1.0
     rejects(tmp_path, doc, r"vertex \(1, 3\) has a value below its parent's")
+
+
+def test_loader_rejects_non_finite_values(tmp_path):
+    # json.load takes Infinity and NaN; the top level has no child to catch them
+    for x, y in ((1, 3), (3, 1)):
+        for bad in (math.inf, -math.inf, math.nan):
+            doc = small_snapshot()
+            vertex(doc, x, y)["dist"] = bad
+            rejects(tmp_path, doc, rf"dist {bad} of vertex \({x}, {y}\) is not finite")
 
 
 def test_snapshot_refuses_non_finite_values():

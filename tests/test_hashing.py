@@ -38,6 +38,11 @@ def test_vector_broadcasts_over_arrays():
         assert int(vec[i]) == hash_u64(seed, int(x), 7)
 
 
+def test_vector_refuses_an_empty_address():
+    with pytest.raises(ValueError, match="empty address tuple"):
+        hash_u64_vec(3, [])
+
+
 def test_determinism_and_sensitivity():
     a = hash_u64(1, 2, 3)
     assert a == hash_u64(1, 2, 3)

@@ -231,6 +231,22 @@ JUMPS_GOLDEN = [
     ((16, 16, 0), '876748962a7e4e8cfc770c337e15b830069a2869367cc51d32f7a1f80333c42f', '0x1.c86903f23a0b6p+17', [0, 8, 20, 22], 256),
     ((33, 7, 2), '04f354c7f8681322cf42f53a643ab36e72798587893db03bbe0b5c93abad1e23', '0x1.f645342f5f484p+7', [0, 4, 8, 12, 18, 20, 28, 32, 36, 44, 50, 56, 60], 231),
     ((64, 64, 1), '22c70afccee13b3656a269d98eb024289f566814c23c75d36e5c5e2183f05433', '0x1.85da7e6199cb2p+65', [26, 38, 68, 84, 96, 122], 4096),
+    # the band of levels with free edges climbs far above level 1
+    ((256, 256, 1), '9021988044da0f4c8557dbee3b8660fd6093d17b7d30f90503bf552344734c2c', '0x1.9fad6d79e9d05p+257',
+     [22, 54, 84, 106, 142, 168, 184, 234, 256, 274, 306, 318, 364, 402, 410, 446, 456,
+      468, 500], 65536),
+    # wide and low: the band spans the whole height from the start
+    ((200, 3, 5), '917a137819899ebe8043d5c83add8dc39d5403fcfbedb0d9167d405342014c8c', '0x1.67a7ab780afc3p+4',
+     [4, 6, 10, 12, 14, 16, 20, 22, 28, 30, 36, 44, 46, 50, 52, 60, 66, 70, 76, 78, 82,
+      84, 86, 90, 94, 100, 102, 106, 110, 114, 116, 120, 124, 130, 132, 134, 136, 138,
+      142, 150, 154, 158, 164, 168, 172, 176, 178, 182, 186, 188, 192, 196, 200, 204,
+      210, 212, 214, 220, 226, 230, 234, 242, 246, 248, 250, 254, 258, 260, 264, 266,
+      272, 274, 278, 282, 288, 292, 296, 300, 306, 310, 314, 316, 320, 322, 326, 330,
+      332, 336, 338, 342, 346, 350, 354, 358, 362, 366, 370, 374, 378, 382, 384, 386,
+      392, 398], 600),
+    # a single event
+    ((1, 1, 0), '4fd93c38b68755a167d84055491d3a732cbd0c53c2bb9ab21aea0e07a00f85ac', '0x1.c3053ccaedddfp+1',
+     [0], 1),
 ]
 
 
@@ -316,6 +332,7 @@ def window_and_seed(draw):
 @settings(max_examples=40, deadline=None)
 @given(window_and_seed())
 @example((56, 56, 7))  # M > 53, where the level prefix sums may round
+@example((300, 2, 11))  # W >> M: hundreds of free edges on one or two levels
 def test_jumps_match_reference_bitwise(case):
     W, M, seed = case
     win = Window(W, M)
@@ -362,24 +379,39 @@ def loop_level_choice(counts, u):
     return rate_sum, chosen
 
 
+@st.composite
+def band_counts(draw):
+    """Free-edge counts of levels 1..M with empty levels below the lowest
+    non-empty one, and ``top``: at least the highest non-empty level, with
+    empty levels possibly at and above it."""
+    counts = ([0] * draw(st.integers(min_value=0, max_value=3))
+              + draw(st.lists(st.integers(min_value=0, max_value=128), min_size=1,
+                              max_size=90).filter(any))
+              + [0] * draw(st.integers(min_value=0, max_value=3)))
+    last = max(h for h, c in enumerate(counts, start=1) if c)
+    return counts, draw(st.integers(min_value=last, max_value=len(counts)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=128), min_size=1, max_size=90)
-       .filter(any),
-       st.floats(min_value=0.0, max_value=1.0 - 2.0**-53))
-@example([1] + [0] * 52 + [1, 2], 0.75)  # left to right 0.5; exact 0.5 + 2**-53
-@example([0] * 1073 + [1], 0.9)  # subnormal rate_sum: r rounds up to it
-def test_prefix_sum_level_choice_matches_loops(counts, u):
-    """_run_jumps picks the level by bisecting accumulate() prefix sums.
-    Driver runs at M <= 64 never meet an inexact prefix sum (free edges
-    never span 53 levels at once), so the identity with the loops is
-    checked here on arbitrary counts, inexact and subnormal sums included."""
-    M = len(counts)
+@given(band_counts(), st.floats(min_value=0.0, max_value=1.0 - 2.0**-53))
+@example(([1] + [0] * 52 + [1, 2], 55), 0.75)  # left to right 0.5; exact 0.5 + 2**-53
+@example(([0] * 1073 + [1], 1074), 0.9)  # subnormal rate_sum: r rounds up to it
+@example(([0] * 1072 + [1, 0], 1074), 0.9)  # ... and the fallback meets an empty top
+def test_prefix_sum_level_choice_matches_loops(case, u):
+    """_run_jumps picks the level by bisecting the accumulate() prefix sums
+    of the band low..top alone (below low every term is 0.0, above top the
+    sums stay at rate_sum).  Driver runs meet no inexact prefix sum (the
+    band spans at most 8 levels up to 1024x256, never 53), so the identity
+    with the loops is checked here on arbitrary counts, inexact and
+    subnormal sums included."""
+    counts, top = case
     term = [0.0] + [c * math.ldexp(1.0, -h) for h, c in enumerate(counts, start=1)]
-    pref = list(accumulate(term))
+    low = next(h for h, c in enumerate(counts, start=1) if c)
+    pref = list(accumulate(term[low:top + 1]))
     rate_sum = pref[-1]
-    h = bisect_right(pref, u * rate_sum, 1)
-    if h > M:
-        h = max(i for i in range(1, M + 1) if counts[i - 1])
+    h = low + bisect_right(pref, u * rate_sum)
+    if h > top:
+        h = max(i for i in range(low, top + 1) if counts[i - 1])
     ref_sum, ref_h = loop_level_choice(counts, u)
     assert float.hex(rate_sum) == float.hex(ref_sum)
     assert h == ref_h
