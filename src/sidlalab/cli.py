@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -183,6 +184,11 @@ def cmd_couple(args: argparse.Namespace) -> int:
     tasks = [(s, win.W, win.M, args.profile, args.horizon_factor, args.repeats)
              for s in range(args.seed, args.seed + args.replicas)]
     reports = _run_tasks(_couple_task, tasks, args.jobs)
+    modes = Counter(r.repeats for r in reports)
+    if len(modes) > 1:
+        raise ConfigError(f"--repeats {args.repeats} split the replicas by repeat streams "
+                          f"{dict(sorted(modes.items()))}, whose gaps cannot be pooled; "
+                          f"pass --repeats full or --repeats base")
 
     all_equal = all(r.forest_equal for r in reports)
     sites = np.concatenate([r.gap_sites for r in reports])
@@ -471,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon-factor", type=float, default=1.5,
                     help="horizon as multiple of the coverage time "
                          "(default 1.5)")
-    sp.add_argument("--repeats", default="auto",
-                    choices=["auto", "full", "base", "none"],
+    sp.add_argument("--repeats", default="auto", choices=["auto", *coupling.REPEAT_MODES],
                     help="boundary repeat streams (default auto)")
     sp.add_argument("--out", default=None, help="report JSON path")
     sp.add_argument("--gaps-out", default=None, help="gap CSV path")

@@ -26,8 +26,9 @@ which an interior ring takes from its tail.
 
 The repeat streams are where all the volume is: a free edge at level h
 fires about ``rate * horizon`` times, and with the stretch profile the
-horizon scales like ``2**M``.  Callers that only need the forest identity
-can therefore drop to ``repeats="base"`` (one firing per boundary edge),
+horizon scales like ``2**M``; they are block-hashed, AUX_BLOCK arrivals
+of every live edge per vector hash.  Callers that only need the forest
+identity can drop to ``repeats="base"`` (one firing per boundary edge),
 which leaves the replayed occupancy untouched; gap statistics need
 ``repeats="full"`` and a window small enough for the horizon to be tame.
 """
@@ -42,11 +43,12 @@ import numpy as np
 from .errors import ConfigError, CouplingFault
 from .fpp import (Forest, WeightField, WeightProfile, build_forest, incoming_tail_index,
                   slice_sizes, tree_heights)
-from .hashing import AUX_STREAM, exp_from_uniform, hash_uniform
-from .lattice import Dir, Edge, Window
+from .hashing import AUX_STREAM, exp_from_uniform, hash_u64_vec, hash_uniform_vec
+from .lattice import Dir, Window
 from .sidla import SidlaState, new_state
 
-REPEAT_MODES = ("full", "base", "none")
+REPEAT_MODES = ("full", "base")
+AUX_BLOCK = 32  # arrivals per live edge and vector hash in AuxClockField.offsets
 
 # Soft budget on generated rings used by auto_repeats_mode; full repeat
 # streams produce about W * horizon rings.
@@ -66,22 +68,27 @@ class AuxClockField:
     window: Window
     profile: WeightProfile = WeightProfile.STRETCH
 
-    def offsets(self, e: Edge, budget: float) -> list[float]:
-        """Arrival offsets (cumulative, ascending) not exceeding budget."""
-        if budget <= 0.0:
-            return []
-        tail = self.window.canonicalize(e.tail)
-        rate = self.profile.rate(e.level)
-        out: list[float] = []
-        acc = 0.0
-        k = 0
-        while True:
-            u = hash_uniform(self.seed, AUX_STREAM, tail.x, tail.y, int(e.dir), k)
-            acc += float(exp_from_uniform(u, rate))
-            if acc > budget:
-                return out
-            out.append(acc)
-            k += 1
+    def offsets(self, tails: np.ndarray, dirs: np.ndarray,
+                budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(edge position, offset) of each arrival up to its edge's budget, for
+        edges given by flat tail index and Dir code.  Offset k is the running
+        sum of gaps j = 0..k, from ``hash_uniform(seed, AUX_STREAM, x, y, dir, j)``."""
+        y, col = np.divmod(tails, self.window.W)
+        rate = np.array([self.profile.rate(h) for h in range(1, self.window.M + 1)])[y]
+        mid = hash_u64_vec(self.seed, [AUX_STREAM, (y & 1) + 2 * col, y, dirs])
+        live = np.flatnonzero(budgets > 0.0)
+        acc, k = np.zeros(len(live)), np.arange(AUX_BLOCK, dtype=np.uint64)
+        edges, offs = [live[:0]], [acc[:0]]  # dtypes of an empty result
+        while live.size:
+            w = exp_from_uniform(hash_uniform_vec(mid[live, None], [k]), rate[live, None])
+            w[:, 0] += acc
+            arrival = np.cumsum(w, axis=1)
+            keep = arrival <= budgets[live, None]
+            edges.append(live[np.nonzero(keep)[0]])
+            offs.append(arrival[keep])
+            live, acc = live[keep[:, -1]], arrival[keep[:, -1], -1]
+            k += AUX_BLOCK
+        return np.concatenate(edges), np.concatenate(offs)
 
 
 class RingKind(IntEnum):
@@ -140,14 +147,13 @@ def generate_rings(
     """Assign rings for every site of the window, sorted by time.
 
     Every vertex at levels 1..M has one interior ring on its parent edge
-    and, unless repeats="none", one boundary base ring on its losing
-    incoming edge.  Each fires at its tail's passage time plus the edge's
-    weight, the same float add as the forest program's candidate through
-    that edge, on the clock of its tail's root.  With repeats="full" each
-    boundary edge whose base ring fires before the horizon adds the
-    auxiliary arrivals up to the horizon.  Edges whose head lies above the
-    cap get no ring; their total rate is at most (M + 2) * 2**-(M+1) per
-    site.
+    and one boundary base ring on its losing incoming edge.  Each fires at
+    its tail's passage time plus the edge's weight, the same float add as
+    the forest program's candidate through that edge, on the clock of its
+    tail's root.  With repeats="full" each boundary edge whose base ring
+    fires before the horizon adds the auxiliary arrivals up to the
+    horizon.  Edges whose head lies above the cap get no ring; their total
+    rate is at most (M + 2) * 2**-(M+1) per site.
 
     Rings are sorted by (time, site, depth, kind), then by head vertex.
     The last key only orders rings that tie on the first four, and no
@@ -158,7 +164,7 @@ def generate_rings(
     are identical rings.
     """
     if repeats not in REPEAT_MODES:
-        raise ConfigError(f"unknown repeats mode {repeats!r}; use full, base or none")
+        raise ConfigError(f"unknown repeats mode {repeats!r}; use full or base")
     win = forest.window
     W, M = win.W, win.M
     max_dist = float(forest.values.max())
@@ -171,23 +177,17 @@ def generate_rings(
     win_dir = forest.parent_dir[1:].ravel()
     w_r, w_l = (w.ravel() for w in field.incoming_weights(1, M))
     parts = []
-    for d in [win_dir] if repeats == "none" else [win_dir, 1 - win_dir]:
+    for d in (win_dir, 1 - win_dir):
         tails = incoming_tail_index(W, heads, d)
         time = forest.values.ravel()[tails] + np.where(d == Dir.LEFT, w_l, w_r)
         parts.append((time, forest.root_x.ravel()[tails], heads, d))
     if repeats == "full":
-        base = parts[1]
-        arrivals: list[float] = []
-        of: list[int] = []
-        for i in np.flatnonzero(base[0] < horizon).tolist():
-            # tails holds the base rings' tails, from the loop's last pass
-            tail = win.vertex_at(*divmod(int(tails[i]), W))
-            t = float(base[0][i])
-            offs = aux.offsets(Edge(tail, Dir(int(base[3][i]))), horizon - t)
-            arrivals += [t + off for off in offs]
-            of += [i] * len(offs)
-        parts.append((np.array(arrivals, dtype=np.float64),
-                      *(a[of] for a in base[1:])))
+        # the base rings, whose tails the loop's last pass left in tails
+        time, site, _, d = parts[1]
+        live = np.flatnonzero(time < horizon)
+        edge, off = aux.offsets(tails[live], d[live], horizon - time[live])
+        at = live[edge]
+        parts.append((time[at] + off, site[at], heads[at], d[at]))
     columns = [np.concatenate(c) for c in zip(*parts)]
     kind = np.full(len(columns[0]), RingKind.BOUNDARY_REPEAT, dtype=np.int8)
     kind[:W * M] = RingKind.INTERIOR
@@ -270,6 +270,7 @@ class CouplingReport:
     """Outcome of one coupled construct-and-replay verification."""
 
     seed: int
+    repeats: str
     forest_equal: bool
     censored_count: int
     n_rings: int
@@ -309,6 +310,7 @@ def verify_coupling(
     heights = tree_heights(slice_sizes(forest))
     return CouplingReport(
         seed=seed,
+        repeats=repeats,
         forest_equal=forests_match(forest, state.forest),
         censored_count=int(np.count_nonzero(heights == window.M)),
         n_rings=len(rings),

@@ -292,9 +292,10 @@ def load_snapshot(path: str) -> Forest:
     """Reload a snapshot written by snapshot_text.
 
     Rejects with ConfigError a file that cannot be read or parsed as JSON,
-    a header that is missing or malformed, a vertex outside the window, a
-    vertex listed twice, a non-finite value, a hole, a parent direction other
-    than L or R, and arrays that fail check_invariants.
+    a header that is missing or malformed (numbers must be JSON integers),
+    fewer vertices than the window holds, a vertex outside the window or
+    listed twice (so, by pigeonhole, no hole), a non-finite value, a parent
+    direction other than L or R, and arrays that fail check_invariants.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -302,16 +303,19 @@ def load_snapshot(path: str) -> Forest:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     try:
-        W, M = int(doc["window"]["W"]), int(doc["window"]["M"])
+        W, M, seed = doc["window"]["W"], doc["window"]["M"], doc["seed"]
         label = str(doc["profile"])
-        seed = int(doc["seed"])
         vertices = doc["vertices"]
-        value_key = "occupancy_time" if vertices and "occupancy_time" in vertices[0] else "dist"
+        n = len(vertices)
+        value_key = "occupancy_time" if n and "occupancy_time" in vertices[0] else "dist"
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed snapshot {path}: {exc}") from exc
-    if not vertices:
-        raise ConfigError(f"snapshot {path} has no vertices")
+    if any(type(v) is not int for v in (W, M, seed)):
+        raise ConfigError(f"malformed snapshot {path}: W, M and seed must be integers, "
+                          f"got {W!r}, {M!r} and {seed!r}")
     win = Window(W, M)
+    if n < (M + 1) * W:
+        raise ConfigError(f"snapshot {path} does not cover its window")
     xs = _column(vertices, "x", np.int64, path) % win.period
     ys = _column(vertices, "y", np.int64, path)
     outside = (ys < 0) | (ys > M) | ((xs + ys) % 2 != 0)
@@ -329,8 +333,6 @@ def load_snapshot(path: str) -> Forest:
     values.ravel()[flat] = _column(vertices, value_key, np.float64, path)
     pdirs.ravel()[flat] = _column(vertices, "parentDir", np.int8, path, _DIR_CODE)
     roots.ravel()[flat] = _column(vertices, "rootX", np.int64, path)
-    if seen.min() == 0 or np.any(roots < 0):
-        raise ConfigError(f"snapshot {path} does not cover its window")
     if not np.isfinite(values).all():
         y, j = divmod(int(np.argmin(np.isfinite(values))), W)
         raise ConfigError(f"snapshot {path}: {value_key} {values[y, j]} of vertex "

@@ -11,15 +11,15 @@ SplitMix64-style finalizer chain.  This buys three things at once:
   stored), and
 * independence across streams, which carry distinct 64-bit tags.
 
-Scalar helpers operate on Python ints, vector helpers on uint64 ndarrays.
-Both apply the same arithmetic mod 2**64, so they agree bit for bit; the
-test suite checks this directly.
+Scalar helpers on Python ints are the reference definition; the package
+draws only through the vector helpers on uint64 ndarrays.  Both apply the
+same arithmetic mod 2**64, so they agree bit for bit, as tests check.
 
 The chain folds in one address part at a time, so a hashed prefix can
 stand in for the seed: ``hash_u64(s, *a, *b) == hash_u64(hash_u64(s, *a), *b)``
-(likewise ``hash_uniform`` for non-empty b).  Hot loops therefore hash a
-prefix once with the scalar path and then draw a whole block of addresses
-under it with one vector call, never one scalar hash per iteration.
+(likewise ``hash_uniform`` for non-empty b).  So every stream hashes its
+prefix once and draws a block of addresses per vector call; the vector
+seed may be an array of prefixes, one per row of streams.
 """
 
 from __future__ import annotations
@@ -75,21 +75,20 @@ def hash_uniform(seed: int, *parts: int) -> float:
     return (hash_u64(seed, *parts) >> 11) * _INV_2_53
 
 
-def hash_u64_vec(seed: int, parts: list) -> np.ndarray:
+def hash_u64_vec(seed, parts: list) -> np.ndarray:
     """Vectorized hash_u64: each entry of ``parts`` is an int or uint64 array.
 
-    Arrays are broadcast against each other; ints act as constants.
+    Arrays, the seed included (hashed prefixes), are broadcast against each
+    other; ints act as constants.
     """
     if not parts:
         raise ValueError("empty address tuple")
-    state = np.uint64(seed & _MASK)
+    state = seed if isinstance(seed, np.ndarray) else np.uint64(seed & _MASK)
     # wraparound mod 2**64 is the point here; keep numpy quiet about it
     with np.errstate(over="ignore"):
         for p in parts:
-            if isinstance(p, np.ndarray):
-                word = p.astype(np.uint64, copy=False)
-            else:
-                word = np.uint64(p & _MASK)
+            word = (p.astype(np.uint64, copy=False) if isinstance(p, np.ndarray)
+                    else np.uint64(p & _MASK))
             z = (state ^ word) + _U64_GOLDEN
             z = z ^ (z >> _U64_30)
             z = z * _U64_MIX_A
@@ -99,19 +98,15 @@ def hash_u64_vec(seed: int, parts: list) -> np.ndarray:
     return np.asarray(state, dtype=np.uint64)
 
 
-def hash_uniform_vec(seed: int, parts: list) -> np.ndarray:
+def hash_uniform_vec(seed, parts: list) -> np.ndarray:
     """Vectorized hash_uniform."""
     return (hash_u64_vec(seed, parts) >> _U64_11).astype(np.float64) * _INV_2_53
 
 
 def exp_from_uniform(u, rate):
-    """Inverse-CDF exponential variate(s) with the given rate.
-
-    Accepts scalars or ndarrays.  The result is clamped to TINY so that
-    waiting times are strictly positive even if the hash lands on u == 0.
+    """Inverse-CDF exponential variates of the uniform array u at the given
+    rate(s).  The result is clamped to TINY so that waiting times are
+    strictly positive even if the hash lands on u == 0.
     """
-    if isinstance(u, np.ndarray) or isinstance(rate, np.ndarray):
-        w = -np.log1p(-u) / rate
-        return np.where(w > 0.0, w, TINY)
     w = -np.log1p(-u) / rate
-    return w if w > 0.0 else TINY
+    return np.where(w > 0.0, w, TINY)

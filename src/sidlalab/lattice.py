@@ -50,11 +50,6 @@ class Edge(NamedTuple):
     tail: Vertex
     dir: Dir
 
-    @property
-    def level(self) -> int:
-        # levels count heads, so an edge out of level y sits at level y + 1
-        return self.tail.y + 1
-
 
 def head(e: Edge) -> Vertex:
     return Vertex(e.tail.x + e.dir.dx, e.tail.y + 1)

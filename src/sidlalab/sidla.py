@@ -44,6 +44,7 @@ from .hashing import (
     COIN_STREAM,
     JUMP_STREAM,
     TINY,
+    exp_from_uniform,
     hash_u64,
     hash_u64_vec,
     hash_uniform_vec,
@@ -119,11 +120,9 @@ def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
     for a in range(lo, hi, step):
         k = np.arange(a, min(a + step, hi), dtype=np.uint64)[:, None]
         u = hash_uniform_vec(clock_mid, [k, draws])
-        gap = -np.log1p(-u[:, 0]) / W
-        gap = np.where(gap > 0.0, gap, TINY)
         site = 2 * np.minimum((u[:, 1] * W).astype(np.int64), W - 1)
         coins = hash_u64_vec(coin_mid, [k, steps]) & np.uint64(1)
-        yield from zip(gap.tolist(), site.tolist(), coins.tolist())
+        yield from zip(exp_from_uniform(u[:, 0], W).tolist(), site.tolist(), coins.tolist())
 
 
 def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:

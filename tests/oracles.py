@@ -3,9 +3,10 @@
 Everything here is deliberately naive: distances come from enumerating
 every monotone path one by one, trees come from filtering edge subsets,
 and shell counts come straight from the definition.  Slow, but honest,
-and sharing no code path with the implementations under test, except
-that ``reference_generate_rings`` draws repeat arrivals from
-``coupling.AuxClockField.offsets``.
+and sharing no code path with the implementations under test.  Random
+draws go through the scalar hash (``hashing.hash_u64`` and
+``hash_uniform``, the reference definition the package's vector hash
+matches) and ``exp_variate``, the scalar form of ``exp_from_uniform``.
 
 The object walk API (``edge_in_tree``, ``walk_particle``,
 ``apply_extension``, ``hash_coin_stream``, ``ring_arrival`` and
@@ -17,7 +18,8 @@ as the bitwise reference for ``sidla._run_rings``; ``reference_jumps`` and
 The ``reference_*`` ring functions are the object-based coupling engine
 (one ``CoupledRing`` per ring carrying its whole path, a tuple sort and a
 prefix walk per ring), kept as the bitwise reference for the array engine
-in ``sidlalab.coupling``.
+in ``sidlalab.coupling``; ``reference_offsets`` draws one edge's repeat
+arrivals in a scalar loop, the reference for ``AuxClockField.offsets``.
 
 The last group are the per-vertex forest writers, loader and reductions
 (``reference_snapshot_text``, ``reference_load_snapshot``,
@@ -36,11 +38,13 @@ helpers ``dir_from_letter``, ``is_valid``, ``contains``, ``column_of``,
 ``WeightField.incoming_weights``) are small helpers the oracles and the
 acceptance gate use, with no caller in the package; ``is_monotone_tree``
 and ``flanks`` (one root's flank vertices and their triangle, the per-root
-reference for ``analysis.flank_left_distances``) are likewise test-only.
+reference for ``analysis.flank_left_distances``) are likewise test-only, as
+is ``snapshot_arrays_sha256``, the array digest of the golden snapshot tests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -53,13 +57,14 @@ import numpy as np
 from sidlalab.analysis import SlimParams, extract_tree, root_heights, slim_levels
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
-from sidlalab.fpp import Forest, WeightField, incoming_tail_columns
+from sidlalab.fpp import Forest, WeightField, incoming_tail_columns, load_snapshot
 from sidlalab.hashing import (
+    AUX_STREAM,
     CLOCK_STREAM,
     COIN_STREAM,
     JUMP_STREAM,
+    TINY,
     WEIGHT_STREAM,
-    exp_from_uniform,
     hash_u64,
     hash_uniform,
 )
@@ -154,11 +159,30 @@ def in_edges(v: Vertex, window: Window | None = None) -> tuple[Edge, Edge]:
     return Edge(right_tail, Dir.RIGHT), Edge(left_tail, Dir.LEFT)
 
 
+def snapshot_arrays_sha256(path: str, extra: bytes = b"") -> str:
+    """sha256 over the values, parent_dir and root_x bytes of a reloaded
+    snapshot, then extra: a digest of what a snapshot holds, not of its
+    text layout."""
+    forest = load_snapshot(path)
+    h = hashlib.sha256()
+    for a in (forest.values, forest.parent_dir, forest.root_x):
+        h.update(a.tobytes())
+    h.update(extra)
+    return h.hexdigest()
+
+
+def exp_variate(u: float, rate: float) -> float:
+    """One inverse-CDF exponential variate: ``-log1p(-u) / rate``, clamped
+    to TINY, in the same float ops as ``hashing.exp_from_uniform``."""
+    w = float(-np.log1p(-u) / rate)
+    return w if w > 0.0 else TINY
+
+
 def edge_weight(field: WeightField, e: Edge) -> float:
     """Waiting time of a single canonical edge."""
     tail = field.window.canonicalize(e.tail)
     u = hash_uniform(field.seed, WEIGHT_STREAM, tail.x, tail.y, int(e.dir))
-    return float(exp_from_uniform(u, field.profile.rate(e.level)))
+    return exp_variate(u, field.profile.rate(head(e).y))
 
 
 def cone_check(forest: Forest, root) -> bool:
@@ -415,7 +439,7 @@ def hash_coin_stream(seed: int, ring_index: int) -> Callable[[int], Dir]:
 
 def ring_arrival(seed: int, ring_index: int, W: int) -> tuple[float, int]:
     """Clock gap and boundary site of one ring: Exp(W) gap, uniform site."""
-    gap = float(exp_from_uniform(hash_uniform(seed, CLOCK_STREAM, ring_index, 0), W))
+    gap = exp_variate(hash_uniform(seed, CLOCK_STREAM, ring_index, 0), W)
     u = hash_uniform(seed, CLOCK_STREAM, ring_index, 1)
     site = min(int(u * W), W - 1)
     return gap, 2 * site
@@ -480,7 +504,7 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
 
     def add_edge(e: Edge) -> None:
         code = _edge_code(win, e)
-        lst = free[e.level]
+        lst = free[head(e).y]
         pos[code] = len(lst)
         lst.append(code)
 
@@ -502,9 +526,7 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
         rate_sum = 0.0
         for h in range(1, M + 1):
             rate_sum += len(free[h]) * level_rate[h]
-        state.clock += float(
-            exp_from_uniform(hash_uniform(seed, JUMP_STREAM, k, 0), rate_sum)
-        )
+        state.clock += exp_variate(hash_uniform(seed, JUMP_STREAM, k, 0), rate_sum)
         r = hash_uniform(seed, JUMP_STREAM, k, 1) * rate_sum
         chosen = 0
         acc = 0.0
@@ -550,6 +572,25 @@ class CoupledRing:
         return head(self.path[-1])
 
 
+def reference_offsets(aux: AuxClockField, e: Edge, budget: float) -> list[float]:
+    """Arrival offsets (cumulative, ascending) of one edge's auxiliary clock
+    not exceeding budget, one scalar hash per arrival."""
+    if budget <= 0.0:
+        return []
+    tail = aux.window.canonicalize(e.tail)
+    rate = aux.profile.rate(head(e).y)
+    out: list[float] = []
+    acc = 0.0
+    k = 0
+    while True:
+        u = hash_uniform(aux.seed, AUX_STREAM, tail.x, tail.y, int(e.dir), k)
+        acc += exp_variate(u, rate)
+        if acc > budget:
+            return out
+        out.append(acc)
+        k += 1
+
+
 def reference_generate_rings(
     forest: Forest,
     field: WeightField,
@@ -566,7 +607,7 @@ def reference_generate_rings(
     their total rate is at most (M + 2) * 2**-(M+1) per site.
     """
     if repeats not in REPEAT_MODES:
-        raise ConfigError(f"unknown repeats mode {repeats!r}; use full, base or none")
+        raise ConfigError(f"unknown repeats mode {repeats!r}; use full or base")
     win = forest.window
     W, M = win.W, win.M
     max_dist = float(forest.values.max())
@@ -610,13 +651,11 @@ def reference_generate_rings(
                 if child_col is not None:
                     stack.append((a, child_col, lam + w, path + (e,)))
                     continue
-                if repeats == "none":
-                    continue
                 t_base = lam + w
                 bpath = path + (e,)
                 rings.append(CoupledRing(site, t_base, bpath, RingKind.BOUNDARY_REPEAT))
                 if repeats == "full" and t_base < horizon:
-                    for off in aux.offsets(e, horizon - t_base):
+                    for off in reference_offsets(aux, e, horizon - t_base):
                         rings.append(
                             CoupledRing(site, t_base + off, bpath,
                                         RingKind.BOUNDARY_REPEAT)

@@ -8,15 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     column_of,
+    exp_variate,
     interring_gaps,
     reference_generate_rings,
+    reference_offsets,
     reference_pooled_gaps,
     reference_replay,
 )
 
 from sidlalab import coupling
 from sidlalab.analysis import ks_test_exp1, root_heights
-from sidlalab.cli import EXIT_VERIFY, main
+from sidlalab.cli import EXIT_CONFIG, EXIT_VERIFY, main
 from sidlalab.coupling import (
     AuxClockField,
     RingKind,
@@ -30,7 +32,8 @@ from sidlalab.coupling import (
 )
 from sidlalab.errors import CouplingFault
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
-from sidlalab.lattice import Vertex, Window
+from sidlalab.hashing import hash_uniform_vec
+from sidlalab.lattice import Dir, Edge, Vertex, Window
 
 
 def make_rings(seed=1, W=8, M=4, repeats="full", horizon_factor=1.5,
@@ -97,8 +100,9 @@ def test_repeats_mode_validation():
     field = WeightField(1, WeightProfile.STRETCH, win)
     forest = build_forest(field)
     aux = AuxClockField(1, win, WeightProfile.STRETCH)
-    with pytest.raises(ValueError):
-        generate_rings(forest, field, aux, forest.values.max() * 2, repeats="some")
+    for mode in ("some", "none"):
+        with pytest.raises(ValueError, match="use full or base"):
+            generate_rings(forest, field, aux, forest.values.max() * 2, repeats=mode)
 
 
 def test_auto_repeats_mode_switches_on_volume():
@@ -194,6 +198,30 @@ def test_couple_exits_verify_on_a_wrong_forest(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "c.json").read_text())["forest_equal"] is False
 
 
+def test_couple_refuses_auto_modes_split_across_replicas(tmp_path, monkeypatch, capsys):
+    """auto resolves per replica from its seed's horizon; gaps of full and
+    base streams must not be pooled into one test."""
+    win = Window(8, 4)
+    volumes = [win.W * 1.5 * float(build_forest(WeightField(s, WeightProfile.STRETCH, win))
+                                   .values.max()) for s in (1, 2)]
+    assert volumes[0] != volumes[1]
+    monkeypatch.setattr(coupling, "AUTO_REPEAT_RING_BUDGET", sum(volumes) / 2)
+    monkeypatch.chdir(tmp_path)
+    argv = ["couple", "-W", "8", "-M", "4", "--replicas", "2", "--out", "c.json",
+            "--gaps-out", "g.csv"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "{'base': 1, 'full': 1}" in captured.err
+    assert "pass --repeats full or --repeats base" in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
+    assert main(argv + ["--repeats", "none"]) == EXIT_CONFIG
+    assert "invalid choice: 'none'" in capsys.readouterr().err
+    assert main(argv + ["--repeats", "full"]) == 0
+    # one resolved mode runs as before
+    monkeypatch.setattr(coupling, "AUTO_REPEAT_RING_BUDGET", 2 * max(volumes))
+    assert main(argv) == 0
+
+
 def test_gap_statistics_exp1():
     win, forest, rings, horizon = make_rings(seed=11, W=16, M=6)
     sites, gaps = pooled_gaps(rings, horizon=horizon)
@@ -235,6 +263,7 @@ def test_verify_coupling_report():
 def test_verify_coupling_auto_mode():
     rep = verify_coupling(4, Window(8, 4), repeats="auto")
     assert rep.forest_equal
+    assert rep.repeats == "full"
 
 
 def test_gaps_csv_shape():
@@ -252,17 +281,71 @@ def test_coupling_invariant_under_repeat_mode():
     or not boundary repeat streams are generated."""
     win, forest, rings_full, _ = make_rings(seed=9, repeats="full")
     _, _, rings_base, _ = make_rings(seed=9, repeats="base")
-    _, _, rings_none, _ = make_rings(seed=9, repeats="none")
     def interiors(rs):
         inner = interior(rs)
         return [a[inner].tobytes() for a in (rs.site, rs.time, rs.head, rs.dir)]
-    assert interiors(rings_full) == interiors(rings_base) == interiors(rings_none)
-    assert len(rings_full) > len(rings_base) > len(rings_none)
+    assert interiors(rings_full) == interiors(rings_base)
+    assert len(rings_full) > len(rings_base) == 2 * win.W * win.M
+
+
+def test_cumsum_along_a_block_matches_the_running_sum_bitwise():
+    """offsets sums a block of gaps with np.cumsum, seeded with the running
+    sum in column 0, where the scalar reference adds one gap at a time; a
+    numpy that summed pairwise would move every repeat ring."""
+    gaps = [exp_variate(u, r) for u, r in zip(
+        hash_uniform_vec(5, [np.arange(64 * 40, dtype=np.uint64)]).tolist(),
+        [2.0 ** -(i % 11) for i in range(64 * 40)])]
+    block = np.array(gaps).reshape(64, 40)
+    start = np.array([0.0] + [float(i) ** 3 / 7.0 for i in range(1, 64)])
+    seeded = block.copy()
+    seeded[:, 0] += start
+    got = np.cumsum(seeded, axis=1)
+    want = np.empty_like(block)
+    for i, acc in enumerate(start.tolist()):
+        for j, w in enumerate(block[i].tolist()):
+            acc += w
+            want[i, j] = acc
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def aux_edges(draw):
+    """Random out-edges of a window with budgets of up to ~60 mean gaps,
+    some of them not positive, and possibly none at all."""
+    W = draw(st.integers(min_value=1, max_value=16))
+    M = draw(st.integers(min_value=1, max_value=min(W, 10)))
+    profile = draw(st.sampled_from(list(WeightProfile)))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    edges = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=M * W - 1), st.sampled_from(list(Dir)),
+        st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-2.0, 60.0))), max_size=12))
+    return W, M, profile, seed, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(aux_edges())
+@example((1, 1, WeightProfile.STRETCH, 1, []))
+@example((1, 1, WeightProfile.STRETCH, 1, [(0, Dir.RIGHT, 0.0)]))
+def test_offsets_match_the_scalar_loop_bitwise(case):
+    W, M, profile, seed, edges = case
+    win = Window(W, M)
+    aux = AuxClockField(seed, win, profile)
+    tails = np.array([t for t, _, _ in edges], dtype=np.int64)
+    dirs = np.array([d for _, d, _ in edges], dtype=np.int8)
+    # a budget of f mean gaps of the edge's level
+    budgets = np.array([f / profile.rate(t // W + 1) for t, _, f in edges])
+    edge, off = aux.offsets(tails, dirs, budgets)
+    assert edge.dtype == np.int64 and off.dtype == np.float64
+    assert len(edge) == len(off)
+    for i, (t, d, _) in enumerate(edges):
+        tail = win.vertex_at(*divmod(t, W))
+        want = reference_offsets(aux, Edge(tail, d), float(budgets[i]))
+        assert off[edge == i].tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 @st.composite
 def coupling_case(draw):
-    repeats = draw(st.sampled_from(["full", "base", "none"]))
+    repeats = draw(st.sampled_from(coupling.REPEAT_MODES))
     W = draw(st.integers(min_value=1, max_value=16))
     # full repeat streams grow like 2**M under the stretch profile
     M = draw(st.integers(min_value=1, max_value=min(W, 7 if repeats == "full" else 16)))
@@ -273,6 +356,7 @@ def coupling_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(coupling_case())
 @example((64, 64, WeightProfile.DECREASING, "base", 1))  # many exact time ties
+@example((1, 1, WeightProfile.STRETCH, "full", 1))  # the base ring is past the horizon
 def test_rings_replay_and_gaps_match_reference_bitwise(case):
     W, M, profile, repeats, seed = case
     win, forest, rings, horizon = make_rings(seed, W, M, repeats, profile=profile)
@@ -322,6 +406,8 @@ COUPLING_GOLDEN = [
     ((64, 32, "stretch", "base", 1), "ec6d762cf6dfe6b39a36a494d404e247fcc52c80f81f0af2bbcce6821c51fdaf", 4096, "0x1.5cfc0c1c2d693p+34"),
     ((32, 8, "stretch", "full", 1), "12b327c0a72799e7cdf98bd3b2394754de2c256bc261fd442e4c1a1ee9e244f0", 23967, "0x1.add0651fd0d34p+10"),
     ((64, 64, "decreasing", "base", 1), "ccf3ddba445684affe8e7f8f06858709d9fae942df6f1458c8c5527e0f100ec3", 8192, "0x1.1e52f41ec3e24p+1"),
+    # recorded on the per-edge scalar repeat streams (now oracles.reference_offsets)
+    ((64, 10, "stretch", "full", 1), "2fb5f4f72c7e87f45ddbfa097b802b3864cb35138b9f06949b450e4c3483414f", 364104, "0x1.64a2af09641fcp+12"),
 ]
 
 

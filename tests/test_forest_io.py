@@ -17,6 +17,7 @@ from oracles import (
     reference_render_svg,
     reference_slim_fractions,
     reference_snapshot_text,
+    snapshot_arrays_sha256,
 )
 from sidlalab import analysis
 from sidlalab.analysis import MonotoneTree, flank_left_distances, slim_fractions
@@ -36,19 +37,26 @@ from sidlalab.render import RenderOptions, render_svg
 from sidlalab.sidla import run_until_covered
 
 # sha256 of CLI artifacts and stdout, recorded on the per-vertex writers,
-# loader and stats loops.  Commands of one case run in one directory.
+# loader and stats loops.  Commands of one case run in one directory.  A
+# "<snapshot> arrays" entry is oracles.snapshot_arrays_sha256 of the reloaded
+# snapshot, recorded beside its text digest: a snapshot layout change may
+# replace the text digest and must keep it.
 GOLDEN = {
     "fpp_stretch_8x6": (
         ["fpp --seed 7 -W 8 -M 6 --profile stretch --out f.json"],
         {"f.json": "694dbcd7e756306824ab692b59bcc042735e91f9649dbe45f8a24288e10a1318",
+         "f.json arrays": "a0c9c93e14d13bbf5ce6c7856617eeb85698d0e1ba5676586d514da4a9140ae4",
          "stdout": "8130a20dc5c726334f1ca6ba7e0c85ad3bba29a73d2fec61d59c54583f9cf5b7"}),
     "fpp_eden_16x8": (
         ["fpp --seed 3 -W 16 -M 8 --profile eden --out e.json"],
         {"e.json": "a7077afa8faed5ae4ee3786a5f4e992766e2897f85baab867b49d0002c936836",
+         "e.json arrays": "b85dde3c7a75f785f8471bdbbc673b6719547711db47f7d79a70ee1671838eac",
          "stdout": "3b7bdc5aed470c6a59ec2fe8902747af3b4f75251f90aa29554464520df1fd0c"}),
     "sidla_jumps": (
         ["sidla --seed 2 -W 6 -M 4 --method jumps --out run.json"],
         {"run_s2.json": "7bf9e6ae979efd73892d05ebc12c083f2042412895702feb86fc28cc2411d6ba",
+         "run_s2.json arrays":
+             "2cb879fb1408ad04a0c7e3fcf1ba7fd3419c150b396400a14661e91875c0c722",
          "run_s2_events.csv":
              "6c0c35e4adf62045d6fc2ee0d439222bcf77a6d415ee06f209013351dafd8c58",
          "stdout": "335c0122b3732a4680ce8839b695a3c23400bc57c0dda253f5beff8b34feae7f"}),
@@ -103,7 +111,10 @@ def test_cli_artifacts_match_golden_digests(name, tmp_path, monkeypatch, capsys)
     commands, digests = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     assert [main(c.split()) for c in commands] == [0] * len(commands)
-    got = {a: sha256((tmp_path / a).read_bytes()) for a in digests if a != "stdout"}
+    got = {a: sha256((tmp_path / a).read_bytes()) for a in digests
+           if a != "stdout" and not a.endswith(" arrays")}
+    got.update({a: snapshot_arrays_sha256(str(tmp_path / a.removesuffix(" arrays")))
+                for a in digests if a.endswith(" arrays")})
     got["stdout"] = sha256(capsys.readouterr().out.encode())
     assert got == digests
 
@@ -236,6 +247,26 @@ def test_loader_rejects_hole(tmp_path):
     doc = small_snapshot()
     doc["vertices"].remove(vertex(doc, 3, 1))
     rejects(tmp_path, doc, "does not cover its window")
+
+
+def test_loader_refuses_a_window_its_vertices_cannot_cover(tmp_path):
+    """The header's window is refused before any array of its size is
+    allocated (here 1.5 TiB of bincount)."""
+    doc = small_snapshot()
+    doc["window"] = {"W": 100_000_000_000, "M": 1}
+    doc["vertices"] = doc["vertices"][:1]
+    rejects(tmp_path, doc, "does not cover its window")
+
+
+def test_loader_refuses_header_numbers_that_are_not_integers(tmp_path):
+    fo = build_forest(WeightField(1, WeightProfile.STRETCH, Window(3, 1)))
+    for key, bad in (("W", 3.7), ("M", True), ("seed", 1.9), ("seed", True), ("W", "3")):
+        doc = json.loads(snapshot_text(fo))
+        if key == "seed":
+            doc["seed"] = bad
+        else:
+            doc["window"][key] = bad
+        rejects(tmp_path, doc, r"malformed snapshot .*: W, M and seed must be integers")
 
 
 def test_loader_rejects_bad_parent_dir_letter(tmp_path):

