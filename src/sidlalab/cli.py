@@ -176,7 +176,7 @@ def _couple_task(task):
 def cmd_couple(args: argparse.Namespace) -> int:
     win = _window(args)
     _check_replicas(args)
-    if args.horizon_factor < 1.0:
+    if not args.horizon_factor >= 1.0:
         raise ConfigError(
             f"horizon factor must be >= 1 (horizon below the coverage time "
             f"would censor rings), got {args.horizon_factor}"
@@ -360,6 +360,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0,1), got {args.alpha}")
     clip = args.height_clip
+    if clip < 1:
+        raise ConfigError(f"height clip must be >= 1 (a lower clip leaves one height "
+                          f"bin and a vacuous test), got {clip}")
     seeds = range(args.seed, args.seed + args.replicas)
     fpp_tasks = [("fpp", s, win.W, win.M, "stretch", args.method, clip)
                  for s in seeds]

@@ -167,6 +167,9 @@ def generate_rings(
         raise ConfigError(f"unknown repeats mode {repeats!r}; use full or base")
     win = forest.window
     W, M = win.W, win.M
+    if not np.isfinite(horizon):
+        raise ConfigError(f"horizon {horizon} is not finite; repeat streams would never "
+                          f"end, and no ring could be censored")
     max_dist = float(forest.values.max())
     if horizon < max_dist:
         raise ValueError(

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError
 from .fileio import json_text
 from .hashing import WEIGHT_STREAM, exp_from_uniform, hash_uniform_vec
-from .lattice import Dir, Vertex, Window
+from .lattice import Dir, Window
 
 
 class WeightProfile(Enum):
@@ -126,6 +126,11 @@ class WeightField:
         return w[:, 0], w[:, 1]
 
 
+# The value key of a forest's times, by label: passage times for a weight
+# profile, occupancy times for a particle run.
+VALUE_KEYS = {**{p.value: "dist" for p in WeightProfile}, "sidla": "occupancy_time"}
+
+
 @dataclass
 class Forest:
     """A spanning forest of the window rooted on the boundary, with a time
@@ -136,17 +141,20 @@ class Forest:
     are passage times (``value_key`` "dist", from the weight field) or the
     clock values at which particles claimed each vertex ("occupancy_time");
     in a particle run still in progress, unclaimed vertices hold root -1,
-    parent -1 and NaN.  ``label`` names the source: a weight profile or
-    "sidla".
+    parent -1 and NaN.  ``label`` names the source, a weight profile or
+    "sidla", and so sets ``value_key``.
     """
 
     window: Window
     label: str
     seed: int
-    value_key: str
     values: np.ndarray
     parent_dir: np.ndarray
     root_x: np.ndarray
+
+    @property
+    def value_key(self) -> str:
+        return VALUE_KEYS[self.label]
 
 
 def slice_sizes(forest: Forest) -> np.ndarray:
@@ -197,7 +205,7 @@ def build_forest(field: WeightField) -> Forest:
             dist[y] = np.where(take_left, cand_l, cand_r)
             parent_dir[y] = np.where(take_left, np.int8(Dir.LEFT), np.int8(Dir.RIGHT))
             root_x[y] = root_x[y - 1][np.where(take_left, cols_l, cols_r)]
-    return Forest(win, field.profile.value, field.seed, "dist", dist, parent_dir, root_x)
+    return Forest(win, field.profile.value, field.seed, dist, parent_dir, root_x)
 
 
 # JSON text of a parent direction, indexed by its Dir code, and the code of
@@ -289,13 +297,15 @@ def _column(vertices, key: str, dtype, path: str, codes=None) -> np.ndarray:
 
 
 def load_snapshot(path: str) -> Forest:
-    """Reload a snapshot written by snapshot_text.
+    """Reload a snapshot written by snapshot_text, in its layout only.
 
     Rejects with ConfigError a file that cannot be read or parsed as JSON,
     a header that is missing or malformed (numbers must be JSON integers),
-    fewer vertices than the window holds, a vertex outside the window or
-    listed twice (so, by pigeonhole, no hole), a non-finite value, a parent
-    direction other than L or R, and arrays that fail check_invariants.
+    a profile that is not a label, a vertex count other than the window's
+    (checked before anything of the window's size is allocated), a vertex
+    out of the writer's (y, x) order, a vertex without the label's value
+    key, a non-finite value, a parent direction other than null on the
+    boundary and L or R above it, and arrays that fail check_invariants.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -304,42 +314,44 @@ def load_snapshot(path: str) -> Forest:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     try:
         W, M, seed = doc["window"]["W"], doc["window"]["M"], doc["seed"]
-        label = str(doc["profile"])
-        vertices = doc["vertices"]
+        label, vertices = doc["profile"], doc["vertices"]
         n = len(vertices)
-        value_key = "occupancy_time" if n and "occupancy_time" in vertices[0] else "dist"
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed snapshot {path}: {exc}") from exc
     if any(type(v) is not int for v in (W, M, seed)):
         raise ConfigError(f"malformed snapshot {path}: W, M and seed must be integers, "
                           f"got {W!r}, {M!r} and {seed!r}")
+    if type(label) is not str or label not in VALUE_KEYS:
+        raise ConfigError(f"malformed snapshot {path}: profile {label!r} is not one of "
+                          f"{', '.join(VALUE_KEYS)}")
     win = Window(W, M)
-    if n < (M + 1) * W:
-        raise ConfigError(f"snapshot {path} does not cover its window")
-    xs = _column(vertices, "x", np.int64, path) % win.period
-    ys = _column(vertices, "y", np.int64, path)
-    outside = (ys < 0) | (ys > M) | ((xs + ys) % 2 != 0)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise ConfigError(f"snapshot vertex {Vertex(int(xs[i]), int(ys[i]))} outside window")
-    flat = ys * W + (xs >> 1)
-    seen = np.bincount(flat, minlength=(M + 1) * W)
-    if seen.max() > 1:
-        y, j = divmod(int(np.argmax(seen)), W)
-        raise ConfigError(f"snapshot {path} lists vertex {tuple(win.vertex_at(y, j))} twice")
-    values = np.full((M + 1, W), np.nan, dtype=np.float64)
-    pdirs = np.full((M + 1, W), -1, dtype=np.int8)
-    roots = np.full((M + 1, W), -1, dtype=np.int64)
-    values.ravel()[flat] = _column(vertices, value_key, np.float64, path)
-    pdirs.ravel()[flat] = _column(vertices, "parentDir", np.int8, path, _DIR_CODE)
-    roots.ravel()[flat] = _column(vertices, "rootX", np.int64, path)
-    if not np.isfinite(values).all():
-        y, j = divmod(int(np.argmin(np.isfinite(values))), W)
-        raise ConfigError(f"snapshot {path}: {value_key} {values[y, j]} of vertex "
+    if n != (M + 1) * W:
+        raise ConfigError(f"snapshot {path} lists {n} vertices; its {W}x{M} window "
+                          f"holds {(M + 1) * W}")
+    level = np.arange(M + 1)[:, None]
+    xs = _column(vertices, "x", np.int64, path).reshape(M + 1, W)
+    ys = _column(vertices, "y", np.int64, path).reshape(M + 1, W)
+    misplaced = (ys != level) | (xs != (level & 1) + 2 * np.arange(W))
+    if misplaced.any():
+        y, j = divmod(int(np.argmax(misplaced)), W)
+        raise ConfigError(f"snapshot {path}: vertex {y * W + j} is ({xs[y, j]}, {ys[y, j]}) "
+                          f"where the (y, x) order puts {tuple(win.vertex_at(y, j))}")
+    key = VALUE_KEYS[label]
+    values = _column(vertices, key, np.float64, path).reshape(M + 1, W)
+    pdirs = _column(vertices, "parentDir", np.int8, path, _DIR_CODE).reshape(M + 1, W)
+    roots = _column(vertices, "rootX", np.int64, path).reshape(M + 1, W)
+    finite = np.isfinite(values)
+    if not finite.all():
+        y, j = divmod(int(np.argmin(finite)), W)
+        raise ConfigError(f"snapshot {path}: {key} {values[y, j]} of vertex "
                           f"{tuple(win.vertex_at(y, j))} is not finite")
-    if np.any(pdirs[1:] < 0):
-        raise ConfigError(f"snapshot {path} missing parent directions")
-    forest = Forest(win, label, seed, value_key, values, pdirs, roots)
+    wrong = (pdirs < 0) != (level == 0)
+    if wrong.any():
+        y, j = divmod(int(np.argmax(wrong)), W)
+        raise ConfigError(f"snapshot {path}: vertex {tuple(win.vertex_at(y, j))} has "
+                          f"parentDir {vertices[y * W + j]['parentDir']!r}; the boundary's, "
+                          f"and only the boundary's, is null")
+    forest = Forest(win, label, seed, values, pdirs, roots)
     try:
         check_invariants(forest)
     except ValueError as exc:

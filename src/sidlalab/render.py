@@ -59,6 +59,10 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:
     W, M = win.W, win.M
     top = M if options.max_level is None else min(options.max_level, M)
     s = options.scale
+    extent = max(2 * W + 2, top + 2) * s
+    if not np.isfinite(extent):
+        raise ConfigError(f"scale {s} makes the {W}x{M} drawing {extent} wide; "
+                          f"its extent must be a finite double")
     highlight_x = -1
     if options.highlight_root is not None:
         hr = options.highlight_root

@@ -98,7 +98,7 @@ def new_state(window: Window, seed: int = 0, log_events: bool = False) -> SidlaS
     times = np.full((M + 1, W), np.nan, dtype=np.float64)
     root_x[0] = 2 * np.arange(W, dtype=np.int64)
     times[0] = 0.0
-    forest = Forest(window, "sidla", seed, "occupancy_time", times, parent_dir, root_x)
+    forest = Forest(window, "sidla", seed, times, parent_dir, root_x)
     return SidlaState(forest, log_events=log_events)
 
 

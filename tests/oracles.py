@@ -776,7 +776,7 @@ def reference_load_snapshot(path: str) -> Forest:
         raise ValueError(f"malformed snapshot {path}: {exc}") from exc
     if not vertices:
         raise ValueError(f"snapshot {path} has no vertices")
-    value_key = "occupancy_time" if "occupancy_time" in vertices[0] else "dist"
+    value_key = "occupancy_time" if label == "sidla" else "dist"
     values = np.full((win.M + 1, win.W), np.nan, dtype=np.float64)
     pdirs = np.full((win.M + 1, win.W), -1, dtype=np.int8)
     roots = np.full((win.M + 1, win.W), -1, dtype=np.int64)
@@ -793,7 +793,7 @@ def reference_load_snapshot(path: str) -> Forest:
         raise ValueError(f"snapshot {path} does not cover its window")
     if np.any(pdirs[1:] < 0):
         raise ValueError(f"snapshot {path} missing parent directions")
-    return Forest(win, label, seed, value_key, values, pdirs, roots)
+    return Forest(win, label, seed, values, pdirs, roots)
 
 
 def reference_render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:

@@ -1,20 +1,28 @@
 """The benchmark's tracer wraps package functions by name and reads
-attributes of their results; a rename must fail here, in the tier-1
-suite, not only in the slower benchmark self-tests.  The names are
-resolved, and the counters fed real results, without installing the
-tracer."""
+attributes of their results, and its child process reloads the snapshots
+it writes; a rename or a loader change the benchmark would count as a
+failed run must fail here, in the tier-1 suite, not only in the slower
+benchmark self-tests.  The names are resolved, and the counters fed real
+results, without installing the tracer."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sidlalab
 from sidlalab import coupling, fpp, render, sidla
+from sidlalab.cli import main
 from sidlalab.fileio import atomic_write_text
 from sidlalab.lattice import Window
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -72,3 +80,25 @@ def test_tracer_counters_read_real_results(tmp_path):
         assert values, name
         for key, value in values.items():
             assert type(value) is int and value >= 0, (name, key, value)
+
+
+def check_snapshot(path: Path, W: int, M: int) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(sidlalab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(BENCH / "child.py"), "--check-snapshot",
+                           str(path), str(W), str(M)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_bench_child_reloads_what_fpp_writes(tmp_path):
+    path = tmp_path / "f.json"
+    assert main(["fpp", "-W", "8", "-M", "4", "--out", str(path)]) == 0
+    done = check_snapshot(path, 8, 4)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(path.read_text())
+    doc["vertices"].reverse()
+    path.write_text(json.dumps(doc))
+    done = check_snapshot(path, 8, 4)
+    assert done.returncode != 0
+    assert "where the (y, x) order puts (0, 0)" in done.stderr

@@ -88,6 +88,23 @@ def test_couple_bad_horizon(capsys):
     assert run("couple", "--horizon-factor", "0.5", "-W", "8", "-M", "4") == 1
 
 
+@pytest.mark.parametrize("factor,why", [
+    ("nan", "horizon factor must be >= 1"),
+    ("inf", "horizon inf is not finite"),
+    ("1e308", "horizon inf is not finite"),  # the product overflows
+])
+def test_couple_refuses_a_horizon_that_is_not_finite(factor, why, monkeypatch, capsys):
+    def no_rings(*args, **kwargs):
+        raise AssertionError("rings generated for a horizon that is not finite")
+
+    monkeypatch.setattr(coupling.AuxClockField, "offsets", no_rings)
+    for repeats in ("auto", "full"):
+        assert run("couple", "--horizon-factor", factor, "--repeats", repeats,
+                   "-W", "8", "-M", "4", "--out", "c.json", "--gaps-out", "g.csv") == 1
+        assert why in capsys.readouterr().err
+    assert not list(Path(".").iterdir())
+
+
 def test_couple_names_exact_zero_gaps(capsys):
     """Decreasing rates at M=64 make float ties between ring times; the
     error names the zero gaps, the profile and M, and nothing is written."""
@@ -192,7 +209,8 @@ def test_render_rejects_a_missing_or_malformed_snapshot(capsys):
     assert not Path("x.svg").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--scale", "0"), ("--max-level", "-1")])
+@pytest.mark.parametrize("flag,value", [("--scale", "0"), ("--max-level", "-1"),
+                                        ("--scale", "inf"), ("--scale", "1e308")])
 def test_render_rejects_bad_options(flag, value, capsys):
     assert run("render", "-W", "6", "-M", "4", flag, value, "--out", "x.svg") == EXIT_CONFIG
     assert not Path("x.svg").exists()
@@ -270,6 +288,15 @@ def test_jobs_are_clamped_to_tasks_and_cpus(jobs, cpus, workers, monkeypatch, ca
                "--out", "j.json") == 0
     assert _RecordingPool.made == workers
     assert Path("j_s1.json").exists() and Path("j_s2.json").exists()
+
+
+@pytest.mark.parametrize("clip", ["0", "-3"])
+def test_compare_refuses_a_height_clip_below_one(clip, capsys):
+    """A clip below 1 maps every height to one bin, a vacuous test."""
+    assert run("compare", "-W", "16", "-M", "8", "--replicas", "20",
+               "--height-clip", clip, "--out", "c.json") == EXIT_CONFIG
+    assert "height clip must be >= 1" in capsys.readouterr().err
+    assert not Path("c.json").exists()
 
 
 def test_compare_rejects_samples_too_small(capsys):

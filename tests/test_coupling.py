@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from sidlalab.coupling import (
     replay,
     verify_coupling,
 )
-from sidlalab.errors import CouplingFault
+from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
 from sidlalab.hashing import hash_uniform_vec
 from sidlalab.lattice import Dir, Edge, Vertex, Window
@@ -93,6 +94,22 @@ def test_horizon_below_coverage_rejected():
     aux = AuxClockField(1, win, WeightProfile.STRETCH)
     with pytest.raises(ValueError):
         generate_rings(forest, field, aux, forest.values.max() * 0.5, repeats="full")
+
+
+def test_infinite_horizon_refused_before_any_ring(monkeypatch):
+    """Full repeat streams under an infinite horizon would keep every edge
+    live forever; the horizon is refused before any stream is drawn."""
+    def no_streams(*args):
+        raise AssertionError("repeat streams drawn for a horizon that is not finite")
+
+    monkeypatch.setattr(AuxClockField, "offsets", no_streams)
+    win = Window(8, 4)
+    field = WeightField(1, WeightProfile.STRETCH, win)
+    forest = build_forest(field)
+    aux = AuxClockField(1, win, WeightProfile.STRETCH)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="is not finite"):
+            generate_rings(forest, field, aux, horizon, repeats="full")
 
 
 def test_repeats_mode_validation():

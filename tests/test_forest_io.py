@@ -6,6 +6,7 @@ per-vertex implementations and against those implementations, kept in
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,16 +238,16 @@ def vertex(doc, x, y):
 def test_loader_rejects_vertex_outside_window(tmp_path):
     doc = small_snapshot()
     doc["vertices"].append({**vertex(doc, 1, 3), "x": 0})  # x + y odd
-    rejects(tmp_path, doc, "outside window")
+    rejects(tmp_path, doc, "lists 17 vertices; its 4x3 window holds 16")
     doc = small_snapshot()
     doc["vertices"].append({**vertex(doc, 1, 3), "y": 5})  # above the cap
-    rejects(tmp_path, doc, "outside window")
+    rejects(tmp_path, doc, "lists 17 vertices; its 4x3 window holds 16")
 
 
 def test_loader_rejects_hole(tmp_path):
     doc = small_snapshot()
     doc["vertices"].remove(vertex(doc, 3, 1))
-    rejects(tmp_path, doc, "does not cover its window")
+    rejects(tmp_path, doc, "lists 15 vertices; its 4x3 window holds 16")
 
 
 def test_loader_refuses_a_window_its_vertices_cannot_cover(tmp_path):
@@ -255,7 +256,7 @@ def test_loader_refuses_a_window_its_vertices_cannot_cover(tmp_path):
     doc = small_snapshot()
     doc["window"] = {"W": 100_000_000_000, "M": 1}
     doc["vertices"] = doc["vertices"][:1]
-    rejects(tmp_path, doc, "does not cover its window")
+    rejects(tmp_path, doc, "lists 1 vertices; its 100000000000x1 window holds 200000000000")
 
 
 def test_loader_refuses_header_numbers_that_are_not_integers(tmp_path):
@@ -279,7 +280,49 @@ def test_loader_rejects_duplicate_vertex(tmp_path):
     doc = small_snapshot()
     # the same vertex twice, once under a lifted x, with an equal record
     doc["vertices"].append({**vertex(doc, 2, 2), "x": 2 + 8})
-    rejects(tmp_path, doc, r"lists vertex \(2, 2\) twice")
+    rejects(tmp_path, doc, "lists 17 vertices; its 4x3 window holds 16")
+
+
+def test_loader_takes_only_the_writers_vertex_order(tmp_path):
+    """Vertex i of a W-wide window sits at level i // W, column i % W, so
+    x = (y & 1) + 2 * (i % W); the first vertex out of place is named."""
+    doc = small_snapshot()
+    doc["vertices"].reverse()
+    rejects(tmp_path, doc, r"vertex 0 is \(7, 3\) where the \(y, x\) order puts \(0, 0\)")
+    doc = small_snapshot()
+    vs = doc["vertices"]
+    vs[5], vs[9] = vs[9], vs[5]
+    rejects(tmp_path, doc, r"vertex 5 is \(2, 2\) where the \(y, x\) order puts \(3, 1\)")
+    doc = small_snapshot()
+    vertex(doc, 2, 2)["x"] = 2 + 8  # the same vertex one period over
+    rejects(tmp_path, doc, r"vertex 9 is \(10, 2\) where the \(y, x\) order puts \(2, 2\)")
+
+
+def test_loader_refuses_a_boundary_parent_dir(tmp_path):
+    doc = small_snapshot()
+    vertex(doc, 0, 0)["parentDir"] = "L"
+    rejects(tmp_path, doc, r"vertex \(0, 0\) has parentDir 'L'; the boundary's, and only")
+    doc = small_snapshot()
+    vertex(doc, 1, 1)["parentDir"] = None
+    rejects(tmp_path, doc, r"vertex \(1, 1\) has parentDir None; the boundary's, and only")
+
+
+def test_loader_refuses_a_profile_that_is_not_a_label(tmp_path):
+    for bad in ({"not": "a label"}, "foo"):
+        doc = small_snapshot()
+        doc["profile"] = bad
+        rejects(tmp_path, doc, rf"profile {re.escape(repr(bad))} is not one of "
+                               "stretch, eden, decreasing, sidla")
+
+
+def test_loader_takes_the_value_key_the_label_sets(tmp_path):
+    doc = small_snapshot()
+    for v in doc["vertices"]:
+        v["occupancy_time"] = v.pop("dist")
+    rejects(tmp_path, doc, r"bad 'dist' \(KeyError\('dist'\)\)")
+    doc = small_snapshot()
+    doc["profile"] = "sidla"
+    rejects(tmp_path, doc, r"bad 'occupancy_time' \(KeyError\('occupancy_time'\)\)")
 
 
 def test_loader_rejects_root_contradicting_parent_chain(tmp_path):
