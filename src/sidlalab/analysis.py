@@ -53,16 +53,15 @@ class MonotoneTree:
         return max(v.y for v in self.vertices())
 
 
-def extract_tree(forest: Forest, root) -> MonotoneTree:
-    """Lift one root's tree out of a covered forest.
+def extract_tree(forest: Forest, root: int) -> MonotoneTree:
+    """Lift the tree of the root at x = root out of a covered forest.
 
     Vertices are unwrapped into plane coordinates by following parent
     chains upward from the root, so a tree crossing the cyclic seam still
     comes out connected; the root keeps its canonical x.
     """
-    x = root.x if isinstance(root, Vertex) else int(root)
     win = forest.window
-    x0 = x % win.period
+    x0 = root % win.period
     labels = forest.root_x
     unwrapped: dict[Vertex, int] = {win.canonicalize(Vertex(x0, 0)): x0}
     edges = []
@@ -77,14 +76,13 @@ def extract_tree(forest: Forest, root) -> MonotoneTree:
     return MonotoneTree(Vertex(x0, 0), frozenset(edges))
 
 
-def level_profile(forest: Forest, root, m: int) -> int:
-    """Size of the root's level-m slice, |T^m(root)|, in a forest."""
+def level_profile(forest: Forest, root: int, m: int) -> int:
+    """Size of the level-m slice, |T^m(root)|, of the root at x = root."""
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
     if m > forest.window.M:
         raise ValueError(f"level {m} above cap {forest.window.M}")
-    x = root.x if isinstance(root, Vertex) else int(root)
-    return int(np.count_nonzero(forest.root_x[m] == x))
+    return int(np.count_nonzero(forest.root_x[m] == root))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from . import analysis, coupling, fpp, render, sidla
 from .errors import ConfigError, CouplingFault
 from .fileio import atomic_write_text, json_text
-from .lattice import Vertex, Window, edge_str
+from .lattice import Window, edge_str
 from .sidla import SimulationLimitError
 
 EXIT_OK = 0
@@ -80,6 +80,13 @@ def _check_replicas(args: argparse.Namespace) -> None:
         raise ConfigError(f"replicas must be >= 1, got {args.replicas}")
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    _check_seeds(args.seed, args.seed + args.replicas - 1)
+
+
+def _check_seeds(first: int, last: int) -> None:
+    # the hash reduces a seed mod 2**64, so one outside would alias another
+    if not (0 <= first and last < 1 << 64):
+        raise ConfigError(f"seeds must lie in 0..2**64-1, got {first}..{last}")
 
 
 def _run_tasks(fn, tasks, jobs: int):
@@ -107,8 +114,7 @@ def _out_path(base: str | None, stem: str, seed: int, ext: str, multi: bool) -> 
 
 def _fpp_task(task):
     seed, W, M, profile_value = task
-    field = fpp.WeightField(seed, fpp.WeightProfile(profile_value), Window(W, M))
-    forest = fpp.build_forest(field)
+    forest = _picture_run("fpp", seed, W, M, profile_value, None)
     return seed, fpp.snapshot_text(forest), float(forest.values.max())
 
 
@@ -417,6 +423,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             if getattr(args, dest) is None:
                 setattr(args, dest, default)
         _check_picture(args)
+        _check_seeds(args.seed, args.seed)
         forest = _picture_run(args.picture, args.seed, args.width, args.height,
                               args.profile, args.method or "auto")
     win, seed = forest.window, forest.seed
@@ -432,7 +439,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             )
         if x % 2 != 0:
             raise ConfigError(f"highlight root must be even, got {x}")
-        highlight = Vertex(x % win.period, 0)
+        highlight = x % win.period
     options = render.RenderOptions(
         highlight_root=highlight, scale=args.scale, max_level=args.max_level
     )

@@ -55,27 +55,22 @@ AUX_BLOCK = 32  # arrivals per live edge and vector hash in AuxClockField.offset
 AUTO_REPEAT_RING_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class AuxClockField:
-    """Deterministic Poisson arrival streams, one per edge.
+class AuxClockField(WeightField):
+    """A weight field that also carries deterministic Poisson arrival
+    streams, one per edge.
 
     Arrivals for an edge are the partial sums of counter-hashed
-    exponential gaps at the edge's level rate, independent of the weight
-    field by stream tag.
+    exponential gaps at the edge's level rate, independent of the weights
+    by stream tag.
     """
-
-    seed: int
-    window: Window
-    profile: WeightProfile = WeightProfile.STRETCH
 
     def offsets(self, tails: np.ndarray, dirs: np.ndarray,
                 budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(edge position, offset) of each arrival up to its edge's budget, for
         edges given by flat tail index and Dir code.  Offset k is the running
         sum of gaps j = 0..k, from ``hash_uniform(seed, AUX_STREAM, x, y, dir, j)``."""
-        y, col = np.divmod(tails, self.window.W)
-        rate = np.array([self.profile.rate(h) for h in range(1, self.window.M + 1)])[y]
-        mid = hash_u64_vec(self.seed, [AUX_STREAM, (y & 1) + 2 * col, y, dirs])
+        rate = self.rates[tails // self.window.W + 1]
+        mid = hash_u64_vec(self.seed, self.edge_address(AUX_STREAM, tails, dirs))
         live = np.flatnonzero(budgets > 0.0)
         acc, k = np.zeros(len(live)), np.arange(AUX_BLOCK, dtype=np.uint64)
         edges, offs = [live[:0]], [acc[:0]]  # dtypes of an empty result
@@ -139,8 +134,7 @@ def auto_repeats_mode(window: Window, horizon: float) -> str:
 
 def generate_rings(
     forest: Forest,
-    field: WeightField,
-    aux: AuxClockField,
+    field: AuxClockField,
     horizon: float,
     repeats: str = "full",
 ) -> Rings:
@@ -151,9 +145,10 @@ def generate_rings(
     its tail's passage time plus the edge's weight, the same float add as
     the forest program's candidate through that edge, on the clock of its
     tail's root.  With repeats="full" each boundary edge whose base ring
-    fires before the horizon adds the auxiliary arrivals up to the
-    horizon.  Edges whose head lies above the cap get no ring; their total
-    rate is at most (M + 2) * 2**-(M+1) per site.
+    fires before the horizon adds its auxiliary arrivals up to the horizon
+    (``field.offsets``; "base" needs only the field's weights).  Edges
+    whose head lies above the cap get no ring; their total rate is at most
+    (M + 2) * 2**-(M+1) per site.
 
     Rings are sorted by (time, site, depth, kind), then by head vertex.
     The last key only orders rings that tie on the first four, and no
@@ -188,7 +183,7 @@ def generate_rings(
         # the base rings, whose tails the loop's last pass left in tails
         time, site, _, d = parts[1]
         live = np.flatnonzero(time < horizon)
-        edge, off = aux.offsets(tails[live], d[live], horizon - time[live])
+        edge, off = field.offsets(tails[live], d[live], horizon - time[live])
         at = live[edge]
         parts.append((time[at] + off, site[at], heads[at], d[at]))
     columns = [np.concatenate(c) for c in zip(*parts)]
@@ -301,13 +296,12 @@ def verify_coupling(
     with full repeats the gap statistics keep mass after coverage.  The
     gaps are returned for a test on the sample pooled over replicas.
     """
-    field = WeightField(seed, profile, window)
+    field = AuxClockField(seed, profile, window)
     forest = build_forest(field)
     horizon = float(forest.values.max()) * horizon_factor
     if repeats == "auto":
         repeats = auto_repeats_mode(window, horizon)
-    aux = AuxClockField(seed, window, profile)
-    rings = generate_rings(forest, field, aux, horizon, repeats=repeats)
+    rings = generate_rings(forest, field, horizon, repeats=repeats)
     state = replay(rings)
     sites, gaps = pooled_gaps(rings, horizon=horizon)
     heights = tree_heights(slice_sizes(forest))

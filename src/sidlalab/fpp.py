@@ -8,13 +8,14 @@ the classical Eden-type growth, and the decreasing profile inverts the
 stretch so that high edges are fast.
 
 Weights are recomputed on demand from the counter hash rather than stored:
-a field object is just (seed, profile, window).  The
-passage time from the boundary to every vertex then satisfies a one-level
-dynamic program, because every path from the boundary climbs exactly one
-level per edge.  Running the program level by level yields, for each
-vertex, its passage time, the direction of the minimizing incoming edge,
-and the boundary root it descends from.  The minimizing edges form a
-spanning forest rooted on the boundary.
+a field object is just (seed, profile, window), which also sets its level
+rates and the hash address of every edge.  The passage time from the
+boundary to every vertex then satisfies a one-level dynamic program,
+because every path from the boundary climbs exactly one level per edge.
+Running the program level by level yields, for each vertex, its passage
+time, the direction of the minimizing incoming edge, and the boundary root
+it descends from.  The minimizing edges form a spanning forest rooted on
+the boundary.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError
 from .fileio import json_text
-from .hashing import WEIGHT_STREAM, exp_from_uniform, hash_uniform_vec
+from .hashing import HASH_BLOCK, WEIGHT_STREAM, exp_from_uniform, hash_uniform_vec
 from .lattice import Dir, Window
 
 
@@ -40,14 +42,13 @@ class WeightProfile(Enum):
     EDEN = "eden"
     DECREASING = "decreasing"
 
-    def rate(self, level: int) -> float:
-        if level < 1:
-            raise ValueError(f"edges sit at levels >= 1, got {level}")
-        if self is WeightProfile.STRETCH:
-            return math.ldexp(1.0, -level)
+    def rates(self, M: int) -> list[float]:
+        """Edge rates of levels 0..M; level 0 has no edges and holds 0.0.
+        A decreasing rate past the largest double raises OverflowError."""
         if self is WeightProfile.EDEN:
-            return 1.0
-        return math.ldexp(1.0, level)
+            return [0.0] + [1.0] * M
+        sign = -1 if self is WeightProfile.STRETCH else 1
+        return [0.0] + [math.ldexp(1.0, sign * h) for h in range(1, M + 1)]
 
 
 def _tail_column(W: int, level, col, d):
@@ -61,17 +62,6 @@ def _tail_column(W: int, level, col, d):
     return (col + ((level & 1) - d)) % W
 
 
-def incoming_tail_columns(W: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column index of the tail, per head column, for edges into a level.
-
-    Returns ``(cols_right, cols_left)``: entry j gives the tail column one
-    level down of the RIGHT-step (resp. LEFT-step) edge whose head is
-    column j.
-    """
-    cols = np.arange(W, dtype=np.int64)
-    return _tail_column(W, level, cols, Dir.RIGHT), _tail_column(W, level, cols, Dir.LEFT)
-
-
 def incoming_tail_index(W: int, head: np.ndarray, d) -> np.ndarray:
     """Flat index ``level * W + column`` of the tail of the edge that
     enters each flat head index by direction d (one Dir code per head)."""
@@ -79,18 +69,16 @@ def incoming_tail_index(W: int, head: np.ndarray, d) -> np.ndarray:
     return (level - 1) * W + _tail_column(W, level, col, d)
 
 
-# Weights hashed per incoming_weights call in build_forest: whole levels of
-# about this many edges, so the hash temporaries stay O(block), not O(W * M).
-WEIGHT_BLOCK = 1 << 16
-
-# Dir codes of the (right-step, left-step) pair incoming_weights returns,
-# as a column to broadcast against head columns.
+# Dir codes of the (right-step, left-step) edge pair into a head, as a
+# column to broadcast against head columns.
 _IN_DIRS = np.array([[Dir.RIGHT], [Dir.LEFT]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class WeightField:
-    """Deterministic exponential weight field keyed on edge addresses."""
+    """Deterministic exponential weight field keyed on edge addresses: the
+    one record of the random environment, its level rates and the hash
+    address of every edge."""
 
     seed: int
     profile: WeightProfile
@@ -99,7 +87,7 @@ class WeightField:
     def __post_init__(self) -> None:
         # the rate is monotone in the level, so level M holds its extreme
         try:
-            rate = self.profile.rate(self.window.M)
+            rate = self.rates[-1]
         except OverflowError:
             rate = math.inf
         if not 0.0 < rate < math.inf:
@@ -107,6 +95,17 @@ class WeightField:
                 f"the {self.profile.value} rate at level M={self.window.M} is not a "
                 f"positive finite double; use a smaller height cap"
             )
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Edge rate of each level 0..M (``WeightProfile.rates``)."""
+        return np.array(self.profile.rates(self.window.M))
+
+    def edge_address(self, stream: int, tails: np.ndarray, dirs) -> list:
+        """Hash address ``[stream, tail x, tail y, dir]`` of the edges that
+        leave flat tail indices ``level * W + column`` by Dir codes dirs."""
+        y, col = np.divmod(tails, self.window.W)
+        return [stream, (y & 1) + 2 * col, y, dirs]
 
     def incoming_weights(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Weights of all edges into levels lo..hi, as (right-step, left-step)
@@ -116,13 +115,9 @@ class WeightField:
             raise ValueError(f"levels {lo}..{hi} outside 1..{self.window.M}")
         W = self.window.W
         level = np.arange(lo, hi + 1, dtype=np.int64)[:, None, None]
-        tail_x = ((level - 1) & 1) + 2 * _tail_column(
-            W, level, np.arange(W, dtype=np.int64), _IN_DIRS)
-        u = hash_uniform_vec(self.seed, [
-            WEIGHT_STREAM, tail_x.astype(np.uint64), (level - 1).astype(np.uint64),
-            _IN_DIRS.astype(np.uint64)])
-        rate = np.array([self.profile.rate(y) for y in range(lo, hi + 1)])
-        w = exp_from_uniform(u, rate[:, None, None])
+        tails = (level - 1) * W + _tail_column(W, level, np.arange(W), _IN_DIRS)
+        u = hash_uniform_vec(self.seed, self.edge_address(WEIGHT_STREAM, tails, _IN_DIRS))
+        w = exp_from_uniform(u, self.rates[lo:hi + 1, None, None])
         return w[:, 0], w[:, 1]
 
 
@@ -185,20 +180,21 @@ def build_forest(field: WeightField) -> Forest:
     At each level the candidate passage time through either incoming edge
     is the tail's passage time plus the edge weight; the minimum wins and
     ties go to the LEFT-step edge.  Weights are hashed for blocks of whole
-    levels of about WEIGHT_BLOCK edges each.
+    levels of about HASH_BLOCK edges each.
     """
     win = field.window
     W, M = win.W, win.M
     dist = np.zeros((M + 1, W), dtype=np.float64)
     parent_dir = np.full((M + 1, W), -1, dtype=np.int8)
     root_x = np.zeros((M + 1, W), dtype=np.int64)
-    root_x[0] = 2 * np.arange(W, dtype=np.int64)
-    step = max(1, WEIGHT_BLOCK // (2 * W))
+    cols = np.arange(W, dtype=np.int64)
+    root_x[0] = 2 * cols
+    step = max(1, HASH_BLOCK // (2 * W))
     for lo in range(1, M + 1, step):
         hi = min(lo + step - 1, M)
         block_r, block_l = field.incoming_weights(lo, hi)
         for y, w_r, w_l in zip(range(lo, hi + 1), block_r, block_l):
-            cols_r, cols_l = incoming_tail_columns(W, y)
+            cols_r, cols_l = _tail_column(W, y, cols, _IN_DIRS)
             cand_r = dist[y - 1][cols_r] + w_r
             cand_l = dist[y - 1][cols_l] + w_l
             take_left = cand_l <= cand_r
@@ -285,14 +281,27 @@ def check_invariants(forest: Forest) -> None:
             )
 
 
-def _column(vertices, key: str, dtype, path: str, codes=None) -> np.ndarray:
-    """One field of every vertex record, mapped through codes if given."""
-    items = map(itemgetter(key), vertices)
-    if codes is not None:
-        items = map(codes.__getitem__, items)
+# The Python types json.load gives each kind of vertex field: coordinates
+# and labels are integers (not bool), times are numbers (the writer's %.17g
+# writes a zero as 0).
+_JSON_TYPES = {"integer": frozenset({int}), "number": frozenset({int, float})}
+
+
+def _column(vertices, key: str, dtype, path: str, kind=None, codes=None) -> np.ndarray:
+    """One field of every vertex record, mapped through codes if given, else
+    each value of the JSON kind given (one type pass over the column)."""
     try:
+        items = map(itemgetter(key), vertices)
+        if codes is not None:
+            items = map(codes.__getitem__, items)
+        else:
+            items, types = list(items), _JSON_TYPES[kind]
+            if not types.issuperset(map(type, items)):
+                i = next(i for i, v in enumerate(items) if type(v) not in types)
+                raise ConfigError(f"snapshot {path}: vertex {i} has {key} {items[i]!r}; "
+                                  f"it must be a JSON {kind}")
         return np.fromiter(items, dtype, len(vertices))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed snapshot {path}: bad {key!r} ({exc!r})") from exc
 
 
@@ -304,7 +313,8 @@ def load_snapshot(path: str) -> Forest:
     a profile that is not a label, a vertex count other than the window's
     (checked before anything of the window's size is allocated), a vertex
     out of the writer's (y, x) order, a vertex without the label's value
-    key, a non-finite value, a parent direction other than null on the
+    key, an x, y or rootX that is not a JSON integer or a value that is not
+    a JSON number, a non-finite value, a parent direction other than null on the
     boundary and L or R above it, and arrays that fail check_invariants.
     """
     try:
@@ -329,17 +339,17 @@ def load_snapshot(path: str) -> Forest:
         raise ConfigError(f"snapshot {path} lists {n} vertices; its {W}x{M} window "
                           f"holds {(M + 1) * W}")
     level = np.arange(M + 1)[:, None]
-    xs = _column(vertices, "x", np.int64, path).reshape(M + 1, W)
-    ys = _column(vertices, "y", np.int64, path).reshape(M + 1, W)
+    xs = _column(vertices, "x", np.int64, path, "integer").reshape(M + 1, W)
+    ys = _column(vertices, "y", np.int64, path, "integer").reshape(M + 1, W)
     misplaced = (ys != level) | (xs != (level & 1) + 2 * np.arange(W))
     if misplaced.any():
         y, j = divmod(int(np.argmax(misplaced)), W)
         raise ConfigError(f"snapshot {path}: vertex {y * W + j} is ({xs[y, j]}, {ys[y, j]}) "
                           f"where the (y, x) order puts {tuple(win.vertex_at(y, j))}")
     key = VALUE_KEYS[label]
-    values = _column(vertices, key, np.float64, path).reshape(M + 1, W)
-    pdirs = _column(vertices, "parentDir", np.int8, path, _DIR_CODE).reshape(M + 1, W)
-    roots = _column(vertices, "rootX", np.int64, path).reshape(M + 1, W)
+    values = _column(vertices, key, np.float64, path, "number").reshape(M + 1, W)
+    pdirs = _column(vertices, "parentDir", np.int8, path, codes=_DIR_CODE).reshape(M + 1, W)
+    roots = _column(vertices, "rootX", np.int64, path, "integer").reshape(M + 1, W)
     finite = np.isfinite(values)
     if not finite.all():
         y, j = divmod(int(np.argmin(finite)), W)

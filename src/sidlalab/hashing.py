@@ -39,6 +39,11 @@ CLOCK_STREAM = 0xC13FA9A902A63786
 COIN_STREAM = 0xD1310BA698DFB5AC
 JUMP_STREAM = 0xE93D5A68948140F7
 
+# Words hashed per vector call by every block draw (forest weights, jumps
+# events, rings), so hash temporaries stay O(block), not O(W * M).  Draws
+# are pure functions of their addresses: the block size moves no output bit.
+HASH_BLOCK = 1 << 16
+
 # Smallest positive double.  exp_from_uniform maps u == 0.0 here so that
 # variates are strictly positive.
 TINY = 5e-324

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError
 from .fpp import Forest
 from .hashing import hash_u64
-from .lattice import Vertex
 
 _PALETTE_SEED = 0x5E4A7
 _HIGHLIGHT_COLOR = "#d81b2a"
@@ -36,7 +35,7 @@ def root_color(x: int) -> str:
 
 @dataclass(frozen=True)
 class RenderOptions:
-    highlight_root: Vertex | None = Vertex(0, 0)
+    highlight_root: int | None = 0  # the root's x
     scale: float = 12.0
     max_level: int | None = None
 
@@ -63,10 +62,8 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:
     if not np.isfinite(extent):
         raise ConfigError(f"scale {s} makes the {W}x{M} drawing {extent} wide; "
                           f"its extent must be a finite double")
-    highlight_x = -1
-    if options.highlight_root is not None:
-        hr = options.highlight_root
-        highlight_x = (hr.x if isinstance(hr, Vertex) else int(hr)) % win.period
+    hr = options.highlight_root
+    highlight_x = -1 if hr is None else hr % win.period
 
     def sx(x: float) -> float:
         return (x + 1.0) * s

@@ -30,7 +30,6 @@ event log suitable for CSV export.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -38,10 +37,11 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import ConfigError
-from .fpp import Forest
+from .fpp import Forest, WeightProfile
 from .hashing import (
     CLOCK_STREAM,
     COIN_STREAM,
+    HASH_BLOCK,
     JUMP_STREAM,
     TINY,
     exp_from_uniform,
@@ -56,14 +56,6 @@ DEFAULT_RING_BUDGET_FACTOR = 10_000
 # Largest cap for which the literal driver fits comfortably inside the
 # default ring budget (expected rings ~ W * 2**(M+1) vs budget 1e4 * W * M).
 AUTO_LITERAL_MAX_CAP = 12
-
-# Events whose uniforms the jumps driver draws per vector hash; bounds its
-# hash temporaries to O(block) instead of O(W * M).
-JUMP_BLOCK = 1 << 16
-
-# Words the rings driver hashes per block: whole rings of M + 2 words each
-# (a clock gap, a site and M coins).
-RING_BLOCK = 1 << 16
 
 
 class SimulationLimitError(RuntimeError):
@@ -110,12 +102,12 @@ def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
     hash_uniform(seed, CLOCK_STREAM, k, 1)``, and its coin at step s
     ``hash_u64(seed, COIN_STREAM, k, s) & 1`` for s < M (a walk that has
     climbed to the cap leaves the window whatever its next coin).  Each
-    stream's prefix is hashed once; a block of rings takes one vector hash
-    per stream.
+    stream's prefix is hashed once; a block of rings, whole rings of M + 2
+    words each within HASH_BLOCK, takes one vector hash per stream.
     """
     clock_mid = hash_u64(seed, CLOCK_STREAM)
     coin_mid = hash_u64(seed, COIN_STREAM)
-    step = max(1, RING_BLOCK // (M + 2))
+    step = max(1, HASH_BLOCK // (M + 2))
     draws, steps = np.arange(2, dtype=np.uint64), np.arange(M, dtype=np.uint64)
     for a in range(lo, hi, step):
         k = np.arange(a, min(a + step, hi), dtype=np.uint64)[:, None]
@@ -173,11 +165,13 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
 def _jump_draws(seed: int, n_events: int):
     """Yield (Exp(1) variate, level uniform, edge uniform) for events
     0..n_events-1 of a jumps run: ``hash_uniform(mid, k, j)`` for j = 0, 1, 2
-    with ``mid = hash_u64(seed, JUMP_STREAM)``, a block of events per vector
-    hash.  The variate is ``-log1p(-u0)``, as in exp_from_uniform."""
+    with ``mid = hash_u64(seed, JUMP_STREAM)``, a block of events, three
+    words each within HASH_BLOCK, per vector hash.  The variate is
+    ``-log1p(-u0)``, as in exp_from_uniform."""
     mid = hash_u64(seed, JUMP_STREAM)
-    for lo in range(0, n_events, JUMP_BLOCK):
-        k = np.arange(lo, min(lo + JUMP_BLOCK, n_events), dtype=np.uint64)
+    step = max(1, HASH_BLOCK // 3)
+    for lo in range(0, n_events, step):
+        k = np.arange(lo, min(lo + step, n_events), dtype=np.uint64)
         u = hash_uniform_vec(mid, [k[:, None], np.arange(3, dtype=np.uint64)])
         yield from zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
 
@@ -196,7 +190,7 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     """
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
-    level_rate = [0.0] + [math.ldexp(1.0, -h) for h in range(1, M + 1)]
+    level_rate = WeightProfile.STRETCH.rates(M)
     free: list[list[int]] = [[] for _ in range(M + 1)]
     free[1] = [4 * j + d for j in range(W) for d in (0, 1)]
     pos = [-1] * (4 * W * M)

@@ -32,8 +32,10 @@ so rounding cannot move a root unnoticed.
 
 ``owner_of``, ``truncated_mean_height``, ``cone_check``, the lattice
 helpers ``dir_from_letter``, ``is_valid``, ``contains``, ``column_of``,
-``level_vertices``, ``boundary``, ``rel_x``, ``in_cone``, ``in_edges`` and
-``out_edges``, and
+``level_vertices``, ``boundary``, ``rel_x``, ``in_cone``, ``in_edges``,
+``out_edges`` and ``incoming_tail_columns``, the scalar definitions
+``level_rate`` and ``scalar_edge_address`` (the references for
+``WeightField.rates`` and ``WeightField.edge_address``), and
 ``edge_weight`` (one edge's weight from one scalar hash, the reference for
 ``WeightField.incoming_weights``) are small helpers the oracles and the
 acceptance gate use, with no caller in the package; ``is_monotone_tree``
@@ -57,7 +59,7 @@ import numpy as np
 from sidlalab.analysis import SlimParams, extract_tree, root_heights, slim_levels
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
-from sidlalab.fpp import Forest, WeightField, incoming_tail_columns, load_snapshot
+from sidlalab.fpp import Forest, WeightField, WeightProfile, load_snapshot
 from sidlalab.hashing import (
     AUX_STREAM,
     CLOCK_STREAM,
@@ -178,11 +180,32 @@ def exp_variate(u: float, rate: float) -> float:
     return w if w > 0.0 else TINY
 
 
+def level_rate(profile: WeightProfile, level: int) -> float:
+    """The edge rate at one level >= 1 by the profile's definition: 2**-level
+    (stretch), 1 (eden) or 2**level (decreasing)."""
+    if profile is WeightProfile.STRETCH:
+        return 2.0 ** -level
+    return 1.0 if profile is WeightProfile.EDEN else 2.0 ** level
+
+
+def incoming_tail_columns(W: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tail columns of the (right-step, left-step) edges into each head
+    column of a level: the heads' x minus and plus one, wrapped."""
+    hx = (level & 1) + 2 * np.arange(W)
+    return ((hx - 1) % (2 * W)) >> 1, ((hx + 1) % (2 * W)) >> 1
+
+
+def scalar_edge_address(window: Window, stream: int, e: Edge) -> list[int]:
+    """Hash address of one edge: the stream tag, its canonical tail's x and
+    y, and its direction."""
+    tail = window.canonicalize(e.tail)
+    return [stream, tail.x, tail.y, int(e.dir)]
+
+
 def edge_weight(field: WeightField, e: Edge) -> float:
     """Waiting time of a single canonical edge."""
-    tail = field.window.canonicalize(e.tail)
-    u = hash_uniform(field.seed, WEIGHT_STREAM, tail.x, tail.y, int(e.dir))
-    return exp_variate(u, field.profile.rate(head(e).y))
+    u = hash_uniform(field.seed, *scalar_edge_address(field.window, WEIGHT_STREAM, e))
+    return exp_variate(u, level_rate(field.profile, head(e).y))
 
 
 def cone_check(forest: Forest, root) -> bool:
@@ -572,18 +595,18 @@ class CoupledRing:
         return head(self.path[-1])
 
 
-def reference_offsets(aux: AuxClockField, e: Edge, budget: float) -> list[float]:
+def reference_offsets(field: AuxClockField, e: Edge, budget: float) -> list[float]:
     """Arrival offsets (cumulative, ascending) of one edge's auxiliary clock
     not exceeding budget, one scalar hash per arrival."""
     if budget <= 0.0:
         return []
-    tail = aux.window.canonicalize(e.tail)
-    rate = aux.profile.rate(head(e).y)
+    address = scalar_edge_address(field.window, AUX_STREAM, e)
+    rate = level_rate(field.profile, head(e).y)
     out: list[float] = []
     acc = 0.0
     k = 0
     while True:
-        u = hash_uniform(aux.seed, AUX_STREAM, tail.x, tail.y, int(e.dir), k)
+        u = hash_uniform(field.seed, *address, k)
         acc += exp_variate(u, rate)
         if acc > budget:
             return out
@@ -593,8 +616,7 @@ def reference_offsets(aux: AuxClockField, e: Edge, budget: float) -> list[float]
 
 def reference_generate_rings(
     forest: Forest,
-    field: WeightField,
-    aux: AuxClockField,
+    field: AuxClockField,
     horizon: float,
     repeats: str = "full",
 ) -> list[CoupledRing]:
@@ -655,7 +677,7 @@ def reference_generate_rings(
                 bpath = path + (e,)
                 rings.append(CoupledRing(site, t_base, bpath, RingKind.BOUNDARY_REPEAT))
                 if repeats == "full" and t_base < horizon:
-                    for off in reference_offsets(aux, e, horizon - t_base):
+                    for off in reference_offsets(field, e, horizon - t_base):
                         rings.append(
                             CoupledRing(site, t_base + off, bpath,
                                         RingKind.BOUNDARY_REPEAT)
@@ -804,8 +826,7 @@ def reference_render_svg(forest: Forest, options: RenderOptions = RenderOptions(
     s = options.scale
     highlight_x = None
     if options.highlight_root is not None:
-        hr = options.highlight_root
-        highlight_x = (hr.x if isinstance(hr, Vertex) else int(hr)) % win.period
+        highlight_x = options.highlight_root % win.period
 
     def sx(x: float) -> float:
         return (x + 1.0) * s

@@ -139,10 +139,10 @@ def test_shell_splits_at_a_full_first_level():
 def test_extract_tree_round_trip():
     fo = stretch_forest(seed=5)
     for root in boundary(fo.window):
-        t = extract_tree(fo, root)
+        t = extract_tree(fo, root.x)
         assert is_monotone_tree(t.root, t.edges)
         for m in range(1, fo.window.M + 1):
-            assert t.level_counts()[m] == level_profile(fo, root, m)
+            assert t.level_counts()[m] == level_profile(fo, root.x, m)
 
 
 def test_tree_height_and_censoring():
@@ -150,7 +150,7 @@ def test_tree_height_and_censoring():
     top_owners = set(int(x) for x in fo.root_x[8])
     heights, censored = root_heights(fo)
     for j, root in enumerate(boundary(fo.window)):
-        t = extract_tree(fo, root)
+        t = extract_tree(fo, root.x)
         assert (t.height() == 8) == (root.x in top_owners) == censored[j]
         assert t.height() == max((v.y for v in t.vertices()), default=0) == heights[j]
 
@@ -158,9 +158,9 @@ def test_tree_height_and_censoring():
 def test_level_profile_validation():
     fo = stretch_forest()
     with pytest.raises(ValueError):
-        level_profile(fo, ROOT, -1)
+        level_profile(fo, ROOT.x, -1)
     with pytest.raises(ValueError):
-        level_profile(fo, ROOT, fo.window.M + 1)
+        level_profile(fo, ROOT.x, fo.window.M + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def test_root_heights_match_level_profiles():
     fo = stretch_forest(seed=13, W=8, M=8)
     heights, censored = root_heights(fo)
     for j, root in enumerate(boundary(fo.window)):
-        profile = [level_profile(fo, root, m) for m in range(1, 9)]
+        profile = [level_profile(fo, root.x, m) for m in range(1, 9)]
         expect = max((m for m, c in enumerate(profile, start=1) if c > 0), default=0)
         assert heights[j] == expect
         assert censored[j] == (profile[-1] > 0)
@@ -333,8 +333,8 @@ def test_slice_size_table_matches_trees(case):
     assert sizes.shape == (W, M + 1)
     heights, censored = root_heights(fo)
     for j, root in enumerate(boundary(win)):
-        assert sizes[j].tolist() == [level_profile(fo, root, m) for m in range(M + 1)]
-        assert heights[j] == extract_tree(fo, root).height()
+        assert sizes[j].tolist() == [level_profile(fo, root.x, m) for m in range(M + 1)]
+        assert heights[j] == extract_tree(fo, root.x).height()
     assert np.array_equal(censored, heights == M)
 
 

@@ -50,10 +50,9 @@ def test_tracer_target_exists(mod, attr):
 def counter_cases(tmp_path):
     """(span name, args, result) of a tiny real call per counted target."""
     win = Window(6, 3)
-    field = fpp.WeightField(2, fpp.WeightProfile.STRETCH, win)
+    field = coupling.AuxClockField(2, fpp.WeightProfile.STRETCH, win)
     forest = fpp.build_forest(field)
-    rings = coupling.generate_rings(forest, field, coupling.AuxClockField(2, win),
-                                    1.5 * float(forest.values.max()), "base")
+    rings = coupling.generate_rings(forest, field, 1.5 * float(forest.values.max()), "base")
     text = fpp.snapshot_text(forest)
     svg = render.render_svg(forest)
     path = str(tmp_path / "f.json")

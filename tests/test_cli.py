@@ -182,6 +182,36 @@ def test_render_in_refuses_sampling_options(capsys):
     assert Path("x.svg").exists()
 
 
+SEED_COMMANDS = ["fpp", "sidla", "couple", "stats", "compare", "render"]
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("seed", [str(2**64 + 1), "-1", str(2**64)])
+def test_seeds_outside_64_bits_are_refused(command, seed, capsys):
+    """The hash reduces seeds mod 2**64, so 2**64 + 1 would write seed 1's
+    forest under another seed's name and -1 would alias 2**64 - 1."""
+    assert run(command, "--seed", seed, "-W", "8", "-M", "4") == EXIT_CONFIG
+    assert f"seeds must lie in 0..2**64-1, got {seed}.." in capsys.readouterr().err
+    assert not list(Path(".").iterdir())
+
+
+@pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c != "render"])
+def test_replica_seeds_past_64_bits_are_refused(command, capsys):
+    last = 2**64 - 1
+    assert run(command, "--seed", str(last - 1), "--replicas", "3",
+               "-W", "8", "-M", "4") == EXIT_CONFIG
+    assert f"got {last - 1}..{last + 1}" in capsys.readouterr().err
+    assert not list(Path(".").iterdir())
+
+
+def test_the_largest_seed_is_taken(capsys):
+    last = 2**64 - 1
+    assert run("fpp", "--seed", str(last - 1), "--replicas", "2", "-W", "4", "-M", "2",
+               "--out", "f.json") == 0
+    assert load_snapshot(f"f_s{last}.json").seed == last
+    assert run("render", "--seed", str(last), "-W", "4", "-M", "2", "--out", "r.svg") == 0
+
+
 def test_render_takes_no_replica_options(capsys):
     for flag in ("--replicas", "--jobs"):
         assert run("render", flag, "2", "-W", "8", "-M", "4") == EXIT_CONFIG

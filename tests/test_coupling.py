@@ -11,6 +11,7 @@ from oracles import (
     column_of,
     exp_variate,
     interring_gaps,
+    level_rate,
     reference_generate_rings,
     reference_offsets,
     reference_pooled_gaps,
@@ -40,11 +41,10 @@ from sidlalab.lattice import Dir, Edge, Vertex, Window
 def make_rings(seed=1, W=8, M=4, repeats="full", horizon_factor=1.5,
                profile=WeightProfile.STRETCH, engine=generate_rings):
     win = Window(W, M)
-    field = WeightField(seed, profile, win)
+    field = AuxClockField(seed, profile, win)
     forest = build_forest(field)
-    aux = AuxClockField(seed, win, profile)
     horizon = forest.values.max() * horizon_factor
-    rings = engine(forest, field, aux, horizon, repeats=repeats)
+    rings = engine(forest, field, horizon, repeats=repeats)
     return win, forest, rings, horizon
 
 
@@ -87,13 +87,24 @@ def test_paths_start_at_their_site():
     assert np.array_equal(forest.root_x.ravel()[heads], rings.site[inner])
 
 
+@pytest.mark.parametrize("profile", list(WeightProfile))
+def test_aux_field_is_the_weight_field(profile):
+    """The coupling's one field draws the weights and rates of the plain
+    weight field bit for bit, so its forest is the same forest."""
+    win = Window(9, 7)
+    aux, plain = AuxClockField(3, profile, win), WeightField(3, profile, win)
+    assert aux.rates.tobytes() == plain.rates.tobytes()
+    for got, want in zip(aux.incoming_weights(1, 7), plain.incoming_weights(1, 7)):
+        assert got.tobytes() == want.tobytes()
+    assert forests_match(build_forest(aux), build_forest(plain))
+
+
 def test_horizon_below_coverage_rejected():
     win = Window(8, 4)
-    field = WeightField(1, WeightProfile.STRETCH, win)
+    field = AuxClockField(1, WeightProfile.STRETCH, win)
     forest = build_forest(field)
-    aux = AuxClockField(1, win, WeightProfile.STRETCH)
     with pytest.raises(ValueError):
-        generate_rings(forest, field, aux, forest.values.max() * 0.5, repeats="full")
+        generate_rings(forest, field, forest.values.max() * 0.5, repeats="full")
 
 
 def test_infinite_horizon_refused_before_any_ring(monkeypatch):
@@ -104,22 +115,20 @@ def test_infinite_horizon_refused_before_any_ring(monkeypatch):
 
     monkeypatch.setattr(AuxClockField, "offsets", no_streams)
     win = Window(8, 4)
-    field = WeightField(1, WeightProfile.STRETCH, win)
+    field = AuxClockField(1, WeightProfile.STRETCH, win)
     forest = build_forest(field)
-    aux = AuxClockField(1, win, WeightProfile.STRETCH)
     for horizon in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="is not finite"):
-            generate_rings(forest, field, aux, horizon, repeats="full")
+            generate_rings(forest, field, horizon, repeats="full")
 
 
 def test_repeats_mode_validation():
     win = Window(8, 4)
-    field = WeightField(1, WeightProfile.STRETCH, win)
+    field = AuxClockField(1, WeightProfile.STRETCH, win)
     forest = build_forest(field)
-    aux = AuxClockField(1, win, WeightProfile.STRETCH)
     for mode in ("some", "none"):
         with pytest.raises(ValueError, match="use full or base"):
-            generate_rings(forest, field, aux, forest.values.max() * 2, repeats=mode)
+            generate_rings(forest, field, forest.values.max() * 2, repeats=mode)
 
 
 def test_auto_repeats_mode_switches_on_volume():
@@ -193,8 +202,7 @@ def test_replay_detects_a_wrong_forest_entry(name, y):
     attr, wrong = {"dist": ("values", np.nextafter(good.values[y, 3], np.inf)),
                    "root_x": ("root_x", (good.root_x[y, 3] + 2) % win.period)}[name]
     forest = corrupted(good, attr, y, 3, wrong)
-    aux = AuxClockField(5, win, WeightProfile.STRETCH)
-    rings = generate_rings(forest, field, aux, forest.values.max() * 1.5, repeats="base")
+    rings = generate_rings(forest, field, forest.values.max() * 1.5, repeats="base")
     try:
         state = replay(rings)
     except CouplingFault:
@@ -346,11 +354,11 @@ def aux_edges(draw):
 def test_offsets_match_the_scalar_loop_bitwise(case):
     W, M, profile, seed, edges = case
     win = Window(W, M)
-    aux = AuxClockField(seed, win, profile)
+    aux = AuxClockField(seed, profile, win)
     tails = np.array([t for t, _, _ in edges], dtype=np.int64)
     dirs = np.array([d for _, d, _ in edges], dtype=np.int8)
     # a budget of f mean gaps of the edge's level
-    budgets = np.array([f / profile.rate(t // W + 1) for t, _, f in edges])
+    budgets = np.array([f / level_rate(profile, t // W + 1) for t, _, f in edges])
     edge, off = aux.offsets(tails, dirs, budgets)
     assert edge.dtype == np.int64 and off.dtype == np.float64
     assert len(edge) == len(off)

@@ -33,7 +33,7 @@ from sidlalab.fpp import (
     load_snapshot,
     snapshot_text,
 )
-from sidlalab.lattice import Vertex, Window
+from sidlalab.lattice import Window
 from sidlalab.render import RenderOptions, render_svg
 from sidlalab.sidla import run_until_covered
 
@@ -134,7 +134,7 @@ def forests(draw):
 
 
 def render_options(W: int, M: int):
-    highlight = st.one_of(st.none(), st.integers(-2 * W, 4 * W).map(lambda x: Vertex(x, 0)))
+    highlight = st.one_of(st.none(), st.integers(-2 * W, 4 * W))
     return st.builds(RenderOptions, highlight_root=highlight,
                      scale=st.floats(0.05, 40.0),
                      max_level=st.one_of(st.none(), st.integers(0, M + 2)))
@@ -323,6 +323,29 @@ def test_loader_takes_the_value_key_the_label_sets(tmp_path):
     doc = small_snapshot()
     doc["profile"] = "sidla"
     rejects(tmp_path, doc, r"bad 'occupancy_time' \(KeyError\('occupancy_time'\)\)")
+
+
+@pytest.mark.parametrize("x,y,key,bad,kind", [
+    (1, 1, "rootX", 2.5, "integer"),  # np.fromiter made it 2
+    (3, 1, "x", "3", "integer"),
+    (1, 3, "dist", "repr", "number"),  # the value's repr, as a string
+    (0, 0, "dist", False, "number"),  # a boundary time
+    (1, 1, "y", 1.0, "integer"),
+])
+def test_loader_refuses_mistyped_vertex_fields(tmp_path, capsys, x, y, key, bad, kind):
+    """x, y and rootX are JSON integers and the value a JSON number; a
+    bool, float or string is refused, naming the key and the vertex's
+    place in the list, where each of these loaded before."""
+    doc = small_snapshot()
+    v = vertex(doc, x, y)
+    v[key] = repr(v[key]) if bad == "repr" else bad
+    i = doc["vertices"].index(v)
+    rejects(tmp_path, doc, rf"vertex {i} has {key} {re.escape(repr(v[key]))}; "
+                           rf"it must be a JSON {kind}")
+    assert main(["render", "--in", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "x.svg")]) == 1
+    assert f"it must be a JSON {kind}" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_loader_rejects_root_contradicting_parent_chain(tmp_path):

@@ -4,7 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import boundary, brute_force_forest, column_of, edge_weight, exact_forest
+from oracles import (
+    boundary,
+    brute_force_forest,
+    column_of,
+    edge_weight,
+    exact_forest,
+    incoming_tail_columns,
+    level_rate,
+    scalar_edge_address,
+)
 from sidlalab import fpp
 from sidlalab.analysis import extract_tree
 from sidlalab.errors import ConfigError
@@ -12,11 +21,11 @@ from sidlalab.fpp import (
     WeightField,
     WeightProfile,
     build_forest,
-    incoming_tail_columns,
     incoming_tail_index,
     load_snapshot,
     snapshot_text,
 )
+from sidlalab.hashing import AUX_STREAM, WEIGHT_STREAM
 from sidlalab.lattice import Dir, Edge, Vertex, Window, head
 
 
@@ -25,22 +34,59 @@ def small_field(seed=3, profile=WeightProfile.STRETCH, W=6, M=6):
 
 
 def test_profile_rates():
-    assert WeightProfile.STRETCH.rate(3) == 0.125
-    assert WeightProfile.EDEN.rate(3) == 1.0
-    assert WeightProfile.DECREASING.rate(3) == 8.0
+    """The whole table, up to the largest cap each profile represents, is
+    bitwise the scalar definition; level 0 holds 0.0."""
+    assert WeightProfile.STRETCH.rates(3) == [0.0, 0.5, 0.25, 0.125]
+    assert WeightProfile.EDEN.rates(3) == [0.0, 1.0, 1.0, 1.0]
+    assert WeightProfile.DECREASING.rates(3) == [0.0, 2.0, 4.0, 8.0]
+    for profile, M in ((WeightProfile.STRETCH, 1074), (WeightProfile.EDEN, 1100),
+                       (WeightProfile.DECREASING, 1023)):
+        rates = profile.rates(M)
+        assert len(rates) == M + 1 and rates[0] == 0.0
+        assert [r.hex() for r in rates[1:]] == [level_rate(profile, h).hex()
+                                                for h in range(1, M + 1)]
+        field = WeightField(1, profile, Window(M, M))
+        assert field.rates.tobytes() == np.array(rates).tobytes()
+    assert WeightProfile.STRETCH.rates(1074)[-1] == 5e-324
+    with pytest.raises(OverflowError):
+        WeightProfile.DECREASING.rates(1024)
+
+
+def heads_tail_columns(W, level, d):
+    """The package's tail column of the edge into each head column of a
+    level by direction d."""
+    heads = level * W + np.arange(W)
+    return (incoming_tail_index(W, heads, np.full(W, d)) - (level - 1) * W).tolist()
 
 
 def test_incoming_tail_columns_even_level():
     # heads at an even level have odd-level tails one step to either side
     cols_r, cols_l = incoming_tail_columns(4, 2)
-    assert cols_r.tolist() == [3, 0, 1, 2]
-    assert cols_l.tolist() == [0, 1, 2, 3]
+    assert cols_r.tolist() == [3, 0, 1, 2] == heads_tail_columns(4, 2, Dir.RIGHT)
+    assert cols_l.tolist() == [0, 1, 2, 3] == heads_tail_columns(4, 2, Dir.LEFT)
 
 
 def test_incoming_tail_columns_odd_level():
     cols_r, cols_l = incoming_tail_columns(4, 1)
-    assert cols_r.tolist() == [0, 1, 2, 3]
-    assert cols_l.tolist() == [1, 2, 3, 0]
+    assert cols_r.tolist() == [0, 1, 2, 3] == heads_tail_columns(4, 1, Dir.RIGHT)
+    assert cols_l.tolist() == [1, 2, 3, 0] == heads_tail_columns(4, 1, Dir.LEFT)
+
+
+@pytest.mark.parametrize("W,M", [(1, 1), (4, 3), (7, 5)])
+def test_edge_address_is_the_scalar_address(W, M):
+    """Every out-edge of levels 0..M-1 has the oracle's address, for even
+    and odd widths, whatever the array shape."""
+    field = small_field(W=W, M=M)
+    win = field.window
+    tails = np.arange(M * W).reshape(M, W, 1)
+    dirs = np.array([Dir.LEFT, Dir.RIGHT])
+    for stream in (WEIGHT_STREAM, AUX_STREAM):
+        address = np.broadcast_arrays(*field.edge_address(stream, tails, dirs))
+        for t in range(M * W):
+            for d in Dir:
+                e = Edge(win.vertex_at(*divmod(t, W)), d)
+                got = [int(a[t // W, t % W, d]) for a in address]
+                assert got == scalar_edge_address(win, stream, e)
 
 
 def test_weight_positive_and_deterministic():
@@ -84,9 +130,9 @@ def test_forest_is_the_same_for_every_weight_block(monkeypatch, block):
     split the window unevenly, leaves the forest bit for bit unchanged;
     the reference hashes every level of the window in one call."""
     field = small_field(seed=8, W=14, M=12)
-    monkeypatch.setattr(fpp, "WEIGHT_BLOCK", 2 * 14 * 12)
+    monkeypatch.setattr(fpp, "HASH_BLOCK", 2 * 14 * 12)
     ref = build_forest(field)
-    monkeypatch.setattr(fpp, "WEIGHT_BLOCK", block)
+    monkeypatch.setattr(fpp, "HASH_BLOCK", block)
     fo = build_forest(field)
     assert np.array_equal(fo.values, ref.values)
     assert np.array_equal(fo.parent_dir, ref.parent_dir)
@@ -189,7 +235,7 @@ def test_trees_partition_vertices():
     win = fo.window
     seen = {}
     for root in boundary(win):
-        for e in extract_tree(fo, root).edges:
+        for e in extract_tree(fo, root.x).edges:
             hd = win.canonicalize(head(e))
             assert hd not in seen
             seen[hd] = root.x

@@ -4,7 +4,7 @@ import pytest
 
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
-from sidlalab.lattice import Vertex, Window
+from sidlalab.lattice import Window
 from sidlalab.render import RenderOptions, render_svg, root_color
 from sidlalab.sidla import run_until_covered
 
@@ -47,7 +47,7 @@ def test_svg_well_formed_and_complete():
 
 
 def test_highlight_present_and_red():
-    svg = render_svg(forest(), RenderOptions(highlight_root=Vertex(0, 0)))
+    svg = render_svg(forest(), RenderOptions(highlight_root=0))
     assert "#d81b2a" in svg
     svg_none = render_svg(forest(), RenderOptions(highlight_root=None))
     assert "#d81b2a" not in svg_none

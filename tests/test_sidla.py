@@ -184,8 +184,8 @@ def test_drivers_agree_in_law():
     for seed in range(reps):
         s1 = run_until_covered(win, seed=seed, method="rings")
         s2 = run_until_covered(win, seed=10_000 + seed, method="jumps")
-        h_rings[level_profile(s1.forest, Vertex(0, 0), 1)] += 1
-        h_jumps[level_profile(s2.forest, Vertex(0, 0), 1)] += 1
+        h_rings[level_profile(s1.forest, 0, 1)] += 1
+        h_jumps[level_profile(s2.forest, 0, 1)] += 1
     table = np.array([h_rings, h_jumps])
     table = table[:, table.sum(axis=0) > 0]
     chi, p, dof, _ = stats.chi2_contingency(table)
@@ -341,7 +341,7 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
     W, M = window
     win = Window(W, M)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sidla, "RING_BLOCK", block_words)
+        mp.setattr(sidla, "HASH_BLOCK", block_words)
         for budget in (10_000 * W * M, W * M):
             runs = []
             for run in (sidla._run_rings, reference_rings):
@@ -384,7 +384,7 @@ def test_jump_draws_match_per_event_hashes(monkeypatch):
     """The block draw equals the per-event scalar hashes, across blocks
     that split the run unevenly, and a whole run with such blocks still
     matches the reference driver bit for bit."""
-    monkeypatch.setattr(sidla, "JUMP_BLOCK", 7)
+    monkeypatch.setattr(sidla, "HASH_BLOCK", 21)  # 7 events per block
     mid = hash_u64(5, JUMP_STREAM)
     expect = [(float(-np.log1p(-hash_uniform(mid, k, 0))), hash_uniform(mid, k, 1),
                hash_uniform(mid, k, 2)) for k in range(30)]
