@@ -26,6 +26,7 @@ import numpy as np
 from . import analysis, coupling, fpp, render, sidla
 from .errors import ConfigError, CouplingFault
 from .fileio import atomic_write_text, json_text
+from .hashing import check_seeds
 from .lattice import Window, edge_str
 from .sidla import SimulationLimitError
 
@@ -80,13 +81,7 @@ def _check_replicas(args: argparse.Namespace) -> None:
         raise ConfigError(f"replicas must be >= 1, got {args.replicas}")
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
-    _check_seeds(args.seed, args.seed + args.replicas - 1)
-
-
-def _check_seeds(first: int, last: int) -> None:
-    # the hash reduces a seed mod 2**64, so one outside would alias another
-    if not (0 <= first and last < 1 << 64):
-        raise ConfigError(f"seeds must lie in 0..2**64-1, got {first}..{last}")
+    check_seeds(args.seed, args.seed + args.replicas - 1)
 
 
 def _run_tasks(fn, tasks, jobs: int):
@@ -423,7 +418,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             if getattr(args, dest) is None:
                 setattr(args, dest, default)
         _check_picture(args)
-        _check_seeds(args.seed, args.seed)
+        check_seeds(args.seed, args.seed)
         forest = _picture_run(args.picture, args.seed, args.width, args.height,
                               args.profile, args.method or "auto")
     win, seed = forest.window, forest.seed

@@ -41,6 +41,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, CouplingFault
+from .fileio import block_text, cell_text, float_cells, int_cells
 from .fpp import (Forest, WeightField, WeightProfile, build_forest, incoming_tail_index,
                   slice_sizes, tree_heights)
 from .hashing import AUX_STREAM, exp_from_uniform, hash_u64_vec, hash_uniform_vec
@@ -317,8 +318,8 @@ def verify_coupling(
 
 
 def gaps_csv_text(sites: np.ndarray, gaps: np.ndarray) -> str:
-    """A ``site_x,gap`` header and one row per gap, formatted in one pass."""
-    cells: list = [None] * (2 * len(gaps))
-    cells[0::2] = np.asarray(sites, dtype=np.int64).tolist()
-    cells[1::2] = np.asarray(gaps, dtype=np.float64).tolist()
-    return "site_x,gap\n" + ("%d,%.17g\n" * len(gaps)) % tuple(cells)
+    """A ``site_x,gap`` header and one row per gap (``%d,%.17g``), built
+    from cells."""
+    sites, gaps = np.asarray(sites), np.asarray(gaps)
+    return block_text(b"site_x,gap\n", len(gaps), lambda lo, hi: cell_text(
+        [int_cells(sites[lo:hi]), b",", float_cells(gaps[lo:hi]), b"\n"]))

@@ -25,13 +25,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .fileio import json_text
-from .hashing import HASH_BLOCK, WEIGHT_STREAM, exp_from_uniform, hash_uniform_vec
+from .fileio import TEXT_BLOCK, block_text, cell_text, float_cells, int_cells, json_text
+from .hashing import (HASH_BLOCK, WEIGHT_STREAM, check_seeds, exp_from_uniform,
+                      hash_uniform_vec)
 from .lattice import Dir, Window
 
 
@@ -85,6 +86,7 @@ class WeightField:
     window: Window
 
     def __post_init__(self) -> None:
+        check_seeds(self.seed)
         # the rate is monotone in the level, so level M holds its extreme
         try:
             rate = self.rates[-1]
@@ -204,61 +206,76 @@ def build_forest(field: WeightField) -> Forest:
     return Forest(win, field.profile.value, field.seed, dist, parent_dir, root_x)
 
 
-# JSON text of a parent direction, indexed by its Dir code, and the code of
-# each JSON value the loader accepts (null on the boundary).
-_DIR_JSON = np.array([f'"{d.letter}"' for d in Dir], dtype=object)
-_DIR_CODE = {None: -1, **{d.letter: int(d) for d in Dir}}
+# The snapshot layout: a header, one row per vertex, a trailer.  Rows are
+# built from these literal columns and cells; parent directions are cells
+# indexed by code + 1 (null: no parent).
+_ROW_X, _ROW_Y, _ROW_DIR, _ROW_ROOT, _ROW_END = (
+    b'    {"x": ', b', "y": ', b', "parentDir": ', b', "rootX": ', b"},\n")
+_DIR_CELLS = np.frombuffer(b'null"L"\0"R"\0', np.uint8).reshape(3, 4)
+_TRAILER = b"  ]\n}\n"
+
+
+def _snapshot_header(W: int, M: int, label: str, seed: int) -> bytes:
+    header = {"window": {"W": W, "M": M}, "profile": label, "seed": seed}
+    return ("{\n" + "".join(f"  {json_text(k)}: {json_text(v)},\n" for k, v in header.items())
+            + '  "vertices": [\n').encode()
+
+
+def _value_column(forest: Forest) -> bytes:
+    return b", " + json_text(forest.value_key).encode() + b": "
+
+
+def _vertex_rows(forest: Forest, lo: int, hi: int) -> bytes:
+    """The writer's text of vertex rows lo..hi-1 (flat index level * W +
+    column), each ending in ",\n" but the window's last in "\n".  A
+    non-finite value, which JSON cannot hold, raises ConfigError naming its
+    level."""
+    W, M = forest.window.W, forest.window.M
+    values = forest.values.ravel()[lo:hi]
+    finite = np.isfinite(values)
+    if not finite.all():
+        y = (lo + int(np.argmin(finite))) // W
+        raise ConfigError(
+            f"{forest.value_key} is not finite at level {y} ({forest.label}, "
+            f"{W}x{M}); a JSON snapshot cannot hold it"
+        )
+    y, j = np.divmod(np.arange(lo, hi), W)
+    # as unsigned, a code outside -1..1 indexes past the table, not round it
+    dirs = np.where(y > 0, forest.parent_dir.ravel()[lo:hi] + 1, 0).astype(np.uint8)
+    text = cell_text([
+        _ROW_X, int_cells((y & 1) + 2 * j), _ROW_Y, int_cells(y),
+        _value_column(forest), float_cells(values),
+        _ROW_DIR, _DIR_CELLS.take(dirs, axis=0),
+        _ROW_ROOT, int_cells(forest.root_x.ravel()[lo:hi]), _ROW_END,
+    ])
+    return text if hi < (M + 1) * W else text[:-2] + b"\n"
 
 
 def snapshot_text(forest: Forest) -> str:
     """Serialize a covered forest to canonical JSON text.
 
     The header goes through ``fileio.json_text``.  Vertices appear sorted
-    by (y, x); float values are written with 17 significant digits so
-    reloading reproduces them bit for bit.  Each level is formatted by one
-    template over its rows; non-finite values, which JSON cannot hold,
-    raise ConfigError naming the first such level.
+    by (y, x), one row each; float values are ``'%.17g'`` (the
+    ``fileio.float_cells`` kernel), so reloading reproduces them bit for
+    bit.  Rows are assembled from cells one block at a time; non-finite
+    values, which JSON cannot hold, raise ConfigError naming the first
+    such level.
     """
     win = forest.window
-    W, M = win.W, win.M
-    values = forest.values
-    pdirs = forest.parent_dir
-    roots = forest.root_x
-    if np.any(roots < 0):
+    if np.any(forest.root_x < 0):
         raise ValueError("snapshot requires a fully covered window")
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        y = int(np.argmin(finite))
-        raise ConfigError(
-            f"{forest.value_key} is not finite at level {y} ({forest.label}, "
-            f"{W}x{M}); a JSON snapshot cannot hold it"
-        )
-    vertex = ('    {"x": %d, "y": %d, ' + json_text(forest.value_key)
-              + ': %.17g, "parentDir": %s, "rootX": %d}')
-    level = ",\n".join([vertex] * W)
-    cols = 2 * np.arange(W, dtype=np.int64)
-    cells: list = [None] * (5 * W)
-    header = {"window": {"W": W, "M": M}, "profile": forest.label, "seed": forest.seed}
-    chunks = ["{\n", *(f"  {json_text(k)}: {json_text(v)},\n" for k, v in header.items()),
-              '  "vertices": [\n']
-    for y in range(M + 1):
-        cells[0::5] = (cols + (y & 1)).tolist()
-        cells[1::5] = [y] * W
-        cells[2::5] = values[y].tolist()
-        cells[3::5] = ["null"] * W if y == 0 else _DIR_JSON[pdirs[y]].tolist()
-        cells[4::5] = roots[y].tolist()
-        chunks.append(level % tuple(cells))
-        chunks.append(",\n" if y < M else "\n")
-    chunks.append("  ]\n}\n")
-    return "".join(chunks)
+    return block_text(_snapshot_header(win.W, win.M, forest.label, forest.seed),
+                      (win.M + 1) * win.W, lambda lo, hi: _vertex_rows(forest, lo, hi),
+                      _TRAILER)
 
 
 def check_invariants(forest: Forest) -> None:
     """Raise ValueError unless a covered forest is consistent.
 
-    Boundary labels must equal their own x, and every vertex above the
-    boundary must carry its parent's root label, so every label is a
-    boundary root.  Values must not decrease along a parent edge.
+    Boundary labels must equal their own x, every vertex above the boundary
+    must have a parent direction, L or R, and carry its parent's root
+    label, so every label is a boundary root.  Values must not decrease
+    along a parent edge.
     """
     win = forest.window
     W, M = win.W, win.M
@@ -268,8 +285,14 @@ def check_invariants(forest: Forest) -> None:
     if bad.size:
         j = int(bad[0])
         raise ValueError(f"boundary vertex ({2 * j},0) has root label {int(roots[0, j])}")
+    dirs = forest.parent_dir[1:].ravel()
+    bad = np.flatnonzero((dirs != Dir.LEFT) & (dirs != Dir.RIGHT))
+    if bad.size:
+        y, j = divmod(W + int(bad[0]), W)
+        raise ValueError(f"vertex {tuple(win.vertex_at(y, j))} has parent direction code "
+                         f"{int(dirs[bad[0]])}; above the boundary it must be L or R")
     heads = np.arange(W, (M + 1) * W)
-    tails = incoming_tail_index(W, heads, forest.parent_dir[1:].ravel())
+    tails = incoming_tail_index(W, heads, dirs)
     for broken, what in (
         (roots.ravel()[heads] != roots.ravel()[tails], "a root label other than"),
         (values.ravel()[heads] < values.ravel()[tails], "a value below"),
@@ -281,51 +304,115 @@ def check_invariants(forest: Forest) -> None:
             )
 
 
-# The Python types json.load gives each kind of vertex field: coordinates
-# and labels are integers (not bool), times are numbers (the writer's %.17g
-# writes a zero as 0).
-_JSON_TYPES = {"integer": frozenset({int}), "number": frozenset({int, float})}
+def _expect(path: str, data: bytes, at: int, expected: bytes, to_end: bool = False) -> int:
+    """The position after expected, if data holds it at ``at`` (and ends
+    there, if to_end); else ConfigError naming the first line that differs,
+    the file's text of it and the writer's."""
+    got = data[at:] if to_end else data[at:at + len(expected)]
+    if got == expected:
+        return at + len(expected)
+    m = min(len(got), len(expected))
+    differ = np.flatnonzero(np.frombuffer(got, np.uint8, m)
+                            != np.frombuffer(expected, np.uint8, m))
+    start = expected.rfind(b"\n", 0, int(differ[0]) if differ.size else m) + 1
+
+    def line(buf: bytes, i: int) -> str:
+        end = buf.find(b"\n", i)
+        text = buf[i:end + 1 if end >= 0 else len(buf)].decode("utf-8", "replace")
+        return repr(text[:160]) + ("..." if len(text) > 160 else "")
+
+    number = data.count(b"\n", 0, at + start) + 1
+    writes = f"writes {line(expected, start)}" if start < len(expected) else "ends the file"
+    raise ConfigError(f"snapshot {path} line {number} reads {line(data, at + start)} "
+                      f"where the writer {writes}")
 
 
-def _column(vertices, key: str, dtype, path: str, kind=None, codes=None) -> np.ndarray:
-    """One field of every vertex record, mapped through codes if given, else
-    each value of the JSON kind given (one type pass over the column)."""
+# The widest value token with the comma after it, the most rootX digits
+# the reader takes, and by length, 1 for each byte of a value token.
+_VALUE_TOKEN, _ROOT_TOKEN = 25, 18
+_PREFIXES = (np.arange(_VALUE_TOKEN - 1) < np.arange(_VALUE_TOKEN)[:, None]).astype(np.uint8)
+
+
+def _float_or_zero(token: bytes) -> float:
     try:
-        items = map(itemgetter(key), vertices)
-        if codes is not None:
-            items = map(codes.__getitem__, items)
-        else:
-            items, types = list(items), _JSON_TYPES[kind]
-            if not types.issuperset(map(type, items)):
-                i = next(i for i, v in enumerate(items) if type(v) not in types)
-                raise ConfigError(f"snapshot {path}: vertex {i} has {key} {items[i]!r}; "
-                                  f"it must be a JSON {kind}")
-        return np.fromiter(items, dtype, len(vertices))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"malformed snapshot {path}: bad {key!r} ({exc!r})") from exc
+        return float(token)
+    except ValueError:
+        return 0.0
+
+
+def _read_rows(forest: Forest, data: np.ndarray, at: int, lo: int, hi: int) -> None:
+    """Parse vertex rows lo..hi-1 of the writer's layout from data, the
+    file's bytes, starting at byte ``at``: the value, parentDir and rootX
+    tokens of each line, found by position, into the forest's arrays.
+    Bytes that are not the writer's parse to something that re-encodes
+    differently."""
+    W, M = forest.window.W, forest.window.M
+    y, j = np.divmod(np.arange(lo, hi), W)
+    x = (y & 1) + 2 * j
+    rows = hi - lo
+    powers = 10 ** np.arange(1, 19)
+    prefix = len(_ROW_X) + len(_ROW_Y) + len(_value_column(forest))
+    longest = (prefix + len(str(2 * W - 1)) + len(str(M)) + _VALUE_TOKEN + len(_ROW_DIR) + 4
+               + len(_ROW_ROOT) + _ROOT_TOKEN + len(_ROW_END))
+    # each line's newline; past a missing one the line, longer than any the
+    # writer writes, mismatches whatever is parsed there
+    newline = np.full(rows, min(at + rows * longest, len(data) - 1))
+    found = np.flatnonzero(data[at:at + rows * longest] == ord("\n"))[:rows] + at
+    newline[:len(found)] = found
+    start = np.concatenate(([at], newline[:-1] + 1)) + prefix + 2
+    start += np.searchsorted(powers, x, side="right") + np.searchsorted(powers, y, side="right")
+    # the value ends at the next comma
+    token = sliding_window_view(data, _VALUE_TOKEN)[np.minimum(start, len(data) - _VALUE_TOKEN)]
+    length = np.argmax(token == ord(","), axis=1)  # 0 without a comma: refused
+    text = token[:, :-1] * _PREFIXES.take(length, axis=0)
+    text = text.view(f"S{_VALUE_TOKEN - 1}").ravel()
+    try:
+        values = text.astype(np.float64)
+    except ValueError:
+        values = np.array([_float_or_zero(t) for t in text.tolist()])
+    start += length + len(_ROW_DIR)
+    letter = data[np.minimum(start + 1, len(data) - 1)]
+    code = np.where(letter == ord("L"), Dir.LEFT, np.where(letter == ord("R"), Dir.RIGHT, -1))
+    start += np.where(code < 0, 4, 3) + len(_ROW_ROOT)
+    # rootX ends at the "}" that ends its line, the window's last "}\n"
+    close = np.clip(newline - 2 + (np.arange(lo, hi) == (M + 1) * W - 1),
+                    _ROOT_TOKEN, len(data))
+    length = close - start
+    width = int(np.clip(length, 1, _ROOT_TOKEN).max())
+    token = sliding_window_view(data, width)[close - width].astype(np.int64) - ord("0")
+    inside = np.arange(width, 0, -1) <= length[:, None]
+    ok = (length > 0) & (length <= width) & ((token >= 0) & (token <= 9) | ~inside).all(axis=1)
+    roots = (token * inside * 10 ** np.arange(width - 1, -1, -1)).sum(axis=1)
+    forest.values.ravel()[lo:hi] = values
+    forest.parent_dir.ravel()[lo:hi] = code
+    forest.root_x.ravel()[lo:hi] = np.where(ok, roots, 0)
 
 
 def load_snapshot(path: str) -> Forest:
-    """Reload a snapshot written by snapshot_text, in its layout only.
+    """Reload a snapshot written by snapshot_text, and only its bytes.
 
-    Rejects with ConfigError a file that cannot be read or parsed as JSON,
-    a header that is missing or malformed (numbers must be JSON integers),
-    a profile that is not a label, a vertex count other than the window's
-    (checked before anything of the window's size is allocated), a vertex
-    out of the writer's (y, x) order, a vertex without the label's value
-    key, an x, y or rootX that is not a JSON integer or a value that is not
-    a JSON number, a non-finite value, a parent direction other than null on the
-    boundary and L or R above it, and arrays that fail check_invariants.
+    The header is parsed as JSON (W, M and seed must be integers, the seed
+    in 0..2**64-1, and the profile a label), and the vertex lines are
+    counted against the window before anything of its size is allocated.
+    Then the values, parent directions and root labels are parsed from the
+    file's bytes one block of lines at a time, re-encoded by the writer's
+    own row code and compared with the file: the first line that differs
+    is refused with ConfigError naming it, the file's text and the
+    writer's, and so is a non-finite value, by the writer's guard.  Then
+    the arrays must pass check_invariants.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
+    vertices = data.find(b'"vertices": [')
     try:
-        W, M, seed = doc["window"]["W"], doc["window"]["M"], doc["seed"]
-        label, vertices = doc["profile"], doc["vertices"]
-        n = len(vertices)
+        # the header, closed after an empty vertex list
+        doc = json.loads(data[:vertices] + b'"vertices": []}' if vertices >= 0 else data)
+        W, M, seed, label = doc["window"]["W"], doc["window"]["M"], doc["seed"], doc["profile"]
+    except ValueError as exc:
+        raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed snapshot {path}: {exc}") from exc
     if any(type(v) is not int for v in (W, M, seed)):
@@ -334,34 +421,29 @@ def load_snapshot(path: str) -> Forest:
     if type(label) is not str or label not in VALUE_KEYS:
         raise ConfigError(f"malformed snapshot {path}: profile {label!r} is not one of "
                           f"{', '.join(VALUE_KEYS)}")
+    try:
+        check_seeds(seed)
+    except ConfigError as exc:
+        raise ConfigError(f"malformed snapshot {path}: {exc}") from None
     win = Window(W, M)
-    if n != (M + 1) * W:
-        raise ConfigError(f"snapshot {path} lists {n} vertices; its {W}x{M} window "
-                          f"holds {(M + 1) * W}")
-    level = np.arange(M + 1)[:, None]
-    xs = _column(vertices, "x", np.int64, path, "integer").reshape(M + 1, W)
-    ys = _column(vertices, "y", np.int64, path, "integer").reshape(M + 1, W)
-    misplaced = (ys != level) | (xs != (level & 1) + 2 * np.arange(W))
-    if misplaced.any():
-        y, j = divmod(int(np.argmax(misplaced)), W)
-        raise ConfigError(f"snapshot {path}: vertex {y * W + j} is ({xs[y, j]}, {ys[y, j]}) "
-                          f"where the (y, x) order puts {tuple(win.vertex_at(y, j))}")
-    key = VALUE_KEYS[label]
-    values = _column(vertices, key, np.float64, path, "number").reshape(M + 1, W)
-    pdirs = _column(vertices, "parentDir", np.int8, path, codes=_DIR_CODE).reshape(M + 1, W)
-    roots = _column(vertices, "rootX", np.int64, path, "integer").reshape(M + 1, W)
-    finite = np.isfinite(values)
-    if not finite.all():
-        y, j = divmod(int(np.argmin(finite)), W)
-        raise ConfigError(f"snapshot {path}: {key} {values[y, j]} of vertex "
-                          f"{tuple(win.vertex_at(y, j))} is not finite")
-    wrong = (pdirs < 0) != (level == 0)
-    if wrong.any():
-        y, j = divmod(int(np.argmax(wrong)), W)
-        raise ConfigError(f"snapshot {path}: vertex {tuple(win.vertex_at(y, j))} has "
-                          f"parentDir {vertices[y * W + j]['parentDir']!r}; the boundary's, "
-                          f"and only the boundary's, is null")
-    forest = Forest(win, label, seed, values, pdirs, roots)
+    at = _expect(path, data, 0, _snapshot_header(W, M, label, seed))
+    n = (M + 1) * W
+    listed = data.count(b"\n" + _ROW_X, at - 1)
+    if listed != n:
+        raise ConfigError(f"snapshot {path} lists {listed} vertices; its {W}x{M} window "
+                          f"holds {n}")
+    forest = Forest(win, label, seed, np.empty((M + 1, W)),
+                    np.empty((M + 1, W), dtype=np.int8), np.empty((M + 1, W), dtype=np.int64))
+    array = np.frombuffer(data, np.uint8)
+    for lo in range(0, n, TEXT_BLOCK):
+        hi = min(lo + TEXT_BLOCK, n)
+        _read_rows(forest, array, at, lo, hi)
+        try:
+            rows = _vertex_rows(forest, lo, hi)
+        except ConfigError as exc:  # the writer's guard: a non-finite value
+            raise ConfigError(f"snapshot {path}: {exc}") from None
+        at = _expect(path, data, at, rows)
+    _expect(path, data, at, _TRAILER, to_end=True)
     try:
         check_invariants(forest)
     except ValueError as exc:

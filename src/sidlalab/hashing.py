@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -56,6 +58,15 @@ _U64_27 = np.uint64(27)
 _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
+
+
+def check_seeds(first: int, last: int | None = None) -> None:
+    """Refuse with ConfigError a seed, or a range of seeds first..last,
+    outside 0..2**64-1: every hash reduces its seed mod 2**64, so a seed
+    outside would alias one inside."""
+    if not 0 <= first <= (first if last is None else last) <= _MASK:
+        span = first if last is None else f"{first}..{last}"
+        raise ConfigError(f"seeds must lie in 0..2**64-1, got {span}")
 
 
 def _mix(z: int) -> int:

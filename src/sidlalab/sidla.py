@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import block_text, cell_text, float_cells, int_cells
 from .fpp import Forest, WeightProfile
 from .hashing import (
     CLOCK_STREAM,
@@ -44,6 +45,7 @@ from .hashing import (
     HASH_BLOCK,
     JUMP_STREAM,
     TINY,
+    check_seeds,
     exp_from_uniform,
     hash_u64,
     hash_u64_vec,
@@ -84,6 +86,7 @@ class SidlaState:
 
 
 def new_state(window: Window, seed: int = 0, log_events: bool = False) -> SidlaState:
+    check_seeds(seed)
     W, M = window.W, window.M
     root_x = np.full((M + 1, W), -1, dtype=np.int64)
     parent_dir = np.full((M + 1, W), -1, dtype=np.int8)
@@ -284,9 +287,18 @@ def run_until_covered(
 
 
 def events_csv_text(state: SidlaState) -> str:
-    """Ring event log as CSV with columns site_x,time,outcome,edge, formatted
-    by one template over all rows; a non-empty edge is quoted."""
+    """Ring event log as CSV with columns site_x,time,outcome,edge, one row
+    per event built from cells; a non-empty edge is quoted."""
     events = state.events
-    rows = "".join(['%s,%.17g,%s,"%s"\n' if e else "%s,%.17g,%s,%s\n"
-                    for _, _, _, e in events])
-    return "site_x,time,outcome,edge\n" + rows % tuple(chain.from_iterable(events))
+
+    def rows(lo: int, hi: int) -> bytes:
+        sites, times, outcomes, edges = zip(*events[lo:hi])
+        edges = np.array(edges, dtype=bytes)
+        quote = (edges != b"")[:, None] * np.uint8(ord('"'))
+        return cell_text([
+            int_cells(sites), b",", float_cells(times), b",",
+            np.array(outcomes, dtype=bytes)[:, None].view(np.uint8), b",",
+            quote, edges[:, None].view(np.uint8), quote, b"\n",
+        ])
+
+    return block_text(b"site_x,time,outcome,edge\n", len(events), rows)

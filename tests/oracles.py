@@ -21,6 +21,10 @@ prefix walk per ring), kept as the bitwise reference for the array engine
 in ``sidlalab.coupling``; ``reference_offsets`` draws one edge's repeat
 arrivals in a scalar loop, the reference for ``AuxClockField.offsets``.
 
+``reference_gaps_csv_text`` and ``reference_events_csv_text`` format
+every row by one ``%``-template (``%.17g`` for the floats), the bitwise
+reference for the cell-built CSV writers.
+
 The last group are the per-vertex forest writers, loader and reductions
 (``reference_snapshot_text``, ``reference_load_snapshot``,
 ``reference_render_svg``, ``reference_slim_fractions`` and
@@ -51,7 +55,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable
 
 import numpy as np
@@ -742,6 +746,23 @@ def reference_pooled_gaps(rings, window: Window, horizon: float | None = None) -
             sites.append(x)
             gaps.append(ts[i] - ts[i - 1])
     return np.asarray(sites, dtype=np.int64), np.asarray(gaps, dtype=np.float64)
+
+
+def reference_gaps_csv_text(sites: np.ndarray, gaps: np.ndarray) -> str:
+    """A ``site_x,gap`` header and one row per gap, formatted in one pass."""
+    cells: list = [None] * (2 * len(gaps))
+    cells[0::2] = np.asarray(sites, dtype=np.int64).tolist()
+    cells[1::2] = np.asarray(gaps, dtype=np.float64).tolist()
+    return "site_x,gap\n" + ("%d,%.17g\n" * len(gaps)) % tuple(cells)
+
+
+def reference_events_csv_text(state: SidlaState) -> str:
+    """Ring event log as CSV with columns site_x,time,outcome,edge, formatted
+    by one template over all rows; a non-empty edge is quoted."""
+    events = state.events
+    rows = "".join(['%s,%.17g,%s,"%s"\n' if e else "%s,%.17g,%s,%s\n"
+                    for _, _, _, e in events])
+    return "site_x,time,outcome,edge\n" + rows % tuple(chain.from_iterable(events))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from oracles import (
     exp_variate,
     interring_gaps,
     level_rate,
+    reference_gaps_csv_text,
     reference_generate_rings,
     reference_offsets,
     reference_pooled_gaps,
@@ -419,6 +420,7 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
         assert sites.dtype == ref_sites.dtype and gaps.dtype == ref_gaps.dtype
         assert sites.tobytes() == ref_sites.tobytes()
         assert gaps.tobytes() == ref_gaps.tobytes()
+        assert gaps_csv_text(sites, gaps) == reference_gaps_csv_text(sites, gaps)
 
 
 # Digests of the coupling's outputs, recorded on the object-based engine

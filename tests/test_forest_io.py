@@ -5,7 +5,6 @@ per-vertex implementations and against those implementations, kept in
 
 import hashlib
 import json
-import math
 import re
 
 import numpy as np
@@ -219,44 +218,69 @@ def test_json_text_rules():
             json_text({"v": bad})
 
 
-def small_snapshot():
+def small_text():
     fo = build_forest(WeightField(5, WeightProfile.STRETCH, Window(4, 3)))
-    return json.loads(snapshot_text(fo))
+    return snapshot_text(fo)
 
 
-def rejects(tmp_path, doc, match):
+def small_snapshot():
+    return json.loads(small_text())
+
+
+def rejects(tmp_path, text, match):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ConfigError, match=match):
         load_snapshot(str(path))
 
 
-def vertex(doc, x, y):
-    return next(v for v in doc["vertices"] if (v["x"], v["y"]) == (x, y))
+# The writer's layout: five header lines, then vertex i of a W-wide window
+# on line 6 + i, at level i // W and x = (y & 1) + 2 * (i % W).
+def line_no(x, y, W=4):
+    return 6 + y * W + x // 2
+
+
+def edit(text, x, y, key, token):
+    """text with the key's token in vertex (x, y)'s line replaced."""
+    lines = text.split("\n")
+    i = line_no(x, y) - 1
+    lines[i], n = re.subn(rf'"{key}": [^,}}]+', f'"{key}": {token}', lines[i])
+    assert n == 1
+    return "\n".join(lines)
+
+
+def vertex_lines(text):
+    lines = text.split("\n")
+    return lines[:5], [ln.rstrip(",") for ln in lines[5:-3]], lines[-3:]
+
+
+def join(head, rows, tail):
+    return "\n".join(head + [",\n".join(rows)] + tail)
 
 
 def test_loader_rejects_vertex_outside_window(tmp_path):
-    doc = small_snapshot()
-    doc["vertices"].append({**vertex(doc, 1, 3), "x": 0})  # x + y odd
-    rejects(tmp_path, doc, "lists 17 vertices; its 4x3 window holds 16")
-    doc = small_snapshot()
-    doc["vertices"].append({**vertex(doc, 1, 3), "y": 5})  # above the cap
-    rejects(tmp_path, doc, "lists 17 vertices; its 4x3 window holds 16")
+    head, rows, tail = vertex_lines(small_text())
+    outside = rows[-1].replace('"x": 1', '"x": 0')  # x + y odd
+    rejects(tmp_path, join(head, rows + [outside], tail),
+            "lists 17 vertices; its 4x3 window holds 16")
+    above = rows[-1].replace('"y": 3', '"y": 5')  # above the cap
+    rejects(tmp_path, join(head, rows + [above], tail),
+            "lists 17 vertices; its 4x3 window holds 16")
 
 
 def test_loader_rejects_hole(tmp_path):
-    doc = small_snapshot()
-    doc["vertices"].remove(vertex(doc, 3, 1))
-    rejects(tmp_path, doc, "lists 15 vertices; its 4x3 window holds 16")
+    head, rows, tail = vertex_lines(small_text())
+    del rows[line_no(3, 1) - 6]
+    rejects(tmp_path, join(head, rows, tail), "lists 15 vertices; its 4x3 window holds 16")
 
 
 def test_loader_refuses_a_window_its_vertices_cannot_cover(tmp_path):
     """The header's window is refused before any array of its size is
-    allocated (here 1.5 TiB of bincount)."""
-    doc = small_snapshot()
-    doc["window"] = {"W": 100_000_000_000, "M": 1}
-    doc["vertices"] = doc["vertices"][:1]
-    rejects(tmp_path, doc, "lists 1 vertices; its 100000000000x1 window holds 200000000000")
+    allocated (here 1.5 TiB of values)."""
+    head, rows, tail = vertex_lines(small_text())
+    head[1] = '  "window": {"W": 100000000000, "M": 1},'
+    rejects(tmp_path, join(head, rows[:1], tail),
+            "lists 1 vertices; its 100000000000x1 window holds 200000000000")
 
 
 def test_loader_refuses_header_numbers_that_are_not_integers(tmp_path):
@@ -267,110 +291,147 @@ def test_loader_refuses_header_numbers_that_are_not_integers(tmp_path):
             doc["seed"] = bad
         else:
             doc["window"][key] = bad
-        rejects(tmp_path, doc, r"malformed snapshot .*: W, M and seed must be integers")
+        rejects(tmp_path, json.dumps(doc), r"malformed snapshot .*: W, M and seed must be integers")
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_loader_refuses_a_seed_outside_64_bits(tmp_path, seed):
+    text = small_text().replace('"seed": 5,', f'"seed": {seed},')
+    rejects(tmp_path, text, rf"malformed snapshot .*: seeds must lie in 0..2\*\*64-1, got {seed}$")
 
 
 def test_loader_rejects_bad_parent_dir_letter(tmp_path):
-    doc = small_snapshot()
-    vertex(doc, 3, 1)["parentDir"] = "U"
-    rejects(tmp_path, doc, r"malformed snapshot .*: bad 'parentDir' \(KeyError\('U'\)\)")
+    rejects(tmp_path, edit(small_text(), 3, 1, "parentDir", '"U"'),
+            r'line 11 reads .*"parentDir": "U".* where the writer writes .*"x": 3, "y": 1,')
 
 
 def test_loader_rejects_duplicate_vertex(tmp_path):
-    doc = small_snapshot()
+    head, rows, tail = vertex_lines(small_text())
     # the same vertex twice, once under a lifted x, with an equal record
-    doc["vertices"].append({**vertex(doc, 2, 2), "x": 2 + 8})
-    rejects(tmp_path, doc, "lists 17 vertices; its 4x3 window holds 16")
+    twin = rows[line_no(2, 2) - 6].replace('"x": 2', '"x": 10')
+    rejects(tmp_path, join(head, rows + [twin], tail),
+            "lists 17 vertices; its 4x3 window holds 16")
 
 
 def test_loader_takes_only_the_writers_vertex_order(tmp_path):
     """Vertex i of a W-wide window sits at level i // W, column i % W, so
-    x = (y & 1) + 2 * (i % W); the first vertex out of place is named."""
-    doc = small_snapshot()
-    doc["vertices"].reverse()
-    rejects(tmp_path, doc, r"vertex 0 is \(7, 3\) where the \(y, x\) order puts \(0, 0\)")
-    doc = small_snapshot()
-    vs = doc["vertices"]
-    vs[5], vs[9] = vs[9], vs[5]
-    rejects(tmp_path, doc, r"vertex 5 is \(2, 2\) where the \(y, x\) order puts \(3, 1\)")
-    doc = small_snapshot()
-    vertex(doc, 2, 2)["x"] = 2 + 8  # the same vertex one period over
-    rejects(tmp_path, doc, r"vertex 9 is \(10, 2\) where the \(y, x\) order puts \(2, 2\)")
+    x = (y & 1) + 2 * (i % W); the first line out of place is named, with
+    the line the writer writes there."""
+    head, rows, tail = vertex_lines(small_text())
+    rejects(tmp_path, join(head, rows[::-1], tail),
+            r"line 6 reads '    \{\"x\": 7, \"y\": 3, .* where the writer writes "
+            r"'    \{\"x\": 0, \"y\": 0, ")
+    swapped = list(rows)
+    swapped[5], swapped[9] = rows[9], rows[5]
+    rejects(tmp_path, join(head, swapped, tail),
+            r"line 11 reads '    \{\"x\": 2, \"y\": 2, .* where the writer writes "
+            r"'    \{\"x\": 3, \"y\": 1, ")
+    # the same vertex one period over
+    rejects(tmp_path, edit(small_text(), 2, 2, "x", "10"),
+            r"line 15 reads '    \{\"x\": 10, \"y\": 2, .* where the writer writes "
+            r"'    \{\"x\": 2, \"y\": 2, ")
 
 
 def test_loader_refuses_a_boundary_parent_dir(tmp_path):
-    doc = small_snapshot()
-    vertex(doc, 0, 0)["parentDir"] = "L"
-    rejects(tmp_path, doc, r"vertex \(0, 0\) has parentDir 'L'; the boundary's, and only")
-    doc = small_snapshot()
-    vertex(doc, 1, 1)["parentDir"] = None
-    rejects(tmp_path, doc, r"vertex \(1, 1\) has parentDir None; the boundary's, and only")
+    rejects(tmp_path, edit(small_text(), 0, 0, "parentDir", '"L"'),
+            r'line 6 reads .*"parentDir": "L".* where the writer writes .*"parentDir": null')
+    # null above the boundary is the writer's text of a missing parent,
+    # which check_invariants refuses
+    rejects(tmp_path, edit(small_text(), 1, 1, "parentDir", "null"),
+            r"inconsistent snapshot .*: vertex \(1, 1\) has parent direction code -1; "
+            "above the boundary it must be L or R")
 
 
 def test_loader_refuses_a_profile_that_is_not_a_label(tmp_path):
     for bad in ({"not": "a label"}, "foo"):
-        doc = small_snapshot()
-        doc["profile"] = bad
-        rejects(tmp_path, doc, rf"profile {re.escape(repr(bad))} is not one of "
-                               "stretch, eden, decreasing, sidla")
+        text = small_text().replace('"profile": "stretch"', f'"profile": {json.dumps(bad)}')
+        rejects(tmp_path, text, rf"profile {re.escape(repr(bad))} is not one of "
+                                "stretch, eden, decreasing, sidla")
 
 
 def test_loader_takes_the_value_key_the_label_sets(tmp_path):
-    doc = small_snapshot()
-    for v in doc["vertices"]:
-        v["occupancy_time"] = v.pop("dist")
-    rejects(tmp_path, doc, r"bad 'dist' \(KeyError\('dist'\)\)")
-    doc = small_snapshot()
-    doc["profile"] = "sidla"
-    rejects(tmp_path, doc, r"bad 'occupancy_time' \(KeyError\('occupancy_time'\)\)")
+    rejects(tmp_path, small_text().replace('"dist"', '"occupancy_time"'),
+            r"line 6 reads .*\"occupancy_time\": 0, .* where the writer writes .*\"dist\": 0, ")
+    rejects(tmp_path, small_text().replace('"stretch"', '"sidla"'),
+            r"line 6 reads .*\"dist\": 0, .* where the writer writes .*\"occupancy_time\": 0, ")
 
 
-@pytest.mark.parametrize("x,y,key,bad,kind", [
-    (1, 1, "rootX", 2.5, "integer"),  # np.fromiter made it 2
-    (3, 1, "x", "3", "integer"),
-    (1, 3, "dist", "repr", "number"),  # the value's repr, as a string
-    (0, 0, "dist", False, "number"),  # a boundary time
-    (1, 1, "y", 1.0, "integer"),
+@pytest.mark.parametrize("x,y,key,token", [
+    pytest.param(1, 1, "rootX", "2.5", id="1-1-rootX-2.5-integer"),
+    pytest.param(3, 1, "x", '"3"', id="3-1-x-3-integer"),
+    # the value's text, as a string
+    pytest.param(1, 3, "dist", "repr", id="1-3-dist-repr-number"),
+    pytest.param(0, 0, "dist", "false", id="0-0-dist-False-number"),  # a boundary time
+    pytest.param(1, 1, "y", "1.0", id="1-1-y-1.0-integer"),
 ])
-def test_loader_refuses_mistyped_vertex_fields(tmp_path, capsys, x, y, key, bad, kind):
-    """x, y and rootX are JSON integers and the value a JSON number; a
-    bool, float or string is refused, naming the key and the vertex's
-    place in the list, where each of these loaded before."""
-    doc = small_snapshot()
-    v = vertex(doc, x, y)
-    v[key] = repr(v[key]) if bad == "repr" else bad
-    i = doc["vertices"].index(v)
-    rejects(tmp_path, doc, rf"vertex {i} has {key} {re.escape(repr(v[key]))}; "
-                           rf"it must be a JSON {kind}")
+def test_loader_refuses_mistyped_vertex_fields(tmp_path, capsys, x, y, key, token):
+    """x, y and rootX are the writer's integers and the value its number; a
+    bool, float or string is refused, naming the line, where each of these
+    loaded before the loader required JSON types."""
+    text = small_text()
+    if token == "repr":
+        token = '"%s"' % re.search(rf'"x": {x}, "y": {y}, "dist": ([^,]+),', text).group(1)
+    rejects(tmp_path, edit(text, x, y, key, token),
+            rf"line {line_no(x, y)} reads .*\"{key}\": {re.escape(token)}.* where the writer "
+            rf"writes '    \{{\"x\": {x}, \"y\": {y}, ")
     assert main(["render", "--in", str(tmp_path / "bad.json"),
                  "--out", str(tmp_path / "x.svg")]) == 1
-    assert f"it must be a JSON {kind}" in capsys.readouterr().err
+    assert f"line {line_no(x, y)} reads" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("x,y,key,token", [
+    (1, 3, "dist", "7.50"), (3, 1, "dist", " 2"), (1, 3, "rootX", "+0"), (1, 3, "rootX", "00"),
+])
+def test_loader_refuses_numbers_the_writer_writes_otherwise(tmp_path, x, y, key, token):
+    """JSON numbers that %.17g or %d would not write are refused too."""
+    rejects(tmp_path, edit(small_text(), x, y, key, token),
+            rf"line {line_no(x, y)} reads .*\"{key}\": {re.escape(token)}.* where the writer "
+            rf"writes '    \{{\"x\": {x}, \"y\": {y}, ")
+
+
 def test_loader_rejects_root_contradicting_parent_chain(tmp_path):
-    doc = small_snapshot()
-    v = vertex(doc, 3, 3)
-    v["rootX"] = (v["rootX"] + 2) % 8
-    rejects(tmp_path, doc, r"vertex \(3, 3\) has a root label other than its parent's")
+    root = json.loads(small_text())["vertices"][line_no(3, 3) - 6]["rootX"]
+    rejects(tmp_path, edit(small_text(), 3, 3, "rootX", (root + 2) % 8),
+            r"vertex \(3, 3\) has a root label other than its parent's")
 
 
 def test_loader_rejects_wrong_boundary_label_and_falling_value(tmp_path):
-    doc = small_snapshot()
-    vertex(doc, 2, 0)["rootX"] = 4
-    rejects(tmp_path, doc, r"boundary vertex \(2,0\) has root label 4")
-    doc = small_snapshot()
-    vertex(doc, 1, 3)["dist"] = -1.0
-    rejects(tmp_path, doc, r"vertex \(1, 3\) has a value below its parent's")
+    rejects(tmp_path, edit(small_text(), 2, 0, "rootX", 4),
+            r"boundary vertex \(2,0\) has root label 4")
+    rejects(tmp_path, edit(small_text(), 1, 3, "dist", -1),
+            r"vertex \(1, 3\) has a value below its parent's")
 
 
 def test_loader_rejects_non_finite_values(tmp_path):
-    # json.load takes Infinity and NaN; the top level has no child to catch them
+    # JSON has no such tokens; the writer's own guard refuses the value
     for x, y in ((1, 3), (3, 1)):
-        for bad in (math.inf, -math.inf, math.nan):
-            doc = small_snapshot()
-            vertex(doc, x, y)["dist"] = bad
-            rejects(tmp_path, doc, rf"dist {bad} of vertex \({x}, {y}\) is not finite")
+        for bad in ("Infinity", "-Infinity", "NaN"):
+            rejects(tmp_path, edit(small_text(), x, y, "dist", bad),
+                    rf"dist is not finite at level {y} \(stretch, 4x3\)")
+
+
+def test_loader_names_the_first_line_of_a_reformatted_snapshot(tmp_path):
+    """json.dumps of a valid snapshot holds the same values, in other
+    bytes; so do CRLF line ends."""
+    rejects(tmp_path, json.dumps(small_snapshot()),
+            r"line 1 reads '\{\"window\": \{\"W\": 4, \"M\": 3\}, .*\.\.\. where the writer "
+            r"writes '\{\\n'$")
+    rejects(tmp_path, small_text().replace("\n", "\r\n"),
+            r"line 1 reads '\{\\r\\n' where the writer writes '\{\\n'$")
+
+
+def test_loader_refuses_bytes_after_the_end_and_a_truncated_file(tmp_path):
+    text = small_text()
+    rejects(tmp_path, text + "\n", r"line 24 reads '\\n' where the writer ends the file")
+    rejects(tmp_path, text + '{"x": 0}', r"line 24 reads '\{\"x\": 0\}' where the writer "
+                                         "ends the file")
+    rejects(tmp_path, text[:-1], r"line 23 reads '\}' where the writer writes '\}\\n'")
+    path = tmp_path / "cut.json"
+    for cut in (4, 7, 40, len(text) // 2, len(text) - 60):
+        path.write_text(text[:-cut])
+        with pytest.raises(ConfigError):
+            load_snapshot(str(path))
 
 
 def test_snapshot_refuses_non_finite_values():

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from sidlalab.fpp import (
     WeightField,
     WeightProfile,
     build_forest,
+    check_invariants,
     incoming_tail_index,
     load_snapshot,
     snapshot_text,
@@ -328,3 +330,28 @@ def test_unrepresentable_rate_is_refused_up_front(profile, M):
     with pytest.raises(ConfigError, match=f"{profile} rate at level M={M}"):
         WeightField(1, WeightProfile(profile), Window(M, M))
     WeightField(1, WeightProfile(profile), Window(M - 1, M - 1))
+
+
+@pytest.mark.parametrize("seed", [2**64 + 1, 2**64, -1])
+def test_weight_field_refuses_a_seed_outside_64_bits(seed):
+    """The hash reduces a seed mod 2**64: 2**64 + 1 would build seed 1's
+    forest and write its own number into the snapshot header."""
+    with pytest.raises(ConfigError, match=rf"seeds must lie in 0..2\*\*64-1, got {seed}$"):
+        small_field(seed=seed)
+    assert small_field(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_a_missing_parent_above_the_boundary_is_refused():
+    """Code -1 (no parent) above level 0 is written as null, not by
+    wrapping round the letter table, and check_invariants refuses it; a
+    code outside -1..1 cannot be written at all."""
+    fo = build_forest(small_field(seed=5, W=4, M=3))
+    fo.parent_dir[2, 1] = -1
+    with pytest.raises(ValueError, match=r"vertex \(2, 2\) has parent direction code -1; "
+                                         "above the boundary it must be L or R"):
+        check_invariants(fo)
+    assert re.search(r'"x": 2, "y": 2, "dist": [^,]+, "parentDir": null,', snapshot_text(fo))
+    for code in (2, -2):
+        fo.parent_dir[2, 1] = code
+        with pytest.raises(IndexError):
+            snapshot_text(fo)

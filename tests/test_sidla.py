@@ -14,6 +14,7 @@ from oracles import (
     edge_in_tree,
     hash_coin_stream,
     next_ring,
+    reference_events_csv_text,
     reference_jumps,
     reference_rings,
     ring_arrival,
@@ -354,6 +355,7 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
             (gave_up, fast), (ref_gave_up, ref) = runs
             assert gave_up == ref_gave_up == (fast.n_occupied < W * M)
             assert_same_run(fast, ref)
+            assert events_csv_text(fast) == reference_events_csv_text(fast)
 
 
 @st.composite
@@ -449,3 +451,12 @@ def test_prefix_sum_level_choice_matches_loops(case, u):
     ref_sum, ref_h = loop_level_choice(counts, u)
     assert float.hex(rate_sum) == float.hex(ref_sum)
     assert h == ref_h
+
+
+@pytest.mark.parametrize("seed", [2**64 + 1, -1])
+def test_particle_runs_refuse_a_seed_outside_64_bits(seed):
+    """-1 would alias seed 2**64 - 1 in every stream of the run."""
+    with pytest.raises(ConfigError, match=rf"seeds must lie in 0..2\*\*64-1, got {seed}$"):
+        run_until_covered(Window(4, 2), seed)
+    with pytest.raises(ConfigError, match="seeds must lie in"):
+        new_state(Window(4, 2), seed)
