@@ -19,16 +19,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
 from .errors import ConfigError
-from .fpp import Forest, slice_sizes, tree_heights
+from .fpp import Forest, _tail_column, slice_sizes, tree_heights
 from .lattice import Dir, Edge, Vertex, Window, head
 
 ENUMERATION_GUARD = 12
+
+_DIRS = (Dir.LEFT, Dir.RIGHT)  # by code
 
 _Z_99_ONE_SIDED = 2.3263478740408408
 _Z_95_TWO_SIDED = 1.959963984540054
@@ -46,33 +49,39 @@ class MonotoneTree:
         verts.update(head(e) for e in self.edges)
         return verts
 
-    def level_counts(self) -> Counter:
+    @cached_property
+    def _levels(self) -> Counter:
+        """Vertices per level, counted once per tree."""
         return Counter(v.y for v in self.vertices())
 
+    def level_counts(self) -> Counter:
+        return Counter(self._levels)
+
     def height(self) -> int:
-        return max(v.y for v in self.vertices())
+        return max(self._levels)
 
 
 def extract_tree(forest: Forest, root: int) -> MonotoneTree:
     """Lift the tree of the root at x = root out of a covered forest.
 
-    Vertices are unwrapped into plane coordinates by following parent
-    chains upward from the root, so a tree crossing the cyclic seam still
-    comes out connected; the root keeps its canonical x.
+    Vertices are unwrapped into plane coordinates level by level: each
+    vertex's x is its parent's, read by column from the level below, plus
+    its step.  So a tree crossing the cyclic seam still comes out
+    connected; the root keeps its canonical x.
     """
     win = forest.window
     x0 = root % win.period
-    labels = forest.root_x
-    unwrapped: dict[Vertex, int] = {win.canonicalize(Vertex(x0, 0)): x0}
-    edges = []
+    unwrapped = np.empty(win.W, dtype=np.int64)  # by column, of the level below
+    unwrapped[x0 >> 1] = x0
+    edges: list[Edge] = []
     for m in range(1, win.M + 1):
-        for j in np.nonzero(labels[m] == x0)[0]:
-            v = win.vertex_at(m, int(j))
-            d = Dir(int(forest.parent_dir[m, j]))
-            tail = win.canonicalize(Vertex(v.x - d.dx, m - 1))
-            xu = unwrapped[tail] + d.dx
-            unwrapped[v] = xu
-            edges.append(Edge(Vertex(xu - d.dx, m - 1), d))
+        cols = np.flatnonzero(forest.root_x[m] == x0)
+        if not cols.size:
+            break
+        d = forest.parent_dir[m, cols].astype(np.int64)
+        tail_x = unwrapped[_tail_column(win.W, m, cols, d)]
+        edges += [Edge(Vertex(x, m - 1), _DIRS[c]) for x, c in zip(tail_x.tolist(), d.tolist())]
+        unwrapped[cols] = tail_x + 2 * d - 1
     return MonotoneTree(Vertex(x0, 0), frozenset(edges))
 
 
@@ -287,26 +296,29 @@ def coverage_partition_check(forest: Forest, window: Window) -> bool:
     return bool(np.all((rows >= 0) & (rows < window.period) & (rows % 2 == 0)))
 
 
-def root_heights(forest: Forest) -> tuple[np.ndarray, np.ndarray]:
+def root_heights(forest: Forest, sizes: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-root tree heights and censoring flags, read from the slice-size
-    table.
+    table (the forest's ``slice_sizes``, built here unless given).
 
     Returns (heights, censored), both indexed by boundary column; censored
     roots reach the cap, so their height M is a lower bound."""
-    heights = tree_heights(slice_sizes(forest))
+    heights = tree_heights(slice_sizes(forest) if sizes is None else sizes)
     return heights, heights == forest.window.M
 
 
-def slim_fractions(forest: Forest, D: float) -> np.ndarray:
+def slim_fractions(forest: Forest, D: float, sizes: np.ndarray | None = None) -> np.ndarray:
     """Per tree of positive height below the cap, in ascending root order:
     the fraction of its levels whose slice is nonempty and narrower than D.
 
     Slice sizes, heights and censoring of every tree come from the
-    slice-size table.  The tallest tree, the likeliest to cross the seam,
-    is also lifted with ``extract_tree`` and counted with ``slim_levels``;
-    a disagreement with the table raises RuntimeError."""
+    slice-size table (the forest's ``slice_sizes``, built here unless
+    given).  The tallest tree, the likeliest to cross the seam, is also
+    lifted with ``extract_tree`` and counted with ``slim_levels``; a
+    disagreement with the table raises RuntimeError."""
     M = forest.window.M
-    sizes = slice_sizes(forest)
+    if sizes is None:
+        sizes = slice_sizes(forest)
     heights = tree_heights(sizes)
     slim = np.count_nonzero((sizes[:, 1:] > 0) & (sizes[:, 1:] < D), axis=1)
     j = int(np.argmax(heights))

@@ -216,7 +216,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
               "ks_p": ks_p, "censored_count": censored}
     stem = f"couple_w{win.W}_m{win.M}"
     report_path = _out_path(args.out, stem, args.seed, ".json", False)
-    atomic_write_text(report_path, json_text(report) + "\n")
+    atomic_write_text(report_path, (json_text(report) + "\n").encode())
     gaps_path = args.gaps_out or f"{stem}_s{args.seed}_gaps.csv"
     atomic_write_text(gaps_path, coupling.gaps_csv_text(sites, gaps))
     print(f"couple total replicas={args.replicas} "
@@ -261,8 +261,9 @@ def _picture_run(picture: str, seed: int, W: int, M: int, profile_value: str,
 def _stats_task(task):
     picture, seed, W, M, profile_value, method, slim_d, flank_levels = task
     forest = _picture_run(picture, seed, W, M, profile_value, method)
-    heights, censored = analysis.root_heights(forest)
-    slim_fracs = analysis.slim_fractions(forest, slim_d)
+    sizes = fpp.slice_sizes(forest)
+    heights, censored = analysis.root_heights(forest, sizes)
+    slim_fracs = analysis.slim_fractions(forest, slim_d, sizes)
     flank_samples = {
         n: analysis.flank_left_distances(forest, n) for n in flank_levels
     }
@@ -306,7 +307,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
     stem = f"stats_{args.picture}_w{win.W}_m{win.M}"
     out = args.out or f"{stem}_s{args.seed}.csv"
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    atomic_write_text(out, ("\n".join(lines) + "\n").encode())
 
     cens_frac = float(all_censored.mean())
     print(f"stats picture={args.picture} replicas={args.replicas} "
@@ -386,7 +387,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         report = {"replicas": args.replicas, "alpha": args.alpha,
                   "slice1": {"statistic": r_t1.statistic, "p_value": r_t1.p_value},
                   "height": {"statistic": r_h.statistic, "p_value": r_h.p_value}}
-        atomic_write_text(args.out, json_text(report) + "\n")
+        atomic_write_text(args.out, (json_text(report) + "\n").encode())
         print(f"compare wrote={args.out}")
     passed = r_t1.p_value > args.alpha and r_h.p_value > args.alpha
     return EXIT_OK if passed else EXIT_VERIFY

@@ -317,9 +317,9 @@ def verify_coupling(
     )
 
 
-def gaps_csv_text(sites: np.ndarray, gaps: np.ndarray) -> str:
+def gaps_csv_text(sites: np.ndarray, gaps: np.ndarray) -> bytearray:
     """A ``site_x,gap`` header and one row per gap (``%d,%.17g``), built
-    from cells."""
+    from cells, as ASCII bytes."""
     sites, gaps = np.asarray(sites), np.asarray(gaps)
     return block_text(b"site_x,gap\n", len(gaps), lambda lo, hi: cell_text(
-        [int_cells(sites[lo:hi]), b",", float_cells(gaps[lo:hi]), b"\n"]))
+        [int_cells(sites[lo:hi]), b",", float_cells(gaps[lo:hi]), b"\n"]), len(b",\n"))

@@ -6,8 +6,8 @@ whose non-NUL bytes, read in order, are one number's text per row.
 ``float_cells`` gives ``'%.17g' % v`` of every element of a float64 array,
 exactly; ``int_cells`` the decimal digits of non-negative integers;
 ``cell_text`` assembles rows from cells and literal columns, dropping the
-NUL padding once per call; and ``block_text`` builds a text one block of
-rows at a time.
+NUL padding once per call; and ``block_text`` copies a text's blocks of
+rows into one buffer, which ``atomic_write_text`` writes as it is.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ def json_text(value) -> str:
     raise TypeError(f"no JSON form for {type(value).__name__} {value!r}")
 
 
-_WRITE_PIECE = 1 << 20  # characters encoded per write
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never see
-    a half-written file.  A missing directory, or a path that is one, is
-    a ConfigError; a failed write leaves no temp file behind."""
+def atomic_write_text(path: str, data) -> None:
+    """Write the bytes of data to path via a temp file and rename, so
+    readers never see a half-written file.  A missing directory, or a path
+    that is one, is a ConfigError; a failed write leaves no temp file
+    behind."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path}: directory {directory} does not exist")
@@ -64,10 +62,8 @@ def atomic_write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: it is a directory")
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            # a piece at a time, so the encoded copy stays small
-            for at in range(0, len(text), _WRITE_PIECE):
-                fh.write(text[at:at + _WRITE_PIECE])
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -176,14 +172,9 @@ def _scalar_g17(x: np.ndarray) -> np.ndarray:
     return text.view(np.uint8).reshape(len(x), 24)
 
 
-def float_cells(x) -> np.ndarray:
-    """'%.17g' % v for each element v of a float64 array, exactly, as the
-    rows of an (n, _FLOAT_CELL) uint8 array: the non-NUL bytes of row i, in
-    order, are the text of element i."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    n = len(x)
-    if not n:
-        return np.zeros((0, _FLOAT_CELL), dtype=np.uint8)
+def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fast lanes of x, and by lane the decimal exponent E and the 17
+    significant digits as one integer N; N is 10**16 in the other lanes."""
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # false for 0, inf and nan
     a = np.where(fast, a, 1.0)
@@ -201,8 +192,14 @@ def float_cells(x) -> np.ndarray:
     carry = big == _E17
     big[carry] = _E16
     e += carry
+    return fast, e, big
 
-    # the 17 digits: a lead digit and four words of four
+
+def _digits(big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each N, a lead digit and four words of four, as
+    the rows of an (n, 19) uint8 array; and the count of significant
+    digits without trailing zeros."""
+    n = len(big)
     t = _layout_tables()
     lead = big // _E16
     hi8, lo8 = np.divmod(big - lead * _E16, 10 ** 8)
@@ -216,7 +213,20 @@ def float_cells(x) -> np.ndarray:
     for i in (2, 1, 0):
         trailing += np.where(whole_word, zeros[:, i], 0)
         whole_word &= zeros[:, i] == 4
-    nd = 17 - trailing  # significant digits without trailing zeros
+    return body, 17 - trailing
+
+
+def float_cells(x) -> np.ndarray:
+    """'%.17g' % v for each element v of a float64 array, exactly, as the
+    rows of an (n, _FLOAT_CELL) uint8 array: the non-NUL bytes of row i, in
+    order, are the text of element i.  The steps are functions of their
+    own, so each one's temporaries are gone before the next."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    n = len(x)
+    if not n:
+        return np.zeros((0, _FLOAT_CELL), dtype=np.uint8)
+    fast, e, big = _significand(x)
+    body, nd = _digits(big)
 
     # the %g layout: fixed notation for -4 <= E < 17, else d.ddde+XX
     fixed = (e >= -4) & (e < 17)
@@ -224,6 +234,7 @@ def float_cells(x) -> np.ndarray:
     kept = np.where(fixed & ~small, np.maximum(nd, e + 1), nd)
     point = np.where(fixed, e, 0)  # the point follows this digit ...
     point = np.where((nd > point + 1) & ~small, point, 17)  # ... if any
+    t = _layout_tables()
     body[:, 1:18] *= t["keep"].take(kept, axis=0)
     body[:, 1:] = (body[:, 1:] * t["left"].take(point, axis=0) + t["dot"].take(point, axis=0)
                    + body[:, :-1] * t["right"].take(point, axis=0))
@@ -259,14 +270,32 @@ def int_cells(v) -> np.ndarray:
 TEXT_BLOCK = 1 << 14
 
 
-def block_text(head: bytes, n: int, rows, tail: bytes = b"") -> str:
-    """head, rows 0..n-1 and tail as one ASCII text, where ``rows(lo, hi)``
-    gives the bytes of rows lo..hi-1, built one TEXT_BLOCK at a time."""
-    blocks = (rows(lo, min(lo + TEXT_BLOCK, n)) for lo in range(0, n, TEXT_BLOCK))
-    return b"".join([head, *blocks, tail]).decode("ascii")
+def _put(buffer: bytearray, at: int, data: bytes | bytearray) -> int:
+    """Copy data into buffer from byte at, growing it past its end, and
+    return the end.  A bytearray is copied straight in, where any other
+    value would be copied to one first."""
+    buffer[at:at + len(data)] = data
+    return at + len(data)
 
 
-def cell_text(columns: list) -> bytes:
+def block_text(head: bytes, n: int, rows, row_min: int, tail: bytes = b"") -> bytearray:
+    """head, rows 0..n-1 and tail as one buffer of ASCII bytes, where
+    ``rows(lo, hi)`` gives rows lo..hi-1 as a bytearray, copied in one
+    TEXT_BLOCK at a time.
+
+    The buffer starts at the size of n rows of row_min bytes, a lower
+    bound such as a row's literal columns.  So a large text is mapped
+    memory from the start and grows without moving; begun small in the
+    heap, a 22 MB snapshot was copied whole as it grew, 11 MB more peak."""
+    text = bytearray(len(head) + n * row_min)
+    at = _put(text, 0, head)
+    for lo in range(0, n, TEXT_BLOCK):
+        at = _put(text, at, rows(lo, min(lo + TEXT_BLOCK, n)))
+    text[at:] = tail
+    return text
+
+
+def cell_text(columns: list) -> bytearray:
     """Rows assembled from columns in order, literal bytes repeated on every
     row and (n, k) uint8 cells, with every NUL byte dropped."""
     n = next(len(c) for c in columns if not isinstance(c, bytes))
@@ -276,4 +305,6 @@ def cell_text(columns: list) -> bytes:
     for c in columns:
         out[:, at:at + c.shape[-1]] = c
         at += c.shape[-1]
-    return out.tobytes().translate(None, b"\0")
+    text = bytearray(out)
+    del out  # so the padded rows are not held while the NULs are dropped
+    return text.translate(None, b"\0")

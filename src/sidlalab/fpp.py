@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError
 from .fileio import TEXT_BLOCK, block_text, cell_text, float_cells, int_cells, json_text
 from .hashing import (HASH_BLOCK, WEIGHT_STREAM, check_seeds, exp_from_uniform,
-                      hash_uniform_vec)
+                      hash_u64_vec, hash_uniform_vec)
 from .lattice import Dir, Window
 
 
@@ -117,8 +117,12 @@ class WeightField:
             raise ValueError(f"levels {lo}..{hi} outside 1..{self.window.M}")
         W = self.window.W
         level = np.arange(lo, hi + 1, dtype=np.int64)[:, None, None]
-        tails = (level - 1) * W + _tail_column(W, level, np.arange(W), _IN_DIRS)
-        u = hash_uniform_vec(self.seed, self.edge_address(WEIGHT_STREAM, tails, _IN_DIRS))
+        # each tail vertex's address prefix, levels lo-1..hi-1, is hashed
+        # once; then the direction of each edge (the prefix identity)
+        *vertex, _ = self.edge_address(WEIGHT_STREAM, np.arange((lo - 1) * W, hi * W), None)
+        prefix = hash_u64_vec(self.seed, vertex)
+        tails = (level - lo) * W + _tail_column(W, level, np.arange(W), _IN_DIRS)
+        u = hash_uniform_vec(prefix.take(tails), [_IN_DIRS])
         w = exp_from_uniform(u, self.rates[lo:hi + 1, None, None])
         return w[:, 0], w[:, 1]
 
@@ -191,18 +195,20 @@ def build_forest(field: WeightField) -> Forest:
     root_x = np.zeros((M + 1, W), dtype=np.int64)
     cols = np.arange(W, dtype=np.int64)
     root_x[0] = 2 * cols
+    # tail columns of the (right-step, left-step) edges into even, odd levels
+    tail_cols = [_tail_column(W, parity, cols, _IN_DIRS) for parity in (0, 1)]
     step = max(1, HASH_BLOCK // (2 * W))
     for lo in range(1, M + 1, step):
         hi = min(lo + step - 1, M)
         block_r, block_l = field.incoming_weights(lo, hi)
         for y, w_r, w_l in zip(range(lo, hi + 1), block_r, block_l):
-            cols_r, cols_l = _tail_column(W, y, cols, _IN_DIRS)
+            cols_r, cols_l = tail_cols[y & 1]
             cand_r = dist[y - 1][cols_r] + w_r
             cand_l = dist[y - 1][cols_l] + w_l
-            take_left = cand_l <= cand_r
-            dist[y] = np.where(take_left, cand_l, cand_r)
-            parent_dir[y] = np.where(take_left, np.int8(Dir.LEFT), np.int8(Dir.RIGHT))
-            root_x[y] = root_x[y - 1][np.where(take_left, cols_l, cols_r)]
+            np.minimum(cand_l, cand_r, out=dist[y])
+            take_right = cand_l > cand_r  # LEFT is code 0, so ties go LEFT
+            parent_dir[y] = take_right
+            root_x[y] = root_x[y - 1][np.where(take_right, cols_r, cols_l)]
     return Forest(win, field.profile.value, field.seed, dist, parent_dir, root_x)
 
 
@@ -225,7 +231,7 @@ def _value_column(forest: Forest) -> bytes:
     return b", " + json_text(forest.value_key).encode() + b": "
 
 
-def _vertex_rows(forest: Forest, lo: int, hi: int) -> bytes:
+def _vertex_rows(forest: Forest, lo: int, hi: int) -> bytearray:
     """The writer's text of vertex rows lo..hi-1 (flat index level * W +
     column), each ending in ",\n" but the window's last in "\n".  A
     non-finite value, which JSON cannot hold, raises ConfigError naming its
@@ -251,22 +257,23 @@ def _vertex_rows(forest: Forest, lo: int, hi: int) -> bytes:
     return text if hi < (M + 1) * W else text[:-2] + b"\n"
 
 
-def snapshot_text(forest: Forest) -> str:
-    """Serialize a covered forest to canonical JSON text.
+def snapshot_text(forest: Forest) -> bytearray:
+    """Serialize a covered forest to canonical JSON, as ASCII bytes.
 
     The header goes through ``fileio.json_text``.  Vertices appear sorted
     by (y, x), one row each; float values are ``'%.17g'`` (the
     ``fileio.float_cells`` kernel), so reloading reproduces them bit for
-    bit.  Rows are assembled from cells one block at a time; non-finite
-    values, which JSON cannot hold, raise ConfigError naming the first
-    such level.
+    bit.  Rows are assembled from cells and copied into one buffer a
+    block at a time; non-finite values, which JSON cannot hold, raise
+    ConfigError naming the first such level.
     """
     win = forest.window
     if np.any(forest.root_x < 0):
         raise ValueError("snapshot requires a fully covered window")
+    literals = _ROW_X + _ROW_Y + _value_column(forest) + _ROW_DIR + _ROW_ROOT + _ROW_END
     return block_text(_snapshot_header(win.W, win.M, forest.label, forest.seed),
                       (win.M + 1) * win.W, lambda lo, hi: _vertex_rows(forest, lo, hi),
-                      _TRAILER)
+                      len(literals), _TRAILER)
 
 
 def check_invariants(forest: Forest) -> None:

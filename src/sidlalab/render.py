@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import cell_text
 from .fpp import Forest
 from .hashing import hash_u64
 
@@ -46,13 +47,24 @@ class RenderOptions:
             raise ConfigError(f"max_level must be nonnegative, got {self.max_level}")
 
 
-def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:
-    """Render a forest as an SVG document.
+def _cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """A table of ASCII texts as (n, k) uint8 cells, NUL-padded, and the
+    length of each."""
+    cells = np.array(texts, dtype=bytes)
+    cells = cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+    return cells, np.count_nonzero(cells, axis=1)
+
+
+def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> bytearray:
+    """Render a forest as an SVG document, in ASCII bytes.
 
     Root labels must be boundary roots (fpp.check_invariants); vertices
-    labeled -1 are not drawn.  Coordinates and stroke attributes come from
-    small tables, one per x, per level and per root, and each level's
-    segments are formatted by one template.
+    labeled -1 are not drawn.  Each segment is a line of pieces from small
+    tables: x by tail and by head x, two texts per level, and the stroke
+    by root column, with the highlight at index W.  The document's size is
+    summed from the pieces' lengths, then the pieces are copied level by
+    level into one buffer of that size: the plain segments in level order,
+    then the highlighted ones.
     """
     win = forest.window
     W, M = win.W, win.M
@@ -73,7 +85,7 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:
 
     width = _fmt((2 * W + 2) * s)
     height = _fmt((top + 2) * s)
-    chunks = [
+    head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
@@ -81,47 +93,57 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:
         f"  <title>{forest.label} seed={forest.seed} "
         f"window={W}x{M}</title>\n"
         f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
-    ]
+    ).encode()
 
-    # x_text[x + 1] for tail and head x in -1..2W, y_text[y] for y in 0..top
-    x_text = np.array([_fmt(sx(x)) for x in range(-1, 2 * W + 1)], dtype=object)
+    # x_text[x + 1] for x in -1..2W, y_text[y] for y in 0..top
+    x_text = [_fmt(sx(x)) for x in range(-1, 2 * W + 1)]
     y_text = [_fmt(sy(y)) for y in range(top + 1)]
     colors = [root_color(2 * k) for k in range(W)]
     stroke = _fmt(0.16 * s)
-    tail = f'" stroke-width="{stroke}" stroke-linecap="round"/>\n'
-    stroke_text = np.array([f'stroke="{c}{tail}' for c in colors], dtype=object)
-    red_text = f'stroke="{_HIGHLIGHT_COLOR}{tail}'
+    x_cells, x_len = _cells(x_text)
+    stroke_cells, stroke_len = _cells([
+        f'stroke="{c}" stroke-width="{stroke}" stroke-linecap="round"/>\n'
+        for c in colors + [_HIGHLIGHT_COLOR]])
+    line = b'  <line x1="'
+    level_text = [(f'" y1="{y_text[y - 1]}" x2="'.encode(), f'" y2="{y_text[y]}" '.encode())
+                  for y in range(1, top + 1)]
+    r = _fmt(0.2 * s)
+    circles = "".join(
+        f'  <circle cx="{x_text[2 * j + 1]}" cy="{y_text[0]}" r="{r}" '
+        f'fill="{_HIGHLIGHT_COLOR if 2 * j == highlight_x else colors[j]}"/>\n'
+        for j in range(W)).encode() + b"</svg>\n"
 
-    red: list[str] = []
-    labels = forest.root_x
-    pdirs = forest.parent_dir
-    cols = np.arange(W, dtype=np.int64)
-    for y in range(1, top + 1):
+    labels, pdirs = forest.root_x, forest.parent_dir
+    cols = np.arange(W)
+
+    def segments(y: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The plain and the red segments into level y, each as the table
+        rows of their tail x, head x and stroke."""
         row = labels[y]
         drawn = row >= 0
-        hx = (y & 1) + 2 * cols[drawn]
-        # tail x = hx - dx, with dx = -1 for LEFT (code 0) and +1 for RIGHT
-        tx = hx + 1 - 2 * pdirs[y][drawn].astype(np.int64)
-        roots = row[drawn]
-        segment = f'  <line x1="%s" y1="{y_text[y - 1]}" x2="%s" y2="{y_text[y]}" '
-        is_red = roots == highlight_x
-        stroke_of = stroke_text[roots >> 1]
-        stroke_of[is_red] = red_text
-        for mask, out in ((~is_red, chunks), (is_red, red)):
-            n = int(np.count_nonzero(mask))
-            cells: list = [None] * (3 * n)
-            cells[0::3] = x_text[tx[mask] + 1].tolist()
-            cells[1::3] = x_text[hx[mask] + 1].tolist()
-            cells[2::3] = stroke_of[mask].tolist()
-            out.append((segment + "%s") * n % tuple(cells))
-    chunks.extend(red)
+        red = drawn & (row == highlight_x)
+        hx = (y & 1) + 2 * cols + 1
+        # tail x + 1 = head x + 1 - dx, with dx = -1 for LEFT (code 0) and +1 for RIGHT
+        tx = hx + 1 - 2 * pdirs[y].astype(np.int64)
+        plain = drawn & ~red
+        return [(tx[plain], hx[plain], row[plain] >> 1),
+                (tx[red], hx[red], np.full(np.count_nonzero(red), W))]
 
-    r = _fmt(0.2 * s)
-    for j in range(W):
-        color = _HIGHLIGHT_COLOR if 2 * j == highlight_x else colors[j]
-        chunks.append(
-            f'  <circle cx="{x_text[2 * j + 1]}" cy="{y_text[0]}" r="{r}" '
-            f'fill="{color}"/>\n'
-        )
-    chunks.append("</svg>\n")
-    return "".join(chunks)
+    # the exact size first, so the document is built in one buffer
+    size = [0, 0]
+    for y, (a, b) in enumerate(level_text, 1):
+        for k, (tails, heads, strokes) in enumerate(segments(y)):
+            size[k] += (len(line) + len(a) + len(b)) * len(tails) + int(
+                x_len[tails].sum() + x_len[heads].sum() + stroke_len[strokes].sum())
+    svg = bytearray(len(head) + size[0] + size[1] + len(circles))
+    svg[:len(head)] = head
+    at = [len(head), len(head) + size[0]]
+    for y, (a, b) in enumerate(level_text, 1):
+        for k, (tails, heads, strokes) in enumerate(segments(y)):
+            if len(tails):
+                text = cell_text([line, x_cells[tails], a, x_cells[heads], b,
+                                  stroke_cells[strokes]])
+                svg[at[k]:at[k] + len(text)] = text
+                at[k] += len(text)
+    svg[-len(circles):] = circles
+    return svg

@@ -286,12 +286,13 @@ def run_until_covered(
     return _run_jumps(state, seed)
 
 
-def events_csv_text(state: SidlaState) -> str:
+def events_csv_text(state: SidlaState) -> bytearray:
     """Ring event log as CSV with columns site_x,time,outcome,edge, one row
-    per event built from cells; a non-empty edge is quoted."""
+    per event built from cells, as ASCII bytes; a non-empty edge is
+    quoted."""
     events = state.events
 
-    def rows(lo: int, hi: int) -> bytes:
+    def rows(lo: int, hi: int) -> bytearray:
         sites, times, outcomes, edges = zip(*events[lo:hi])
         edges = np.array(edges, dtype=bytes)
         quote = (edges != b"")[:, None] * np.uint8(ord('"'))
@@ -301,4 +302,4 @@ def events_csv_text(state: SidlaState) -> str:
             quote, edges[:, None].view(np.uint8), quote, b"\n",
         ])
 
-    return block_text(b"site_x,time,outcome,edge\n", len(events), rows)
+    return block_text(b"site_x,time,outcome,edge\n", len(events), rows, len(b",,,\n"))

@@ -284,7 +284,7 @@ def test_failed_write_leaves_no_temp_file(in_tmp, monkeypatch):
         raise OSError("disk full")
     monkeypatch.setattr(os, "replace", broken)
     with pytest.raises(OSError, match="disk full"):
-        atomic_write_text("x.txt", "text")
+        atomic_write_text("x.txt", b"text")
     assert list(in_tmp.iterdir()) == []
 
 

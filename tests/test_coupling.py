@@ -295,7 +295,7 @@ def test_verify_coupling_auto_mode():
 def test_gaps_csv_shape():
     sites = np.array([0, 0, 2])
     gaps = np.array([0.5, 1.25, 2.0])
-    text = gaps_csv_text(sites, gaps)
+    text = gaps_csv_text(sites, gaps).decode()
     lines = text.strip().split("\n")
     assert lines[0] == "site_x,gap"
     assert lines[1] == "0,0.5"
@@ -420,7 +420,7 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
         assert sites.dtype == ref_sites.dtype and gaps.dtype == ref_gaps.dtype
         assert sites.tobytes() == ref_sites.tobytes()
         assert gaps.tobytes() == ref_gaps.tobytes()
-        assert gaps_csv_text(sites, gaps) == reference_gaps_csv_text(sites, gaps)
+        assert gaps_csv_text(sites, gaps) == reference_gaps_csv_text(sites, gaps).encode()
 
 
 # Digests of the coupling's outputs, recorded on the object-based engine

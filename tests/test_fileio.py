@@ -1,18 +1,26 @@
 """The bulk text kernel: ``float_cells`` against Python's own ``'%.17g'``
 over every class of double, ``int_cells`` against ``str`` and
 ``cell_text``'s row assembly; the kernel's tables stay unbuilt when the CLI
-is imported, and ``atomic_write_text`` writes long texts whole."""
+is imported; ``atomic_write_text`` writes the bytes it is given; and each
+bulk writer's allocations peak near the length of its result."""
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sidlalab
 from sidlalab import fileio
+from sidlalab.coupling import gaps_csv_text
 from sidlalab.fileio import cell_text, float_cells, int_cells
+from sidlalab.fpp import WeightField, WeightProfile, build_forest, snapshot_text
+from sidlalab.lattice import Window
+from sidlalab.render import render_svg
+from sidlalab.sidla import events_csv_text, run_until_covered
 
 
 def texts(cells: np.ndarray) -> list[bytes]:
@@ -96,10 +104,48 @@ def test_importing_the_cli_builds_no_kernel_table():
     assert done.returncode == 0, done.stderr
 
 
-def test_atomic_write_text_writes_a_long_text_whole(tmp_path):
-    """Texts longer than one encoded piece, with multi-byte characters
-    across the piece boundaries, are written whole."""
-    text = ("é" + "x" * (fileio._WRITE_PIECE - 1)) * 2 + "€\n"
-    path = tmp_path / "t.txt"
-    fileio.atomic_write_text(str(path), text)
-    assert path.read_bytes() == text.encode("utf-8")
+def test_atomic_write_text_writes_a_bytearray_whole(tmp_path):
+    """The bytes given, every byte value included, are the file's bytes."""
+    data = bytearray(range(256)) * 5000
+    path = tmp_path / "t.bin"
+    fileio.atomic_write_text(str(path), data)
+    assert path.read_bytes() == data
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    """A str is no bytes-like object, so writing it fails inside the temp
+    file; neither the temp file nor the target is left behind."""
+    with pytest.raises(TypeError):
+        fileio.atomic_write_text(str(tmp_path / "t.txt"), "text")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# Each bulk artifact is built once: the peak of the allocations inside its
+# writer stays within 1.25 times its length plus 2 MiB, where a joined or
+# decoded second copy would take twice its length.
+
+
+@pytest.fixture(scope="module")
+def bulk_calls():
+    """Each bulk writer with the arguments of one large call."""
+    forest = build_forest(WeightField(1, WeightProfile.STRETCH, Window(512, 128)))
+    state = run_until_covered(Window(512, 128), 1, method="jumps", log_events=True)
+    rng = np.random.default_rng(1)
+    gaps = (2 * rng.integers(0, 64, 80_000), rng.exponential(size=80_000))
+    return {"snapshot_text": (snapshot_text, (forest,)), "render_svg": (render_svg, (forest,)),
+            "events_csv_text": (events_csv_text, (state,)), "gaps_csv_text": (gaps_csv_text, gaps)}
+
+
+@pytest.mark.parametrize("name", ["snapshot_text", "render_svg", "events_csv_text",
+                                  "gaps_csv_text"])
+def test_bulk_writer_peak_stays_near_its_result(bulk_calls, name):
+    writer, args = bulk_calls[name]
+    tracemalloc.start()
+    try:
+        text = writer(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.isascii()
+    assert peak <= 1.25 * len(text) + 2 * 2**20, (name, peak, len(text))

@@ -34,7 +34,7 @@ from sidlalab.fpp import (
 )
 from sidlalab.lattice import Window
 from sidlalab.render import RenderOptions, render_svg
-from sidlalab.sidla import run_until_covered
+from sidlalab.sidla import SimulationLimitError, _run_rings, new_state, run_until_covered
 
 # sha256 of CLI artifacts and stdout, recorded on the per-vertex writers,
 # loader and stats loops.  Commands of one case run in one directory.  A
@@ -150,14 +150,14 @@ def assert_same_snapshot(a, b):
 def test_forest_path_matches_oracles(tmp_path_factory, fo, data):
     W, M = fo.window.W, fo.window.M
     text = snapshot_text(fo)
-    assert text == reference_snapshot_text(fo)
+    assert text == reference_snapshot_text(fo).encode()
     path = tmp_path_factory.mktemp("snap") / "f.json"
-    path.write_text(text)
+    path.write_bytes(text)
     snap = load_snapshot(str(path))
     assert_same_snapshot(snap, reference_load_snapshot(str(path)))
     opts = data.draw(render_options(W, M))
-    assert render_svg(fo, opts) == reference_render_svg(fo, opts)
-    assert render_svg(snap, opts) == reference_render_svg(snap, opts)
+    assert render_svg(fo, opts) == reference_render_svg(fo, opts).encode()
+    assert render_svg(snap, opts) == reference_render_svg(snap, opts).encode()
     for n in range(1, M + 1):
         got, want = flank_left_distances(fo, n), reference_flank_left_distances(fo, n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -170,15 +170,37 @@ def test_particle_state_path_matches_oracles(seed, W, M, tmp_path):
     state = run_until_covered(Window(W, M), seed, method="jumps").forest
     check_invariants(state)
     text = snapshot_text(state)
-    assert text == reference_snapshot_text(state)
+    assert text == reference_snapshot_text(state).encode()
     path = tmp_path / "s.json"
-    path.write_text(text)
+    path.write_bytes(text)
     assert_same_snapshot(load_snapshot(str(path)), reference_load_snapshot(str(path)))
-    assert render_svg(state) == reference_render_svg(state)
+    assert render_svg(state) == reference_render_svg(state).encode()
     for n in range(1, M + 1):
         assert flank_left_distances(state, n).tobytes() \
             == reference_flank_left_distances(state, n).tobytes()
     assert slim_fractions(state, 4.0).tolist() == reference_slim_fractions(state, 4.0)
+
+
+def test_render_matches_oracle_on_a_partly_claimed_forest():
+    """A rings run stopped by its budget leaves unclaimed vertices, root
+    -1, which are not drawn.  highlight_root=None is also -1 inside the
+    renderer, so only drawn segments may be tested for the highlight."""
+    state = new_state(Window(16, 8), seed=3)
+    with pytest.raises(SimulationLimitError):
+        _run_rings(state, 3, 300)
+    fo = state.forest
+    claimed = np.flatnonzero((fo.root_x >= 0).any(axis=1))
+    top = int(claimed[-1])
+    assert 1 < top < fo.window.M and (fo.root_x[1:top + 1] < 0).any()
+    highlight = int(fo.root_x[top][fo.root_x[top] >= 0][0])
+    for opts in (RenderOptions(highlight_root=None), RenderOptions(highlight_root=highlight),
+                 RenderOptions(highlight_root=highlight, max_level=top - 1),
+                 RenderOptions(highlight_root=None, max_level=top - 1)):
+        svg = render_svg(fo, opts)
+        assert svg == reference_render_svg(fo, opts).encode()
+        assert (b"#d81b2a" in svg) == (opts.highlight_root is not None)
+        shown = fo.window.M if opts.max_level is None else opts.max_level
+        assert svg.count(b"<line") == np.count_nonzero(fo.root_x[1:shown + 1] >= 0)
 
 
 def test_slim_fractions_cross_checks_the_tallest_tree(monkeypatch, tmp_path, capsys):
@@ -220,7 +242,7 @@ def test_json_text_rules():
 
 def small_text():
     fo = build_forest(WeightField(5, WeightProfile.STRETCH, Window(4, 3)))
-    return snapshot_text(fo)
+    return snapshot_text(fo).decode()
 
 
 def small_snapshot():

@@ -295,7 +295,7 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
     fo = build_forest(small_field(seed=13))
     text = snapshot_text(fo)
     p = tmp_path / "f.json"
-    p.write_text(text)
+    p.write_bytes(text)
     snap = load_snapshot(str(p))
     assert snap.value_key == "dist"
     assert np.array_equal(snap.values, fo.values)
@@ -350,7 +350,7 @@ def test_a_missing_parent_above_the_boundary_is_refused():
     with pytest.raises(ValueError, match=r"vertex \(2, 2\) has parent direction code -1; "
                                          "above the boundary it must be L or R"):
         check_invariants(fo)
-    assert re.search(r'"x": 2, "y": 2, "dist": [^,]+, "parentDir": null,', snapshot_text(fo))
+    assert re.search(r'"x": 2, "y": 2, "dist": [^,]+, "parentDir": null,', snapshot_text(fo).decode())
     for code in (2, -2):
         fo.parent_dir[2, 1] = code
         with pytest.raises(IndexError):

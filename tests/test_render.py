@@ -48,17 +48,17 @@ def test_svg_well_formed_and_complete():
 
 def test_highlight_present_and_red():
     svg = render_svg(forest(), RenderOptions(highlight_root=0))
-    assert "#d81b2a" in svg
+    assert b"#d81b2a" in svg
     svg_none = render_svg(forest(), RenderOptions(highlight_root=None))
-    assert "#d81b2a" not in svg_none
+    assert b"#d81b2a" not in svg_none
 
 
 def test_max_level_truncates():
     fo = forest()
     full = render_svg(fo, RenderOptions(highlight_root=None))
     cropped = render_svg(fo, RenderOptions(highlight_root=None, max_level=2))
-    n_full = full.count("<line")
-    n_cropped = cropped.count("<line")
+    n_full = full.count(b"<line")
+    n_cropped = cropped.count(b"<line")
     assert n_cropped == fo.window.W * 2
     assert n_full > n_cropped
 
@@ -84,4 +84,4 @@ def test_renders_particle_state_too():
     state = run_until_covered(Window(6, 4), seed=3, method="jumps")
     svg = render_svg(state.forest)
     ET.fromstring(svg)
-    assert "sidla" in svg  # the forest label lands in the metadata title
+    assert b"sidla" in svg  # the forest label lands in the metadata title

@@ -203,7 +203,7 @@ def test_events_csv_format():
     state = new_state(Window(4, 2), seed=9, log_events=True)
     for _ in range(30):
         next_ring(state, 9)
-    text = events_csv_text(state)
+    text = events_csv_text(state).decode()
     lines = text.strip().split("\n")
     assert lines[0] == "site_x,time,outcome,edge"
     assert len(lines) == 31
@@ -270,10 +270,10 @@ JUMPS_ARRAY_GOLDEN = {
 
 def assert_golden_texts(state, digest, array_digest, tmp_path):
     snap, events = snapshot_text(state.forest), events_csv_text(state)
-    assert hashlib.sha256((snap + events).encode()).hexdigest() == digest
+    assert hashlib.sha256(snap + events).hexdigest() == digest
     path = tmp_path / "snap.json"
-    path.write_text(snap)
-    assert snapshot_arrays_sha256(str(path), events.encode()) == array_digest
+    path.write_bytes(snap)
+    assert snapshot_arrays_sha256(str(path), events) == array_digest
 
 
 @pytest.mark.parametrize("case,digest,clock_hex,censored,n_rings", JUMPS_GOLDEN)
@@ -355,7 +355,7 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
             (gave_up, fast), (ref_gave_up, ref) = runs
             assert gave_up == ref_gave_up == (fast.n_occupied < W * M)
             assert_same_run(fast, ref)
-            assert events_csv_text(fast) == reference_events_csv_text(fast)
+            assert events_csv_text(fast) == reference_events_csv_text(fast).encode()
 
 
 @st.composite
