@@ -28,7 +28,6 @@ from .errors import ConfigError, CouplingFault
 from .fileio import atomic_write_text, json_text
 from .hashing import check_seeds
 from .lattice import Window, edge_str
-from .sidla import SimulationLimitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -135,11 +134,10 @@ def cmd_fpp(args: argparse.Namespace) -> int:
 
 def _sidla_task(task):
     seed, W, M, method = task
-    state = sidla.run_until_covered(Window(W, M), seed, method=method,
-                                    log_events=True)
+    state = sidla.run_until_covered(Window(W, M), seed, method=method)
     _, censored = analysis.root_heights(state.forest)
     return (seed, fpp.snapshot_text(state.forest), sidla.events_csv_text(state),
-            state.n_rings, state.clock, int(np.count_nonzero(censored)))
+            state.method, state.n_rings, state.clock, int(np.count_nonzero(censored)))
 
 
 def cmd_sidla(args: argparse.Namespace) -> int:
@@ -148,13 +146,13 @@ def cmd_sidla(args: argparse.Namespace) -> int:
     tasks = [(s, win.W, win.M, args.method)
              for s in range(args.seed, args.seed + args.replicas)]
     stem = f"sidla_w{win.W}_m{win.M}"
-    for seed, snap, events, n_rings, clock, censored in _run_tasks(
+    for seed, snap, events, method, n_rings, clock, censored in _run_tasks(
             _sidla_task, tasks, args.jobs):
         snap_path = _out_path(args.out, stem, seed, ".json", True)
         events_path = snap_path[: -len(".json")] + "_events.csv"
         atomic_write_text(snap_path, snap)
         atomic_write_text(events_path, events)
-        print(f"sidla seed={seed} window={win.W}x{win.M} method={args.method} "
+        print(f"sidla seed={seed} window={win.W}x{win.M} method={method} "
               f"rings={n_rings} clock={format(clock, '.17g')} "
               f"censored={censored} wrote={snap_path}")
     return EXIT_OK
@@ -555,7 +553,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, SimulationLimitError) as exc:
+    except (ConfigError, sidla.SimulationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CouplingFault as exc:

@@ -77,9 +77,6 @@ class Window:
     def period(self) -> int:
         return 2 * self.W
 
-    def canonicalize(self, v: Vertex) -> Vertex:
-        return Vertex(v.x % self.period, v.y)
-
     def vertex_at(self, level: int, column: int) -> Vertex:
         return Vertex((level & 1) + 2 * column, level)
 

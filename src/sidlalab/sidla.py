@@ -24,21 +24,22 @@ Two drivers produce the same process law:
 Both drivers run on integer state only, list mirrors of the forest arrays
 written back at the end.  Each hashes its (seed, stream) address prefix
 once per run and draws a whole block of rings or events with one vector
-hash per stream, never one scalar hash per ring or coin.  Both record an
-event log suitable for CSV export.
+hash per stream, never one scalar hash per ring or coin.  Neither keeps
+an event log: the events CSV is derived from the forest and a claim record.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError
 from .fileio import block_text, cell_text, float_cells, int_cells
-from .fpp import Forest, WeightProfile
+from .fpp import Forest, WeightProfile, incoming_tail_index
 from .hashing import (
     CLOCK_STREAM,
     COIN_STREAM,
@@ -66,18 +67,19 @@ class SimulationLimitError(RuntimeError):
 
 @dataclass
 class SidlaState:
-    """One particle run: its forest, clock, counters and event log.
+    """One particle run: its forest, claim record, clock and counters.
 
     The forest's values are the clock values at which each vertex was
-    claimed (0 on the boundary); unclaimed vertices hold root -1.  Heights
-    and censoring are read from the forest (``fpp.slice_sizes``).
+    claimed (0 on the boundary); unclaimed vertices hold root -1 and
+    ``claim_event`` -1, claimed ones the index of the event (ring or jump)
+    that claimed them.  ``method`` names the driver that ran.
     """
 
     forest: Forest
+    claim_event: np.ndarray
     clock: float = 0.0
     n_rings: int = 0
-    events: list = field(default_factory=list)
-    log_events: bool = False
+    method: str | None = None
 
     @property
     def n_occupied(self) -> int:
@@ -85,7 +87,7 @@ class SidlaState:
         return int(np.count_nonzero(self.forest.root_x[1:] >= 0))
 
 
-def new_state(window: Window, seed: int = 0, log_events: bool = False) -> SidlaState:
+def new_state(window: Window, seed: int = 0) -> SidlaState:
     check_seeds(seed)
     W, M = window.W, window.M
     root_x = np.full((M + 1, W), -1, dtype=np.int64)
@@ -94,30 +96,29 @@ def new_state(window: Window, seed: int = 0, log_events: bool = False) -> SidlaS
     root_x[0] = 2 * np.arange(W, dtype=np.int64)
     times[0] = 0.0
     forest = Forest(window, "sidla", seed, times, parent_dir, root_x)
-    return SidlaState(forest, log_events=log_events)
+    return SidlaState(forest, np.full_like(root_x, -1))
+
+
+def _ring_arrivals(seed: int, k: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exp(W) clock gaps and sites ``2 * min(int(u1 * W), W - 1)`` of the rings k (a
+    uint64 column) of a rings run, from ``hash_uniform(seed, CLOCK_STREAM, k, j)``."""
+    u = hash_uniform_vec(hash_u64(seed, CLOCK_STREAM), [k, np.arange(2, dtype=np.uint64)])
+    return exp_from_uniform(u[:, 0], W), 2 * np.minimum((u[:, 1] * W).astype(np.int64), W - 1)
 
 
 def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
-    """Yield (clock gap, site x, coins) for rings lo..hi-1 of a rings run.
-
-    Ring k's gap is ``exp_from_uniform(hash_uniform(seed, CLOCK_STREAM, k,
-    0), W)``, its site ``2 * min(int(u1 * W), W - 1)`` with ``u1 =
-    hash_uniform(seed, CLOCK_STREAM, k, 1)``, and its coin at step s
-    ``hash_u64(seed, COIN_STREAM, k, s) & 1`` for s < M (a walk that has
-    climbed to the cap leaves the window whatever its next coin).  Each
-    stream's prefix is hashed once; a block of rings, whole rings of M + 2
-    words each within HASH_BLOCK, takes one vector hash per stream.
-    """
-    clock_mid = hash_u64(seed, CLOCK_STREAM)
-    coin_mid = hash_u64(seed, COIN_STREAM)
+    """Yield (clock gap, site x, coins) for rings lo..hi-1 of a rings run:
+    ``_ring_arrivals`` and ring k's coin at step s, ``hash_u64(seed,
+    COIN_STREAM, k, s) & 1`` for s < M (a walk that has climbed to the cap
+    leaves the window whatever its next coin).  A block of rings, M + 2
+    words each within HASH_BLOCK, takes one vector hash per stream."""
+    coin_mid, steps = hash_u64(seed, COIN_STREAM), np.arange(M, dtype=np.uint64)
     step = max(1, HASH_BLOCK // (M + 2))
-    draws, steps = np.arange(2, dtype=np.uint64), np.arange(M, dtype=np.uint64)
     for a in range(lo, hi, step):
         k = np.arange(a, min(a + step, hi), dtype=np.uint64)[:, None]
-        u = hash_uniform_vec(clock_mid, [k, draws])
-        site = 2 * np.minimum((u[:, 1] * W).astype(np.int64), W - 1)
+        gaps, sites = _ring_arrivals(seed, k, W)
         coins = hash_u64_vec(coin_mid, [k, steps]) & np.uint64(1)
-        yield from zip(exp_from_uniform(u[:, 0], W).tolist(), site.tolist(), coins.tolist())
+        yield from zip(gaps.tolist(), sites.tolist(), coins.tolist())
 
 
 def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
@@ -125,20 +126,17 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
 
     Each ring drops a particle on its site and walks it up by its coins
     while the edge taken is its own tree's parent edge; it claims a free
-    head and vanishes on a foreign one or at the cap.
+    head as ring n and vanishes on a foreign one or at the cap.
     """
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
     owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
-    occ = forest.values.tolist()
-    events, log = state.events, state.log_events
+    occ, claim = forest.values.tolist(), state.claim_event.tolist()
     clock, n = state.clock, state.n_rings
     need = W * M - state.n_occupied
     for gap, root, coins in _ring_draws(seed, n, max_rings, W, M):
         clock += gap
-        n += 1
         x = root
-        edge = ""
         for y, d in enumerate(coins):
             hx = (x + 2 * d - 1) % P
             row, j = y + 1, hx >> 1
@@ -147,16 +145,14 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
                 x = hx
                 continue
             if o < 0:
-                owner[row][j], pdir[row][j], occ[row][j] = root, d, clock
+                owner[row][j], pdir[row][j], occ[row][j], claim[row][j] = root, d, clock, n
                 need -= 1
-                edge = f"{x},{y},{'LR'[d]}"
             break
-        if log:
-            events.append((root, clock, "extend" if edge else "vanish", edge))
+        n += 1
         if not need:
             break
     forest.root_x[:], forest.parent_dir[:], forest.values[:] = owner, pdir, occ
-    state.clock, state.n_rings = clock, n
+    state.claim_event[:], state.clock, state.n_rings, state.method = claim, clock, n, "rings"
     if need:
         raise SimulationLimitError(
             f"window not covered after {max_rings} rings "
@@ -203,8 +199,7 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     term = [len(lst) * rate for lst, rate in zip(free, level_rate)]
     low = top = 1
     owner, pdir = forest.root_x.ravel().tolist(), forest.parent_dir.ravel().tolist()
-    occ = forest.values.ravel().tolist()
-    events, log = state.events, state.log_events
+    occ, order = forest.values.ravel().tolist(), array("q")  # each event's vertex, as C ints
     clock = state.clock
     n_events = W * M - state.n_occupied
     for e0, u1, u2 in _jump_draws(seed, n_events):
@@ -227,11 +222,8 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
         v = h * W + (hx >> 1)
         if owner[v] >= 0:
             raise ValueError(f"vertex ({hx}, {h}) already occupied")
-        owner[v] = root
-        pdir[v] = d
-        occ[v] = clock
-        if log:
-            events.append((root, clock, "extend", f"{x},{h - 1},{'LR'[d]}"))
+        owner[v], pdir[v], occ[v] = root, d, clock
+        order.append(v)
         # both in-edges of the new vertex die, Right (from hx - 1) before Left
         # (from hx + 1): the order fixes where swap-with-last moves codes
         for dead in ((base + (hx - 1) % P) * 2 + 1, (base + (hx + 1) % P) * 2):
@@ -259,16 +251,12 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
         while low < top and not free[low]:
             low += 1
     forest.root_x.flat, forest.parent_dir.flat, forest.values.flat = owner, pdir, occ
-    state.clock, state.n_rings = clock, n_events
+    state.claim_event.flat[np.frombuffer(order, np.int64)] = np.arange(n_events)
+    state.clock, state.n_rings, state.method = clock, n_events, "jumps"
     return state
 
 
-def run_until_covered(
-    window: Window,
-    seed: int,
-    method: str = "auto",
-    log_events: bool = False,
-) -> SidlaState:
+def run_until_covered(window: Window, seed: int, method: str = "auto") -> SidlaState:
     """Run the particle system until every window vertex is claimed.
 
     method is "rings" (literal event loop), "jumps" (clock thinning) or
@@ -278,7 +266,7 @@ def run_until_covered(
     """
     if method not in ("auto", "rings", "jumps"):
         raise ConfigError(f"unknown method {method!r}; use auto, rings or jumps")
-    state = new_state(window, seed=seed, log_events=log_events)
+    state = new_state(window, seed=seed)
     if method == "auto":
         method = "rings" if window.M <= AUTO_LITERAL_MAX_CAP else "jumps"
     if method == "rings":
@@ -287,19 +275,36 @@ def run_until_covered(
 
 
 def events_csv_text(state: SidlaState) -> bytearray:
-    """Ring event log as CSV with columns site_x,time,outcome,edge, one row
-    per event built from cells, as ASCII bytes; a non-empty edge is
-    quoted."""
-    events = state.events
+    """The run's events as CSV (site_x,time,outcome,edge), one row per event
+    in order, as ASCII bytes: the event that claimed vertex v gives v's root,
+    time, ``extend`` and quoted parent edge; any other is a ring that vanished
+    at the ring stream's site and clock.  ValueError if there is no claim record."""
+    fo, claim, W = state.forest, state.claim_event.ravel(), state.forest.window.W
+    if not np.array_equal(claim[W:] >= 0, fo.root_x.ravel()[W:] >= 0):
+        raise ValueError("claimed vertices without a claim event: not a particle driver's run")
+    vertex = np.full(state.n_rings, -1, dtype=np.min_scalar_type(-claim.size))
+    vertex[claim[claim >= 0]] = np.flatnonzero(claim >= 0)  # event -> vertex
+    clock = 0.0
 
-    def rows(lo: int, hi: int) -> bytearray:
-        sites, times, outcomes, edges = zip(*events[lo:hi])
-        edges = np.array(edges, dtype=bytes)
-        quote = (edges != b"")[:, None] * np.uint8(ord('"'))
-        return cell_text([
-            int_cells(sites), b",", float_cells(times), b",",
-            np.array(outcomes, dtype=bytes)[:, None].view(np.uint8), b",",
-            quote, edges[:, None].view(np.uint8), quote, b"\n",
-        ])
+    def rows(lo: int, hi: int) -> bytearray:  # called block by block, in order
+        nonlocal clock
+        v = vertex[lo:hi].astype(np.int64)
+        hit = v >= 0
+        time, site = fo.values.flat[v], fo.root_x.flat[v]
+        if not hit.all():  # the clock sums on from the last row, as the driver's did
+            gaps, sites = _ring_arrivals(fo.seed, np.arange(lo, hi, dtype=np.uint64)[:, None], W)
+            gaps[0] += clock
+            time, site = np.where(hit, time, np.cumsum(gaps)), np.where(hit, site, sites)
+        clock = float(time[-1])
+        cells = [int_cells(site), b",", float_cells(time), b",",  # outcome, and a quote by claim
+                 np.frombuffer(b'vanish,\0extend,"', np.uint8).reshape(2, 8)[hit * 1]]
+        del time, site  # each block temporary goes once used: the peak stays low
+        d, m = fo.parent_dir.flat[v].astype(np.int64), hit[:, None]
+        y, col = np.divmod(incoming_tail_index(W, v, d), W)  # of the parent edge's tail
+        cells += [int_cells((y & 1) + 2 * col) * m, m * np.uint8(44), int_cells(y * hit) * m,
+                  # the letter and closing quote by Dir code + 1 (0: vanish)
+                  np.frombuffer(b'\0\0\0,L",R"', np.uint8).reshape(3, 3)[(d + 1) * hit], b"\n"]
+        del v, y, col, d
+        return cell_text(cells)
 
-    return block_text(b"site_x,time,outcome,edge\n", len(events), rows, len(b",,,\n"))
+    return block_text(b"site_x,time,outcome,edge\n", state.n_rings, rows, len(b",,,\n"))

@@ -13,7 +13,10 @@ The object walk API (``edge_in_tree``, ``walk_particle``,
 ``next_ring``: Vertex/Edge objects and one scalar hash per coin) is the
 literal particle rule, one ring at a time.  ``reference_rings`` drives it
 as the bitwise reference for ``sidla._run_rings``; ``reference_jumps`` and
-``reference_replay`` claim vertices through ``apply_extension``.
+``reference_replay`` claim vertices through ``apply_extension``.  These
+four append one (site, time, outcome, edge) tuple per event to an event
+log that the caller passes in, a plain list that
+``reference_events_csv_text`` formats; the package keeps no such log.
 
 The ``reference_*`` ring functions are the object-based coupling engine
 (one ``CoupledRing`` per ring carrying its whole path, a tuple sort and a
@@ -35,10 +38,10 @@ root, kept as the bitwise reference for the array forms in ``sidlalab``.
 so rounding cannot move a root unnoticed.
 
 ``owner_of``, ``truncated_mean_height``, ``cone_check``, the lattice
-helpers ``dir_from_letter``, ``is_valid``, ``contains``, ``column_of``,
-``level_vertices``, ``boundary``, ``rel_x``, ``in_cone``, ``in_edges``,
-``out_edges`` and ``incoming_tail_columns``, the scalar definitions
-``level_rate`` and ``scalar_edge_address`` (the references for
+helpers ``canonicalize``, ``dir_from_letter``, ``is_valid``, ``contains``,
+``column_of``, ``level_vertices``, ``boundary``, ``rel_x``, ``in_cone``,
+``in_edges``, ``out_edges`` and ``incoming_tail_columns``, the scalar
+definitions ``level_rate`` and ``scalar_edge_address`` (the references for
 ``WeightField.rates`` and ``WeightField.edge_address``), and
 ``edge_weight`` (one edge's weight from one scalar hash, the reference for
 ``WeightField.incoming_weights``) are small helpers the oracles and the
@@ -92,6 +95,10 @@ def dir_from_letter(s: str) -> Dir:
     if s == "R":
         return Dir.RIGHT
     raise ValueError(f"direction must be 'L' or 'R', got {s!r}")
+
+
+def canonicalize(window: Window, v: Vertex) -> Vertex:
+    return Vertex(v.x % window.period, v.y)
 
 
 def is_valid(v: Vertex) -> bool:
@@ -160,8 +167,8 @@ def in_edges(v: Vertex, window: Window | None = None) -> tuple[Edge, Edge]:
     left_tail = Vertex(v.x + 1, v.y - 1)  # arrives by a LEFT step
     right_tail = Vertex(v.x - 1, v.y - 1)
     if window is not None:
-        left_tail = window.canonicalize(left_tail)
-        right_tail = window.canonicalize(right_tail)
+        left_tail = canonicalize(window, left_tail)
+        right_tail = canonicalize(window, right_tail)
     return Edge(right_tail, Dir.RIGHT), Edge(left_tail, Dir.LEFT)
 
 
@@ -202,7 +209,7 @@ def incoming_tail_columns(W: int, level: int) -> tuple[np.ndarray, np.ndarray]:
 def scalar_edge_address(window: Window, stream: int, e: Edge) -> list[int]:
     """Hash address of one edge: the stream tag, its canonical tail's x and
     y, and its direction."""
-    tail = window.canonicalize(e.tail)
+    tail = canonicalize(window, e.tail)
     return [stream, tail.x, tail.y, int(e.dir)]
 
 
@@ -274,7 +281,7 @@ def brute_force_forest(field):
     memo_dist: dict[Vertex, float] = {}
 
     def vdist(v: Vertex) -> float:
-        cv = win.canonicalize(v)
+        cv = canonicalize(win, v)
         if cv not in memo_dist:
             memo_dist[cv] = min(all_path_dists(cv))
         return memo_dist[cv]
@@ -282,7 +289,7 @@ def brute_force_forest(field):
     memo_root: dict[Vertex, int] = {}
 
     def vroot(v: Vertex) -> int:
-        cv = win.canonicalize(v)
+        cv = canonicalize(win, v)
         if cv.y == 0:
             return cv.x
         if cv not in memo_root:
@@ -413,7 +420,7 @@ def shell_weighted_sum(counts: dict[int, int]) -> Fraction:
 def edge_in_tree(state: SidlaState, root_x_value: int, e: Edge) -> bool:
     """True if e is the parent edge of its head in the tree of that root."""
     forest = state.forest
-    a = forest.window.canonicalize(head(e))
+    a = canonicalize(forest.window, head(e))
     if a.y > forest.window.M:
         return False
     j = column_of(forest.window, a)
@@ -433,13 +440,13 @@ def walk_particle(
     counter-hash stream, tests can pass explicit sequences.
     """
     win = state.forest.window
-    v = win.canonicalize(Vertex(root_x_value, 0))
+    v = canonicalize(win, Vertex(root_x_value, 0))
     step = 0
     while True:
         d = coin_at(step)
         step += 1
         e = Edge(v, d)
-        a = win.canonicalize(head(e))
+        a = canonicalize(win, head(e))
         if a.y <= win.M and edge_in_tree(state, root_x_value, e):
             v = a
             continue
@@ -451,7 +458,7 @@ def walk_particle(
 def apply_extension(state: SidlaState, root_x_value: int, e: Edge, time: float) -> None:
     """Claim the head of e for the given root at the given clock value."""
     forest = state.forest
-    a = forest.window.canonicalize(head(e))
+    a = canonicalize(forest.window, head(e))
     j = column_of(forest.window, a)
     if int(forest.root_x[a.y, j]) >= 0:
         raise ValueError(f"vertex {a} already occupied")
@@ -472,8 +479,9 @@ def ring_arrival(seed: int, ring_index: int, W: int) -> tuple[float, int]:
     return gap, 2 * site
 
 
-def next_ring(state: SidlaState, seed: int) -> tuple[int, Edge | None]:
-    """Advance the literal driver by one ring; returns (site_x, claimed edge)."""
+def next_ring(state: SidlaState, seed: int, log: list) -> tuple[int, Edge | None]:
+    """Advance the literal driver by one ring, appending its event to log;
+    returns (site_x, claimed edge)."""
     k = state.n_rings
     gap, site_x = ring_arrival(seed, k, state.forest.window.W)
     state.clock += gap
@@ -481,15 +489,12 @@ def next_ring(state: SidlaState, seed: int) -> tuple[int, Edge | None]:
     e = walk_particle(state, site_x, hash_coin_stream(seed, k))
     if e is not None:
         apply_extension(state, site_x, e, state.clock)
-    if state.log_events:
-        state.events.append(
-            (site_x, state.clock, "extend" if e is not None else "vanish",
-             edge_str(e) if e is not None else "")
-        )
+    log.append((site_x, state.clock, "extend" if e is not None else "vanish",
+                edge_str(e) if e is not None else ""))
     return site_x, e
 
 
-def reference_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
+def reference_rings(state: SidlaState, seed: int, max_rings: int, log: list) -> SidlaState:
     """The object-based rings driver, kept as the bitwise reference for
     ``sidla._run_rings``: one ``next_ring`` per ring, each coin and each
     clock draw its own scalar hash chain."""
@@ -500,7 +505,7 @@ def reference_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
                 f"window not covered after {max_rings} rings "
                 f"(W={win.W}, M={win.M}); the jumps driver has no such limit"
             )
-        next_ring(state, seed)
+        next_ring(state, seed, log)
     return state
 
 
@@ -514,7 +519,7 @@ def _decode_edge(window: Window, code: int) -> Edge:
     return Edge(Vertex(xy % window.period, xy // window.period), d)
 
 
-def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
+def reference_jumps(state: SidlaState, seed: int, log: list) -> SidlaState:
     """The object-based jumps driver, kept as the bitwise reference for
     ``sidla._run_jumps``: Edge/Vertex objects, two O(M) level loops and
     one full hash chain per uniform.
@@ -568,10 +573,9 @@ def reference_jumps(state: SidlaState, seed: int) -> SidlaState:
         i = min(int(hash_uniform(seed, JUMP_STREAM, k, 2) * len(lst)), len(lst) - 1)
         e = _decode_edge(win, lst[i])
         root = owner_of(state.forest, e.tail)
-        a = win.canonicalize(head(e))
+        a = canonicalize(win, head(e))
         apply_extension(state, root, e, state.clock)
-        if state.log_events:
-            state.events.append((root, state.clock, "extend", edge_str(e)))
+        log.append((root, state.clock, "extend", edge_str(e)))
         for dead in in_edges(a, win):
             code = _edge_code(win, dead)
             if code in pos:
@@ -669,7 +673,7 @@ def reference_generate_rings(
             kids = children[v.y][j]
             for d in (Dir.LEFT, Dir.RIGHT):
                 e = Edge(v, d)
-                a = win.canonicalize(head(e))
+                a = canonicalize(win, head(e))
                 ja = column_of(win, a)
                 w_r, w_l = weights[a.y]
                 w = float(w_l[ja]) if d is Dir.LEFT else float(w_r[ja])
@@ -690,14 +694,14 @@ def reference_generate_rings(
     return rings
 
 
-def reference_replay(rings: list[CoupledRing], window: Window) -> SidlaState:
+def reference_replay(rings: list[CoupledRing], window: Window, log: list) -> SidlaState:
     """Run the assigned rings through the particle rules, in order.
 
     Interior rings whose final edge's head is free extend the tree; every
     other ring vanishes.  An interior ring whose path prefix is not in the
     current tree contradicts the construction and raises CouplingFault.
     """
-    state = new_state(window, log_events=True)
+    state = new_state(window)
     for ring in rings:
         state.n_rings += 1
         state.clock = ring.time
@@ -712,13 +716,12 @@ def reference_replay(rings: list[CoupledRing], window: Window) -> SidlaState:
                         f"{edge_str(e)} not in the current tree"
                     )
             last = ring.path[-1]
-            a = window.canonicalize(head(last))
+            a = canonicalize(window, head(last))
             if owner_of(state.forest, a) < 0:
                 apply_extension(state, root_val, last, ring.time)
                 outcome = "extend"
                 claimed = edge_str(last)
-        if state.log_events:
-            state.events.append((ring.site.x, ring.time, outcome, claimed))
+        log.append((ring.site.x, ring.time, outcome, claimed))
     return state
 
 
@@ -756,10 +759,9 @@ def reference_gaps_csv_text(sites: np.ndarray, gaps: np.ndarray) -> str:
     return "site_x,gap\n" + ("%d,%.17g\n" * len(gaps)) % tuple(cells)
 
 
-def reference_events_csv_text(state: SidlaState) -> str:
-    """Ring event log as CSV with columns site_x,time,outcome,edge, formatted
-    by one template over all rows; a non-empty edge is quoted."""
-    events = state.events
+def reference_events_csv_text(events: list) -> str:
+    """An oracle's event log as CSV with columns site_x,time,outcome,edge,
+    formatted by one template over all rows; a non-empty edge is quoted."""
     rows = "".join(['%s,%.17g,%s,"%s"\n' if e else "%s,%.17g,%s,%s\n"
                     for _, _, _, e in events])
     return "site_x,time,outcome,edge\n" + rows % tuple(chain.from_iterable(events))
@@ -824,7 +826,7 @@ def reference_load_snapshot(path: str) -> Forest:
     pdirs = np.full((win.M + 1, win.W), -1, dtype=np.int8)
     roots = np.full((win.M + 1, win.W), -1, dtype=np.int64)
     for rec in vertices:
-        v = win.canonicalize(Vertex(int(rec["x"]), int(rec["y"])))
+        v = canonicalize(win, Vertex(int(rec["x"]), int(rec["y"])))
         if not contains(win, v):
             raise ValueError(f"snapshot vertex {v} outside window")
         j = column_of(win, v)
@@ -948,7 +950,7 @@ def reference_flank_left_distances(forest: Forest, n: int) -> np.ndarray:
         dxs = (xs - int(x0)) % win.period
         dxs = np.where(dxs > win.W, dxs - win.period, dxs)
         lx = int(x0) + int(dxs.min()) - 2
-        col = column_of(win, win.canonicalize(Vertex(lx, n)))
+        col = column_of(win, canonicalize(win, Vertex(lx, n)))
         out.append(float(values[n, col]))
     return np.asarray(out, dtype=np.float64)
 
@@ -1027,8 +1029,8 @@ def flanks(forest: Forest, root, n: int) -> FlankInfo:
     l_n = Vertex(x0 + dx_min - 2, n)
     r_n = Vertex(x0 + dx_max + 2, n)
     values = forest.values
-    left_dist = float(values[n, column_of(win, win.canonicalize(l_n))])
-    right_dist = float(values[n, column_of(win, win.canonicalize(r_n))])
+    left_dist = float(values[n, column_of(win, canonicalize(win, l_n))])
+    right_dist = float(values[n, column_of(win, canonicalize(win, r_n))])
     k = int(len(cols))
     apex = Vertex(l_n.x + (k + 1), l_n.y + (k + 1))
     triangle = _triangle_lattice_points(l_n, r_n, apex)

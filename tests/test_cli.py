@@ -67,6 +67,13 @@ def test_sidla_writes_snapshot_and_events(capsys):
     assert events.startswith("site_x,time,outcome,edge")
 
 
+def test_sidla_prints_the_driver_that_ran(capsys):
+    """--method auto picks the rings driver for a cap of 4 and says so."""
+    assert run("sidla", "--seed", "2", "-W", "6", "-M", "4", "--method", "auto",
+               "--out", "run.json") == 0
+    assert "sidla seed=2 window=6x4 method=rings rings=" in capsys.readouterr().out
+
+
 def test_couple_report_and_gaps(capsys):
     code = run("couple", "--seed", "1", "-W", "12", "-M", "6",
                "--repeats", "full", "--out", "rep.json",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    canonicalize,
     column_of,
     exp_variate,
     interring_gaps,
@@ -37,6 +38,7 @@ from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
 from sidlalab.hashing import hash_uniform_vec
 from sidlalab.lattice import Dir, Edge, Vertex, Window
+from sidlalab.sidla import events_csv_text
 
 
 def make_rings(seed=1, W=8, M=4, repeats="full", horizon_factor=1.5,
@@ -149,6 +151,17 @@ def test_replay_base_mode_matches_too():
     win, forest, rings, _ = make_rings(seed=7, W=16, M=8, repeats="base")
     state = replay(rings)
     assert forests_match(forest, state.forest)
+
+
+def test_a_replayed_state_has_no_events_to_write():
+    """replay claims vertices at ring times that are not on the particle
+    ring stream, so it records no claim events, and the events writer
+    refuses its state rather than make up vanish rows."""
+    _, _, rings, _ = make_rings(seed=2)
+    state = replay(rings)
+    assert (state.claim_event == -1).all()
+    with pytest.raises(ValueError, match="without a claim event"):
+        events_csv_text(state)
 
 
 def test_replay_detects_out_of_order_paths():
@@ -399,18 +412,20 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
     # within a tie group of those keys the two engines may order rings
     # differently, but they must assign the same (head, last step) pairs
     group = np.cumsum(np.r_[True, np.any([np.diff(k) != 0 for k in keys], axis=0)])
-    last = [(win.canonicalize(r.target), r.path[-1].dir) for r in ref]
+    last = [(canonicalize(win, r.target), r.path[-1].dir) for r in ref]
     ref_code = np.array([(2 * ((v.y * W) + column_of(win, v)) + int(d)) for v, d in last],
                         dtype=np.int64)
     code = 2 * rings.head + rings.dir
     assert np.array_equal(code[np.lexsort((code, group))],
                           ref_code[np.lexsort((ref_code, group))])
 
-    state, ref_state = replay(rings), reference_replay(ref, win)
+    ref_log = []
+    state, ref_state = replay(rings), reference_replay(ref, win, ref_log)
     assert np.array_equal(state.forest.root_x, ref_state.forest.root_x)
     assert np.array_equal(state.forest.parent_dir, ref_state.forest.parent_dir)
     assert state.forest.values.tobytes() == ref_state.forest.values.tobytes()
     assert (state.n_rings, state.n_occupied) == (ref_state.n_rings, ref_state.n_occupied)
+    assert len(ref_log) == ref_state.n_rings
     assert float.hex(state.clock) == float.hex(ref_state.clock)
     assert forests_match(forest, state.forest)
 

@@ -130,15 +130,19 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path):
 def bulk_calls():
     """Each bulk writer with the arguments of one large call."""
     forest = build_forest(WeightField(1, WeightProfile.STRETCH, Window(512, 128)))
-    state = run_until_covered(Window(512, 128), 1, method="jumps", log_events=True)
+    jumps = run_until_covered(Window(512, 128), 1, method="jumps")
+    # 185,094 rings, most of which vanish: rows drawn from the ring stream
+    rings = run_until_covered(Window(24, 12), 1, method="rings")
     rng = np.random.default_rng(1)
     gaps = (2 * rng.integers(0, 64, 80_000), rng.exponential(size=80_000))
     return {"snapshot_text": (snapshot_text, (forest,)), "render_svg": (render_svg, (forest,)),
-            "events_csv_text": (events_csv_text, (state,)), "gaps_csv_text": (gaps_csv_text, gaps)}
+            "events_csv_text": (events_csv_text, (jumps,)),
+            "events_csv_text_rings": (events_csv_text, (rings,)),
+            "gaps_csv_text": (gaps_csv_text, gaps)}
 
 
 @pytest.mark.parametrize("name", ["snapshot_text", "render_svg", "events_csv_text",
-                                  "gaps_csv_text"])
+                                  "events_csv_text_rings", "gaps_csv_text"])
 def test_bulk_writer_peak_stays_near_its_result(bulk_calls, name):
     writer, args = bulk_calls[name]
     tracemalloc.start()

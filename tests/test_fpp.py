@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     boundary,
     brute_force_forest,
+    canonicalize,
     column_of,
     edge_weight,
     exact_forest,
@@ -204,7 +205,7 @@ def test_forest_basic_shape_and_monotonicity():
         for j in range(12):
             v = win.vertex_at(m, j)
             d = Dir(int(fo.parent_dir[m, j]))
-            tail = win.canonicalize(Vertex(v.x - d.dx, m - 1))
+            tail = canonicalize(win, Vertex(v.x - d.dx, m - 1))
             assert fo.values[m, j] > fo.values[m - 1, column_of(win, tail)]
 
 
@@ -238,7 +239,7 @@ def test_trees_partition_vertices():
     seen = {}
     for root in boundary(win):
         for e in extract_tree(fo, root.x).edges:
-            hd = win.canonicalize(head(e))
+            hd = canonicalize(win, head(e))
             assert hd not in seen
             seen[hd] = root.x
     # every interior vertex claimed exactly once

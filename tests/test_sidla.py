@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -10,6 +11,7 @@ from scipy import stats
 
 from oracles import (
     apply_extension,
+    canonicalize,
     column_of,
     edge_in_tree,
     hash_coin_stream,
@@ -22,7 +24,7 @@ from oracles import (
     walk_particle,
 )
 
-from sidlalab import sidla
+from sidlalab import fileio, sidla
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import snapshot_text
 from sidlalab.hashing import JUMP_STREAM, hash_u64, hash_uniform
@@ -139,14 +141,15 @@ def test_ring_arrival_law():
 
 
 def test_ring_clock_advances():
-    state = new_state(Window(4, 2), seed=9, log_events=True)
+    state, log = new_state(Window(4, 2), seed=9), []
     t_prev = 0.0
     for _ in range(20):
-        next_ring(state, 9)
+        next_ring(state, 9, log)
         assert state.clock > t_prev
         t_prev = state.clock
     assert state.n_rings == 20
-    assert len(state.events) == 20
+    assert [t for _, t, _, _ in log] == sorted({t for _, t, _, _ in log})
+    assert log[-1][1] == state.clock
 
 
 @pytest.mark.parametrize("method", ["rings", "jumps"])
@@ -163,7 +166,7 @@ def test_run_until_covered(method):
         for j in range(win.W):
             v = win.vertex_at(m, j)
             d = Dir(int(fo.parent_dir[m, j]))
-            tail = win.canonicalize(Vertex(v.x - d.dx, v.y - 1))
+            tail = canonicalize(win, Vertex(v.x - d.dx, v.y - 1))
             assert fo.values[m, j] > fo.values[tail.y, column_of(win, tail)]
 
 
@@ -200,18 +203,78 @@ def test_jumps_event_count_is_exact():
 
 
 def test_events_csv_format():
-    state = new_state(Window(4, 2), seed=9, log_events=True)
-    for _ in range(30):
-        next_ring(state, 9)
+    """One row per ring: W * M quoted extend rows and a vanish row, with
+    an empty edge, for every other ring; the times never fall."""
+    state = run_until_covered(Window(4, 2), 9, method="rings")
     text = events_csv_text(state).decode()
     lines = text.strip().split("\n")
     assert lines[0] == "site_x,time,outcome,edge"
-    assert len(lines) == 31
-    outcomes = {ln.split(",")[2] for ln in lines[1:]}
-    assert outcomes <= {"extend", "vanish"}
+    assert len(lines) == state.n_rings + 1 > 4 * 2 + 1
+    outcomes = [ln.split(",")[2] for ln in lines[1:]]
+    assert outcomes.count("extend") == 4 * 2 and set(outcomes) == {"extend", "vanish"}
     for ln in lines[1:]:
-        if ",extend," in ln:
-            assert ln.rstrip().endswith('"')
+        assert ln.endswith('"') if ",extend," in ln else ln.endswith(",vanish,")
+    times = [float(ln.split(",")[1]) for ln in lines[1:]]
+    assert times == sorted(times) and times[-1] == state.clock
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_events_csv_is_the_same_for_every_text_block(block, monkeypatch):
+    """Text blocks split a rings run anywhere, between claimed and vanished
+    rows alike; the clock carried from block to block keeps every row the
+    reference driver's."""
+    win, log = Window(5, 3), []
+    fast = run_until_covered(win, 2, method="rings")
+    reference_rings(new_state(win, 2), 2, 10_000 * 5 * 3, log)
+    monkeypatch.setattr(fileio, "TEXT_BLOCK", block)
+    assert events_csv_text(fast) == reference_events_csv_text(log).encode()
+
+
+def test_events_csv_refuses_a_state_without_claim_records():
+    state = run_until_covered(Window(4, 2), 9, method="jumps")
+    state.claim_event[2, 1] = -1
+    with pytest.raises(ValueError, match="without a claim event"):
+        events_csv_text(state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(
+           lambda W: st.tuples(st.just(W), st.integers(min_value=1, max_value=min(W, 5)))),
+       st.integers(min_value=0, max_value=2**64 - 1))
+def test_claim_events_index_the_run(window, seed):
+    """A jumps event claims one vertex each, so the claim indices of the
+    window are a permutation of 0..W*M-1; a rings run's are distinct ring
+    indices below n_rings.  The boundary holds -1."""
+    win = Window(*window)
+    for method in ("jumps", "rings"):
+        state = run_until_covered(win, seed, method=method)
+        claim = state.claim_event
+        assert claim.shape == state.forest.root_x.shape and claim.dtype == np.int64
+        assert (claim[0] == -1).all()
+        inner = np.sort(claim[1:], axis=None)
+        if method == "jumps":
+            assert np.array_equal(inner, np.arange(win.W * win.M))
+        else:
+            assert inner[0] >= 0 and inner[-1] < state.n_rings
+            assert (np.diff(inner) > 0).all()
+
+
+@pytest.mark.parametrize("window,method,kept_mb", [((512, 128), "jumps", 3),
+                                                  ((24, 12), "rings", 1)],
+                         ids=["jumps-512x128", "rings-24x12"])
+def test_a_run_keeps_no_event_log(window, method, kept_mb):
+    """What a run keeps after it returns is its forest and one claim index
+    per vertex, however many events ran (65,536 jumps; 185,094 rings at
+    24x12), and its events CSV can still be written from that.  A log of
+    one Python tuple per event kept 11.7 and 19.4 MB here."""
+    tracemalloc.start()
+    try:
+        state = run_until_covered(Window(*window), 1, method=method)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= kept_mb * 1e6, kept
+    assert events_csv_text(state).count(b"\n") == state.n_rings + 1
 
 
 def test_runs_are_deterministic():
@@ -279,7 +342,7 @@ def assert_golden_texts(state, digest, array_digest, tmp_path):
 @pytest.mark.parametrize("case,digest,clock_hex,censored,n_rings", JUMPS_GOLDEN)
 def test_jumps_golden_digests(case, digest, clock_hex, censored, n_rings, tmp_path):
     W, M, seed = case
-    state = run_until_covered(Window(W, M), seed, method="jumps", log_events=True)
+    state = run_until_covered(Window(W, M), seed, method="jumps")
     assert_golden_texts(state, digest, JUMPS_ARRAY_GOLDEN[case], tmp_path)
     assert float.hex(state.clock) == clock_hex
     assert censored_roots(state) == censored
@@ -313,20 +376,22 @@ RINGS_ARRAY_GOLDEN = {
 @pytest.mark.parametrize("case,digest,clock_hex,censored,n_rings", RINGS_GOLDEN)
 def test_rings_golden_digests(case, digest, clock_hex, censored, n_rings, tmp_path):
     W, M, seed = case
-    state = run_until_covered(Window(W, M), seed, method="rings", log_events=True)
+    state = run_until_covered(Window(W, M), seed, method="rings")
     assert_golden_texts(state, digest, RINGS_ARRAY_GOLDEN[case], tmp_path)
     assert float.hex(state.clock) == clock_hex
     assert censored_roots(state) == censored
     assert state.n_rings == n_rings
 
 
-def assert_same_run(fast, ref):
+def assert_same_run(fast, ref, ref_log):
+    """Same forest, counters and clock, and the events CSV derived from the
+    fast run is the reference driver's event log, field for field."""
     assert np.array_equal(fast.forest.root_x, ref.forest.root_x)
     assert np.array_equal(fast.forest.parent_dir, ref.forest.parent_dir)
     assert fast.forest.values.tobytes() == ref.forest.values.tobytes()
-    assert fast.events == ref.events
     assert float.hex(fast.clock) == float.hex(ref.clock)
     assert (fast.n_rings, fast.n_occupied) == (ref.n_rings, ref.n_occupied)
+    assert events_csv_text(fast) == reference_events_csv_text(ref_log).encode()
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,9 +409,9 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sidla, "HASH_BLOCK", block_words)
         for budget in (10_000 * W * M, W * M):
-            runs = []
-            for run in (sidla._run_rings, reference_rings):
-                state = new_state(win, seed, log_events=True)
+            runs, log = [], []
+            for run in (sidla._run_rings, lambda *args: reference_rings(*args, log)):
+                state = new_state(win, seed)
                 try:
                     run(state, seed, budget)
                     runs.append((False, state))
@@ -354,8 +419,7 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
                     runs.append((True, state))
             (gave_up, fast), (ref_gave_up, ref) = runs
             assert gave_up == ref_gave_up == (fast.n_occupied < W * M)
-            assert_same_run(fast, ref)
-            assert events_csv_text(fast) == reference_events_csv_text(fast).encode()
+            assert_same_run(fast, ref, log)
 
 
 @st.composite
@@ -372,14 +436,9 @@ def window_and_seed(draw):
 def test_jumps_match_reference_bitwise(case):
     W, M, seed = case
     win = Window(W, M)
-    fast = run_until_covered(win, seed, method="jumps", log_events=True)
-    ref = reference_jumps(new_state(win, seed=seed, log_events=True), seed)
-    assert np.array_equal(fast.forest.root_x, ref.forest.root_x)
-    assert np.array_equal(fast.forest.parent_dir, ref.forest.parent_dir)
-    assert fast.forest.values.tobytes() == ref.forest.values.tobytes()
-    assert fast.events == ref.events
-    assert float.hex(fast.clock) == float.hex(ref.clock)
-    assert (fast.n_rings, fast.n_occupied) == (ref.n_rings, ref.n_occupied)
+    fast = run_until_covered(win, seed, method="jumps")
+    log = []
+    assert_same_run(fast, reference_jumps(new_state(win, seed=seed), seed, log), log)
 
 
 def test_jump_draws_match_per_event_hashes(monkeypatch):
@@ -392,10 +451,9 @@ def test_jump_draws_match_per_event_hashes(monkeypatch):
                hash_uniform(mid, k, 2)) for k in range(30)]
     assert list(sidla._jump_draws(5, 30)) == expect
     win = Window(9, 5)
-    fast = run_until_covered(win, 5, method="jumps", log_events=True)
-    ref = reference_jumps(new_state(win, seed=5, log_events=True), 5)
-    assert fast.forest.values.tobytes() == ref.forest.values.tobytes()
-    assert fast.events == ref.events
+    fast = run_until_covered(win, 5, method="jumps")
+    log = []
+    assert_same_run(fast, reference_jumps(new_state(win, seed=5), 5, log), log)
 
 
 def loop_level_choice(counts, u):
