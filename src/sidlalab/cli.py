@@ -248,12 +248,14 @@ def cmd_shells(args: argparse.Namespace) -> int:
 
 
 def _picture_run(picture: str, seed: int, W: int, M: int, profile_value: str,
-                 method: str) -> fpp.Forest:
+                 method: str, up_to: int | None = None) -> fpp.Forest:
+    """One picture's forest; a particle run stops once levels 1..up_to are
+    covered (default: the whole window), the fpp DP always runs whole."""
     win = Window(W, M)
     if picture == "fpp":
         field = fpp.WeightField(seed, fpp.WeightProfile(profile_value), win)
         return fpp.build_forest(field)
-    return sidla.run_until_covered(win, seed, method=method).forest
+    return sidla.run_until_covered(win, seed, method=method, up_to=up_to).forest
 
 
 def _stats_task(task):
@@ -347,8 +349,10 @@ def _parse_levels(text: str, M: int) -> list[int]:
 
 
 def _compare_task(task):
+    # Both statistics read only levels 1..min(height_clip, M), final once covered
     picture, seed, W, M, profile_value, method, height_clip = task
-    forest = _picture_run(picture, seed, W, M, profile_value, method)
+    forest = _picture_run(picture, seed, W, M, profile_value, method,
+                          up_to=min(height_clip, M))
     t1 = analysis.level_profile(forest, 0, 1)
     heights, _ = analysis.root_heights(forest)
     return t1, min(int(heights[0]), height_clip)

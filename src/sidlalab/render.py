@@ -21,6 +21,9 @@ from .hashing import hash_u64
 
 _PALETTE_SEED = 0x5E4A7
 _HIGHLIGHT_COLOR = "#d81b2a"
+# Largest error, as a fraction of a lattice step (scale drawing units), with
+# which a coordinate's 6-digit text may read back
+_READBACK_TOL = 0.01
 
 
 def _fmt(v: float) -> str:
@@ -45,6 +48,20 @@ class RenderOptions:
             raise ConfigError(f"scale must be positive, got {self.scale}")
         if self.max_level is not None and self.max_level < 0:
             raise ConfigError(f"max_level must be nonnegative, got {self.max_level}")
+
+
+def _coordinate_texts(axis: str, values: list[float], s: float, W: int, M: int) -> list[str]:
+    """The texts of a table of coordinates; ConfigError, before anything is
+    written, if one reads back more than _READBACK_TOL of a step off."""
+    texts = [_fmt(v) for v in values]
+    err = np.abs(np.array(texts, dtype=float) - values)
+    i = int(np.argmax(err))
+    if err[i] > _READBACK_TOL * s:
+        raise ConfigError(f"the {W}x{M} drawing at scale {s:g} needs more than 6 "
+                          f"significant digits: {axis} = {values[i]!r} would be written "
+                          f"{texts[i]}, {err[i] / s:.3g} of a lattice step off "
+                          f"(at most {_READBACK_TOL:g})")
+    return texts
 
 
 def _cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +113,8 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
     ).encode()
 
     # x_text[x + 1] for x in -1..2W, y_text[y] for y in 0..top
-    x_text = [_fmt(sx(x)) for x in range(-1, 2 * W + 1)]
-    y_text = [_fmt(sy(y)) for y in range(top + 1)]
+    x_text = _coordinate_texts("x", [sx(x) for x in range(-1, 2 * W + 1)], s, W, M)
+    y_text = _coordinate_texts("y", [sy(y) for y in range(top + 1)], s, W, M)
     colors = [root_color(2 * k) for k in range(W)]
     stroke = _fmt(0.16 * s)
     x_cells, x_len = _cells(x_text)

@@ -72,7 +72,11 @@ class SidlaState:
     The forest's values are the clock values at which each vertex was
     claimed (0 on the boundary); unclaimed vertices hold root -1 and
     ``claim_event`` -1, claimed ones the index of the event (ring or jump)
-    that claimed them.  ``method`` names the driver that ran.
+    that claimed them.  ``method`` names the driver that ran.  A run
+    stopped below the cap (``run_until_covered``'s ``up_to``) holds
+    unclaimed vertices above its stop level; its ``clock`` and ``n_rings``
+    (events run) end at the event that claimed the last vertex at or below
+    that level.
     """
 
     forest: Forest
@@ -121,8 +125,14 @@ def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
         yield from zip(gaps.tolist(), sites.tolist(), coins.tolist())
 
 
-def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
-    """Ring the clock until every vertex is claimed, at most max_rings times.
+def _need(state: SidlaState, up_to: int) -> int:
+    """The stop rule's count: unclaimed vertices at levels 1..up_to."""
+    return int(np.count_nonzero(state.forest.root_x[1:up_to + 1] < 0))
+
+
+def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int) -> SidlaState:
+    """Ring the clock until every vertex at levels 1..up_to is claimed, at
+    most max_rings times.
 
     Each ring drops a particle on its site and walks it up by its coins
     while the edge taken is its own tree's parent edge; it claims a free
@@ -133,7 +143,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
     owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
     occ, claim = forest.values.tolist(), state.claim_event.tolist()
     clock, n = state.clock, state.n_rings
-    need = W * M - state.n_occupied
+    need = _need(state, up_to)
     for gap, root, coins in _ring_draws(seed, n, max_rings, W, M):
         clock += gap
         x = root
@@ -146,7 +156,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
                 continue
             if o < 0:
                 owner[row][j], pdir[row][j], occ[row][j], claim[row][j] = root, d, clock, n
-                need -= 1
+                need -= row <= up_to
             break
         n += 1
         if not need:
@@ -155,7 +165,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int) -> SidlaState:
     state.claim_event[:], state.clock, state.n_rings, state.method = claim, clock, n, "rings"
     if need:
         raise SimulationLimitError(
-            f"window not covered after {max_rings} rings "
+            f"levels 1..{up_to} not covered after {max_rings} rings "
             f"(W={W}, M={M}); the jumps driver has no such limit"
         )
     return state
@@ -175,8 +185,9 @@ def _jump_draws(seed: int, n_events: int):
         yield from zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
 
 
-def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
-    """Sample extension events directly from the free-edge clocks.
+def _run_jumps(state: SidlaState, seed: int, up_to: int) -> SidlaState:
+    """Sample extension events directly from the free-edge clocks until
+    every vertex at levels 1..up_to is claimed.
 
     Free edges are grouped by level (one rate per level) as codes
     ``(y * 2W + x) * 2 + dir`` of their tails; ``pos[code]`` is a code's
@@ -200,9 +211,8 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
     low = top = 1
     owner, pdir = forest.root_x.ravel().tolist(), forest.parent_dir.ravel().tolist()
     occ, order = forest.values.ravel().tolist(), array("q")  # each event's vertex, as C ints
-    clock = state.clock
-    n_events = W * M - state.n_occupied
-    for e0, u1, u2 in _jump_draws(seed, n_events):
+    clock, need = state.clock, _need(state, up_to)
+    for e0, u1, u2 in _jump_draws(seed, W * M - state.n_occupied):
         pref = list(accumulate(term[low:top + 1]))
         rate_sum = pref[-1]
         w = e0 / rate_sum
@@ -248,30 +258,44 @@ def _run_jumps(state: SidlaState, seed: int) -> SidlaState:
             term[h + 1] = len(up) * level_rate[h + 1]
             if h == top:
                 top = h + 1
+        need -= h <= up_to
+        if not need:
+            break
         while low < top and not free[low]:
             low += 1
     forest.root_x.flat, forest.parent_dir.flat, forest.values.flat = owner, pdir, occ
-    state.claim_event.flat[np.frombuffer(order, np.int64)] = np.arange(n_events)
-    state.clock, state.n_rings, state.method = clock, n_events, "jumps"
+    state.claim_event.flat[np.frombuffer(order, np.int64)] = np.arange(len(order))
+    state.clock, state.n_rings, state.method = clock, len(order), "jumps"
     return state
 
 
-def run_until_covered(window: Window, seed: int, method: str = "auto") -> SidlaState:
-    """Run the particle system until every window vertex is claimed.
+def run_until_covered(window: Window, seed: int, method: str = "auto",
+                      up_to: int | None = None) -> SidlaState:
+    """Run the particle system until every vertex at levels 1..up_to is
+    claimed; up_to defaults to the cap M, the whole window.
 
     method is "rings" (literal event loop), "jumps" (clock thinning) or
     "auto", which picks rings for small caps and jumps otherwise.  The
     rings driver stops with SimulationLimitError if coverage takes more
     than DEFAULT_RING_BUDGET_FACTOR * W * M rings.
+
+    A claim is never undone and a tree grows only upward, so once levels
+    1..up_to are covered they are final: the stopped run equals the full
+    one on rows 0..up_to of every array.  Above up_to it holds the vertices
+    claimed so far (the rest unclaimed), and its clock and n_rings end at
+    the event that claimed the last vertex at or below up_to.
     """
     if method not in ("auto", "rings", "jumps"):
         raise ConfigError(f"unknown method {method!r}; use auto, rings or jumps")
+    up_to = window.M if up_to is None else up_to
+    if not 1 <= up_to <= window.M:
+        raise ConfigError(f"stop level must lie in 1..{window.M}, got {up_to}")
     state = new_state(window, seed=seed)
     if method == "auto":
         method = "rings" if window.M <= AUTO_LITERAL_MAX_CAP else "jumps"
     if method == "rings":
-        return _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M)
-    return _run_jumps(state, seed)
+        return _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M, up_to)
+    return _run_jumps(state, seed, up_to)
 
 
 def events_csv_text(state: SidlaState) -> bytearray:

@@ -87,7 +87,9 @@ def test_04_two_pictures_share_one_law():
         h, _ = root_heights(fo)
         slice_fpp.append(level_profile(fo, 0, 1))
         h_fpp.append(min(int(h[0]), 16))
-        st = run_until_covered(win, seed, method="jumps").forest
+        # levels 1..16 are final once covered: the clipped height and the
+        # slice are the full run's (the particle picture of `compare`)
+        st = run_until_covered(win, seed, method="jumps", up_to=16).forest
         h2, _ = root_heights(st)
         slice_sidla.append(level_profile(st, 0, 1))
         h_sidla.append(min(int(h2[0]), 16))

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import sidlalab
-from sidlalab import cli, coupling, fpp
+from sidlalab import analysis, cli, coupling, fpp, sidla
 from sidlalab.cli import EXIT_CONFIG, EXIT_FAULT, main
-from sidlalab.fileio import atomic_write_text
+from sidlalab.fileio import atomic_write_text, json_text
 from sidlalab.fpp import load_snapshot
+from sidlalab.lattice import Window
 
 
 @pytest.fixture(autouse=True)
@@ -253,6 +254,20 @@ def test_render_rejects_bad_options(flag, value, capsys):
     assert not Path("x.svg").exists()
 
 
+@pytest.mark.parametrize("width,written,off", [("50000", "1.00004e+06", "0.333 of"),
+                                               ("500000", "1.00002e+07", "4 of")])
+def test_render_refuses_coordinates_six_digits_cannot_hold(width, written, off, capsys):
+    """Coordinates are written with 6 significant digits.  At 50,000 columns
+    an x would read back a third of a lattice step off; at 500,000 the
+    boundary circles would share 20,001 cx texts among 83,334 of them.
+    Both drawings are refused and nothing is written."""
+    assert run("render", "-W", width, "-M", "1", "--out", "x.svg") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "needs more than 6 significant digits" in err
+    assert f"written {written}, {off} a lattice step off (at most 0.01)" in err
+    assert not Path("x.svg").exists()
+
+
 def test_fpp_refuses_an_unrepresentable_rate(capsys):
     """2**1024, the decreasing rate at level 1024, is no double."""
     assert run("fpp", "-W", "1024", "-M", "1024", "--profile", "decreasing",
@@ -418,6 +433,38 @@ def test_compare_small(capsys):
     assert "compare height chi2=" in out
     payload = json.loads(Path("cmp.json").read_text())
     assert 0.0 <= payload["slice1"]["p_value"] <= 1.0
+
+
+@pytest.mark.parametrize("method", ["rings", "jumps"])
+def test_compare_stops_particle_runs_at_the_clip_with_the_full_runs_report(
+        method, capsys, monkeypatch):
+    """compare stops each particle run once levels 1..clip are covered;
+    its report is the one computed here from full runs of both pictures."""
+    W, M, clip, seeds = 16, 8, 4, range(3, 43)
+    win = Window(W, M)
+    samples = {"fpp": ([], []), "sidla": ([], [])}
+    for seed in seeds:
+        fo = fpp.build_forest(fpp.WeightField(seed, fpp.WeightProfile.STRETCH, win))
+        st = sidla.run_until_covered(win, seed, method=method).forest
+        assert (st.root_x >= 0).all()
+        for picture, forest in (("fpp", fo), ("sidla", st)):
+            samples[picture][0].append(analysis.level_profile(forest, 0, 1))
+            samples[picture][1].append(min(int(analysis.root_heights(forest)[0][0]), clip))
+    r_t1, r_h = (analysis.chi_square_compare(analysis.histogram(samples["fpp"][i]),
+                                             analysis.histogram(samples["sidla"][i]))
+                 for i in (0, 1))
+    want = {"replicas": 40, "alpha": 0.01,
+            "slice1": {"statistic": r_t1.statistic, "p_value": r_t1.p_value},
+            "height": {"statistic": r_h.statistic, "p_value": r_h.p_value}}
+    stops, run_particles = [], sidla.run_until_covered
+    monkeypatch.setattr(sidla, "run_until_covered",
+                        lambda *a, **kw: stops.append(kw["up_to"]) or run_particles(*a, **kw))
+    code = run("compare", "-W", "16", "-M", "8", "--height-clip", "4", "--method", method,
+               "--seed", "3", "--replicas", "40", "--out", "c.json")
+    assert stops == [clip] * 40
+    assert code == (0 if min(r_t1.p_value, r_h.p_value) > 0.01 else 2)
+    assert Path("c.json").read_bytes() == (json_text(want) + "\n").encode()
+    assert f"compare height chi2={r_h.statistic:.6g} p={r_h.p_value:.6g}" in capsys.readouterr().out
 
 
 def test_compare_alpha_one_always_fails(capsys):

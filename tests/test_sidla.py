@@ -173,6 +173,10 @@ def test_run_until_covered(method):
 def test_method_validation_and_budget(monkeypatch):
     with pytest.raises(ConfigError):
         run_until_covered(Window(4, 3), seed=1, method="spin")
+    for method in ("rings", "jumps"):
+        for up_to in (0, 4):  # the stop level lies in 1..M
+            with pytest.raises(ConfigError, match=r"stop level must lie in 1\.\.3, got"):
+                run_until_covered(Window(4, 3), seed=1, method=method, up_to=up_to)
     monkeypatch.setattr(sidla, "DEFAULT_RING_BUDGET_FACTOR", 1)
     with pytest.raises(SimulationLimitError):
         run_until_covered(Window(4, 4), seed=1, method="rings")
@@ -259,21 +263,70 @@ def test_claim_events_index_the_run(window, seed):
             assert (np.diff(inner) > 0).all()
 
 
-@pytest.mark.parametrize("window,method,kept_mb", [((512, 128), "jumps", 3),
-                                                  ((24, 12), "rings", 1)],
-                         ids=["jumps-512x128", "rings-24x12"])
-def test_a_run_keeps_no_event_log(window, method, kept_mb):
+@st.composite
+def stopped_run_case(draw):
+    """A driver, a window (rings at caps <= 6, jumps up to 64x32), a stop
+    level in 1..M and a seed."""
+    method = draw(st.sampled_from(["rings", "jumps"]))
+    W = draw(st.integers(min_value=1, max_value=10 if method == "rings" else 64))
+    M = draw(st.integers(min_value=1, max_value=min(W, 6 if method == "rings" else 32)))
+    L = draw(st.integers(min_value=1, max_value=M))
+    return method, W, M, L, draw(st.integers(min_value=0, max_value=2**64 - 1))
+
+
+def run_arrays(state):
+    fo = state.forest
+    return fo.root_x, fo.parent_dir, fo.values, state.claim_event
+
+
+@settings(max_examples=40, deadline=None)
+@given(stopped_run_case())
+@example(("jumps", 64, 32, 16, 1))  # compare's default clip at the benchmark's window
+@example(("rings", 10, 6, 2, 5))
+@example(("jumps", 7, 7, 7, 3))  # a stop at the cap
+def test_a_stopped_run_is_the_full_run_cut_at_its_stop(case):
+    """A run stopped at level L equals the full run on rows 0..L and covers
+    levels 1..L.  It is the full run cut after the event that claimed the
+    last vertex at or below L: exactly the full run's earlier claims,
+    with that event's clock, and its events CSV is a prefix of the full
+    run's.  up_to=M is the full run."""
+    method, W, M, L, seed = case
+    win = Window(W, M)
+    full = run_until_covered(win, seed, method=method)
+    cut = run_until_covered(win, seed, method=method, up_to=L)
+    for a, b in zip(run_arrays(full), run_arrays(cut)):
+        assert a[:L + 1].tobytes() == b[:L + 1].tobytes()
+    assert (cut.forest.root_x[1:L + 1] >= 0).all()
+    assert cut.n_rings == int(cut.claim_event[1:L + 1].max()) + 1 <= full.n_rings
+    assert cut.clock == np.nanmax(cut.forest.values[1:L + 1])
+    kept = (full.claim_event < cut.n_rings)[1:]
+    assert kept[:L].all()
+    for a, b, unclaimed in zip(run_arrays(full), run_arrays(cut), (-1, -1, np.nan, -1)):
+        assert np.where(kept, a[1:], unclaimed).tobytes() == b[1:].tobytes()
+    assert events_csv_text(full).startswith(events_csv_text(cut))
+    whole = run_until_covered(win, seed, method=method, up_to=M)
+    for a, b in zip(run_arrays(full), run_arrays(whole)):
+        assert a.tobytes() == b.tobytes()
+    assert (float.hex(whole.clock), whole.n_rings) == (float.hex(full.clock), full.n_rings)
+
+
+@pytest.mark.parametrize("window,method,kept_kb", [((64, 32), "jumps", 150),
+                                                  ((16, 8), "rings", 100)],
+                         ids=["jumps-64x32", "rings-16x8"])
+def test_a_run_keeps_no_event_log(window, method, kept_kb):
     """What a run keeps after it returns is its forest and one claim index
-    per vertex, however many events ran (65,536 jumps; 185,094 rings at
-    24x12), and its events CSV can still be written from that.  A log of
-    one Python tuple per event kept 11.7 and 19.4 MB here."""
+    per vertex (25 bytes a vertex: 53 and 4 kB here), however many events
+    ran (2,048 jumps; 6,501 rings at 16x8), and its events CSV can still be
+    written from that.  A log of one Python tuple per event kept about
+    370 and 550 kB here.  tracemalloc slows the driver about 40x, so the windows
+    are small."""
     tracemalloc.start()
     try:
         state = run_until_covered(Window(*window), 1, method=method)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept <= kept_mb * 1e6, kept
+    assert kept <= kept_kb * 1e3, kept
     assert events_csv_text(state).count(b"\n") == state.n_rings + 1
 
 
@@ -410,7 +463,8 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
         mp.setattr(sidla, "HASH_BLOCK", block_words)
         for budget in (10_000 * W * M, W * M):
             runs, log = [], []
-            for run in (sidla._run_rings, lambda *args: reference_rings(*args, log)):
+            for run in (lambda *args: sidla._run_rings(*args, M),
+                        lambda *args: reference_rings(*args, log)):
                 state = new_state(win, seed)
                 try:
                     run(state, seed, budget)
