@@ -248,14 +248,18 @@ def cmd_shells(args: argparse.Namespace) -> int:
 
 
 def _picture_run(picture: str, seed: int, W: int, M: int, profile_value: str,
-                 method: str, up_to: int | None = None) -> fpp.Forest:
-    """One picture's forest; a particle run stops once levels 1..up_to are
-    covered (default: the whole window), the fpp DP always runs whole."""
-    win = Window(W, M)
+                 method: str, up_to: int | None = None, root: int | None = None) -> fpp.Forest:
+    """One picture's forest, final on levels 0..up_to (default M, the whole
+    window) of root's tree (default every tree).  The fpp DP runs on the
+    window cut at up_to: weights are keyed by edge address and a level's
+    rate does not depend on M, so that forest is rows 0..up_to of the whole
+    window's.  A particle run stops once no free edge leads from root's
+    tree into levels 1..up_to (``sidla.run_until_covered``)."""
     if picture == "fpp":
-        field = fpp.WeightField(seed, fpp.WeightProfile(profile_value), win)
-        return fpp.build_forest(field)
-    return sidla.run_until_covered(win, seed, method=method, up_to=up_to).forest
+        win = Window(W, M if up_to is None else up_to)
+        return fpp.build_forest(fpp.WeightField(seed, fpp.WeightProfile(profile_value), win))
+    return sidla.run_until_covered(Window(W, M), seed, method=method, up_to=up_to,
+                                   root=root).forest
 
 
 def _stats_task(task):
@@ -349,10 +353,10 @@ def _parse_levels(text: str, M: int) -> list[int]:
 
 
 def _compare_task(task):
-    # Both statistics read only levels 1..min(height_clip, M), final once covered
+    # Both statistics read only root 0's tree on levels 0..min(height_clip, M)
     picture, seed, W, M, profile_value, method, height_clip = task
     forest = _picture_run(picture, seed, W, M, profile_value, method,
-                          up_to=min(height_clip, M))
+                          up_to=min(height_clip, M), root=0)
     t1 = analysis.level_profile(forest, 0, 1)
     heights, _ = analysis.root_heights(forest)
     return t1, min(int(heights[0]), height_clip)
@@ -367,6 +371,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if clip < 1:
         raise ConfigError(f"height clip must be >= 1 (a lower clip leaves one height "
                           f"bin and a vacuous test), got {clip}")
+    # the fpp picture runs below the cap: refuse a cap the whole window's rates cannot hold
+    fpp.WeightField(args.seed, fpp.WeightProfile.STRETCH, win)
     seeds = range(args.seed, args.seed + args.replicas)
     fpp_tasks = [("fpp", s, win.W, win.M, "stretch", args.method, clip)
                  for s in seeds]
@@ -411,10 +417,25 @@ _RENDER_SAMPLING = {
 def cmd_render(args: argparse.Namespace) -> int:
     given = [flag for dest, (flag, _) in _RENDER_SAMPLING.items()
              if getattr(args, dest) is not None]
+    if args.input and given:
+        raise ConfigError(f"render --in draws the snapshot's own window and "
+                          f"seed; it takes no {', '.join(given)}")
+    if args.highlight_root.lower() == "none":
+        highlight = None
+    else:
+        try:
+            highlight = int(args.highlight_root)
+        except ValueError:
+            raise ConfigError(
+                f"highlight root must be an even integer or 'none', "
+                f"got {args.highlight_root!r}"
+            )
+        if highlight % 2 != 0:
+            raise ConfigError(f"highlight root must be even, got {highlight}")
+    options = render.RenderOptions(
+        highlight_root=highlight, scale=args.scale, max_level=args.max_level
+    )
     if args.input:
-        if given:
-            raise ConfigError(f"render --in draws the snapshot's own window and "
-                              f"seed; it takes no {', '.join(given)}")
         forest = fpp.load_snapshot(args.input)
     else:
         for dest, (_, default) in _RENDER_SAMPLING.items():
@@ -422,25 +443,11 @@ def cmd_render(args: argparse.Namespace) -> int:
                 setattr(args, dest, default)
         _check_picture(args)
         check_seeds(args.seed, args.seed)
-        forest = _picture_run(args.picture, args.seed, args.width, args.height,
+        win = Window(args.width, args.height)
+        render.coordinate_texts(win.W, win.M, options)  # refused before sampling
+        forest = _picture_run(args.picture, args.seed, win.W, win.M,
                               args.profile, args.method or "auto")
     win, seed = forest.window, forest.seed
-    if args.highlight_root.lower() == "none":
-        highlight = None
-    else:
-        try:
-            x = int(args.highlight_root)
-        except ValueError:
-            raise ConfigError(
-                f"highlight root must be an even integer or 'none', "
-                f"got {args.highlight_root!r}"
-            )
-        if x % 2 != 0:
-            raise ConfigError(f"highlight root must be even, got {x}")
-        highlight = x % win.period
-    options = render.RenderOptions(
-        highlight_root=highlight, scale=args.scale, max_level=args.max_level
-    )
     svg = render.render_svg(forest, options)
     out = args.out or f"render_w{win.W}_m{win.M}_s{seed}.svg"
     atomic_write_text(out, svg)

@@ -64,6 +64,22 @@ def _coordinate_texts(axis: str, values: list[float], s: float, W: int, M: int) 
     return texts
 
 
+def coordinate_texts(W: int, M: int, options: RenderOptions) -> tuple[list[str], list[str]]:
+    """The x texts (x = -1..2W) and the y texts (levels 0..top) of a W x M
+    drawing; ConfigError if its extent is no finite double or a text would
+    read back more than _READBACK_TOL of a step off.  They depend on W, the
+    drawn top level and the scale alone, so a drawing can be refused before
+    its forest is sampled."""
+    top = M if options.max_level is None else min(options.max_level, M)
+    s = options.scale
+    extent = max(2 * W + 2, top + 2) * s
+    if not np.isfinite(extent):
+        raise ConfigError(f"scale {s} makes the {W}x{M} drawing {extent} wide; "
+                          f"its extent must be a finite double")
+    return (_coordinate_texts("x", [(x + 1.0) * s for x in range(-1, 2 * W + 1)], s, W, M),
+            _coordinate_texts("y", [(top - y + 1.0) * s for y in range(top + 1)], s, W, M))
+
+
 def _cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """A table of ASCII texts as (n, k) uint8 cells, NUL-padded, and the
     length of each."""
@@ -85,20 +101,11 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
     """
     win = forest.window
     W, M = win.W, win.M
-    top = M if options.max_level is None else min(options.max_level, M)
-    s = options.scale
-    extent = max(2 * W + 2, top + 2) * s
-    if not np.isfinite(extent):
-        raise ConfigError(f"scale {s} makes the {W}x{M} drawing {extent} wide; "
-                          f"its extent must be a finite double")
+    # x_text[x + 1] for x in -1..2W, y_text[y] for y in 0..top
+    x_text, y_text = coordinate_texts(W, M, options)
+    top, s = len(y_text) - 1, options.scale
     hr = options.highlight_root
     highlight_x = -1 if hr is None else hr % win.period
-
-    def sx(x: float) -> float:
-        return (x + 1.0) * s
-
-    def sy(y: float) -> float:
-        return (top - y + 1.0) * s
 
     width = _fmt((2 * W + 2) * s)
     height = _fmt((top + 2) * s)
@@ -112,9 +119,6 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
         f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
     ).encode()
 
-    # x_text[x + 1] for x in -1..2W, y_text[y] for y in 0..top
-    x_text = _coordinate_texts("x", [sx(x) for x in range(-1, 2 * W + 1)], s, W, M)
-    y_text = _coordinate_texts("y", [sy(y) for y in range(top + 1)], s, W, M)
     colors = [root_color(2 * k) for k in range(W)]
     stroke = _fmt(0.16 * s)
     x_cells, x_len = _cells(x_text)

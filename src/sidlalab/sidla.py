@@ -21,11 +21,14 @@ Two drivers produce the same process law:
   can be sampled directly.  Exactly ``W * M`` events cover the window, each
   at O(band) cost: only the few levels that hold free edges take part.
 
-Both drivers run on integer state only, list mirrors of the forest arrays
-written back at the end.  Each hashes its (seed, stream) address prefix
-once per run and draws a whole block of rings or events with one vector
-hash per stream, never one scalar hash per ring or coin.  Neither keeps
-an event log: the events CSV is derived from the forest and a claim record.
+Both drivers run on integer state only: list mirrors of the forest arrays
+they read, and one record of each claim (vertex, root, direction, clock,
+event), written back with one indexed assignment per array at the end.
+Each hashes its (seed, stream) address prefix once per run and draws each
+block of rings or events with one vector hash per stream, never one scalar
+hash per ring or coin; the blocks grow from small, so a run that stops
+early hashes few draws it never uses.  Neither keeps an event log: the
+events CSV is derived from the forest and the claim record.
 """
 
 from __future__ import annotations
@@ -56,13 +59,16 @@ from .lattice import Window
 
 DEFAULT_RING_BUDGET_FACTOR = 10_000
 
+# Draws of the first block a run hashes; later blocks double (_draw_blocks)
+FIRST_DRAW_BLOCK = 256
+
 # Largest cap for which the literal driver fits comfortably inside the
 # default ring budget (expected rings ~ W * 2**(M+1) vs budget 1e4 * W * M).
 AUTO_LITERAL_MAX_CAP = 12
 
 
 class SimulationLimitError(RuntimeError):
-    """The ring budget ran out before the window was covered."""
+    """The ring budget ran out before the run's stop rule was met."""
 
 
 @dataclass
@@ -73,10 +79,9 @@ class SidlaState:
     claimed (0 on the boundary); unclaimed vertices hold root -1 and
     ``claim_event`` -1, claimed ones the index of the event (ring or jump)
     that claimed them.  ``method`` names the driver that ran.  A run
-    stopped below the cap (``run_until_covered``'s ``up_to``) holds
-    unclaimed vertices above its stop level; its ``clock`` and ``n_rings``
-    (events run) end at the event that claimed the last vertex at or below
-    that level.
+    stopped early (``run_until_covered``'s ``up_to`` and ``root``) holds
+    unclaimed vertices; its ``clock`` and ``n_rings`` (events run) end at
+    the event after which the watched trees were final up to the stop level.
     """
 
     forest: Forest
@@ -103,11 +108,22 @@ def new_state(window: Window, seed: int = 0) -> SidlaState:
     return SidlaState(forest, np.full_like(root_x, -1))
 
 
-def _ring_arrivals(seed: int, k: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+def _ring_arrivals(clock_mid: int, k: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
     """Exp(W) clock gaps and sites ``2 * min(int(u1 * W), W - 1)`` of the rings k (a
-    uint64 column) of a rings run, from ``hash_uniform(seed, CLOCK_STREAM, k, j)``."""
-    u = hash_uniform_vec(hash_u64(seed, CLOCK_STREAM), [k, np.arange(2, dtype=np.uint64)])
+    uint64 column) of a rings run, from ``hash_uniform(seed, CLOCK_STREAM, k, j)``;
+    clock_mid is the stream's prefix ``hash_u64(seed, CLOCK_STREAM)``."""
+    u = hash_uniform_vec(clock_mid, [k, np.arange(2, dtype=np.uint64)])
     return exp_from_uniform(u[:, 0], W), 2 * np.minimum((u[:, 1] * W).astype(np.int64), W - 1)
+
+
+def _draw_blocks(lo: int, hi: int, cap: int):
+    """Yield the index blocks (a, b) that split lo..hi-1: FIRST_DRAW_BLOCK
+    indices first, doubling up to cap.  A run that stops early hashes few
+    draws it never uses, and a long one soon draws cap at a time."""
+    step = min(FIRST_DRAW_BLOCK, cap)
+    while lo < hi:
+        yield lo, min(lo + step, hi)
+        lo, step = lo + step, min(2 * step, cap)
 
 
 def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
@@ -116,56 +132,99 @@ def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
     COIN_STREAM, k, s) & 1`` for s < M (a walk that has climbed to the cap
     leaves the window whatever its next coin).  A block of rings, M + 2
     words each within HASH_BLOCK, takes one vector hash per stream."""
-    coin_mid, steps = hash_u64(seed, COIN_STREAM), np.arange(M, dtype=np.uint64)
-    step = max(1, HASH_BLOCK // (M + 2))
-    for a in range(lo, hi, step):
-        k = np.arange(a, min(a + step, hi), dtype=np.uint64)[:, None]
-        gaps, sites = _ring_arrivals(seed, k, W)
+    clock_mid, coin_mid = hash_u64(seed, CLOCK_STREAM), hash_u64(seed, COIN_STREAM)
+    steps = np.arange(M, dtype=np.uint64)
+    for a, b in _draw_blocks(lo, hi, max(1, HASH_BLOCK // (M + 2))):
+        k = np.arange(a, b, dtype=np.uint64)[:, None]
+        gaps, sites = _ring_arrivals(clock_mid, k, W)
         coins = hash_u64_vec(coin_mid, [k, steps]) & np.uint64(1)
         yield from zip(gaps.tolist(), sites.tolist(), coins.tolist())
 
 
-def _need(state: SidlaState, up_to: int) -> int:
-    """The stop rule's count: unclaimed vertices at levels 1..up_to."""
-    return int(np.count_nonzero(state.forest.root_x[1:up_to + 1] < 0))
+def _open_weights(W: int, M: int, root: int | None) -> list[int]:
+    """The stop rule's weight of each vertex, by flat index ``level * W +
+    col``: 1 if its tree is watched (root's, or every tree if root is None)
+    and its out-edges lead into levels 1..up_to, else 0.  Only the boundary
+    holds weights here; a driver gives each vertex it claims below up_to its
+    tail's weight.  The open edges are the free edges whose tail weighs 1:
+    a claim closes its in-edges from claimed tails (weight 0 if unclaimed)
+    and opens its out-edges to free heads."""
+    weight = [0] * ((M + 1) * W)
+    if root is None:
+        weight[:W] = [1] * W
+    else:
+        weight[root >> 1] = 1
+    return weight
 
 
-def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int) -> SidlaState:
-    """Ring the clock until every vertex at levels 1..up_to is claimed, at
-    most max_rings times.
+def _claims() -> tuple[array, array, array, array]:
+    """Empty claim records, C arrays of each claim's vertex (flat index),
+    root, direction and clock."""
+    return array("q"), array("q"), array("b"), array("d")
+
+
+def _write_claims(state: SidlaState, claims: tuple, events, clock: float, n: int,
+                  method: str) -> SidlaState:
+    """Write a run's claim records (``_claims``) and each claim's event into
+    its state: each array takes one indexed assignment over the claimed
+    vertices."""
+    order, roots, dirs, times = (np.frombuffer(c, c.typecode) for c in claims)
+    forest = state.forest
+    forest.root_x.flat[order], forest.parent_dir.flat[order] = roots, dirs
+    forest.values.flat[order], state.claim_event.flat[order] = times, events
+    state.clock, state.n_rings, state.method = clock, n, method
+    return state
+
+
+def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
+               root: int | None = None) -> SidlaState:
+    """Ring the clock until no free edge leads from a watched tree into
+    levels 1..up_to (run_until_covered), at most max_rings times.
 
     Each ring drops a particle on its site and walks it up by its coins
     while the edge taken is its own tree's parent edge; it claims a free
-    head as ring n and vanishes on a foreign one or at the cap.
+    head as ring n and vanishes on a foreign one or at the cap.  ``opened``
+    counts the open edges (``_open_weights``).
     """
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
     owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
-    occ, claim = forest.values.tolist(), state.claim_event.tolist()
-    clock, n = state.clock, state.n_rings
-    need = _need(state, up_to)
-    for gap, root, coins in _ring_draws(seed, n, max_rings, W, M):
+    claims = order, roots, dirs, times = _claims()
+    rings = array("q")  # each claim's ring
+    weight = _open_weights(W, M, root)
+    clock, n, opened = state.clock, state.n_rings, 2 * sum(weight)
+    for gap, site, coins in _ring_draws(seed, n, max_rings, W, M):
         clock += gap
-        x = root
+        x = site
         for y, d in enumerate(coins):
             hx = (x + 2 * d - 1) % P
             row, j = y + 1, hx >> 1
             o = owner[row][j]
-            if o == root and pdir[row][j] == d:
+            if o == site and pdir[row][j] == d:
                 x = hx
                 continue
             if o < 0:
-                owner[row][j], pdir[row][j], occ[row][j], claim[row][j] = root, d, clock, n
-                need -= row <= up_to
+                owner[row][j], pdir[row][j] = site, d
+                order.append(row * W + j)
+                roots.append(site)
+                dirs.append(d)
+                times.append(clock)
+                rings.append(n)
+                # the in-edges from hx - 1 (Right) and hx + 1 (Left) close
+                tails = y * W
+                opened -= weight[tails + ((hx - 1) % P >> 1)] + weight[tails + ((hx + 1) % P >> 1)]
+                if row < up_to and weight[tails + (x >> 1)]:
+                    weight[row * W + j] = 1
+                    heads = owner[row + 1]
+                    opened += (heads[(hx - 1) % P >> 1] < 0) + (heads[(hx + 1) % P >> 1] < 0)
             break
         n += 1
-        if not need:
+        if not opened:
             break
-    forest.root_x[:], forest.parent_dir[:], forest.values[:] = owner, pdir, occ
-    state.claim_event[:], state.clock, state.n_rings, state.method = claim, clock, n, "rings"
-    if need:
+    _write_claims(state, claims, np.frombuffer(rings, np.int64), clock, n, "rings")
+    if opened:
         raise SimulationLimitError(
-            f"levels 1..{up_to} not covered after {max_rings} rings "
+            f"levels 1..{up_to} not final after {max_rings} rings "
             f"(W={W}, M={M}); the jumps driver has no such limit"
         )
     return state
@@ -174,20 +233,20 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int) -> Sidl
 def _jump_draws(seed: int, n_events: int):
     """Yield (Exp(1) variate, level uniform, edge uniform) for events
     0..n_events-1 of a jumps run: ``hash_uniform(mid, k, j)`` for j = 0, 1, 2
-    with ``mid = hash_u64(seed, JUMP_STREAM)``, a block of events, three
-    words each within HASH_BLOCK, per vector hash.  The variate is
-    ``-log1p(-u0)``, as in exp_from_uniform."""
+    with ``mid = hash_u64(seed, JUMP_STREAM)``, a block of events
+    (``_draw_blocks``, three words each within HASH_BLOCK) per vector hash.
+    The variate is ``-log1p(-u0)``, as in exp_from_uniform."""
     mid = hash_u64(seed, JUMP_STREAM)
-    step = max(1, HASH_BLOCK // 3)
-    for lo in range(0, n_events, step):
-        k = np.arange(lo, min(lo + step, n_events), dtype=np.uint64)
+    for lo, hi in _draw_blocks(0, n_events, max(1, HASH_BLOCK // 3)):
+        k = np.arange(lo, hi, dtype=np.uint64)
         u = hash_uniform_vec(mid, [k[:, None], np.arange(3, dtype=np.uint64)])
         yield from zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
 
 
-def _run_jumps(state: SidlaState, seed: int, up_to: int) -> SidlaState:
-    """Sample extension events directly from the free-edge clocks until
-    every vertex at levels 1..up_to is claimed.
+def _run_jumps(state: SidlaState, seed: int, up_to: int, root: int | None = None) -> SidlaState:
+    """Sample extension events directly from the free-edge clocks until no
+    free edge leads from a watched tree into levels 1..up_to
+    (run_until_covered).
 
     Free edges are grouped by level (one rate per level) as codes
     ``(y * 2W + x) * 2 + dir`` of their tails; ``pos[code]`` is a code's
@@ -196,7 +255,9 @@ def _run_jumps(state: SidlaState, seed: int, up_to: int) -> SidlaState:
     within it.  Only levels low..top (the lowest with free edges, the
     highest reached) hold any: the sums are 0.0 below and constant above,
     so an event sums the band alone, in the same float adds, at O(band)
-    cost.  Owners, directions and times are flat lists, ``level * W + col``.
+    cost.  ``opened`` counts the open edges (``_open_weights``); a code's
+    tail has flat index ``code >> 2``.  Owners are a flat list, ``level * W
+    + col``; each claim is recorded in C arrays, written back at the end.
     """
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
@@ -209,9 +270,10 @@ def _run_jumps(state: SidlaState, seed: int, up_to: int) -> SidlaState:
     # term[h] = len(free[h]) * 2**-h; exact, and summed left to right
     term = [len(lst) * rate for lst, rate in zip(free, level_rate)]
     low = top = 1
-    owner, pdir = forest.root_x.ravel().tolist(), forest.parent_dir.ravel().tolist()
-    occ, order = forest.values.ravel().tolist(), array("q")  # each event's vertex, as C ints
-    clock, need = state.clock, _need(state, up_to)
+    owner = forest.root_x.ravel().tolist()
+    claims = order, roots, dirs, times = _claims()
+    weight = _open_weights(W, M, root)
+    clock, opened = state.clock, 2 * sum(weight)
     for e0, u1, u2 in _jump_draws(seed, W * M - state.n_occupied):
         pref = list(accumulate(term[low:top + 1]))
         rate_sum = pref[-1]
@@ -227,13 +289,17 @@ def _run_jumps(state: SidlaState, seed: int, up_to: int) -> SidlaState:
         d = code & 1
         base = (h - 1) * P
         x = (code >> 1) - base
-        root = owner[code >> 2]  # the tail's flat index
+        tail = code >> 2  # the tail's flat index
+        tree = owner[tail]
         hx = (x + 2 * d - 1) % P
         v = h * W + (hx >> 1)
         if owner[v] >= 0:
             raise ValueError(f"vertex ({hx}, {h}) already occupied")
-        owner[v], pdir[v], occ[v] = root, d, clock
+        owner[v] = tree
         order.append(v)
+        roots.append(tree)
+        dirs.append(d)
+        times.append(clock)
         # both in-edges of the new vertex die, Right (from hx - 1) before Left
         # (from hx + 1): the order fixes where swap-with-last moves codes
         for dead in ((base + (hx - 1) % P) * 2 + 1, (base + (hx + 1) % P) * 2):
@@ -244,58 +310,65 @@ def _run_jumps(state: SidlaState, seed: int, up_to: int) -> SidlaState:
                 if last != dead:
                     lst[i] = last
                     pos[last] = i
+                opened -= weight[dead >> 2]
         term[h] = len(lst) * level_rate[h]
         if h < M:
             up = free[h + 1]
             row = (h + 1) * W
             c2 = (h * P + hx) << 1  # the Left out-edge; Right is c2 + 1
+            wv = weight[v] = weight[tail] if h < up_to else 0
             if owner[row + ((hx - 1) % P >> 1)] < 0:
                 pos[c2] = len(up)
                 up.append(c2)
+                opened += wv
             if owner[row + ((hx + 1) % P >> 1)] < 0:
                 pos[c2 + 1] = len(up)
                 up.append(c2 + 1)
+                opened += wv
             term[h + 1] = len(up) * level_rate[h + 1]
             if h == top:
                 top = h + 1
-        need -= h <= up_to
-        if not need:
+        if not opened:
             break
         while low < top and not free[low]:
             low += 1
-    forest.root_x.flat, forest.parent_dir.flat, forest.values.flat = owner, pdir, occ
-    state.claim_event.flat[np.frombuffer(order, np.int64)] = np.arange(len(order))
-    state.clock, state.n_rings, state.method = clock, len(order), "jumps"
-    return state
+    return _write_claims(state, claims, np.arange(len(order)), clock, len(order), "jumps")
 
 
 def run_until_covered(window: Window, seed: int, method: str = "auto",
-                      up_to: int | None = None) -> SidlaState:
-    """Run the particle system until every vertex at levels 1..up_to is
-    claimed; up_to defaults to the cap M, the whole window.
+                      up_to: int | None = None, root: int | None = None) -> SidlaState:
+    """Run the particle system until no free edge leads from a watched tree
+    into levels 1..up_to; up_to defaults to the cap M.  The watched tree is
+    root's (a boundary x), or every tree if root is None, and then the rule
+    reads "until every vertex at levels 1..up_to is claimed".
 
     method is "rings" (literal event loop), "jumps" (clock thinning) or
     "auto", which picks rings for small caps and jumps otherwise.  The
-    rings driver stops with SimulationLimitError if coverage takes more
+    rings driver stops with SimulationLimitError if the stop takes more
     than DEFAULT_RING_BUDGET_FACTOR * W * M rings.
 
-    A claim is never undone and a tree grows only upward, so once levels
-    1..up_to are covered they are final: the stopped run equals the full
-    one on rows 0..up_to of every array.  Above up_to it holds the vertices
-    claimed so far (the rest unclaimed), and its clock and n_rings end at
-    the event that claimed the last vertex at or below up_to.
+    A claim is never undone and a tree grows only upward through its free
+    edges, so once none leads into levels 1..up_to the watched trees are
+    final there: the stopped run equals the full one on their vertices at
+    levels 0..up_to (with root None, on rows 0..up_to of every array).
+    Elsewhere it holds the vertices claimed so far (the rest unclaimed),
+    and its clock and n_rings end at the event after which the last such
+    edge closed.
     """
     if method not in ("auto", "rings", "jumps"):
         raise ConfigError(f"unknown method {method!r}; use auto, rings or jumps")
     up_to = window.M if up_to is None else up_to
     if not 1 <= up_to <= window.M:
         raise ConfigError(f"stop level must lie in 1..{window.M}, got {up_to}")
+    if root is not None and not (root % 2 == 0 and 0 <= root < window.period):
+        raise ConfigError(f"root must be an even x in 0..{window.period - 2}, got {root}")
     state = new_state(window, seed=seed)
     if method == "auto":
         method = "rings" if window.M <= AUTO_LITERAL_MAX_CAP else "jumps"
     if method == "rings":
-        return _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M, up_to)
-    return _run_jumps(state, seed, up_to)
+        return _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M,
+                          up_to, root)
+    return _run_jumps(state, seed, up_to, root)
 
 
 def events_csv_text(state: SidlaState) -> bytearray:
@@ -308,7 +381,7 @@ def events_csv_text(state: SidlaState) -> bytearray:
         raise ValueError("claimed vertices without a claim event: not a particle driver's run")
     vertex = np.full(state.n_rings, -1, dtype=np.min_scalar_type(-claim.size))
     vertex[claim[claim >= 0]] = np.flatnonzero(claim >= 0)  # event -> vertex
-    clock = 0.0
+    clock, clock_mid = 0.0, hash_u64(fo.seed, CLOCK_STREAM)
 
     def rows(lo: int, hi: int) -> bytearray:  # called block by block, in order
         nonlocal clock
@@ -316,7 +389,7 @@ def events_csv_text(state: SidlaState) -> bytearray:
         hit = v >= 0
         time, site = fo.values.flat[v], fo.root_x.flat[v]
         if not hit.all():  # the clock sums on from the last row, as the driver's did
-            gaps, sites = _ring_arrivals(fo.seed, np.arange(lo, hi, dtype=np.uint64)[:, None], W)
+            gaps, sites = _ring_arrivals(clock_mid, np.arange(lo, hi, dtype=np.uint64)[:, None], W)
             gaps[0] += clock
             time, site = np.where(hit, time, np.cumsum(gaps)), np.where(hit, site, sites)
         clock = float(time[-1])

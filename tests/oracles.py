@@ -37,7 +37,8 @@ root, kept as the bitwise reference for the array forms in ``sidlalab``.
 ``exact_forest`` reruns the forest program in exact rational arithmetic,
 so rounding cannot move a root unnoticed.
 
-``owner_of``, ``truncated_mean_height``, ``cone_check``, the lattice
+``owner_of``, ``open_tree_edges`` (the brute-force form of the particle
+drivers' stop rule), ``truncated_mean_height``, ``cone_check``, the lattice
 helpers ``canonicalize``, ``dir_from_letter``, ``is_valid``, ``contains``,
 ``column_of``, ``level_vertices``, ``boundary``, ``rel_x``, ``in_cone``,
 ``in_edges``, ``out_edges`` and ``incoming_tail_columns``, the scalar
@@ -127,6 +128,16 @@ def boundary(window: Window) -> list[Vertex]:
 def owner_of(forest: Forest, v: Vertex) -> int:
     """Root label of a window vertex, -1 while it is unclaimed."""
     return int(forest.root_x[v.y, column_of(forest.window, v)])
+
+
+def open_tree_edges(forest: Forest, root_x_value: int, max_level: int) -> list[Edge]:
+    """The free edges that leave a root's tree into levels 1..max_level:
+    each out-edge, to an unclaimed head, of each of the tree's vertices
+    below max_level, found by visiting every vertex there."""
+    win = forest.window
+    return [e for y in range(max_level) for v in level_vertices(win, y)
+            if owner_of(forest, v) == root_x_value for e in out_edges(v)
+            if owner_of(forest, canonicalize(win, head(e))) < 0]
 
 
 def truncated_mean_height(forest: Forest) -> float:

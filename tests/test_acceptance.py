@@ -83,13 +83,14 @@ def test_04_two_pictures_share_one_law():
     win = Window(64, 32)
     slice_fpp, slice_sidla, h_fpp, h_sidla = [], [], [], []
     for seed in range(1, 501):
-        fo = build_forest(WeightField(seed, WeightProfile.STRETCH, win))
+        # as in `compare`: root 0's tree on levels 0..16 is all either
+        # statistic reads, so the DP runs on the window cut at 16 and the
+        # particle run stops once that tree is final there
+        fo = build_forest(WeightField(seed, WeightProfile.STRETCH, Window(64, 16)))
         h, _ = root_heights(fo)
         slice_fpp.append(level_profile(fo, 0, 1))
         h_fpp.append(min(int(h[0]), 16))
-        # levels 1..16 are final once covered: the clipped height and the
-        # slice are the full run's (the particle picture of `compare`)
-        st = run_until_covered(win, seed, method="jumps", up_to=16).forest
+        st = run_until_covered(win, seed, method="jumps", up_to=16, root=0).forest
         h2, _ = root_heights(st)
         slice_sidla.append(level_profile(st, 0, 1))
         h_sidla.append(min(int(h2[0]), 16))

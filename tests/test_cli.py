@@ -256,11 +256,17 @@ def test_render_rejects_bad_options(flag, value, capsys):
 
 @pytest.mark.parametrize("width,written,off", [("50000", "1.00004e+06", "0.333 of"),
                                                ("500000", "1.00002e+07", "4 of")])
-def test_render_refuses_coordinates_six_digits_cannot_hold(width, written, off, capsys):
+def test_render_refuses_coordinates_six_digits_cannot_hold(width, written, off, capsys,
+                                                           monkeypatch):
     """Coordinates are written with 6 significant digits.  At 50,000 columns
     an x would read back a third of a lattice step off; at 500,000 the
     boundary circles would share 20,001 cx texts among 83,334 of them.
-    Both drawings are refused and nothing is written."""
+    Both drawings are refused before any forest is sampled, and nothing is
+    written."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the forest was sampled before the drawing was refused")
+
+    monkeypatch.setattr(cli, "_picture_run", no_sampling)
     assert run("render", "-W", width, "-M", "1", "--out", "x.svg") == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "needs more than 6 significant digits" in err
@@ -274,6 +280,16 @@ def test_fpp_refuses_an_unrepresentable_rate(capsys):
                "--out", "f.json") == EXIT_CONFIG
     assert "decreasing rate at level M=1024" in capsys.readouterr().err
     assert not Path("f.json").exists()
+
+
+def test_compare_refuses_an_unrepresentable_rate(capsys):
+    """The fpp picture runs on levels 0..clip alone, yet a cap whose
+    stretch rate (2**-1075) is no positive double is still refused, before
+    any replica runs."""
+    assert run("compare", "-W", "1075", "-M", "1075", "--replicas", "2",
+               "--out", "c.json") == EXIT_CONFIG
+    assert "stretch rate at level M=1075" in capsys.readouterr().err
+    assert not Path("c.json").exists()
 
 
 def test_stats_rejects_a_bad_kappa(capsys):
@@ -438,8 +454,9 @@ def test_compare_small(capsys):
 @pytest.mark.parametrize("method", ["rings", "jumps"])
 def test_compare_stops_particle_runs_at_the_clip_with_the_full_runs_report(
         method, capsys, monkeypatch):
-    """compare stops each particle run once levels 1..clip are covered;
-    its report is the one computed here from full runs of both pictures."""
+    """compare stops each particle run once root 0's tree is final on
+    levels 0..clip and runs the fpp DP on the window cut at the clip; its
+    report is the one computed here from full runs of both pictures."""
     W, M, clip, seeds = 16, 8, 4, range(3, 43)
     win = Window(W, M)
     samples = {"fpp": ([], []), "sidla": ([], [])}
@@ -457,11 +474,15 @@ def test_compare_stops_particle_runs_at_the_clip_with_the_full_runs_report(
             "slice1": {"statistic": r_t1.statistic, "p_value": r_t1.p_value},
             "height": {"statistic": r_h.statistic, "p_value": r_h.p_value}}
     stops, run_particles = [], sidla.run_until_covered
-    monkeypatch.setattr(sidla, "run_until_covered",
-                        lambda *a, **kw: stops.append(kw["up_to"]) or run_particles(*a, **kw))
+    monkeypatch.setattr(sidla, "run_until_covered", lambda *a, **kw: stops.append(
+        (kw["up_to"], kw["root"])) or run_particles(*a, **kw))
+    windows, build = [], fpp.build_forest
+    monkeypatch.setattr(fpp, "build_forest",
+                        lambda field: windows.append(field.window) or build(field))
     code = run("compare", "-W", "16", "-M", "8", "--height-clip", "4", "--method", method,
                "--seed", "3", "--replicas", "40", "--out", "c.json")
-    assert stops == [clip] * 40
+    assert stops == [(clip, 0)] * 40
+    assert windows == [Window(W, clip)] * 40
     assert code == (0 if min(r_t1.p_value, r_h.p_value) > 0.01 else 2)
     assert Path("c.json").read_bytes() == (json_text(want) + "\n").encode()
     assert f"compare height chi2={r_h.statistic:.6g} p={r_h.p_value:.6g}" in capsys.readouterr().out

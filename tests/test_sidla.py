@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from oracles import (
     edge_in_tree,
     hash_coin_stream,
     next_ring,
+    open_tree_edges,
     reference_events_csv_text,
     reference_jumps,
     reference_rings,
@@ -177,6 +179,9 @@ def test_method_validation_and_budget(monkeypatch):
         for up_to in (0, 4):  # the stop level lies in 1..M
             with pytest.raises(ConfigError, match=r"stop level must lie in 1\.\.3, got"):
                 run_until_covered(Window(4, 3), seed=1, method=method, up_to=up_to)
+        for root in (1, -2, 8):  # an even boundary x in 0..2W-2
+            with pytest.raises(ConfigError, match=r"root must be an even x in 0\.\.6, got"):
+                run_until_covered(Window(4, 3), seed=1, method=method, root=root)
     monkeypatch.setattr(sidla, "DEFAULT_RING_BUDGET_FACTOR", 1)
     with pytest.raises(SimulationLimitError):
         run_until_covered(Window(4, 4), seed=1, method="rings")
@@ -308,6 +313,44 @@ def test_a_stopped_run_is_the_full_run_cut_at_its_stop(case):
     for a, b in zip(run_arrays(full), run_arrays(whole)):
         assert a.tobytes() == b.tobytes()
     assert (float.hex(whole.clock), whole.n_rings) == (float.hex(full.clock), full.n_rings)
+
+
+@st.composite
+def root_stop_case(draw):
+    """A stopped run's case and a root x, 0..2W-2."""
+    method, W, M, L, seed = draw(stopped_run_case())
+    return method, W, M, L, 2 * draw(st.integers(min_value=0, max_value=W - 1)), seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(root_stop_case())
+@example(("jumps", 64, 32, 16, 0, 1))  # compare's stop at the benchmark's window
+@example(("rings", 10, 6, 3, 18, 5))
+@example(("jumps", 1, 1, 1, 0, 0))  # both out-edges of a root lead to one head
+def test_a_root_stopped_run_is_final_on_the_roots_tree(case):
+    """A run stopped once no free edge leads from root r's tree into levels
+    1..L is the full run cut after its last event, and so equals it on that
+    tree at levels 0..L: the same vertices, directions, times and claim
+    events.  It runs no more events than the run stopped at level L.  At
+    its stop the brute-force scan finds no free edge from the tree into
+    levels 1..L; one event earlier it found one."""
+    method, W, M, L, r, seed = case
+    win = Window(W, M)
+    full = run_until_covered(win, seed, method=method)
+    cut = run_until_covered(win, seed, method=method, up_to=L, root=r)
+    tree = full.forest.root_x[:L + 1] == r
+    assert np.array_equal(cut.forest.root_x[:L + 1] == r, tree)
+    for a, b in zip(run_arrays(full), run_arrays(cut)):
+        assert a[:L + 1][tree].tobytes() == b[:L + 1][tree].tobytes()
+    kept = (full.claim_event < cut.n_rings)[1:]
+    for a, b, unclaimed in zip(run_arrays(full), run_arrays(cut), (-1, -1, np.nan, -1)):
+        assert np.where(kept, a[1:], unclaimed).tobytes() == b[1:].tobytes()
+    assert cut.n_rings <= run_until_covered(win, seed, method=method, up_to=L).n_rings
+    assert open_tree_edges(cut.forest, r, L) == []
+    last = cut.claim_event == cut.n_rings - 1  # the stop follows a claim
+    assert np.count_nonzero(last) == 1
+    before = dataclasses.replace(cut.forest, root_x=np.where(last, -1, cut.forest.root_x))
+    assert open_tree_edges(before, r, L) != []
 
 
 @pytest.mark.parametrize("window,method,kept_kb", [((64, 32), "jumps", 150),
@@ -461,6 +504,7 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
     win = Window(W, M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sidla, "HASH_BLOCK", block_words)
+        mp.setattr(sidla, "FIRST_DRAW_BLOCK", 1)  # blocks of 1, 2, 4, ... rings
         for budget in (10_000 * W * M, W * M):
             runs, log = [], []
             for run in (lambda *args: sidla._run_rings(*args, M),
@@ -499,7 +543,8 @@ def test_jump_draws_match_per_event_hashes(monkeypatch):
     """The block draw equals the per-event scalar hashes, across blocks
     that split the run unevenly, and a whole run with such blocks still
     matches the reference driver bit for bit."""
-    monkeypatch.setattr(sidla, "HASH_BLOCK", 21)  # 7 events per block
+    monkeypatch.setattr(sidla, "HASH_BLOCK", 21)  # at most 7 events per block
+    monkeypatch.setattr(sidla, "FIRST_DRAW_BLOCK", 2)  # blocks of 2, 4, 7, 7, 7, 3
     mid = hash_u64(5, JUMP_STREAM)
     expect = [(float(-np.log1p(-hash_uniform(mid, k, 0))), hash_uniform(mid, k, 1),
                hash_uniform(mid, k, 2)) for k in range(30)]
