@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, coupling, fpp, render, sidla
 from .errors import ConfigError, CouplingFault
-from .fileio import atomic_write_text, json_text
+from .fileio import atomic_write_text, check_destination, json_text
 from .hashing import check_seeds
 from .lattice import Window, edge_str
 
@@ -58,10 +58,6 @@ def _add_replicas(sp: argparse.ArgumentParser) -> None:
 def _add_profile(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--profile", choices=[p.value for p in fpp.WeightProfile],
                     default="stretch", help="edge-rate profile (default stretch)")
-
-
-def _window(args: argparse.Namespace) -> Window:
-    return Window(args.width, args.height)
 
 
 def _check_picture(args: argparse.Namespace) -> None:
@@ -113,7 +109,7 @@ def _fpp_task(task):
 
 
 def cmd_fpp(args: argparse.Namespace) -> int:
-    win = _window(args)
+    win = Window(args.width, args.height)
     _check_replicas(args)
     tasks = [(s, win.W, win.M, args.profile)
              for s in range(args.seed, args.seed + args.replicas)]
@@ -141,7 +137,7 @@ def _sidla_task(task):
 
 
 def cmd_sidla(args: argparse.Namespace) -> int:
-    win = _window(args)
+    win = Window(args.width, args.height)
     _check_replicas(args)
     tasks = [(s, win.W, win.M, args.method)
              for s in range(args.seed, args.seed + args.replicas)]
@@ -173,13 +169,18 @@ def _couple_task(task):
 
 
 def cmd_couple(args: argparse.Namespace) -> int:
-    win = _window(args)
+    win = Window(args.width, args.height)
     _check_replicas(args)
     if not args.horizon_factor >= 1.0:
         raise ConfigError(
             f"horizon factor must be >= 1 (horizon below the coverage time "
             f"would censor rings), got {args.horizon_factor}"
         )
+    stem = f"couple_w{win.W}_m{win.M}"
+    report_path = _out_path(args.out, stem, args.seed, ".json", False)
+    gaps_path = args.gaps_out or f"{stem}_s{args.seed}_gaps.csv"
+    for path in (report_path, gaps_path):  # refused before any replica runs
+        check_destination(path)
     tasks = [(s, win.W, win.M, args.profile, args.horizon_factor, args.repeats)
              for s in range(args.seed, args.seed + args.replicas)]
     reports = _run_tasks(_couple_task, tasks, args.jobs)
@@ -212,10 +213,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
     report = {"forest_equal": all_equal, "n_gaps": len(gaps), "ks_stat": ks_stat,
               "ks_p": ks_p, "censored_count": censored}
-    stem = f"couple_w{win.W}_m{win.M}"
-    report_path = _out_path(args.out, stem, args.seed, ".json", False)
     atomic_write_text(report_path, (json_text(report) + "\n").encode())
-    gaps_path = args.gaps_out or f"{stem}_s{args.seed}_gaps.csv"
     atomic_write_text(gaps_path, coupling.gaps_csv_text(sites, gaps))
     print(f"couple total replicas={args.replicas} "
           f"forest_equal={str(all_equal).lower()} n_gaps={len(gaps)} "
@@ -275,7 +273,7 @@ def _stats_task(task):
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    win = _window(args)
+    win = Window(args.width, args.height)
     _check_replicas(args)
     _check_picture(args)
     levels = _parse_levels(args.levels, win.M) if args.levels else \
@@ -363,7 +361,7 @@ def _compare_task(task):
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    win = _window(args)
+    win = Window(args.width, args.height)
     _check_replicas(args)
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0,1), got {args.alpha}")

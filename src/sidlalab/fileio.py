@@ -50,16 +50,23 @@ def json_text(value) -> str:
     raise TypeError(f"no JSON form for {type(value).__name__} {value!r}")
 
 
-def atomic_write_text(path: str, data) -> None:
-    """Write the bytes of data to path via a temp file and rename, so
-    readers never see a half-written file.  A missing directory, or a path
-    that is one, is a ConfigError; a failed write leaves no temp file
-    behind."""
+def check_destination(path: str) -> str:
+    """The directory of path; ConfigError if it does not exist or path is a
+    directory, so a command can refuse a destination before its work."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path}: directory {directory} does not exist")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
+    return directory
+
+
+def atomic_write_text(path: str, data) -> None:
+    """Write the bytes of data to path via a temp file and rename, so
+    readers never see a half-written file.  A destination that
+    check_destination refuses is a ConfigError; a failed write leaves no
+    temp file behind."""
+    directory = check_destination(path)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

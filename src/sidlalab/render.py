@@ -50,42 +50,34 @@ class RenderOptions:
             raise ConfigError(f"max_level must be nonnegative, got {self.max_level}")
 
 
-def _coordinate_texts(axis: str, values: list[float], s: float, W: int, M: int) -> list[str]:
-    """The texts of a table of coordinates; ConfigError, before anything is
-    written, if one reads back more than _READBACK_TOL of a step off."""
+def coordinate_texts(W: int, M: int, options: RenderOptions) -> list[str]:
+    """The texts ``text[k] = _fmt(k * scale)``, k = 0..2W+1, of a W x M
+    drawing: x (-1..2W) is drawn as ``text[x + 1]`` and level y as
+    ``text[top - y + 1]``, inside the table since top <= M <= W.  ConfigError
+    if the drawing's extent is no finite double or a text would read back
+    more than _READBACK_TOL of a step off.  The table depends on W and the
+    scale alone, so a drawing can be refused before its forest is sampled."""
+    s = options.scale
+    extent = (2 * W + 2) * s
+    if not np.isfinite(extent):
+        raise ConfigError(f"scale {s} makes the {W}x{M} drawing {extent} wide; "
+                          f"its extent must be a finite double")
+    values = [k * s for k in range(2 * W + 2)]
     texts = [_fmt(v) for v in values]
     err = np.abs(np.array(texts, dtype=float) - values)
     i = int(np.argmax(err))
     if err[i] > _READBACK_TOL * s:
         raise ConfigError(f"the {W}x{M} drawing at scale {s:g} needs more than 6 "
-                          f"significant digits: {axis} = {values[i]!r} would be written "
+                          f"significant digits: x = {values[i]!r} would be written "
                           f"{texts[i]}, {err[i] / s:.3g} of a lattice step off "
                           f"(at most {_READBACK_TOL:g})")
     return texts
 
 
-def coordinate_texts(W: int, M: int, options: RenderOptions) -> tuple[list[str], list[str]]:
-    """The x texts (x = -1..2W) and the y texts (levels 0..top) of a W x M
-    drawing; ConfigError if its extent is no finite double or a text would
-    read back more than _READBACK_TOL of a step off.  They depend on W, the
-    drawn top level and the scale alone, so a drawing can be refused before
-    its forest is sampled."""
-    top = M if options.max_level is None else min(options.max_level, M)
-    s = options.scale
-    extent = max(2 * W + 2, top + 2) * s
-    if not np.isfinite(extent):
-        raise ConfigError(f"scale {s} makes the {W}x{M} drawing {extent} wide; "
-                          f"its extent must be a finite double")
-    return (_coordinate_texts("x", [(x + 1.0) * s for x in range(-1, 2 * W + 1)], s, W, M),
-            _coordinate_texts("y", [(top - y + 1.0) * s for y in range(top + 1)], s, W, M))
-
-
-def _cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """A table of ASCII texts as (n, k) uint8 cells, NUL-padded, and the
-    length of each."""
+def _cells(texts: list) -> np.ndarray:
+    """A table of ASCII texts as (n, k) uint8 cells, NUL-padded."""
     cells = np.array(texts, dtype=bytes)
-    cells = cells.view(np.uint8).reshape(len(texts), cells.itemsize)
-    return cells, np.count_nonzero(cells, axis=1)
+    return cells.view(np.uint8).reshape(len(texts), cells.itemsize)
 
 
 def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> bytearray:
@@ -93,17 +85,17 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
 
     Root labels must be boundary roots (fpp.check_invariants); vertices
     labeled -1 are not drawn.  Each segment is a line of pieces from small
-    tables: x by tail and by head x, two texts per level, and the stroke
-    by root column, with the highlight at index W.  The document's size is
-    summed from the pieces' lengths, then the pieces are copied level by
-    level into one buffer of that size: the plain segments in level order,
-    then the highlighted ones.
+    tables: x by tail and by head x (``coordinate_texts``), two texts per
+    level, and the stroke by root column.  Each level's plain segments are
+    copied as one ``cell_text`` into one buffer presized at a lower bound
+    of the document, as ``fileio.block_text`` does; the highlighted ones
+    follow them, then the circles.
     """
     win = forest.window
     W, M = win.W, win.M
-    # x_text[x + 1] for x in -1..2W, y_text[y] for y in 0..top
-    x_text, y_text = coordinate_texts(W, M, options)
-    top, s = len(y_text) - 1, options.scale
+    text = coordinate_texts(W, M, options)
+    top = M if options.max_level is None else min(options.max_level, M)
+    s = options.scale
     hr = options.highlight_root
     highlight_x = -1 if hr is None else hr % win.period
 
@@ -121,50 +113,37 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
 
     colors = [root_color(2 * k) for k in range(W)]
     stroke = _fmt(0.16 * s)
-    x_cells, x_len = _cells(x_text)
-    stroke_cells, stroke_len = _cells([
-        f'stroke="{c}" stroke-width="{stroke}" stroke-linecap="round"/>\n'
-        for c in colors + [_HIGHLIGHT_COLOR]])
-    line = b'  <line x1="'
-    level_text = [(f'" y1="{y_text[y - 1]}" x2="'.encode(), f'" y2="{y_text[y]}" '.encode())
-                  for y in range(1, top + 1)]
+    strokes = [f'stroke="{c}" stroke-width="{stroke}" stroke-linecap="round"/>\n'.encode()
+               for c in colors + [_HIGHLIGHT_COLOR]]
+    x_cells, stroke_cells = _cells(text), _cells(strokes[:W])
     r = _fmt(0.2 * s)
     circles = "".join(
-        f'  <circle cx="{x_text[2 * j + 1]}" cy="{y_text[0]}" r="{r}" '
+        f'  <circle cx="{text[2 * j + 1]}" cy="{text[top + 1]}" r="{r}" '
         f'fill="{_HIGHLIGHT_COLOR if 2 * j == highlight_x else colors[j]}"/>\n'
         for j in range(W)).encode() + b"</svg>\n"
 
     labels, pdirs = forest.root_x, forest.parent_dir
     cols = np.arange(W)
-
-    def segments(y: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The plain and the red segments into level y, each as the table
-        rows of their tail x, head x and stroke."""
+    line = b'  <line x1="'
+    # every drawn segment is at least as long as the shortest line there is
+    shortest = len(b'  <line x1="0" y1="0" x2="0" y2="0" ') + min(map(len, strokes))
+    svg = bytearray(len(head) + shortest * int(np.count_nonzero(labels[1:top + 1] >= 0)))
+    svg[:len(head)] = head
+    at, red = len(head), []
+    for y in range(1, top + 1):
         row = labels[y]
-        drawn = row >= 0
-        red = drawn & (row == highlight_x)
         hx = (y & 1) + 2 * cols + 1
         # tail x + 1 = head x + 1 - dx, with dx = -1 for LEFT (code 0) and +1 for RIGHT
         tx = hx + 1 - 2 * pdirs[y].astype(np.int64)
-        plain = drawn & ~red
-        return [(tx[plain], hx[plain], row[plain] >> 1),
-                (tx[red], hx[red], np.full(np.count_nonzero(red), W))]
-
-    # the exact size first, so the document is built in one buffer
-    size = [0, 0]
-    for y, (a, b) in enumerate(level_text, 1):
-        for k, (tails, heads, strokes) in enumerate(segments(y)):
-            size[k] += (len(line) + len(a) + len(b)) * len(tails) + int(
-                x_len[tails].sum() + x_len[heads].sum() + stroke_len[strokes].sum())
-    svg = bytearray(len(head) + size[0] + size[1] + len(circles))
-    svg[:len(head)] = head
-    at = [len(head), len(head) + size[0]]
-    for y, (a, b) in enumerate(level_text, 1):
-        for k, (tails, heads, strokes) in enumerate(segments(y)):
-            if len(tails):
-                text = cell_text([line, x_cells[tails], a, x_cells[heads], b,
-                                  stroke_cells[strokes]])
-                svg[at[k]:at[k] + len(text)] = text
-                at[k] += len(text)
-    svg[-len(circles):] = circles
+        a = f'" y1="{text[top - y + 2]}" x2="'.encode()
+        b = f'" y2="{text[top - y + 1]}" '.encode()
+        drawn = row >= 0
+        is_red = drawn & (row == highlight_x)
+        plain = drawn & ~is_red
+        level = cell_text([line, x_cells[tx[plain]], a, x_cells[hx[plain]], b,
+                           stroke_cells[row[plain] >> 1]])
+        svg[at:at + len(level)] = level
+        at += len(level)
+        red.append(cell_text([line, x_cells[tx[is_red]], a, x_cells[hx[is_red]], b, strokes[W]]))
+    svg[at:] = b"".join(red) + circles
     return svg

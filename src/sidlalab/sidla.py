@@ -188,7 +188,9 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
     """
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
-    owner, pdir = forest.root_x.tolist(), forest.parent_dir.tolist()
+    # root + parent direction by vertex above level 0, -1 if free (roots are
+    # even, so it decodes): in a fresh state, the root labels
+    mark = forest.root_x.tolist()
     claims = order, roots, dirs, times = _claims()
     rings = array("q")  # each claim's ring
     weight = _open_weights(W, M, root)
@@ -199,12 +201,12 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
         for y, d in enumerate(coins):
             hx = (x + 2 * d - 1) % P
             row, j = y + 1, hx >> 1
-            o = owner[row][j]
-            if o == site and pdir[row][j] == d:
+            m = mark[row][j]
+            if m == site + d:
                 x = hx
                 continue
-            if o < 0:
-                owner[row][j], pdir[row][j] = site, d
+            if m < 0:
+                mark[row][j] = site + d
                 order.append(row * W + j)
                 roots.append(site)
                 dirs.append(d)
@@ -215,7 +217,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
                 opened -= weight[tails + ((hx - 1) % P >> 1)] + weight[tails + ((hx + 1) % P >> 1)]
                 if row < up_to and weight[tails + (x >> 1)]:
                     weight[row * W + j] = 1
-                    heads = owner[row + 1]
+                    heads = mark[row + 1]
                     opened += (heads[(hx - 1) % P >> 1] < 0) + (heads[(hx + 1) % P >> 1] < 0)
             break
         n += 1

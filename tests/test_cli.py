@@ -96,6 +96,20 @@ def test_couple_bad_horizon(capsys):
     assert run("couple", "--horizon-factor", "0.5", "-W", "8", "-M", "4") == 1
 
 
+@pytest.mark.parametrize("flag", ["--out", "--gaps-out"])
+def test_couple_refuses_a_missing_directory_before_any_replica(flag, in_tmp, capsys):
+    """Either destination in a missing directory is refused before any
+    replica runs, so no replica line is printed and nothing is written."""
+    paths = {"--out": "c.json", "--gaps-out": "g.csv"}
+    paths[flag] = "missing/" + paths[flag]
+    assert run("couple", "-W", "8", "-M", "4", "--out", paths["--out"],
+               "--gaps-out", paths["--gaps-out"]) == 1
+    out, err = capsys.readouterr()
+    assert f"cannot write {paths[flag]}: directory {in_tmp / 'missing'} does not exist" in err
+    assert out == ""
+    assert not list(Path(".").iterdir())
+
+
 @pytest.mark.parametrize("factor,why", [
     ("nan", "horizon factor must be >= 1"),
     ("inf", "horizon inf is not finite"),
@@ -271,6 +285,17 @@ def test_render_refuses_coordinates_six_digits_cannot_hold(width, written, off, 
     err = capsys.readouterr().err
     assert "needs more than 6 significant digits" in err
     assert f"written {written}, {off} a lattice step off (at most 0.01)" in err
+    assert not Path("x.svg").exists()
+
+
+def test_render_in_refuses_coordinates_six_digits_cannot_hold(capsys):
+    """A 50,000-column snapshot is refused as the sampled drawing is, and
+    nothing is written."""
+    assert run("fpp", "-W", "50000", "-M", "1", "--out", "f.json") == 0
+    assert run("render", "--in", "f.json", "--out", "x.svg") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "the 50000x1 drawing at scale 12 needs more than 6 significant digits" in err
+    assert "written 1.00004e+06, 0.333 of a lattice step off (at most 0.01)" in err
     assert not Path("x.svg").exists()
 
 

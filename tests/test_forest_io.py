@@ -33,7 +33,7 @@ from sidlalab.fpp import (
     snapshot_text,
 )
 from sidlalab.lattice import Window
-from sidlalab.render import RenderOptions, render_svg
+from sidlalab.render import RenderOptions, coordinate_texts, render_svg
 from sidlalab.sidla import SimulationLimitError, _run_rings, new_state, run_until_covered
 
 # sha256 of CLI artifacts and stdout, recorded on the per-vertex writers,
@@ -201,6 +201,20 @@ def test_render_matches_oracle_on_a_partly_claimed_forest():
         assert (b"#d81b2a" in svg) == (opts.highlight_root is not None)
         shown = fo.window.M if opts.max_level is None else opts.max_level
         assert svg.count(b"<line") == np.count_nonzero(fo.root_x[1:shown + 1] >= 0)
+
+
+def test_render_matches_oracle_where_coordinates_take_more_than_six_digits():
+    """At 1000 columns and scale 0.123456789 every coordinate but 0 is
+    written rounded to 6 digits, within the read-back tolerance; the drawing,
+    cut at level 1 of 2 and with a drawn root highlighted, matches the
+    oracle's."""
+    fo = build_forest(WeightField(4, WeightProfile.STRETCH, Window(1000, 2)))
+    opts = RenderOptions(highlight_root=int(fo.root_x[1, 0]), scale=0.123456789, max_level=1)
+    text = coordinate_texts(1000, 2, opts)
+    assert sum(float(t) != k * opts.scale for k, t in enumerate(text)) == len(text) - 1
+    svg = render_svg(fo, opts)
+    assert svg == reference_render_svg(fo, opts).encode()
+    assert svg.count(b'stroke="#d81b2a"') > 0 and svg.count(b"<line") == 1000
 
 
 def test_slim_fractions_cross_checks_the_tallest_tree(monkeypatch, tmp_path, capsys):
