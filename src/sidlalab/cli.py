@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analysis, coupling, fpp, render, sidla
-from .errors import ConfigError, CouplingFault
+from .errors import ConfigError
 from .fileio import atomic_write_text, check_destination, json_text
 from .hashing import check_seeds
 from .lattice import Window, edge_str
@@ -71,22 +71,35 @@ def _check_picture(args: argparse.Namespace) -> None:
                           f"takes none, got --method {args.method}")
 
 
-def _check_replicas(args: argparse.Namespace) -> None:
+def _seeds(args: argparse.Namespace) -> range:
+    return range(args.seed, args.seed + args.replicas)
+
+
+def _replicas(args: argparse.Namespace, outputs, task, *fields) -> list:
+    """task((seed, *fields)) for each seed of the command, in seed order.
+    Everything the replica commands share is refused first, before any
+    replica runs: --replicas or --jobs below 1, a seed outside 64 bits, and
+    an output path that cannot be written or that names one file with
+    another output.  outputs may be lazy: it is read after the seed check."""
     if args.replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {args.replicas}")
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     check_seeds(args.seed, args.seed + args.replicas - 1)
-
-
-def _run_tasks(fn, tasks, jobs: int):
+    seen = {}
+    for path in outputs:
+        check_destination(path)
+        if (key := os.path.realpath(path)) in seen:
+            raise ConfigError(f"cannot write {seen[key]} and {path}: they name one file")
+        seen[key] = path
+    tasks = [(seed, *fields) for seed in _seeds(args)]
     # a fork pool starts all its workers up front, so never ask for more
     # than there are tasks or CPUs
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        return [task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(task, tasks))
 
 
 def _out_path(base: str | None, stem: str, seed: int, ext: str, multi: bool) -> str:
@@ -110,13 +123,12 @@ def _fpp_task(task):
 
 def cmd_fpp(args: argparse.Namespace) -> int:
     win = Window(args.width, args.height)
-    _check_replicas(args)
-    tasks = [(s, win.W, win.M, args.profile)
-             for s in range(args.seed, args.seed + args.replicas)]
-    multi = args.replicas > 1
     stem = f"fpp_w{win.W}_m{win.M}_{args.profile}"
-    for seed, text, max_dist in _run_tasks(_fpp_task, tasks, args.jobs):
-        path = _out_path(args.out, stem, seed, ".json", multi)
+    def path_of(seed):
+        return _out_path(args.out, stem, seed, ".json", args.replicas > 1)
+    for seed, text, max_dist in _replicas(args, map(path_of, _seeds(args)), _fpp_task,
+                                          win.W, win.M, args.profile):
+        path = path_of(seed)
         atomic_write_text(path, text)
         print(f"fpp seed={seed} window={win.W}x{win.M} profile={args.profile} "
               f"interior={win.W * win.M} maxdist={format(max_dist, '.17g')} "
@@ -138,14 +150,14 @@ def _sidla_task(task):
 
 def cmd_sidla(args: argparse.Namespace) -> int:
     win = Window(args.width, args.height)
-    _check_replicas(args)
-    tasks = [(s, win.W, win.M, args.method)
-             for s in range(args.seed, args.seed + args.replicas)]
     stem = f"sidla_w{win.W}_m{win.M}"
-    for seed, snap, events, method, n_rings, clock, censored in _run_tasks(
-            _sidla_task, tasks, args.jobs):
+    def paths_of(seed):
         snap_path = _out_path(args.out, stem, seed, ".json", True)
-        events_path = snap_path[: -len(".json")] + "_events.csv"
+        return snap_path, snap_path[: -len(".json")] + "_events.csv"
+    outputs = (path for seed in _seeds(args) for path in paths_of(seed))
+    for seed, snap, events, method, n_rings, clock, censored in _replicas(
+            args, outputs, _sidla_task, win.W, win.M, args.method):
+        snap_path, events_path = paths_of(seed)
         atomic_write_text(snap_path, snap)
         atomic_write_text(events_path, events)
         print(f"sidla seed={seed} window={win.W}x{win.M} method={method} "
@@ -170,20 +182,16 @@ def _couple_task(task):
 
 def cmd_couple(args: argparse.Namespace) -> int:
     win = Window(args.width, args.height)
-    _check_replicas(args)
     if not args.horizon_factor >= 1.0:
         raise ConfigError(
             f"horizon factor must be >= 1 (horizon below the coverage time "
             f"would censor rings), got {args.horizon_factor}"
         )
     stem = f"couple_w{win.W}_m{win.M}"
-    report_path = _out_path(args.out, stem, args.seed, ".json", False)
+    report_path = args.out or f"{stem}_s{args.seed}.json"
     gaps_path = args.gaps_out or f"{stem}_s{args.seed}_gaps.csv"
-    for path in (report_path, gaps_path):  # refused before any replica runs
-        check_destination(path)
-    tasks = [(s, win.W, win.M, args.profile, args.horizon_factor, args.repeats)
-             for s in range(args.seed, args.seed + args.replicas)]
-    reports = _run_tasks(_couple_task, tasks, args.jobs)
+    reports = _replicas(args, (report_path, gaps_path), _couple_task, win.W, win.M,
+                        args.profile, args.horizon_factor, args.repeats)
     modes = Counter(r.repeats for r in reports)
     if len(modes) > 1:
         raise ConfigError(f"--repeats {args.repeats} split the replicas by repeat streams "
@@ -261,7 +269,7 @@ def _picture_run(picture: str, seed: int, W: int, M: int, profile_value: str,
 
 
 def _stats_task(task):
-    picture, seed, W, M, profile_value, method, slim_d, flank_levels = task
+    seed, picture, W, M, profile_value, method, slim_d, flank_levels = task
     forest = _picture_run(picture, seed, W, M, profile_value, method)
     sizes = fpp.slice_sizes(forest)
     heights, censored = analysis.root_heights(forest, sizes)
@@ -274,7 +282,6 @@ def _stats_task(task):
 
 def cmd_stats(args: argparse.Namespace) -> int:
     win = Window(args.width, args.height)
-    _check_replicas(args)
     _check_picture(args)
     levels = _parse_levels(args.levels, win.M) if args.levels else \
         _default_levels(win.M)
@@ -290,10 +297,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not args.slim_d > 0:
         raise ConfigError(f"slim threshold must be positive, got {args.slim_d}")
 
-    tasks = [(args.picture, s, win.W, win.M, args.profile, args.method or "auto",
-              args.slim_d, tuple(flank_levels))
-             for s in range(args.seed, args.seed + args.replicas)]
-    results = _run_tasks(_stats_task, tasks, args.jobs)
+    out = args.out or f"stats_{args.picture}_w{win.W}_m{win.M}_s{args.seed}.csv"
+    results = _replicas(args, (out,), _stats_task, args.picture, win.W, win.M, args.profile,
+                        args.method or "auto", args.slim_d, tuple(flank_levels))
 
     all_heights = np.concatenate([r[0] for r in results])
     all_censored = np.concatenate([r[1] for r in results])
@@ -307,8 +313,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{pt.level},{pt.n_samples},{format(pt.probability, '.17g')},"
             f"{format(pt.ci_low, '.17g')},{format(pt.ci_high, '.17g')}"
         )
-    stem = f"stats_{args.picture}_w{win.W}_m{win.M}"
-    out = args.out or f"{stem}_s{args.seed}.csv"
     atomic_write_text(out, ("\n".join(lines) + "\n").encode())
 
     cens_frac = float(all_censored.mean())
@@ -352,7 +356,7 @@ def _parse_levels(text: str, M: int) -> list[int]:
 
 def _compare_task(task):
     # Both statistics read only root 0's tree on levels 0..min(height_clip, M)
-    picture, seed, W, M, profile_value, method, height_clip = task
+    seed, picture, W, M, profile_value, method, height_clip = task
     forest = _picture_run(picture, seed, W, M, profile_value, method,
                           up_to=min(height_clip, M), root=0)
     t1 = analysis.level_profile(forest, 0, 1)
@@ -362,22 +366,18 @@ def _compare_task(task):
 
 def cmd_compare(args: argparse.Namespace) -> int:
     win = Window(args.width, args.height)
-    _check_replicas(args)
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0,1), got {args.alpha}")
     clip = args.height_clip
     if clip < 1:
         raise ConfigError(f"height clip must be >= 1 (a lower clip leaves one height "
                           f"bin and a vacuous test), got {clip}")
-    # the fpp picture runs below the cap: refuse a cap the whole window's rates cannot hold
-    fpp.WeightField(args.seed, fpp.WeightProfile.STRETCH, win)
-    seeds = range(args.seed, args.seed + args.replicas)
-    fpp_tasks = [("fpp", s, win.W, win.M, "stretch", args.method, clip)
-                 for s in seeds]
-    sidla_tasks = [("sidla", s, win.W, win.M, "stretch", args.method, clip)
-                   for s in seeds]
-    fpp_res = _run_tasks(_compare_task, fpp_tasks, args.jobs)
-    sidla_res = _run_tasks(_compare_task, sidla_tasks, args.jobs)
+    # the fpp DP runs below the cap, so check the cap here; _replicas checks the seeds
+    fpp.WeightField(0, fpp.WeightProfile.STRETCH, win)
+    outputs = [args.out] if args.out else []
+    fpp_res, sidla_res = [_replicas(args, outputs, _compare_task, picture, win.W, win.M,
+                                    "stretch", args.method, clip)
+                          for picture in ("fpp", "sidla")]
 
     t1_a = analysis.histogram(r[0] for r in fpp_res)
     t1_b = analysis.histogram(r[0] for r in sidla_res)
@@ -433,6 +433,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     options = render.RenderOptions(
         highlight_root=highlight, scale=args.scale, max_level=args.max_level
     )
+    if args.out:  # refused before any sampling or loading
+        check_destination(args.out)
     if args.input:
         forest = fpp.load_snapshot(args.input)
     else:
@@ -565,9 +567,6 @@ def main(argv=None) -> int:
     except (ConfigError, sidla.SimulationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CouplingFault as exc:
-        print(f"internal fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
     except Exception as exc:
         print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAULT

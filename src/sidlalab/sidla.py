@@ -116,25 +116,25 @@ def _ring_arrivals(clock_mid: int, k: np.ndarray, W: int) -> tuple[np.ndarray, n
     return exp_from_uniform(u[:, 0], W), 2 * np.minimum((u[:, 1] * W).astype(np.int64), W - 1)
 
 
-def _draw_blocks(lo: int, hi: int, cap: int):
-    """Yield the index blocks (a, b) that split lo..hi-1: FIRST_DRAW_BLOCK
+def _draw_blocks(n: int, cap: int):
+    """Yield the index blocks (a, b) that split 0..n-1: FIRST_DRAW_BLOCK
     indices first, doubling up to cap.  A run that stops early hashes few
     draws it never uses, and a long one soon draws cap at a time."""
-    step = min(FIRST_DRAW_BLOCK, cap)
-    while lo < hi:
-        yield lo, min(lo + step, hi)
+    lo, step = 0, min(FIRST_DRAW_BLOCK, cap)
+    while lo < n:
+        yield lo, min(lo + step, n)
         lo, step = lo + step, min(2 * step, cap)
 
 
-def _ring_draws(seed: int, lo: int, hi: int, W: int, M: int):
-    """Yield (clock gap, site x, coins) for rings lo..hi-1 of a rings run:
+def _ring_draws(seed: int, n_rings: int, W: int, M: int):
+    """Yield (clock gap, site x, coins) for rings 0..n_rings-1 of a rings run:
     ``_ring_arrivals`` and ring k's coin at step s, ``hash_u64(seed,
     COIN_STREAM, k, s) & 1`` for s < M (a walk that has climbed to the cap
     leaves the window whatever its next coin).  A block of rings, M + 2
     words each within HASH_BLOCK, takes one vector hash per stream."""
     clock_mid, coin_mid = hash_u64(seed, CLOCK_STREAM), hash_u64(seed, COIN_STREAM)
     steps = np.arange(M, dtype=np.uint64)
-    for a, b in _draw_blocks(lo, hi, max(1, HASH_BLOCK // (M + 2))):
+    for a, b in _draw_blocks(n_rings, max(1, HASH_BLOCK // (M + 2))):
         k = np.arange(a, b, dtype=np.uint64)[:, None]
         gaps, sites = _ring_arrivals(clock_mid, k, W)
         coins = hash_u64_vec(coin_mid, [k, steps]) & np.uint64(1)
@@ -178,8 +178,8 @@ def _write_claims(state: SidlaState, claims: tuple, events, clock: float, n: int
 
 def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
                root: int | None = None) -> SidlaState:
-    """Ring the clock until no free edge leads from a watched tree into
-    levels 1..up_to (run_until_covered), at most max_rings times.
+    """Ring the clock of a fresh ``new_state`` until no free edge leads from a
+    watched tree into levels 1..up_to (run_until_covered), at most max_rings times.
 
     Each ring drops a particle on its site and walks it up by its coins
     while the edge taken is its own tree's parent edge; it claims a free
@@ -189,13 +189,13 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
     # root + parent direction by vertex above level 0, -1 if free (roots are
-    # even, so it decodes): in a fresh state, the root labels
+    # even, so it decodes): the fresh state's root labels
     mark = forest.root_x.tolist()
     claims = order, roots, dirs, times = _claims()
     rings = array("q")  # each claim's ring
     weight = _open_weights(W, M, root)
-    clock, n, opened = state.clock, state.n_rings, 2 * sum(weight)
-    for gap, site, coins in _ring_draws(seed, n, max_rings, W, M):
+    clock, n, opened = 0.0, 0, 2 * sum(weight)
+    for gap, site, coins in _ring_draws(seed, max_rings, W, M):
         clock += gap
         x = site
         for y, d in enumerate(coins):
@@ -239,16 +239,16 @@ def _jump_draws(seed: int, n_events: int):
     (``_draw_blocks``, three words each within HASH_BLOCK) per vector hash.
     The variate is ``-log1p(-u0)``, as in exp_from_uniform."""
     mid = hash_u64(seed, JUMP_STREAM)
-    for lo, hi in _draw_blocks(0, n_events, max(1, HASH_BLOCK // 3)):
+    for lo, hi in _draw_blocks(n_events, max(1, HASH_BLOCK // 3)):
         k = np.arange(lo, hi, dtype=np.uint64)
         u = hash_uniform_vec(mid, [k[:, None], np.arange(3, dtype=np.uint64)])
         yield from zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
 
 
 def _run_jumps(state: SidlaState, seed: int, up_to: int, root: int | None = None) -> SidlaState:
-    """Sample extension events directly from the free-edge clocks until no
-    free edge leads from a watched tree into levels 1..up_to
-    (run_until_covered).
+    """Sample extension events of a fresh ``new_state`` directly from the
+    free-edge clocks until no free edge leads from a watched tree into
+    levels 1..up_to (run_until_covered).
 
     Free edges are grouped by level (one rate per level) as codes
     ``(y * 2W + x) * 2 + dir`` of their tails; ``pos[code]`` is a code's
@@ -275,8 +275,8 @@ def _run_jumps(state: SidlaState, seed: int, up_to: int, root: int | None = None
     owner = forest.root_x.ravel().tolist()
     claims = order, roots, dirs, times = _claims()
     weight = _open_weights(W, M, root)
-    clock, opened = state.clock, 2 * sum(weight)
-    for e0, u1, u2 in _jump_draws(seed, W * M - state.n_occupied):
+    clock, opened = 0.0, 2 * sum(weight)
+    for e0, u1, u2 in _jump_draws(seed, W * M):
         pref = list(accumulate(term[low:top + 1]))
         rate_sum = pref[-1]
         w = e0 / rate_sum

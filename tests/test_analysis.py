@@ -390,6 +390,8 @@ def test_chi_square_identical_histograms():
     h = {0: 40, 1: 30, 2: 30}
     res = chi_square_compare(h, h)
     assert (res.statistic, res.p_value) == (0.0, 1.0)
+    one = chi_square_compare({1: 30}, {1: 30})  # one bin: no test to make
+    assert (one.statistic, one.p_value, one.n_bins) == (0.0, 1.0, 1)
 
 
 def test_chi_square_detects_shift():

@@ -12,6 +12,7 @@ import pytest
 import sidlalab
 from sidlalab import analysis, cli, coupling, fpp, sidla
 from sidlalab.cli import EXIT_CONFIG, EXIT_FAULT, main
+from sidlalab.errors import CouplingFault
 from sidlalab.fileio import atomic_write_text, json_text
 from sidlalab.fpp import load_snapshot
 from sidlalab.lattice import Window
@@ -110,6 +111,45 @@ def test_couple_refuses_a_missing_directory_before_any_replica(flag, in_tmp, cap
     assert not list(Path(".").iterdir())
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the output was refused")
+
+
+@pytest.mark.parametrize("gaps", ["same.json", "./same.json"])
+def test_couple_refuses_two_outputs_naming_one_file(gaps, monkeypatch, capsys):
+    """The gaps CSV would overwrite the report; both paths are named and
+    refused before any replica runs, and nothing is written."""
+    monkeypatch.setattr(cli, "_couple_task", _no_work)
+    assert run("couple", "-W", "8", "-M", "4", "--out", "same.json",
+               "--gaps-out", gaps) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert f"cannot write same.json and {gaps}: they name one file" in err
+    assert out == ""
+    assert not list(Path(".").iterdir())
+
+
+@pytest.mark.parametrize("argv,module,target", [
+    (["fpp", "-W", "8", "-M", "4", "--replicas", "2"], cli, "_fpp_task"),
+    (["sidla", "-W", "8", "-M", "4"], cli, "_sidla_task"),
+    (["stats", "-W", "8", "-M", "4"], cli, "_stats_task"),
+    (["compare", "-W", "8", "-M", "4", "--replicas", "40"], cli, "_compare_task"),
+    (["render", "-W", "8", "-M", "4"], cli, "_picture_run"),
+    (["render", "--in", "f.json"], fpp, "load_snapshot"),
+], ids=["fpp", "sidla", "stats", "compare", "render", "render-in"])
+def test_a_missing_output_directory_is_refused_before_any_work(argv, module, target, in_tmp,
+                                                               monkeypatch, capsys):
+    """Every command that writes checks its outputs first: no replica runs,
+    no forest is sampled or loaded, nothing is printed and nothing is
+    written."""
+    monkeypatch.setattr(module, target, _no_work)
+    assert run(*argv, "--out", "missing/x.out") == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "cannot write missing/x.out" in err  # fpp and sidla name their first seed's file
+    assert f"directory {in_tmp / 'missing'} does not exist" in err
+    assert out == ""
+    assert not list(Path(".").iterdir())
+
+
 @pytest.mark.parametrize("factor,why", [
     ("nan", "horizon factor must be >= 1"),
     ("inf", "horizon inf is not finite"),
@@ -125,6 +165,17 @@ def test_couple_refuses_a_horizon_that_is_not_finite(factor, why, monkeypatch, c
                    "-W", "8", "-M", "4", "--out", "c.json", "--gaps-out", "g.csv") == 1
         assert why in capsys.readouterr().err
     assert not list(Path(".").iterdir())
+
+
+def test_couple_reports_no_gap_test_below_ten_gaps(capsys):
+    """A 2x1 window rings one gap: too few for the exponential gap test, so
+    the report holds null statistics and the run still passes."""
+    assert run("couple", "-W", "2", "-M", "1", "--repeats", "base", "--out", "c.json",
+               "--gaps-out", "g.csv") == 0
+    assert "n_gaps=1 ks_stat=null ks_p=null censored=1 wrote=c.json" in capsys.readouterr().out
+    assert json.loads(Path("c.json").read_text()) == {
+        "forest_equal": True, "n_gaps": 1, "ks_stat": None, "ks_p": None, "censored_count": 1}
+    assert len(Path("g.csv").read_text().splitlines()) == 2
 
 
 def test_couple_names_exact_zero_gaps(capsys):
@@ -218,11 +269,22 @@ def test_seeds_outside_64_bits_are_refused(command, seed, capsys):
 
 
 @pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c != "render"])
-def test_replica_seeds_past_64_bits_are_refused(command, capsys):
+def test_replica_seeds_past_64_bits_are_refused(command, monkeypatch, capsys):
+    """The seed range is refused before any output path is formed, so a
+    huge --replicas is refused at once."""
+    monkeypatch.setattr(cli, "_out_path", _no_work)
     last = 2**64 - 1
     assert run(command, "--seed", str(last - 1), "--replicas", "3",
                "-W", "8", "-M", "4") == EXIT_CONFIG
     assert f"got {last - 1}..{last + 1}" in capsys.readouterr().err
+    assert not list(Path(".").iterdir())
+
+
+@pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c != "render"])
+@pytest.mark.parametrize("flag", ["--replicas", "--jobs"])
+def test_replicas_and_jobs_below_one_are_refused(command, flag, capsys):
+    assert run(command, flag, "0", "-W", "8", "-M", "4") == EXIT_CONFIG
+    assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
     assert not list(Path(".").iterdir())
 
 
@@ -317,6 +379,17 @@ def test_compare_refuses_an_unrepresentable_rate(capsys):
     assert not Path("c.json").exists()
 
 
+@pytest.mark.parametrize("flag,value,why", [
+    ("--slim-d", "0", "slim threshold must be positive, got 0.0"),
+    ("--levels", "0,3", "levels must lie in 1..4, got [0, 3]"),
+    ("--levels", "a", "levels must be comma-separated integers, got 'a'"),
+])
+def test_stats_rejects_bad_options(flag, value, why, capsys):
+    assert run("stats", "-W", "8", "-M", "4", flag, value, "--out", "s.csv") == EXIT_CONFIG
+    assert why in capsys.readouterr().err
+    assert not Path("s.csv").exists()
+
+
 def test_stats_rejects_a_bad_kappa(capsys):
     assert run("stats", "-W", "8", "-M", "4", "--flank-levels", "2",
                "--kappa", "abc", "--out", "s.csv") == EXIT_CONFIG
@@ -392,6 +465,14 @@ def test_compare_refuses_a_height_clip_below_one(clip, capsys):
     assert not Path("c.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_compare_refuses_an_alpha_outside_the_open_unit_interval(alpha, capsys):
+    assert run("compare", "-W", "16", "-M", "8", "--alpha", alpha,
+               "--out", "c.json") == EXIT_CONFIG
+    assert f"alpha must lie in (0,1), got {float(alpha)}" in capsys.readouterr().err
+    assert not Path("c.json").exists()
+
+
 def test_compare_rejects_samples_too_small(capsys):
     assert run("compare", "-W", "6", "-M", "3", "--replicas", "2",
                "--out", "c.json") == EXIT_CONFIG
@@ -408,6 +489,18 @@ def test_internal_value_error_is_a_fault(monkeypatch, capsys):
     assert run("fpp", "-W", "8", "-M", "4", "--out", "f.json") == EXIT_FAULT
     assert "internal fault: ValueError: broken level program" in capsys.readouterr().err
     assert not Path("f.json").exists()
+
+
+def test_a_coupling_fault_is_an_internal_fault(monkeypatch, capsys):
+    """A replay that contradicts the forest is a bug: exit 3, named by its
+    type like any other fault, and nothing is written."""
+    def broken(rings):
+        raise CouplingFault("ring 3 claims a claimed vertex")
+    monkeypatch.setattr(coupling, "replay", broken)
+    assert run("couple", "-W", "8", "-M", "4", "--out", "c.json",
+               "--gaps-out", "g.csv") == EXIT_FAULT
+    assert "internal fault: CouplingFault: ring 3 claims" in capsys.readouterr().err
+    assert not list(Path(".").iterdir())
 
 
 def test_stats_survival_csv(capsys):
