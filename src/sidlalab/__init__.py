@@ -18,7 +18,7 @@ rotated upper-half-plane lattice and verifies that they agree:
 """
 
 from .errors import ConfigError, CouplingFault
-from .lattice import Dir, Edge, Vertex, Window, head
+from .lattice import Dir, Window
 from .fpp import (
     Forest,
     WeightField,
@@ -37,17 +37,14 @@ __all__ = [
     "ConfigError",
     "CouplingFault",
     "Dir",
-    "Edge",
     "Forest",
     "RingKind",
     "SidlaState",
     "SimulationLimitError",
-    "Vertex",
     "WeightField",
     "WeightProfile",
     "Window",
     "build_forest",
-    "head",
     "load_snapshot",
     "run_until_covered",
     "snapshot_text",

@@ -1,13 +1,14 @@
 """Exact and statistical verification tools.
 
 Two families of checks live here.  The exact family works on finite
-monotone trees in integer and dyadic-rational arithmetic: the outer-shell
-weight identity (the level-i outer boundary counts, weighted ``2**-i``,
-always sum to exactly 1) and an exhaustive enumerator of small monotone
-trees.  The statistical family summarizes simulation samples: tree heights with
-censoring, slice profiles, the flank distance tail bound, survival curves
-with binomial confidence bands, and the generic KS and chi-square tests
-used to compare the particle picture with the weight picture.
+monotone trees, coded as integer edge triples, in integer arithmetic: the
+outer-shell weight identity (the level-i outer boundary counts, weighted
+``2**-i``, always sum to exactly 1) and an exhaustive enumerator of small
+monotone trees.  The statistical family summarizes simulation samples:
+tree heights with censoring, slice profiles, the flank distance tail
+bound, survival curves with binomial confidence bands, and the generic KS
+and chi-square tests used to compare the particle picture with the weight
+picture.
 
 Everything here is a pure function of its inputs; nothing draws random
 numbers.
@@ -18,47 +19,38 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
 from .errors import ConfigError
 from .fpp import Forest, _tail_column, slice_sizes, tree_heights
-from .lattice import Dir, Edge, Vertex, Window, head
+from .lattice import Window
 
 ENUMERATION_GUARD = 12
-
-_DIRS = (Dir.LEFT, Dir.RIGHT)  # by code
 
 _Z_99_ONE_SIDED = 2.3263478740408408
 _Z_95_TWO_SIDED = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class MonotoneTree:
-    """A finite tree rooted on the boundary, every edge climbing one level."""
+class MonotoneTree(NamedTuple):
+    """A finite tree rooted on the boundary at x = root, every edge climbing
+    one level.  Each edge is an integer triple (y, x, d): its tail's level
+    and plane x, and its ``Dir`` code; the head is (x + 2d - 1, y + 1).
+    Tuple order is the (level, tail x, direction) order of the enumerator."""
 
-    root: Vertex
-    edges: frozenset[Edge]
-
-    def vertices(self) -> set[Vertex]:
-        verts = {self.root}
-        verts.update(head(e) for e in self.edges)
-        return verts
-
-    @cached_property
-    def _levels(self) -> Counter:
-        """Vertices per level, counted once per tree."""
-        return Counter(v.y for v in self.vertices())
+    root: int
+    edges: frozenset[tuple[int, int, int]]
 
     def level_counts(self) -> Counter:
-        return Counter(self._levels)
+        """Vertices per level: the root at 0 and each edge's head."""
+        counts = Counter(y + 1 for y, _, _ in self.edges)
+        counts[0] = 1
+        return counts
 
     def height(self) -> int:
-        return max(self._levels)
+        return max((y + 1 for y, _, _ in self.edges), default=0)
 
 
 def extract_tree(forest: Forest, root: int) -> MonotoneTree:
@@ -73,16 +65,16 @@ def extract_tree(forest: Forest, root: int) -> MonotoneTree:
     x0 = root % win.period
     unwrapped = np.empty(win.W, dtype=np.int64)  # by column, of the level below
     unwrapped[x0 >> 1] = x0
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, int]] = []
     for m in range(1, win.M + 1):
         cols = np.flatnonzero(forest.root_x[m] == x0)
         if not cols.size:
             break
         d = forest.parent_dir[m, cols].astype(np.int64)
         tail_x = unwrapped[_tail_column(win.W, m, cols, d)]
-        edges += [Edge(Vertex(x, m - 1), _DIRS[c]) for x, c in zip(tail_x.tolist(), d.tolist())]
+        edges += [(m - 1, x, c) for x, c in zip(tail_x.tolist(), d.tolist())]
         unwrapped[cols] = tail_x + 2 * d - 1
-    return MonotoneTree(Vertex(x0, 0), frozenset(edges))
+    return MonotoneTree(x0, frozenset(edges))
 
 
 def level_profile(forest: Forest, root: int, m: int) -> int:
@@ -98,43 +90,36 @@ def level_profile(forest: Forest, root: int, m: int) -> int:
 # Outer shells and the exact weight identity
 
 
-@dataclass(frozen=True)
-class ShellProfile:
-    """Counts of outer-boundary edges per level: edges whose tail is a tree
-    vertex but which are not themselves tree edges (the head may or may
-    not belong to the tree)."""
+def shell_weight(tree: MonotoneTree) -> tuple[int, int]:
+    """The outer-shell weight sum as the integer ratio (n, 2**K), K =
+    height + 1.
 
-    counts: Mapping[int, int]
-
-    def weighted_sum(self) -> Fraction:
-        return sum(
-            (Fraction(c, 2 ** i) for i, c in self.counts.items()), Fraction(0)
-        )
-
-
-def shell_profile(tree: MonotoneTree) -> ShellProfile:
-    counts: Counter = Counter()
-    for v in tree.vertices():
-        for d in (Dir.LEFT, Dir.RIGHT):
-            if Edge(v, d) not in tree.edges:
-                counts[v.y + 1] += 1
-    return ShellProfile(dict(counts))
+    A vertex at level y with c children leaves 2 - c out-edges outside the
+    tree, each an outer-shell edge of level y + 1 and weight 2**-(y + 1); so
+    n is the sum over the tree's distinct vertices of
+    (2 - c) * 2**(K - y - 1)."""
+    k = tree.height() + 1
+    children = Counter((x, y) for y, x, _ in tree.edges)
+    verts = {(tree.root, 0)} | {(x + 2 * d - 1, y + 1) for y, x, d in tree.edges}
+    return sum((2 - children[v]) << (k - v[1] - 1) for v in verts), 1 << k
 
 
 def shell_identity_check(tree: MonotoneTree) -> bool:
-    """Exact dyadic test of the shell identity; no floating point."""
-    return shell_profile(tree).weighted_sum() == Fraction(1)
+    """Exact test of the shell identity: the level-i outer-shell edges,
+    weighted 2**-i, sum to exactly 1."""
+    num, den = shell_weight(tree)
+    return num == den
 
 
-def enumerate_monotone_trees(
-    max_edges: int, root: Vertex = Vertex(0, 0)
-) -> Iterator[MonotoneTree]:
-    """Yield every monotone tree at the root with at most max_edges edges.
+def enumerate_monotone_trees(max_edges: int) -> Iterator[MonotoneTree]:
+    """Yield every monotone tree at the root x = 0 with at most max_edges
+    edges.
 
-    Edges are added in increasing (level, tail x, direction) order; a
-    parent edge always sorts before the edges it enables, so every tree is
-    produced from exactly one addition sequence and each prefix along the
-    way is itself a valid tree.
+    The edges are added in increasing (level, tail x, direction) order, the
+    plain tuple order of the edge triples; a parent edge always sorts
+    before the edges it enables, so every tree is produced from exactly
+    one addition sequence and each prefix along the way is itself a valid
+    tree.
     """
     if max_edges > ENUMERATION_GUARD:
         raise ConfigError(
@@ -143,34 +128,24 @@ def enumerate_monotone_trees(
         )
     if max_edges < 0:
         raise ConfigError(f"max_edges must be nonnegative, got {max_edges}")
+    edges: list[tuple[int, int, int]] = []
+    verts = {(0, 0)}
 
-    def key(e: Edge) -> tuple[int, int, int]:
-        return (e.tail.y, e.tail.x, int(e.dir))
-
-    def grow(edges: list[Edge], verts: set[Vertex], last_key):
-        yield MonotoneTree(root, frozenset(edges))
+    def grow(last):
+        yield MonotoneTree(0, frozenset(edges))
         if len(edges) == max_edges:
             return
-        cands = sorted(
-            (
-                Edge(v, d)
-                for v in verts
-                for d in (Dir.LEFT, Dir.RIGHT)
-                if head(Edge(v, d)) not in verts
-            ),
-            key=key,
-        )
-        for e in cands:
-            if last_key is not None and key(e) <= last_key:
-                continue
-            a = head(e)
+        for e in sorted((y, x, d) for x, y in verts for d in (0, 1)
+                        if (y, x, d) > last and (x + 2 * d - 1, y + 1) not in verts):
+            y, x, d = e
+            a = (x + 2 * d - 1, y + 1)
             edges.append(e)
             verts.add(a)
-            yield from grow(edges, verts, key(e))
+            yield from grow(e)
             edges.pop()
             verts.remove(a)
 
-    yield from grow([], {root}, None)
+    yield from grow((-1, 0, 0))  # sorts below every edge
 
 
 # ---------------------------------------------------------------------------

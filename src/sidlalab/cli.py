@@ -16,6 +16,7 @@ budget), 2 verification failure, 3 internal fault (any other exception).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -27,7 +28,7 @@ from . import analysis, coupling, fpp, render, sidla
 from .errors import ConfigError
 from .fileio import atomic_write_text, check_destination, json_text
 from .hashing import check_seeds
-from .lattice import Window, edge_str
+from .lattice import Window
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -240,8 +241,11 @@ def cmd_shells(args: argparse.Namespace) -> int:
     count = 0
     for tree in analysis.enumerate_monotone_trees(k):
         if not analysis.shell_identity_check(tree):
-            total = analysis.shell_profile(tree).weighted_sum()
-            edges = ";".join(sorted(edge_str(e) for e in tree.edges))
+            # the sum as a reduced fraction, n or n/d
+            num, den = analysis.shell_weight(tree)
+            g = math.gcd(num, den)
+            total = f"{num // g}" if g == den else f"{num // g}/{den // g}"
+            edges = ";".join(sorted(f"{x},{y},{'LR'[d]}" for y, x, d in tree.edges))
             print(f"LEMMA22 FAIL k={k} edges=[{edges}] sum={total}")
             return EXIT_VERIFY
         count += 1
@@ -435,6 +439,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     )
     if args.out:  # refused before any sampling or loading
         check_destination(args.out)
+        if args.input and os.path.realpath(args.out) == os.path.realpath(args.input):
+            raise ConfigError(f"cannot write {args.out} over the snapshot {args.input} it draws")
     if args.input:
         forest = fpp.load_snapshot(args.input)
     else:

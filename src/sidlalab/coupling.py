@@ -147,7 +147,7 @@ def generate_rings(
     the forest program's candidate through that edge, on the clock of its
     tail's root.  With repeats="full" each boundary edge whose base ring
     fires before the horizon adds its auxiliary arrivals up to the horizon
-    (``field.offsets``; "base" needs only the field's weights).  Edges
+    (``field.offsets``; "base" needs only the field's weights).  The edges
     whose head lies above the cap get no ring; their total rate is at most
     (M + 2) * 2**-(M+1) per site.
 
@@ -278,7 +278,7 @@ class CouplingReport:
 
 
 def forests_match(a: Forest, b: Forest) -> bool:
-    """Edge-for-edge and time-for-time equality of two forests' arrays,
+    """Equality of two forests' arrays, edge for edge and time for time,
     times compared bit-exact; labels and value keys may differ."""
     return all(np.array_equal(x, y) for x, y in (
         (a.root_x, b.root_x), (a.parent_dir, b.parent_dir), (a.values, b.values)))

@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import os
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -142,12 +141,14 @@ def _layout_tables() -> dict:
 @functools.cache
 def _pow10_parts(k: int) -> tuple[float, float, float, float]:
     """hi, lo and hi's Dekker halves of 10**k: hi is 10**k rounded and lo
-    the rounded rest, built on first use for the exponents a call needs."""
-    exact = Fraction(10) ** k
-    hi = float(exact)
+    the rounded rest, built on first use for the exponents a call needs.
+    10**k is the integer ratio a / b, and int / int rounds correctly."""
+    a, b = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = a / b
+    p, q = hi.as_integer_ratio()
     c = _SPLIT * hi
     hi_h = c - (c - hi)
-    return hi, float(exact - Fraction(hi)), hi_h, hi - hi_h
+    return hi, (a * q - p * b) / (b * q), hi_h, hi - hi_h
 
 
 def _pow10(k: np.ndarray) -> list[np.ndarray]:

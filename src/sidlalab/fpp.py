@@ -44,7 +44,7 @@ class WeightProfile(Enum):
     DECREASING = "decreasing"
 
     def rates(self, M: int) -> list[float]:
-        """Edge rates of levels 0..M; level 0 has no edges and holds 0.0.
+        """The edge rates of levels 0..M; level 0 has no edges and holds 0.0.
         A decreasing rate past the largest double raises OverflowError."""
         if self is WeightProfile.EDEN:
             return [0.0] + [1.0] * M
@@ -100,7 +100,7 @@ class WeightField:
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """Edge rate of each level 0..M (``WeightProfile.rates``)."""
+        """The edge rate of each level 0..M (``WeightProfile.rates``)."""
         return np.array(self.profile.rates(self.window.M))
 
     def edge_address(self, stream: int, tails: np.ndarray, dirs) -> list:
@@ -284,8 +284,7 @@ def check_invariants(forest: Forest) -> None:
     label, so every label is a boundary root.  Values must not decrease
     along a parent edge.
     """
-    win = forest.window
-    W, M = win.W, win.M
+    W, M = forest.window.W, forest.window.M
     roots = forest.root_x
     values = forest.values
     bad = np.flatnonzero(roots[0] != 2 * np.arange(W))
@@ -296,7 +295,7 @@ def check_invariants(forest: Forest) -> None:
     bad = np.flatnonzero((dirs != Dir.LEFT) & (dirs != Dir.RIGHT))
     if bad.size:
         y, j = divmod(W + int(bad[0]), W)
-        raise ValueError(f"vertex {tuple(win.vertex_at(y, j))} has parent direction code "
+        raise ValueError(f"vertex {((y & 1) + 2 * j, y)} has parent direction code "
                          f"{int(dirs[bad[0]])}; above the boundary it must be L or R")
     heads = np.arange(W, (M + 1) * W)
     tails = incoming_tail_index(W, heads, dirs)
@@ -307,7 +306,7 @@ def check_invariants(forest: Forest) -> None:
         if broken.any():
             y, j = divmod(int(heads[np.argmax(broken)]), W)
             raise ValueError(
-                f"vertex {tuple(win.vertex_at(y, j))} has {what} its parent's"
+                f"vertex {((y & 1) + 2 * j, y)} has {what} its parent's"
             )
 
 

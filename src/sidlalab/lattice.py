@@ -2,14 +2,16 @@
 
 Vertices are integer pairs ``(x, y)`` with ``x + y`` even and ``y >= 0``.
 Every vertex emits two directed edges, one step left-up ``(-1, 1)`` and one
-right-up ``(1, 1)``, so each edge climbs exactly one level.  The level of an
-edge is the level of its head.  Level 0 is the boundary; trees grown by the
+right-up ``(1, 1)``, so each edge climbs exactly one level.  An edge is
+named by its tail and its ``Dir`` code d; its head is ``(x + 2d - 1, y + 1)``,
+and the level of an edge is the level of its head.  Level 0 is the boundary; trees grown by the
 simulations are rooted there and every non-root vertex lies strictly above
 its parent, which makes "distance from the boundary" and "level" the same
 number for tree vertices.
 
 Simulations run on a finite cyclic window: x is reduced modulo ``2 * W`` so
-each level holds exactly W vertices, and only levels ``0..M`` exist.  A
+each level holds exactly W vertices, column j of level y at
+``x = (y & 1) + 2j``, and only levels ``0..M`` exist.  A
 tree of height m spans at most m + 1 columns, so with ``W >= M + 1`` no
 tree can ever wrap onto itself; ``W == M`` is also accepted (the single
 wrap case would need a maximal-width tree at exactly the top level).
@@ -19,40 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 from .errors import ConfigError
 
 
 class Dir(IntEnum):
-    """Edge direction: the horizontal sign of the step to the head."""
+    """The direction of an edge: the horizontal sign of the step to its head."""
 
     LEFT = 0
     RIGHT = 1
-
-    @property
-    def dx(self) -> int:
-        return -1 if self is Dir.LEFT else 1
-
-    @property
-    def letter(self) -> str:
-        return "L" if self is Dir.LEFT else "R"
-
-
-class Vertex(NamedTuple):
-    x: int
-    y: int
-
-
-class Edge(NamedTuple):
-    """Directed edge identified by its tail and direction."""
-
-    tail: Vertex
-    dir: Dir
-
-
-def head(e: Edge) -> Vertex:
-    return Vertex(e.tail.x + e.dir.dx, e.tail.y + 1)
 
 
 @dataclass(frozen=True)
@@ -76,10 +53,3 @@ class Window:
     @property
     def period(self) -> int:
         return 2 * self.W
-
-    def vertex_at(self, level: int, column: int) -> Vertex:
-        return Vertex((level & 1) + 2 * column, level)
-
-
-def edge_str(e: Edge) -> str:
-    return f"{e.tail.x},{e.tail.y},{e.dir.letter}"

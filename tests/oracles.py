@@ -8,6 +8,14 @@ draws go through the scalar hash (``hashing.hash_u64`` and
 ``hash_uniform``, the reference definition the package's vector hash
 matches) and ``exp_variate``, the scalar form of ``exp_from_uniform``.
 
+The object lattice (``Vertex``, ``Edge``, ``head``, ``edge_str``,
+``vertex_at``, ``dir_dx`` and ``dir_letter``) names vertices and edges as
+NamedTuples; the package itself keeps them as plain integers.
+``edge_objects`` turns a package tree's integer (y, x, d) edge triples
+into an ``Edge`` set, and ``reference_enumerate_monotone_trees``, the
+object enumerator, is the reference for
+``analysis.enumerate_monotone_trees``.
+
 The object walk API (``edge_in_tree``, ``walk_particle``,
 ``apply_extension``, ``hash_coin_stream``, ``ring_arrival`` and
 ``next_ring``: Vertex/Edge objects and one scalar hash per coin) is the
@@ -60,7 +68,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -79,15 +87,46 @@ from sidlalab.hashing import (
     hash_uniform,
 )
 from sidlalab.render import _HIGHLIGHT_COLOR, RenderOptions, _fmt, root_color
-from sidlalab.lattice import (
-    Dir,
-    Edge,
-    Vertex,
-    Window,
-    edge_str,
-    head,
-)
+from sidlalab.lattice import Dir, Window
 from sidlalab.sidla import SidlaState, SimulationLimitError, new_state
+
+
+class Vertex(NamedTuple):
+    x: int
+    y: int
+
+
+class Edge(NamedTuple):
+    """Directed edge identified by its tail and direction."""
+
+    tail: Vertex
+    dir: Dir
+
+
+def dir_dx(d: Dir) -> int:
+    """The horizontal step of a direction: -1 for LEFT, 1 for RIGHT."""
+    return 2 * int(d) - 1
+
+
+def dir_letter(d: Dir) -> str:
+    return "LR"[d]
+
+
+def head(e: Edge) -> Vertex:
+    return Vertex(e.tail.x + dir_dx(e.dir), e.tail.y + 1)
+
+
+def edge_str(e: Edge) -> str:
+    return f"{e.tail.x},{e.tail.y},{dir_letter(e.dir)}"
+
+
+def vertex_at(window: Window, level: int, column: int) -> Vertex:
+    return Vertex((level & 1) + 2 * column, level)
+
+
+def edge_objects(edges: Iterable[tuple[int, int, int]]) -> frozenset[Edge]:
+    """The Edge set of a package tree's integer (y, x, d) edge triples."""
+    return frozenset(Edge(Vertex(x, y), Dir(d)) for y, x, d in edges)
 
 
 def dir_from_letter(s: str) -> Dir:
@@ -118,7 +157,7 @@ def column_of(window: Window, v: Vertex) -> int:
 def level_vertices(window: Window, level: int) -> list[Vertex]:
     if not 0 <= level <= window.M:
         raise ValueError(f"level {level} outside window (0..{window.M})")
-    return [window.vertex_at(level, j) for j in range(window.W)]
+    return [vertex_at(window, level, j) for j in range(window.W)]
 
 
 def boundary(window: Window) -> list[Vertex]:
@@ -402,6 +441,47 @@ def trees_by_subset_filter(max_edges: int, root: Vertex = Vertex(0, 0)):
             if is_tree_edge_set(root, combo):
                 found.add(frozenset(combo))
     return found
+
+
+def reference_enumerate_monotone_trees(
+    max_edges: int, root: Vertex = Vertex(0, 0)
+) -> Iterator[frozenset[Edge]]:
+    """The Edge set of every monotone tree at the root with at most
+    max_edges edges, in the package enumerator's order.
+
+    Edges are added in increasing (level, tail x, direction) order; a
+    parent edge always sorts before the edges it enables, so every tree is
+    produced from exactly one addition sequence and each prefix along the
+    way is itself a valid tree.
+    """
+
+    def key(e: Edge) -> tuple[int, int, int]:
+        return (e.tail.y, e.tail.x, int(e.dir))
+
+    def grow(edges: list[Edge], verts: set[Vertex], last_key):
+        yield frozenset(edges)
+        if len(edges) == max_edges:
+            return
+        cands = sorted(
+            (
+                Edge(v, d)
+                for v in verts
+                for d in (Dir.LEFT, Dir.RIGHT)
+                if head(Edge(v, d)) not in verts
+            ),
+            key=key,
+        )
+        for e in cands:
+            if last_key is not None and key(e) <= last_key:
+                continue
+            a = head(e)
+            edges.append(e)
+            verts.add(a)
+            yield from grow(edges, verts, key(e))
+            edges.pop()
+            verts.remove(a)
+
+    yield from grow([], {root}, None)
 
 
 def brute_shell_counts(root: Vertex, edges) -> dict[int, int]:
@@ -892,7 +972,7 @@ def reference_render_svg(forest: Forest, options: RenderOptions = RenderOptions(
                 continue
             hx = (y & 1) + 2 * j
             d = Dir(int(pdirs[y, j]))
-            tx = hx - d.dx
+            tx = hx - dir_dx(d)
             seg = (
                 f'  <line x1="{_fmt(sx(tx))}" y1="{_fmt(sy(y - 1))}" '
                 f'x2="{_fmt(sx(hx))}" y2="{_fmt(sy(y))}" '

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,18 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    Edge,
+    Vertex,
     boundary,
     brute_shell_counts,
     cone_check,
+    edge_objects,
     flanks,
+    head,
     is_monotone_tree,
+    reference_enumerate_monotone_trees,
     shell_weighted_sum,
     trees_by_subset_filter,
 )
 from sidlalab.analysis import (
     Chi2Result,
     MonotoneTree,
-    ShellProfile,
     SlimParams,
     chi_square_compare,
     coverage_partition_check,
@@ -31,14 +34,14 @@ from sidlalab.analysis import (
     level_profile,
     root_heights,
     shell_identity_check,
-    shell_profile,
+    shell_weight,
     slim_levels,
     tail_height_estimate,
     wilson_interval,
 )
 from sidlalab.fpp import WeightField, WeightProfile, build_forest, slice_sizes
 from sidlalab.hashing import hash_uniform_vec, exp_from_uniform
-from sidlalab.lattice import Dir, Edge, Vertex, Window
+from sidlalab.lattice import Dir, Window
 from sidlalab.sidla import run_until_covered
 
 ROOT = Vertex(0, 0)
@@ -71,22 +74,36 @@ def test_is_monotone_tree_examples():
 
 
 def test_root_only_shell():
-    t = MonotoneTree(ROOT, frozenset())
-    sp = shell_profile(t)
-    assert dict(sp.counts) == {1: 2}
-    assert sp.weighted_sum() == Fraction(1)
+    t = MonotoneTree(0, frozenset())
+    assert brute_shell_counts(ROOT, edge_objects(t.edges)) == {1: 2}
+    assert shell_weight(t) == (2, 2)  # 2 * 2**-1
+    assert shell_identity_check(t)
 
 
 def test_one_edge_shell():
-    t = MonotoneTree(ROOT, frozenset([E_R]))
-    assert dict(shell_profile(t).counts) == {1: 1, 2: 2}
+    t = MonotoneTree(0, frozenset([(0, 0, Dir.RIGHT)]))
+    assert edge_objects(t.edges) == {E_R}
+    assert brute_shell_counts(ROOT, edge_objects(t.edges)) == {1: 1, 2: 2}
+    assert shell_weight(t) == (4, 4)  # 2**-1 + 2 * 2**-2
     assert shell_identity_check(t)
 
 
 def test_two_edge_shell():
-    t = MonotoneTree(ROOT, frozenset([E_L, E_R]))
-    assert dict(shell_profile(t).counts) == {2: 4}
+    t = MonotoneTree(0, frozenset([(0, 0, Dir.LEFT), (0, 0, Dir.RIGHT)]))
+    assert brute_shell_counts(ROOT, edge_objects(t.edges)) == {2: 4}
     assert shell_identity_check(t)
+
+
+def test_a_broken_identity_is_caught():
+    """A tree with a detached edge or a head reached twice breaks the sum:
+    the check reads the distinct vertices and their children, not the edge
+    count."""
+    detached = [(1, 1, Dir.LEFT)]
+    two_parents = [(0, 0, Dir.LEFT), (0, 0, Dir.RIGHT), (1, -1, Dir.RIGHT), (1, 1, Dir.LEFT)]
+    for edges, (num, den) in ((detached, (10, 8)), (two_parents, (6, 8))):
+        t = MonotoneTree(0, frozenset(edges))
+        assert shell_weight(t) == (num, den) and not shell_identity_check(t)
+        assert shell_weighted_sum(brute_shell_counts(ROOT, edge_objects(edges))) * den == num
 
 
 def test_enumeration_counts():
@@ -96,8 +113,20 @@ def test_enumeration_counts():
 
 
 def test_enumeration_matches_subset_filter():
-    mine = {t.edges for t in enumerate_monotone_trees(4)}
+    mine = {edge_objects(t.edges) for t in enumerate_monotone_trees(4)}
     assert mine == trees_by_subset_filter(4)
+
+
+def test_enumeration_matches_the_object_enumerator():
+    """The integer enumerator yields the object enumerator's trees, in its
+    order, for every k <= 8, and the known counts at 9 and 10 edges."""
+    for k in range(9):
+        trees = list(enumerate_monotone_trees(k))
+        assert all(t.root == 0 for t in trees)
+        assert [edge_objects(t.edges) for t in trees] == list(
+            reference_enumerate_monotone_trees(k))
+    assert sum(1 for _ in enumerate_monotone_trees(9)) == 17_533
+    assert sum(1 for _ in enumerate_monotone_trees(10)) == 55_971
 
 
 def test_enumeration_guard():
@@ -110,9 +139,10 @@ def test_enumeration_guard():
 def test_shell_identity_exact_up_to_six_edges():
     n = 0
     for t in enumerate_monotone_trees(6):
-        sp = shell_profile(t)
-        assert dict(sp.counts) == brute_shell_counts(t.root, t.edges)
-        assert sp.weighted_sum() == Fraction(1)
+        total = shell_weighted_sum(brute_shell_counts(ROOT, edge_objects(t.edges)))
+        assert total == 1 and shell_identity_check(t)
+        num, den = shell_weight(t)
+        assert total * den == num and den == 2 ** (t.height() + 1)
         n += 1
     assert n == 569  # matches the subset-filter oracle count
 
@@ -120,27 +150,28 @@ def test_shell_identity_exact_up_to_six_edges():
 def test_shell_splits_at_a_full_first_level():
     """When both root edges are present the shell is the disjoint union of
     the two child subtrees' shells, one level up."""
-    for t in enumerate_monotone_trees(5):
-        if E_L not in t.edges or E_R not in t.edges:
+    for edges in reference_enumerate_monotone_trees(5):
+        if E_L not in edges or E_R not in edges:
             continue
         desc = {Vertex(-1, 1): {Vertex(-1, 1)}, Vertex(1, 1): {Vertex(1, 1)}}
-        for e in sorted(t.edges, key=lambda e: e.tail.y):
+        for e in sorted(edges, key=lambda e: e.tail.y):
             for dset in desc.values():
                 if e.tail in dset:
-                    dset.add(Vertex(e.tail.x + e.dir.dx, e.tail.y + 1))
+                    dset.add(head(e))
         split = {}
         for child, dset in desc.items():
-            sub = [e for e in t.edges if e.tail in dset]
+            sub = [e for e in edges if e.tail in dset]
             for lvl, c in brute_shell_counts(child, sub).items():
                 split[lvl] = split.get(lvl, 0) + c
-        assert split == brute_shell_counts(t.root, t.edges)
+        assert split == brute_shell_counts(ROOT, edges)
 
 
 def test_extract_tree_round_trip():
     fo = stretch_forest(seed=5)
     for root in boundary(fo.window):
         t = extract_tree(fo, root.x)
-        assert is_monotone_tree(t.root, t.edges)
+        assert t.root == root.x
+        assert is_monotone_tree(root, edge_objects(t.edges))
         for m in range(1, fo.window.M + 1):
             assert t.level_counts()[m] == level_profile(fo, root.x, m)
 
@@ -152,7 +183,8 @@ def test_tree_height_and_censoring():
     for j, root in enumerate(boundary(fo.window)):
         t = extract_tree(fo, root.x)
         assert (t.height() == 8) == (root.x in top_owners) == censored[j]
-        assert t.height() == max((v.y for v in t.vertices()), default=0) == heights[j]
+        depth = max((head(e).y for e in edge_objects(t.edges)), default=0)
+        assert t.height() == depth == heights[j]
 
 
 def test_level_profile_validation():
@@ -174,12 +206,7 @@ def test_slim_params_validation():
 
 
 def test_slim_levels_thin_chain():
-    chain = MonotoneTree(
-        ROOT,
-        frozenset(
-            [E_R, Edge(Vertex(1, 1), Dir.RIGHT), Edge(Vertex(2, 2), Dir.RIGHT)]
-        ),
-    )
+    chain = MonotoneTree(0, frozenset([(0, 0, Dir.RIGHT), (1, 1, Dir.RIGHT), (2, 2, Dir.RIGHT)]))
     assert slim_levels(chain, SlimParams(D=2.0)) == [1, 2, 3]
     assert slim_levels(chain, SlimParams(D=1.0)) == []  # strict on both sides
 

@@ -314,6 +314,34 @@ def test_shells_guard(capsys):
     assert run("shells", "--max-edges", "-1") == 1
 
 
+@pytest.mark.parametrize("k,line", [
+    (2, "LEMMA22 FAIL k=2 edges=[0,0,L;0,0,R] sum=1\n"),
+    (3, "LEMMA22 FAIL k=3 edges=[-1,1,L;0,0,L;0,0,R] sum=1\n"),
+])
+def test_shells_failure_line(k, line, monkeypatch, capsys):
+    """The first tree with k edges that fails the check is printed with its
+    edges as sorted "x,y,L|R" texts and its shell sum, and shells exits 2."""
+    monkeypatch.setattr(analysis, "shell_identity_check", lambda tree: len(tree.edges) < k)
+    assert run("shells", "--max-edges", str(k)) == 2
+    assert capsys.readouterr().out == line
+
+
+def test_shells_prints_a_failing_sum_as_a_reduced_fraction(monkeypatch, capsys):
+    detached = analysis.MonotoneTree(0, frozenset([(1, 1, 0)]))  # sum 10/8
+    monkeypatch.setattr(analysis, "enumerate_monotone_trees", lambda k: iter([detached]))
+    assert run("shells", "--max-edges", "1") == 2
+    assert capsys.readouterr().out == "LEMMA22 FAIL k=1 edges=[1,1,L] sum=5/4\n"
+
+
+@pytest.mark.parametrize("out", ["f.json", "./f.json"])
+def test_render_refuses_to_write_over_its_input(out, capsys):
+    assert run("fpp", "-W", "8", "-M", "4", "--out", "f.json") == 0
+    before = Path("f.json").read_bytes()
+    assert run("render", "--in", "f.json", "--out", out) == EXIT_CONFIG
+    assert "over the snapshot f.json" in capsys.readouterr().err
+    assert Path("f.json").read_bytes() == before
+
+
 def test_render_rejects_a_missing_or_malformed_snapshot(capsys):
     assert run("render", "--in", "nope.json", "--out", "x.svg") == EXIT_CONFIG
     assert "cannot read snapshot nope.json" in capsys.readouterr().err

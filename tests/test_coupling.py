@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    Edge,
+    Vertex,
     canonicalize,
     column_of,
     exp_variate,
@@ -18,6 +20,7 @@ from oracles import (
     reference_offsets,
     reference_pooled_gaps,
     reference_replay,
+    vertex_at,
 )
 
 from sidlalab import coupling
@@ -37,7 +40,7 @@ from sidlalab.coupling import (
 from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
 from sidlalab.hashing import hash_uniform_vec
-from sidlalab.lattice import Dir, Edge, Vertex, Window
+from sidlalab.lattice import Dir, Window
 from sidlalab.sidla import events_csv_text
 
 
@@ -377,7 +380,7 @@ def test_offsets_match_the_scalar_loop_bitwise(case):
     assert edge.dtype == np.int64 and off.dtype == np.float64
     assert len(edge) == len(off)
     for i, (t, d, _) in enumerate(edges):
-        tail = win.vertex_at(*divmod(t, W))
+        tail = vertex_at(win, *divmod(t, W))
         want = reference_offsets(aux, Edge(tail, d), float(budgets[i]))
         assert off[edge == i].tobytes() == np.array(want, dtype=np.float64).tobytes()
 

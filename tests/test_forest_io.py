@@ -228,7 +228,7 @@ def test_slim_fractions_cross_checks_the_tallest_tree(monkeypatch, tmp_path, cap
         calls.append(root)
         tree = lift(forest, root)
         top = tree.height()
-        return MonotoneTree(tree.root, frozenset(e for e in tree.edges if e.tail.y < top - 1))
+        return MonotoneTree(tree.root, frozenset(e for e in tree.edges if e[0] < top - 1))
 
     monkeypatch.setattr(analysis, "extract_tree", lift_one_level_short)
     with pytest.raises(RuntimeError, match=f"tree of root {tallest}"):

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Edge,
+    Vertex,
     boundary,
     brute_force_forest,
     canonicalize,
     column_of,
+    dir_dx,
+    edge_objects,
     edge_weight,
     exact_forest,
     incoming_tail_columns,
+    head,
     level_rate,
     scalar_edge_address,
+    vertex_at,
 )
 from sidlalab import fpp
 from sidlalab.analysis import extract_tree
@@ -29,7 +35,7 @@ from sidlalab.fpp import (
     snapshot_text,
 )
 from sidlalab.hashing import AUX_STREAM, WEIGHT_STREAM
-from sidlalab.lattice import Dir, Edge, Vertex, Window, head
+from sidlalab.lattice import Dir, Window
 
 
 def small_field(seed=3, profile=WeightProfile.STRETCH, W=6, M=6):
@@ -87,7 +93,7 @@ def test_edge_address_is_the_scalar_address(W, M):
         address = np.broadcast_arrays(*field.edge_address(stream, tails, dirs))
         for t in range(M * W):
             for d in Dir:
-                e = Edge(win.vertex_at(*divmod(t, W)), d)
+                e = Edge(vertex_at(win, *divmod(t, W)), d)
                 got = [int(a[t // W, t % W, d]) for a in address]
                 assert got == scalar_edge_address(win, stream, e)
 
@@ -114,9 +120,9 @@ def test_incoming_weights_match_scalar():
         for level, w_r, w_l in zip(range(lo, hi + 1), block_r, block_l):
             cols_r, cols_l = incoming_tail_columns(W, level)
             for j in range(W):
-                v = win.vertex_at(level, j)
-                tail_r = win.vertex_at(level - 1, int(cols_r[j]))
-                tail_l = win.vertex_at(level - 1, int(cols_l[j]))
+                v = vertex_at(win, level, j)
+                tail_r = vertex_at(win, level - 1, int(cols_r[j]))
+                tail_l = vertex_at(win, level - 1, int(cols_l[j]))
                 assert w_r[j] == edge_weight(field, Edge(tail_r, Dir.RIGHT))
                 assert w_l[j] == edge_weight(field, Edge(tail_l, Dir.LEFT))
                 # sanity: those edges really point at v
@@ -203,9 +209,9 @@ def test_forest_basic_shape_and_monotonicity():
     win = fo.window
     for m in range(1, 11):
         for j in range(12):
-            v = win.vertex_at(m, j)
+            v = vertex_at(win, m, j)
             d = Dir(int(fo.parent_dir[m, j]))
-            tail = canonicalize(win, Vertex(v.x - d.dx, m - 1))
+            tail = canonicalize(win, Vertex(v.x - dir_dx(d), m - 1))
             assert fo.values[m, j] > fo.values[m - 1, column_of(win, tail)]
 
 
@@ -238,7 +244,7 @@ def test_trees_partition_vertices():
     win = fo.window
     seen = {}
     for root in boundary(win):
-        for e in extract_tree(fo, root.x).edges:
+        for e in edge_objects(extract_tree(fo, root.x).edges):
             hd = canonicalize(win, head(e))
             assert hd not in seen
             seen[hd] = root.x

@@ -1,21 +1,30 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import sidlalab
+
 from oracles import (
+    Edge,
+    Vertex,
     boundary,
     canonicalize,
     column_of,
     contains,
+    dir_dx,
     dir_from_letter,
+    dir_letter,
+    edge_str,
+    head,
     in_cone,
     in_edges,
     is_valid,
     level_vertices,
     out_edges,
     rel_x,
+    vertex_at,
 )
 from sidlalab.errors import ConfigError
-from sidlalab.lattice import Dir, Edge, Vertex, Window, edge_str, head
+from sidlalab.lattice import Dir, Window
 
 valid_vertices = st.builds(
     lambda j, y: Vertex(2 * j + (y & 1), y),
@@ -25,8 +34,8 @@ valid_vertices = st.builds(
 
 
 def test_dir_basics():
-    assert Dir.LEFT.dx == -1 and Dir.RIGHT.dx == 1
-    assert Dir.LEFT.letter == "L" and Dir.RIGHT.letter == "R"
+    assert dir_dx(Dir.LEFT) == -1 and dir_dx(Dir.RIGHT) == 1
+    assert dir_letter(Dir.LEFT) == "L" and dir_letter(Dir.RIGHT) == "R"
     assert dir_from_letter("L") is Dir.LEFT
     assert dir_from_letter("R") is Dir.RIGHT
     with pytest.raises(ValueError):
@@ -80,7 +89,7 @@ def test_window_columns_and_vertices():
     win = Window(4, 4)
     assert [column_of(win, Vertex(x, 0)) for x in (0, 2, 4, 6)] == [0, 1, 2, 3]
     assert column_of(win, Vertex(8, 0)) == 0
-    assert win.vertex_at(2, 1) == Vertex(2, 2)
+    assert vertex_at(win, 2, 1) == Vertex(2, 2)
     level1 = level_vertices(win, 1)
     assert level1 == [Vertex(1, 1), Vertex(3, 1), Vertex(5, 1), Vertex(7, 1)]
     assert boundary(win) == [Vertex(0, 0), Vertex(2, 0), Vertex(4, 0), Vertex(6, 0)]
@@ -126,3 +135,13 @@ def test_in_edges_canonicalized_in_window():
 def test_edge_str_roundtrip(v, d):
     xs, ys, letter = edge_str(Edge(v, d)).split(",")
     assert Edge(Vertex(int(xs), int(ys)), dir_from_letter(letter)) == Edge(v, d)
+
+
+def test_package_exports_resolve():
+    """Every name in __all__ resolves, and a star import binds exactly
+    __all__, so no export outlives what it names."""
+    assert all(hasattr(sidlalab, name) for name in sidlalab.__all__)
+    namespace: dict = {}
+    exec("from sidlalab import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(sidlalab.__all__)

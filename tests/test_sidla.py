@@ -11,9 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from oracles import (
+    Edge,
+    Vertex,
     apply_extension,
     canonicalize,
     column_of,
+    dir_dx,
     edge_in_tree,
     hash_coin_stream,
     next_ring,
@@ -23,6 +26,7 @@ from oracles import (
     reference_rings,
     ring_arrival,
     snapshot_arrays_sha256,
+    vertex_at,
     walk_particle,
 )
 
@@ -30,7 +34,7 @@ from sidlalab import fileio, sidla
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import snapshot_text
 from sidlalab.hashing import JUMP_STREAM, hash_u64, hash_uniform
-from sidlalab.lattice import Dir, Edge, Vertex, Window
+from sidlalab.lattice import Dir, Window
 from sidlalab.sidla import (
     SimulationLimitError,
     events_csv_text,
@@ -166,9 +170,9 @@ def test_run_until_covered(method):
     # occupancy time increases strictly along parent chains
     for m in range(1, win.M + 1):
         for j in range(win.W):
-            v = win.vertex_at(m, j)
+            v = vertex_at(win, m, j)
             d = Dir(int(fo.parent_dir[m, j]))
-            tail = canonicalize(win, Vertex(v.x - d.dx, v.y - 1))
+            tail = canonicalize(win, Vertex(v.x - dir_dx(d), v.y - 1))
             assert fo.values[m, j] > fo.values[tail.y, column_of(win, tail)]
 
 
