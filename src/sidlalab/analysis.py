@@ -25,8 +25,8 @@ import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
 from .errors import ConfigError
-from .fpp import Forest, _tail_column, slice_sizes, tree_heights
-from .lattice import Window
+from .fpp import Forest, slice_sizes, tree_heights
+from .lattice import Window, tail_column
 
 ENUMERATION_GUARD = 12
 
@@ -71,7 +71,7 @@ def extract_tree(forest: Forest, root: int) -> MonotoneTree:
         if not cols.size:
             break
         d = forest.parent_dir[m, cols].astype(np.int64)
-        tail_x = unwrapped[_tail_column(win.W, m, cols, d)]
+        tail_x = unwrapped[tail_column(win.W, m, cols, d)]
         edges += [(m - 1, x, c) for x, c in zip(tail_x.tolist(), d.tolist())]
         unwrapped[cols] = tail_x + 2 * d - 1
     return MonotoneTree(x0, frozenset(edges))

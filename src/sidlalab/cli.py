@@ -376,7 +376,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if clip < 1:
         raise ConfigError(f"height clip must be >= 1 (a lower clip leaves one height "
                           f"bin and a vacuous test), got {clip}")
-    # the fpp DP runs below the cap, so check the cap here; _replicas checks the seeds
+    # the cap rule both pictures share (WeightField's), checked before any
+    # replica runs, as the fpp DP runs below the cap; _replicas checks the seeds
     fpp.WeightField(0, fpp.WeightProfile.STRETCH, win)
     outputs = [args.out] if args.out else []
     fpp_res, sidla_res = [_replicas(args, outputs, _compare_task, picture, win.W, win.M,

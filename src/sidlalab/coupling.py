@@ -42,10 +42,9 @@ import numpy as np
 
 from .errors import ConfigError, CouplingFault
 from .fileio import block_text, cell_text, float_cells, int_cells
-from .fpp import (Forest, WeightField, WeightProfile, build_forest, incoming_tail_index,
-                  slice_sizes, tree_heights)
+from .fpp import Forest, WeightField, WeightProfile, build_forest, slice_sizes, tree_heights
 from .hashing import AUX_STREAM, exp_from_uniform, hash_u64_vec, hash_uniform_vec
-from .lattice import Dir, Window
+from .lattice import Dir, Window, incoming_tail_index
 from .sidla import SidlaState, new_state
 
 REPEAT_MODES = ("full", "base")

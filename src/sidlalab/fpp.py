@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .fileio import TEXT_BLOCK, block_text, cell_text, float_cells, int_cells, json_text
 from .hashing import (HASH_BLOCK, WEIGHT_STREAM, check_seeds, exp_from_uniform,
                       hash_u64_vec, hash_uniform_vec)
-from .lattice import Dir, Window
+from .lattice import Dir, Window, incoming_tail_index, tail_column
 
 
 class WeightProfile(Enum):
@@ -42,32 +42,6 @@ class WeightProfile(Enum):
     STRETCH = "stretch"
     EDEN = "eden"
     DECREASING = "decreasing"
-
-    def rates(self, M: int) -> list[float]:
-        """The edge rates of levels 0..M; level 0 has no edges and holds 0.0.
-        A decreasing rate past the largest double raises OverflowError."""
-        if self is WeightProfile.EDEN:
-            return [0.0] + [1.0] * M
-        sign = -1 if self is WeightProfile.STRETCH else 1
-        return [0.0] + [math.ldexp(1.0, sign * h) for h in range(1, M + 1)]
-
-
-def _tail_column(W: int, level, col, d):
-    """Column of the tail of the edge that enters column col of a level by
-    direction d.
-
-    It depends only on the parity of the level: a RIGHT step into an even
-    level starts one column to the left, a LEFT step into an odd level one
-    column to the right, and the other two start in the head's own column.
-    """
-    return (col + ((level & 1) - d)) % W
-
-
-def incoming_tail_index(W: int, head: np.ndarray, d) -> np.ndarray:
-    """Flat index ``level * W + column`` of the tail of the edge that
-    enters each flat head index by direction d (one Dir code per head)."""
-    level, col = np.divmod(head, W)
-    return (level - 1) * W + _tail_column(W, level, col, d)
 
 
 # Dir codes of the (right-step, left-step) edge pair into a head, as a
@@ -88,11 +62,7 @@ class WeightField:
     def __post_init__(self) -> None:
         check_seeds(self.seed)
         # the rate is monotone in the level, so level M holds its extreme
-        try:
-            rate = self.rates[-1]
-        except OverflowError:
-            rate = math.inf
-        if not 0.0 < rate < math.inf:
+        if not 0.0 < self.rates[-1] < math.inf:
             raise ConfigError(
                 f"the {self.profile.value} rate at level M={self.window.M} is not a "
                 f"positive finite double; use a smaller height cap"
@@ -100,8 +70,12 @@ class WeightField:
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """The edge rate of each level 0..M (``WeightProfile.rates``)."""
-        return np.array(self.profile.rates(self.window.M))
+        """The exact edge rate of each level h = 0..M: ``2**-h`` (stretch), 1
+        (eden) or ``2**h`` (decreasing), and 0.0 at level 0, which has no edges."""
+        sign = {"stretch": -1, "eden": 0, "decreasing": 1}[self.profile.value]
+        h = np.arange(self.window.M + 1)
+        with np.errstate(over="ignore"):  # past the double range: 0 or inf
+            return np.ldexp((h > 0) * 1.0, sign * h)
 
     def edge_address(self, stream: int, tails: np.ndarray, dirs) -> list:
         """Hash address ``[stream, tail x, tail y, dir]`` of the edges that
@@ -121,7 +95,7 @@ class WeightField:
         # once; then the direction of each edge (the prefix identity)
         *vertex, _ = self.edge_address(WEIGHT_STREAM, np.arange((lo - 1) * W, hi * W), None)
         prefix = hash_u64_vec(self.seed, vertex)
-        tails = (level - lo) * W + _tail_column(W, level, np.arange(W), _IN_DIRS)
+        tails = (level - lo) * W + tail_column(W, level, np.arange(W), _IN_DIRS)
         u = hash_uniform_vec(prefix.take(tails), [_IN_DIRS])
         w = exp_from_uniform(u, self.rates[lo:hi + 1, None, None])
         return w[:, 0], w[:, 1]
@@ -186,7 +160,9 @@ def build_forest(field: WeightField) -> Forest:
     At each level the candidate passage time through either incoming edge
     is the tail's passage time plus the edge weight; the minimum wins and
     ties go to the LEFT-step edge.  Weights are hashed for blocks of whole
-    levels of about HASH_BLOCK edges each.
+    levels of about HASH_BLOCK edges each.  A passage time past the largest
+    double, whose ties would be decided by rule, raises ConfigError naming
+    the first level that holds one.
     """
     win = field.window
     W, M = win.W, win.M
@@ -196,20 +172,36 @@ def build_forest(field: WeightField) -> Forest:
     cols = np.arange(W, dtype=np.int64)
     root_x[0] = 2 * cols
     # tail columns of the (right-step, left-step) edges into even, odd levels
-    tail_cols = [_tail_column(W, parity, cols, _IN_DIRS) for parity in (0, 1)]
+    tail_cols = [tail_column(W, parity, cols, _IN_DIRS) for parity in (0, 1)]
     step = max(1, HASH_BLOCK // (2 * W))
-    for lo in range(1, M + 1, step):
-        hi = min(lo + step - 1, M)
-        block_r, block_l = field.incoming_weights(lo, hi)
-        for y, w_r, w_l in zip(range(lo, hi + 1), block_r, block_l):
-            cols_r, cols_l = tail_cols[y & 1]
-            cand_r = dist[y - 1][cols_r] + w_r
-            cand_l = dist[y - 1][cols_l] + w_l
-            np.minimum(cand_l, cand_r, out=dist[y])
-            take_right = cand_l > cand_r  # LEFT is code 0, so ties go LEFT
-            parent_dir[y] = take_right
-            root_x[y] = root_x[y - 1][np.where(take_right, cols_r, cols_l)]
-    return Forest(win, field.profile.value, field.seed, dist, parent_dir, root_x)
+    # an overflow to inf is refused below, once, for the whole window
+    with np.errstate(over="ignore"):
+        for lo in range(1, M + 1, step):
+            hi = min(lo + step - 1, M)
+            block_r, block_l = field.incoming_weights(lo, hi)
+            for y, w_r, w_l in zip(range(lo, hi + 1), block_r, block_l):
+                cols_r, cols_l = tail_cols[y & 1]
+                cand_r = dist[y - 1][cols_r] + w_r
+                cand_l = dist[y - 1][cols_l] + w_l
+                np.minimum(cand_l, cand_r, out=dist[y])
+                take_right = cand_l > cand_r  # LEFT is code 0, so ties go LEFT
+                parent_dir[y] = take_right
+                root_x[y] = root_x[y - 1][np.where(take_right, cols_r, cols_l)]
+    forest = Forest(win, field.profile.value, field.seed, dist, parent_dir, root_x)
+    _check_finite(forest, 0, (M + 1) * W, "use a smaller height cap")
+    return forest
+
+
+def _check_finite(forest: Forest, lo: int, hi: int, why: str) -> None:
+    """Raise ConfigError, naming its level and why it is refused, at the
+    first value of flat indices lo..hi-1 (level * W + column) that is not
+    finite."""
+    W, M = forest.window.W, forest.window.M
+    finite = np.isfinite(forest.values.ravel()[lo:hi])
+    if not finite.all():
+        y = (lo + int(np.argmin(finite))) // W
+        raise ConfigError(f"{forest.value_key} is not finite at level {y} ({forest.label}, "
+                          f"{W}x{M}); {why}")
 
 
 # The snapshot layout: a header, one row per vertex, a trailer.  Rows are
@@ -237,14 +229,8 @@ def _vertex_rows(forest: Forest, lo: int, hi: int) -> bytearray:
     non-finite value, which JSON cannot hold, raises ConfigError naming its
     level."""
     W, M = forest.window.W, forest.window.M
+    _check_finite(forest, lo, hi, "a JSON snapshot cannot hold it")
     values = forest.values.ravel()[lo:hi]
-    finite = np.isfinite(values)
-    if not finite.all():
-        y = (lo + int(np.argmin(finite))) // W
-        raise ConfigError(
-            f"{forest.value_key} is not finite at level {y} ({forest.label}, "
-            f"{W}x{M}); a JSON snapshot cannot hold it"
-        )
     y, j = np.divmod(np.arange(lo, hi), W)
     # as unsigned, a code outside -1..1 indexes past the table, not round it
     dirs = np.where(y > 0, forest.parent_dir.ravel()[lo:hi] + 1, 0).astype(np.uint8)

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -53,3 +55,21 @@ class Window:
     @property
     def period(self) -> int:
         return 2 * self.W
+
+
+def tail_column(W: int, level, col, d):
+    """Column of the tail of the edge that enters column col of a level by
+    direction d.
+
+    It depends only on the parity of the level: a RIGHT step into an even
+    level starts one column to the left, a LEFT step into an odd level one
+    column to the right, and the other two start in the head's own column.
+    """
+    return (col + ((level & 1) - d)) % W
+
+
+def incoming_tail_index(W: int, head: np.ndarray, d) -> np.ndarray:
+    """Flat index ``level * W + column`` of the tail of the edge that
+    enters each flat head index by direction d (one Dir code per head)."""
+    level, col = np.divmod(head, W)
+    return (level - 1) * W + tail_column(W, level, col, d)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fileio import block_text, cell_text, float_cells, int_cells
-from .fpp import Forest, WeightProfile, incoming_tail_index
+from .fpp import Forest, WeightField, WeightProfile
 from .hashing import (
     CLOCK_STREAM,
     COIN_STREAM,
@@ -55,7 +55,7 @@ from .hashing import (
     hash_u64_vec,
     hash_uniform_vec,
 )
-from .lattice import Window
+from .lattice import Window, incoming_tail_index
 
 DEFAULT_RING_BUDGET_FACTOR = 10_000
 
@@ -245,10 +245,11 @@ def _jump_draws(seed: int, n_events: int):
         yield from zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
 
 
-def _run_jumps(state: SidlaState, seed: int, up_to: int, root: int | None = None) -> SidlaState:
+def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
+               root: int | None = None) -> SidlaState:
     """Sample extension events of a fresh ``new_state`` directly from the
-    free-edge clocks until no free edge leads from a watched tree into
-    levels 1..up_to (run_until_covered).
+    free-edge clocks, rates[h] at level h, until no free edge leads from a
+    watched tree into levels 1..up_to (run_until_covered).
 
     Free edges are grouped by level (one rate per level) as codes
     ``(y * 2W + x) * 2 + dir`` of their tails; ``pos[code]`` is a code's
@@ -263,7 +264,7 @@ def _run_jumps(state: SidlaState, seed: int, up_to: int, root: int | None = None
     """
     forest = state.forest
     W, M, P = forest.window.W, forest.window.M, forest.window.period
-    level_rate = WeightProfile.STRETCH.rates(M)
+    level_rate = rates.tolist()
     free: list[list[int]] = [[] for _ in range(M + 1)]
     free[1] = [4 * j + d for j in range(W) for d in (0, 1)]
     pos = [-1] * (4 * W * M)
@@ -355,7 +356,9 @@ def run_until_covered(window: Window, seed: int, method: str = "auto",
     levels 0..up_to (with root None, on rows 0..up_to of every array).
     Elsewhere it holds the vertices claimed so far (the rest unclaimed),
     and its clock and n_rings end at the event after which the last such
-    edge closed.
+    edge closed.  The jumps driver takes the run's stretch
+    ``WeightField.rates``; a cap they cannot hold is refused as fpp refuses
+    it, before any event.
     """
     if method not in ("auto", "rings", "jumps"):
         raise ConfigError(f"unknown method {method!r}; use auto, rings or jumps")
@@ -364,13 +367,14 @@ def run_until_covered(window: Window, seed: int, method: str = "auto",
         raise ConfigError(f"stop level must lie in 1..{window.M}, got {up_to}")
     if root is not None and not (root % 2 == 0 and 0 <= root < window.period):
         raise ConfigError(f"root must be an even x in 0..{window.period - 2}, got {root}")
+    rates = WeightField(seed, WeightProfile.STRETCH, window).rates
     state = new_state(window, seed=seed)
     if method == "auto":
         method = "rings" if window.M <= AUTO_LITERAL_MAX_CAP else "jumps"
     if method == "rings":
         return _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M,
                           up_to, root)
-    return _run_jumps(state, seed, up_to, root)
+    return _run_jumps(state, seed, rates, up_to, root)
 
 
 def events_csv_text(state: SidlaState) -> bytearray:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -405,6 +406,38 @@ def test_compare_refuses_an_unrepresentable_rate(capsys):
                "--out", "c.json") == EXIT_CONFIG
     assert "stretch rate at level M=1075" in capsys.readouterr().err
     assert not Path("c.json").exists()
+
+
+@pytest.mark.parametrize("argv", [("sidla",), ("sidla", "--method", "rings"),
+                                  ("stats", "--picture", "sidla"),
+                                  ("render", "--picture", "sidla")])
+def test_particle_picture_refuses_the_cap_fpp_refuses(argv, monkeypatch, capsys):
+    """The particle drivers take their rates from the run's stretch
+    WeightField, so the cap whose rate (2**-1075) is no positive double is
+    refused with the fpp picture's message before any event runs, and
+    nothing is written."""
+    monkeypatch.setattr(sidla, "_run_jumps", _no_work)
+    monkeypatch.setattr(sidla, "_run_rings", _no_work)
+    assert run(*argv, "-W", "1075", "-M", "1075", "--out", "x.out") == EXIT_CONFIG
+    assert ("error: the stretch rate at level M=1075 is not a positive finite double"
+            in capsys.readouterr().err)
+    assert not list(Path(".").iterdir())
+
+
+@pytest.mark.parametrize("command", ["stats", "render"])
+def test_overflowed_passage_times_are_refused(command, capsys):
+    """From level 1023 (seed 1) the stretch passage times pass the largest
+    double, where ties between two infinite candidates would set parents by
+    rule: every command that builds a forest refuses it, names the level,
+    writes nothing and lets no numpy warning through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command, "-W", "1074", "-M", "1074", "--out", "x.out") == EXIT_CONFIG
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "error: dist is not finite at level 1023 (stretch, 1074x1074)" in err
+    assert "RuntimeWarning" not in err
+    assert not list(Path(".").iterdir())
 
 
 @pytest.mark.parametrize("flag,value,why", [

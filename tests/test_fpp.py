@@ -30,12 +30,11 @@ from sidlalab.fpp import (
     WeightProfile,
     build_forest,
     check_invariants,
-    incoming_tail_index,
     load_snapshot,
     snapshot_text,
 )
 from sidlalab.hashing import AUX_STREAM, WEIGHT_STREAM
-from sidlalab.lattice import Dir, Window
+from sidlalab.lattice import Dir, Window, incoming_tail_index
 
 
 def small_field(seed=3, profile=WeightProfile.STRETCH, W=6, M=6):
@@ -43,22 +42,20 @@ def small_field(seed=3, profile=WeightProfile.STRETCH, W=6, M=6):
 
 
 def test_profile_rates():
-    """The whole table, up to the largest cap each profile represents, is
-    bitwise the scalar definition; level 0 holds 0.0."""
-    assert WeightProfile.STRETCH.rates(3) == [0.0, 0.5, 0.25, 0.125]
-    assert WeightProfile.EDEN.rates(3) == [0.0, 1.0, 1.0, 1.0]
-    assert WeightProfile.DECREASING.rates(3) == [0.0, 2.0, 4.0, 8.0]
+    """Each profile's WeightField.rates: the whole table, up to the
+    largest cap the profile represents, is bitwise the scalar definition;
+    level 0 holds 0.0."""
+    for profile, table in ((WeightProfile.STRETCH, [0.0, 0.5, 0.25, 0.125]),
+                           (WeightProfile.EDEN, [0.0, 1.0, 1.0, 1.0]),
+                           (WeightProfile.DECREASING, [0.0, 2.0, 4.0, 8.0])):
+        assert small_field(profile=profile, W=3, M=3).rates.tolist() == table
     for profile, M in ((WeightProfile.STRETCH, 1074), (WeightProfile.EDEN, 1100),
                        (WeightProfile.DECREASING, 1023)):
-        rates = profile.rates(M)
+        rates = WeightField(1, profile, Window(M, M)).rates
         assert len(rates) == M + 1 and rates[0] == 0.0
-        assert [r.hex() for r in rates[1:]] == [level_rate(profile, h).hex()
-                                                for h in range(1, M + 1)]
-        field = WeightField(1, profile, Window(M, M))
-        assert field.rates.tobytes() == np.array(rates).tobytes()
-    assert WeightProfile.STRETCH.rates(1074)[-1] == 5e-324
-    with pytest.raises(OverflowError):
-        WeightProfile.DECREASING.rates(1024)
+        assert [r.hex() for r in rates[1:].tolist()] == [level_rate(profile, h).hex()
+                                                         for h in range(1, M + 1)]
+    assert WeightField(1, WeightProfile.STRETCH, Window(1074, 1074)).rates[-1] == 5e-324
 
 
 def heads_tail_columns(W, level, d):
@@ -337,6 +334,18 @@ def test_unrepresentable_rate_is_refused_up_front(profile, M):
     with pytest.raises(ConfigError, match=f"{profile} rate at level M={M}"):
         WeightField(1, WeightProfile(profile), Window(M, M))
     WeightField(1, WeightProfile(profile), Window(M - 1, M - 1))
+
+
+def test_build_forest_refuses_overflowed_passage_times():
+    """From level 1023 (seed 1) stretch passage times pass the largest
+    double, and inf == inf ties would set parents by rule: the DP refuses
+    the first such level, with no numpy warning (which the suite makes an
+    error), and builds the window below it."""
+    with pytest.raises(ConfigError,
+                       match=r"^dist is not finite at level 1023 \(stretch, 1074x1074\)"):
+        build_forest(WeightField(1, WeightProfile.STRETCH, Window(1074, 1074)))
+    assert np.isfinite(build_forest(WeightField(1, WeightProfile.STRETCH,
+                                                Window(1074, 1022))).values).all()
 
 
 @pytest.mark.parametrize("seed", [2**64 + 1, 2**64, -1])

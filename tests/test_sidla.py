@@ -19,6 +19,7 @@ from oracles import (
     dir_dx,
     edge_in_tree,
     hash_coin_stream,
+    level_rate,
     next_ring,
     open_tree_edges,
     reference_events_csv_text,
@@ -32,7 +33,7 @@ from oracles import (
 
 from sidlalab import fileio, sidla
 from sidlalab.errors import ConfigError
-from sidlalab.fpp import snapshot_text
+from sidlalab.fpp import WeightField, WeightProfile, snapshot_text
 from sidlalab.hashing import JUMP_STREAM, hash_u64, hash_uniform
 from sidlalab.lattice import Dir, Window
 from sidlalab.sidla import (
@@ -612,6 +613,30 @@ def test_prefix_sum_level_choice_matches_loops(case, u):
     ref_sum, ref_h = loop_level_choice(counts, u)
     assert float.hex(rate_sum) == float.hex(ref_sum)
     assert h == ref_h
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("M", [1, 3, 64, 1074])
+def test_jumps_rates_are_the_stretch_field_rates(M, monkeypatch):
+    """The jumps driver's rate table is the run's stretch
+    WeightField.rates, bitwise, up to the largest cap that field holds:
+    2**-h at level h >= 1 and 0.0 at level 0."""
+    seen = []
+
+    def spy(state, seed, rates, up_to, root=None):
+        seen.append(rates)
+        raise _Stop
+
+    monkeypatch.setattr(sidla, "_run_jumps", spy)
+    with pytest.raises(_Stop):
+        run_until_covered(Window(M, M), 7, method="jumps")
+    field = WeightField(7, WeightProfile.STRETCH, Window(M, M))
+    assert seen[0].tobytes() == field.rates.tobytes()
+    assert [r.hex() for r in seen[0].tolist()] == [
+        (0.0).hex(), *(level_rate(WeightProfile.STRETCH, h).hex() for h in range(1, M + 1))]
 
 
 @pytest.mark.parametrize("seed", [2**64 + 1, -1])
