@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -99,6 +98,8 @@ def _replicas(args: argparse.Namespace, outputs, task, *fields) -> list:
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [task(t) for t in tasks]
+    # imported here, so that a serial run does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, tasks))
 

@@ -156,7 +156,8 @@ def generate_rings(
     each site, and the interior rings of a tie group target distinct
     vertices at one level, whose parents sort strictly earlier (smaller
     depth at equal time and site).  Repeats of one edge that tie exactly
-    are identical rings.
+    are identical rings.  ``ring_order`` finds that order with one argsort
+    of the times, and sorts all five keys only when two times tie exactly.
     """
     if repeats not in REPEAT_MODES:
         raise ConfigError(f"unknown repeats mode {repeats!r}; use full or base")
@@ -190,8 +191,20 @@ def generate_rings(
     kind = np.full(len(columns[0]), RingKind.BOUNDARY_REPEAT, dtype=np.int8)
     kind[:W * M] = RingKind.INTERIOR
     rings = Rings(win, *columns, kind)
-    order = np.lexsort((rings.head, rings.kind, rings.depth, rings.site, rings.time))
-    return rings.take(order)
+    return rings.take(ring_order(rings))
+
+
+def ring_order(rings: Rings) -> np.ndarray:
+    """The permutation ``np.lexsort`` gives rings by (time, site, depth,
+    kind, head).  When the sorted times are strictly increasing that order
+    is unique, so one argsort of the times gives it at a fraction of the
+    cost; only when two times tie exactly (or one is NaN) are all five
+    keys sorted."""
+    order = np.argsort(rings.time)
+    t = rings.time[order]
+    if not np.all(t[1:] > t[:-1]):
+        order = np.lexsort((rings.head, rings.kind, rings.depth, rings.site, rings.time))
+    return order
 
 
 def replay(rings: Rings) -> SidlaState:
@@ -253,11 +266,15 @@ def pooled_gaps(rings: Rings, horizon: float | None = None) -> tuple[np.ndarray,
 
     The rings are in time order, so a stable sort by site leaves each
     site's times ascending; gaps are differences of neighbours that share
-    a site.
+    a site.  Sites are even, so the sort runs on their columns in the
+    smallest unsigned type that holds W - 1, where numpy's stable sort is
+    a radix sort (up to 16 bits); the permutation, and so the order, is
+    the same as a stable sort of the sites.
     """
     keep = slice(None) if horizon is None else rings.time <= horizon
     site, time = rings.site[keep], rings.time[keep]
-    order = np.argsort(site, kind="stable")
+    column = (site >> 1).astype(np.min_scalar_type(rings.window.W - 1))
+    order = np.argsort(column, kind="stable")
     site, time = site[order], time[order]
     same = site[1:] == site[:-1]
     return site[1:][same], (time[1:] - time[:-1])[same]

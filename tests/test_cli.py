@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -508,7 +509,7 @@ class _RecordingPool:
 def test_jobs_are_clamped_to_tasks_and_cpus(jobs, cpus, workers, monkeypatch, capsys):
     """A fork pool starts every worker up front, so --jobs is clamped to
     the replicas and the CPUs, and one worker runs serially."""
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert run("fpp", "-W", "6", "-M", "4", "--replicas", "2", "--jobs", jobs,
@@ -715,15 +716,26 @@ def test_jobs_parallel_matches_serial(capsys):
                 == Path(f"ser_s{s}.json").read_bytes())
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """scipy.stats costs most of a cold start; a fresh interpreter that
-    imports the CLI must not load it."""
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter that imports the CLI has loaded module."""
     src = str(Path(sidlalab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, sidlalab.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, sidlalab.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats costs most of a cold start; a fresh interpreter that
+    imports the CLI must not load it."""
+    assert not loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """The process pool pulls in multiprocessing; only a run with more
+    than one worker loads it."""
+    assert not loaded_by_cli_import("concurrent.futures.process")

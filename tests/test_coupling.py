@@ -29,12 +29,14 @@ from sidlalab.cli import EXIT_CONFIG, EXIT_VERIFY, main
 from sidlalab.coupling import (
     AuxClockField,
     RingKind,
+    Rings,
     auto_repeats_mode,
     forests_match,
     gaps_csv_text,
     generate_rings,
     pooled_gaps,
     replay,
+    ring_order,
     verify_coupling,
 )
 from sidlalab.errors import ConfigError, CouplingFault
@@ -399,6 +401,7 @@ def coupling_case(draw):
 @given(coupling_case())
 @example((64, 64, WeightProfile.DECREASING, "base", 1))  # many exact time ties
 @example((1, 1, WeightProfile.STRETCH, "full", 1))  # the base ring is past the horizon
+@example((300, 4, WeightProfile.STRETCH, "full", 3))  # pooled_gaps sorts uint16 columns
 def test_rings_replay_and_gaps_match_reference_bitwise(case):
     W, M, profile, repeats, seed = case
     win, forest, rings, horizon = make_rings(seed, W, M, repeats, profile=profile)
@@ -439,6 +442,58 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
         assert sites.tobytes() == ref_sites.tobytes()
         assert gaps.tobytes() == ref_gaps.tobytes()
         assert gaps_csv_text(sites, gaps) == reference_gaps_csv_text(sites, gaps).encode()
+
+
+def lexsort_order(rings):
+    return np.lexsort((rings.head, rings.kind, rings.depth, rings.site, rings.time))
+
+
+@pytest.mark.parametrize("W,M,profile,ties", [
+    (64, 32, WeightProfile.STRETCH, False), (64, 64, WeightProfile.DECREASING, True)])
+def test_ring_order_is_the_five_key_lexsort(W, M, profile, ties):
+    """generate_rings' order is the lexsort by (time, site, depth, kind,
+    head), head included, with or without exact time ties."""
+    _, _, rings, _ = make_rings(1, W, M, "base", profile=profile)
+    assert bool(np.any(np.diff(rings.time) == 0.0)) == ties
+    shuffled = rings.take(np.random.default_rng(0).permutation(len(rings)))
+    order = ring_order(shuffled)
+    assert np.array_equal(order, lexsort_order(shuffled))
+    sorted_ = shuffled.take(order)
+    for name in ("time", "site", "head", "dir", "kind"):
+        assert getattr(sorted_, name).tobytes() == getattr(rings, name).tobytes()
+
+
+@st.composite
+def synthetic_rings(draw):
+    """Rings with arbitrary columns whose times come from a handful of
+    values, so that exact ties, NaN and all-distinct times all occur."""
+    W = draw(st.integers(min_value=1, max_value=6))
+    M = draw(st.integers(min_value=1, max_value=W))
+    values = draw(st.lists(st.floats(allow_infinity=False), min_size=1, max_size=5))
+    n = draw(st.integers(min_value=0, max_value=30))
+    col = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+    return Rings(Window(W, M),
+                 col(st.sampled_from(values)).astype(np.float64),
+                 2 * col(st.integers(0, W - 1)).astype(np.int64),
+                 col(st.integers(W, (M + 1) * W - 1)).astype(np.int64),
+                 col(st.sampled_from(list(Dir))).astype(np.int8),
+                 col(st.sampled_from(list(RingKind))).astype(np.int8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthetic_rings())
+def test_ring_order_matches_lexsort_on_synthetic_rings(rings):
+    assert np.array_equal(ring_order(rings), lexsort_order(rings))
+
+
+def test_ring_order_takes_the_argsort_path_without_ties(monkeypatch):
+    """Stretch 64x32 has no exact time ties, so its rings are ordered by
+    one argsort of the times and never by the five-key lexsort."""
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("np.lexsort called on rings without time ties")
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    _, _, rings, _ = make_rings(1, 64, 32, "base")
+    assert len(rings) == 2 * 64 * 32
 
 
 # Digests of the coupling's outputs, recorded on the object-based engine
