@@ -17,37 +17,4 @@ rotated upper-half-plane lattice and verifies that they agree:
   drawings, and the command-line front end.
 """
 
-from .errors import ConfigError, CouplingFault
-from .lattice import Dir, Window
-from .fpp import (
-    Forest,
-    WeightField,
-    WeightProfile,
-    build_forest,
-    load_snapshot,
-    snapshot_text,
-)
-from .sidla import SidlaState, SimulationLimitError, run_until_covered
-from .coupling import AuxClockField, RingKind, verify_coupling
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuxClockField",
-    "ConfigError",
-    "CouplingFault",
-    "Dir",
-    "Forest",
-    "RingKind",
-    "SidlaState",
-    "SimulationLimitError",
-    "WeightField",
-    "WeightProfile",
-    "Window",
-    "build_forest",
-    "load_snapshot",
-    "run_until_covered",
-    "snapshot_text",
-    "verify_coupling",
-    "__version__",
-]

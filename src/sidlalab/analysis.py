@@ -195,15 +195,18 @@ def flank_left_distances(forest: Forest, n: int) -> np.ndarray:
 # Binomial confidence helpers
 
 
-def wilson_interval(successes: int, n: int, z: float) -> tuple[float, float]:
+def wilson_interval(successes, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Wilson score interval for successes (an array, or one count) out
+    of n trials at normal quantile z, clipped to [0, 1]."""
     if n <= 0:
         raise ValueError("need at least one sample")
-    p = successes / n
+    p = np.asarray(successes) / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     # rounding can push an endpoint one ulp past the point estimate
-    return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
+    return (np.maximum(0.0, np.minimum(center - half, p)),
+            np.minimum(1.0, np.maximum(center + half, p)))
 
 
 @dataclass(frozen=True)
@@ -306,35 +309,17 @@ def slim_fractions(forest: Forest, D: float, sizes: np.ndarray | None = None) ->
     return slim[kept] / heights[kept]
 
 
-@dataclass(frozen=True)
-class SurvivalPoint:
-    level: int
-    n_samples: int
-    probability: float
-    ci_low: float
-    ci_high: float
-
-
-def tail_height_estimate(heights, levels) -> dict[int, SurvivalPoint]:
-    """Empirical survival P(height >= n) with 95% binomial bands.
+def tail_height_estimate(heights, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empirical survival P(height >= n) at each of the levels with its 95%
+    Wilson band: the arrays (probability, ci_low, ci_high), in levels' order.
 
     Censored heights must come in already mapped to the cap value, which
     keeps them counted as at-least-cap for every level up to the cap."""
-    arr = np.asarray(heights, dtype=np.int64)
+    arr = np.sort(np.asarray(heights, dtype=np.int64))
     if arr.size == 0:
         raise ValueError("no height samples")
-    out: dict[int, SurvivalPoint] = {}
-    for n in levels:
-        k = int(np.count_nonzero(arr >= n))
-        lo, hi = wilson_interval(k, arr.size, _Z_95_TWO_SIDED)
-        out[n] = SurvivalPoint(
-            level=int(n),
-            n_samples=int(arr.size),
-            probability=k / arr.size,
-            ci_low=lo,
-            ci_high=hi,
-        )
-    return out
+    k = arr.size - np.searchsorted(arr, levels)  # the heights >= n
+    return (k / arr.size, *wilson_interval(k, arr.size, _Z_95_TWO_SIDED))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ flank statistics (stats), compare the two pictures distributionally
 Every command is a pure function of its flags: seeds are explicit,
 default output names embed them, files are written atomically, and
 repeated invocations produce byte-identical artifacts.  Exit codes: 0
-success, 1 configuration error (a ConfigError, or the rings driver out of
-budget), 2 verification failure, 3 internal fault (any other exception).
+success, 1 configuration error (any ConfigError, an exhausted ring budget
+included), 2 verification failure, 3 internal fault (any other exception).
 """
 
 from __future__ import annotations
@@ -312,12 +312,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     survival = analysis.tail_height_estimate(all_heights, levels)
 
     lines = ["level,n,survival,ci_low,ci_high"]
-    for n in levels:
-        pt = survival[n]
-        lines.append(
-            f"{pt.level},{pt.n_samples},{format(pt.probability, '.17g')},"
-            f"{format(pt.ci_low, '.17g')},{format(pt.ci_high, '.17g')}"
-        )
+    for n, *row in zip(levels, *(a.tolist() for a in survival)):
+        lines.append(f"{n},{all_heights.size}," + ",".join(format(v, ".17g") for v in row))
     atomic_write_text(out, ("\n".join(lines) + "\n").encode())
 
     cens_frac = float(all_censored.mean())
@@ -572,7 +568,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, sidla.SimulationLimitError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

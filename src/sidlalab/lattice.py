@@ -11,7 +11,11 @@ number for tree vertices.
 
 Simulations run on a finite cyclic window: x is reduced modulo ``2 * W`` so
 each level holds exactly W vertices, column j of level y at
-``x = (y & 1) + 2j``, and only levels ``0..M`` exist.  A
+``x = (y & 1) + 2j``, and only levels ``0..M`` exist.  A vertex's two
+tails (level y - 1) and its two heads (level y + 1) lie in the same two
+columns, ``left = tail_column(W, y, j, Dir.RIGHT)`` and ``(left + 1) % W``:
+the Right in-edge's tail and the Left out-edge's head in the first, the
+Left in-edge's tail and the Right out-edge's head in the second.  A
 tree of height m spans at most m + 1 columns, so with ``W >= M + 1`` no
 tree can ever wrap onto itself; ``W == M`` is also accepted (the single
 wrap case would need a maximal-width tree at exactly the top level).

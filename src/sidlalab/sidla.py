@@ -28,7 +28,12 @@ Each hashes its (seed, stream) address prefix once per run and draws each
 block of rings or events with one vector hash per stream, never one scalar
 hash per ring or coin; the blocks grow from small, so a run that stops
 early hashes few draws it never uses.  Neither keeps an event log: the
-events CSV is derived from the forest and the claim record.
+events CSV is derived from the forest and the claim record.  Both work in
+columns, on flat indices ``level * W + column``: a free edge is the code
+``2 * tail + d``, so vertex v's out-edges are ``2v`` and ``2v + 1``.  An edge
+by d from column c of level y enters column ``(c + d - ((y + 1) & 1)) % W``,
+and the vertex it claims has both tails and both heads in columns
+``left = (c + d - 1) % W`` and ``(left + 1) % W``.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ FIRST_DRAW_BLOCK = 256
 AUTO_LITERAL_MAX_CAP = 12
 
 
-class SimulationLimitError(RuntimeError):
-    """The ring budget ran out before the run's stop rule was met."""
+class SimulationLimitError(ConfigError):
+    """The ring budget ran out before the run's stop rule was met (a usage error)."""
 
 
 @dataclass
@@ -187,7 +192,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
     counts the open edges (``_open_weights``).
     """
     forest = state.forest
-    W, M, P = forest.window.W, forest.window.M, forest.window.period
+    W, M = forest.window.W, forest.window.M
     # root + parent direction by vertex above level 0, -1 if free (roots are
     # even, so it decodes): the fresh state's root labels
     mark = forest.root_x.tolist()
@@ -197,13 +202,12 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
     clock, n, opened = 0.0, 0, 2 * sum(weight)
     for gap, site, coins in _ring_draws(seed, max_rings, W, M):
         clock += gap
-        x = site
-        for y, d in enumerate(coins):
-            hx = (x + 2 * d - 1) % P
-            row, j = y + 1, hx >> 1
+        c = site >> 1
+        for row, d in enumerate(coins, 1):
+            j = (c + d - (row & 1)) % W
             m = mark[row][j]
             if m == site + d:
-                x = hx
+                c = j
                 continue
             if m < 0:
                 mark[row][j] = site + d
@@ -212,13 +216,14 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
                 dirs.append(d)
                 times.append(clock)
                 rings.append(n)
-                # the in-edges from hx - 1 (Right) and hx + 1 (Left) close
-                tails = y * W
-                opened -= weight[tails + ((hx - 1) % P >> 1)] + weight[tails + ((hx + 1) % P >> 1)]
-                if row < up_to and weight[tails + (x >> 1)]:
+                # the in-edges from columns left and right below close
+                tails, left = (row - 1) * W, (c + d - 1) % W
+                right = (left + 1) % W
+                opened -= weight[tails + left] + weight[tails + right]
+                if row < up_to and weight[tails + c]:
                     weight[row * W + j] = 1
                     heads = mark[row + 1]
-                    opened += (heads[(hx - 1) % P >> 1] < 0) + (heads[(hx + 1) % P >> 1] < 0)
+                    opened += (heads[left] < 0) + (heads[right] < 0)
             break
         n += 1
         if not opened:
@@ -251,25 +256,24 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
     free-edge clocks, rates[h] at level h, until no free edge leads from a
     watched tree into levels 1..up_to (run_until_covered).
 
-    Free edges are grouped by level (one rate per level) as codes
-    ``(y * 2W + x) * 2 + dir`` of their tails; ``pos[code]`` is a code's
-    place in its level's list, -1 if not free.  Each event bisects the
-    prefix sums of count * rate for a level, then takes a uniform edge
-    within it.  Only levels low..top (the lowest with free edges, the
-    highest reached) hold any: the sums are 0.0 below and constant above,
-    so an event sums the band alone, in the same float adds, at O(band)
-    cost.  ``opened`` counts the open edges (``_open_weights``); a code's
-    tail has flat index ``code >> 2``.  Owners are a flat list, ``level * W
-    + col``; each claim is recorded in C arrays, written back at the end.
+    Free edges are grouped by level (one rate per level) as codes ``2 *
+    tail + d`` (module docstring), level 1's being ``range(2W)``; ``pos``
+    (2 * W * M entries) holds a code's place in its level's list, -1 if not
+    free.  Each event bisects the prefix sums of count * rate for a level,
+    then takes a uniform edge within it.  Only levels low..top (the lowest
+    with free edges, the highest reached) hold any: the sums are 0.0 below
+    and constant above, so an event sums the band alone, in the same float
+    adds, at O(band) cost.  ``opened`` counts the open edges
+    (``_open_weights``).  Owners are a flat list by vertex; each claim is
+    recorded in C arrays, written back at the end.
     """
     forest = state.forest
-    W, M, P = forest.window.W, forest.window.M, forest.window.period
+    W, M = forest.window.W, forest.window.M
     level_rate = rates.tolist()
     free: list[list[int]] = [[] for _ in range(M + 1)]
-    free[1] = [4 * j + d for j in range(W) for d in (0, 1)]
-    pos = [-1] * (4 * W * M)
-    for i, code in enumerate(free[1]):
-        pos[code] = i
+    free[1] = list(range(2 * W))
+    pos = [-1] * (2 * W * M)
+    pos[:2 * W] = free[1]
     # term[h] = len(free[h]) * 2**-h; exact, and summed left to right
     term = [len(lst) * rate for lst, rate in zip(free, level_rate)]
     low = top = 1
@@ -289,23 +293,20 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
         n = len(lst)
         k = int(u2 * n)
         code = lst[k if k < n else n - 1]
-        d = code & 1
-        base = (h - 1) * P
-        x = (code >> 1) - base
-        tail = code >> 2  # the tail's flat index
-        tree = owner[tail]
-        hx = (x + 2 * d - 1) % P
-        v = h * W + (hx >> 1)
+        tail, d, base = code >> 1, code & 1, (h - 1) * W
+        left = (tail - base + d - 1) % W
+        right = (left + 1) % W
+        v = base + W + (left if h & 1 else right)
         if owner[v] >= 0:
-            raise ValueError(f"vertex ({hx}, {h}) already occupied")
-        owner[v] = tree
+            raise ValueError(f"vertex {v} at level {h} already occupied")
+        tree = owner[v] = owner[tail]
         order.append(v)
         roots.append(tree)
         dirs.append(d)
         times.append(clock)
-        # both in-edges of the new vertex die, Right (from hx - 1) before Left
-        # (from hx + 1): the order fixes where swap-with-last moves codes
-        for dead in ((base + (hx - 1) % P) * 2 + 1, (base + (hx + 1) % P) * 2):
+        # both in-edges of the new vertex die, Right (from left) before Left
+        # (from right): the order fixes where swap-with-last moves codes
+        for dead in (2 * (base + left) + 1, 2 * (base + right)):
             i = pos[dead]
             if i >= 0:
                 pos[dead] = -1
@@ -313,20 +314,19 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
                 if last != dead:
                     lst[i] = last
                     pos[last] = i
-                opened -= weight[dead >> 2]
+                opened -= weight[dead >> 1]
         term[h] = len(lst) * level_rate[h]
         if h < M:
             up = free[h + 1]
-            row = (h + 1) * W
-            c2 = (h * P + hx) << 1  # the Left out-edge; Right is c2 + 1
+            heads = base + 2 * W
             wv = weight[v] = weight[tail] if h < up_to else 0
-            if owner[row + ((hx - 1) % P >> 1)] < 0:
-                pos[c2] = len(up)
-                up.append(c2)
+            if owner[heads + left] < 0:  # the Left out-edge
+                pos[2 * v] = len(up)
+                up.append(2 * v)
                 opened += wv
-            if owner[row + ((hx + 1) % P >> 1)] < 0:
-                pos[c2 + 1] = len(up)
-                up.append(c2 + 1)
+            if owner[heads + right] < 0:
+                pos[2 * v + 1] = len(up)
+                up.append(2 * v + 1)
                 opened += wv
             term[h + 1] = len(up) * level_rate[h + 1]
             if h == top:

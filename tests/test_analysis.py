@@ -1,9 +1,10 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     Edge,
@@ -289,6 +290,28 @@ def test_wilson_interval_is_the_score_interval(k, n, z):
                        [lo, hi], atol=1e-9)
 
 
+def scalar_wilson(k, n, z):
+    """The Wilson interval in scalar float arithmetic, one operation at a time."""
+    p = k / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
+
+
+@given(st.integers(min_value=1, max_value=10**6),
+       st.floats(min_value=0.5, max_value=3.0))
+@example(8, 1.959963984540054)
+@example(10**6, 2.3263478740408408)
+def test_wilson_interval_on_arrays_is_the_scalar_formula(n, z):
+    """The array interval equals the scalar formula bit for bit at every
+    count of a grid over 0..n, so the stats CSV digits do not move."""
+    k = np.unique(np.linspace(0, n, num=min(n + 1, 201)).astype(np.int64))
+    lo, hi = wilson_interval(k, n, z)
+    expect = [scalar_wilson(int(c), n, z) for c in k]
+    assert list(zip(lo.tolist(), hi.tolist())) == expect
+
+
 def test_flank_bound_reports():
     low = np.full(200, 1.0)
     rep = flank_bound_test(low, n=4, kappa=2.0)
@@ -367,15 +390,13 @@ def test_slice_size_table_matches_trees(case):
 
 def test_tail_height_estimate():
     heights = np.array([0, 1, 1, 2, 5, 5, 5, 8])
-    surv = tail_height_estimate(heights, [1, 2, 5, 8])
-    assert surv[1].probability == 7 / 8
-    assert surv[2].probability == 5 / 8
-    assert surv[5].probability == 4 / 8
-    assert surv[8].probability == 1 / 8
-    for pt in surv.values():
-        assert pt.ci_low <= pt.probability <= pt.ci_high
-    ps = [surv[n].probability for n in (1, 2, 5, 8)]
-    assert ps == sorted(ps, reverse=True)
+    levels = [1, 2, 5, 8]
+    p, lo, hi = tail_height_estimate(heights, levels)
+    assert p.tolist() == [7 / 8, 5 / 8, 4 / 8, 1 / 8]
+    assert (lo <= p).all() and (p <= hi).all()
+    for i, n in enumerate(levels):  # each level's band is its own Wilson interval
+        k = int(np.count_nonzero(heights >= n))
+        assert (lo[i], hi[i]) == scalar_wilson(k, heights.size, 1.959963984540054)
     with pytest.raises(ValueError):
         tail_height_estimate([], [1])
 

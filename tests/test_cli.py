@@ -425,6 +425,18 @@ def test_particle_picture_refuses_the_cap_fpp_refuses(argv, monkeypatch, capsys)
     assert not list(Path(".").iterdir())
 
 
+def test_an_exhausted_ring_budget_is_a_usage_error(monkeypatch, capsys):
+    """The rings driver's budget (DEFAULT_RING_BUDGET_FACTOR * W * M rings)
+    running out is a ConfigError: exit 1, the budget named, nothing
+    written."""
+    monkeypatch.setattr(sidla, "DEFAULT_RING_BUDGET_FACTOR", 1)
+    assert run("sidla", "--method", "rings", "-W", "6", "-M", "4",
+               "--out", "run.json") == EXIT_CONFIG
+    assert ("error: levels 1..4 not final after 24 rings (W=6, M=4)"
+            in capsys.readouterr().err)
+    assert not list(Path(".").iterdir())
+
+
 @pytest.mark.parametrize("command", ["stats", "render"])
 def test_overflowed_passage_times_are_refused(command, capsys):
     """From level 1023 (seed 1) the stretch passage times pass the largest

@@ -1,8 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-import sidlalab
-
 from oracles import (
     Edge,
     Vertex,
@@ -24,7 +22,7 @@ from oracles import (
     vertex_at,
 )
 from sidlalab.errors import ConfigError
-from sidlalab.lattice import Dir, Window
+from sidlalab.lattice import Dir, Window, tail_column
 
 valid_vertices = st.builds(
     lambda j, y: Vertex(2 * j + (y & 1), y),
@@ -137,11 +135,25 @@ def test_edge_str_roundtrip(v, d):
     assert Edge(Vertex(int(xs), int(ys)), dir_from_letter(letter)) == Edge(v, d)
 
 
-def test_package_exports_resolve():
-    """Every name in __all__ resolves, and a star import binds exactly
-    __all__, so no export outlives what it names."""
-    assert all(hasattr(sidlalab, name) for name in sidlalab.__all__)
-    namespace: dict = {}
-    exec("from sidlalab import *", namespace)
-    namespace.pop("__builtins__")
-    assert sorted(namespace) == sorted(sidlalab.__all__)
+def test_a_vertexs_tails_and_heads_share_two_columns():
+    """For every level parity and column: the edge by d from column c of
+    level y enters column (c + d - ((y + 1) & 1)) % W, the inverse of
+    tail_column; and a vertex's two tails and two heads occupy the same two
+    columns, left = the Right in-edge's tail column and (left + 1) % W, the
+    Left in-edge's, which are also the Left and the Right out-edge's heads.
+    For the vertex claimed through that edge, left = (c + d - 1) % W.  W = 1
+    and 2 are where left + 1 wraps."""
+    for W in range(1, 8):
+        for y in (1, 2, 3, 4):
+            for c in range(W):
+                for d in Dir:
+                    j = (c + d - ((y + 1) & 1)) % W
+                    assert tail_column(W, y + 1, j, d) == c
+                    assert tail_column(W, y + 1, j, Dir.RIGHT) == (c + d - 1) % W
+            for j in range(W):
+                tails = [tail_column(W, y, j, d) for d in (Dir.RIGHT, Dir.LEFT)]
+                heads = [[h for h in range(W) if tail_column(W, y + 1, h, d) == j]
+                         for d in (Dir.LEFT, Dir.RIGHT)]
+                left = tails[0]
+                assert tails == [left, (left + 1) % W]
+                assert heads == [[left], [(left + 1) % W]]

@@ -294,6 +294,9 @@ def run_arrays(state):
 @example(("jumps", 64, 32, 16, 1))  # compare's default clip at the benchmark's window
 @example(("rings", 10, 6, 2, 5))
 @example(("jumps", 7, 7, 7, 3))  # a stop at the cap
+@example(("jumps", 1, 1, 1, 2))  # W = 1 and 2: a claim's two columns wrap
+@example(("rings", 2, 2, 1, 6))
+@example(("jumps", 2, 2, 1, 8))
 def test_a_stopped_run_is_the_full_run_cut_at_its_stop(case):
     """A run stopped at level L equals the full run on rows 0..L and covers
     levels 1..L.  It is the full run cut after the event that claimed the
@@ -501,6 +504,8 @@ def assert_same_run(fast, ref, ref_log):
        st.integers(min_value=0, max_value=2**64 - 1),
        st.integers(min_value=1, max_value=40))
 @example((10, 6), 1, 3)  # needs far more than one ring per vertex
+@example((1, 1), 2, 1)  # W = 1 and 2: a claim's two columns wrap
+@example((2, 2), 4, 3)
 def test_rings_match_reference_bitwise(window, seed, block_words):
     """Draw blocks of a few rings split the run; the block driver matches
     the object walk ring for ring.  With a budget of one ring per vertex
@@ -536,6 +541,9 @@ def window_and_seed(draw):
 @given(window_and_seed())
 @example((56, 56, 7))  # M > 53, where the level prefix sums may round
 @example((300, 2, 11))  # W >> M: hundreds of free edges on one or two levels
+@example((1, 1, 3))  # W = 1 and 2: a claim's two columns wrap
+@example((2, 2, 5))
+@example((2, 1, 9))
 def test_jumps_match_reference_bitwise(case):
     W, M, seed = case
     win = Window(W, M)
