@@ -4,7 +4,7 @@ Subcommands cover the whole pipeline: sample a geodesic forest (fpp), run
 the particle system (sidla), construct and replay the ring coupling
 (couple), check the exact shell identity (shells), collect height and
 flank statistics (stats), compare the two pictures distributionally
-(compare), and draw forests (render).
+(compare), and draw forest snapshots (render).
 
 Every command is a pure function of its flags: seeds are explicit,
 default output names embed them, files are written atomically, and
@@ -58,17 +58,6 @@ def _add_replicas(sp: argparse.ArgumentParser) -> None:
 def _add_profile(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--profile", choices=[p.value for p in fpp.WeightProfile],
                     default="stretch", help="edge-rate profile (default stretch)")
-
-
-def _check_picture(args: argparse.Namespace) -> None:
-    # the particle drivers run the stretch rates only, and --method (None
-    # unless given) picks one of them, so it means nothing for fpp
-    if args.picture == "sidla" and args.profile != "stretch":
-        raise ConfigError(f"the sidla picture runs only the stretch profile, "
-                          f"got --profile {args.profile}")
-    if args.picture == "fpp" and args.method is not None:
-        raise ConfigError(f"--method picks a particle driver; the fpp picture "
-                          f"takes none, got --method {args.method}")
 
 
 def _seeds(args: argparse.Namespace) -> range:
@@ -287,7 +276,14 @@ def _stats_task(task):
 
 def cmd_stats(args: argparse.Namespace) -> int:
     win = Window(args.width, args.height)
-    _check_picture(args)
+    # the particle drivers run the stretch rates only, and --method (None
+    # unless given) picks one of them, so it means nothing for fpp
+    if args.picture == "sidla" and args.profile != "stretch":
+        raise ConfigError(f"the sidla picture runs only the stretch profile, "
+                          f"got --profile {args.profile}")
+    if args.picture == "fpp" and args.method is not None:
+        raise ConfigError(f"--method picks a particle driver; the fpp picture "
+                          f"takes none, got --method {args.method}")
     levels = _parse_levels(args.levels, win.M) if args.levels else \
         _default_levels(win.M)
     flank_levels = _parse_levels(args.flank_levels, win.M) \
@@ -405,21 +401,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # render
 
 
-# render's sampling options as (flag, default).  The parser defaults them
-# to None, so that one given next to --in can be told apart and refused.
-_RENDER_SAMPLING = {
-    "seed": ("--seed", 1), "width": ("-W/--width", 16), "height": ("-M/--height", 8),
-    "picture": ("--picture", "fpp"), "profile": ("--profile", "stretch"),
-    "method": ("--method", None),
-}
-
-
 def cmd_render(args: argparse.Namespace) -> int:
-    given = [flag for dest, (flag, _) in _RENDER_SAMPLING.items()
-             if getattr(args, dest) is not None]
-    if args.input and given:
-        raise ConfigError(f"render --in draws the snapshot's own window and "
-                          f"seed; it takes no {', '.join(given)}")
     if args.highlight_root.lower() == "none":
         highlight = None
     else:
@@ -435,22 +417,11 @@ def cmd_render(args: argparse.Namespace) -> int:
     options = render.RenderOptions(
         highlight_root=highlight, scale=args.scale, max_level=args.max_level
     )
-    if args.out:  # refused before any sampling or loading
+    if args.out:  # refused before the snapshot is loaded
         check_destination(args.out)
-        if args.input and os.path.realpath(args.out) == os.path.realpath(args.input):
+        if os.path.realpath(args.out) == os.path.realpath(args.input):
             raise ConfigError(f"cannot write {args.out} over the snapshot {args.input} it draws")
-    if args.input:
-        forest = fpp.load_snapshot(args.input)
-    else:
-        for dest, (_, default) in _RENDER_SAMPLING.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-        _check_picture(args)
-        check_seeds(args.seed, args.seed)
-        win = Window(args.width, args.height)
-        render.coordinate_texts(win.W, win.M, options)  # refused before sampling
-        forest = _picture_run(args.picture, args.seed, win.W, win.M,
-                              args.profile, args.method or "auto")
+    forest = fpp.load_snapshot(args.input)
     win, seed = forest.window, forest.seed
     svg = render.render_svg(forest, options)
     out = args.out or f"render_w{win.W}_m{win.M}_s{seed}.svg"
@@ -541,16 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="optional report JSON path")
     sp.set_defaults(func=cmd_compare)
 
-    sp = sub.add_parser("render", help="draw a forest as SVG")
-    _add_common(sp)
-    _add_profile(sp)
-    sp.add_argument("--picture", choices=["fpp", "sidla"],
-                    help="sampler when no input file is given (default fpp)")
-    sp.add_argument("--method", choices=["auto", "rings", "jumps"],
-                    help="sidla driver (default auto)")
-    sp.add_argument("--in", dest="input", default=None,
-                    help="render an existing snapshot JSON instead of "
-                         "sampling")
+    sp = sub.add_parser("render", help="draw a forest snapshot as SVG")
+    sp.add_argument("--in", dest="input", required=True,
+                    help="snapshot JSON to draw (written by fpp or sidla)")
     sp.add_argument("--highlight-root", default="0",
                     help="boundary x to highlight, or 'none' (default 0)")
     sp.add_argument("--scale", type=float, default=12.0,
@@ -558,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-level", type=int, default=None,
                     help="clip drawing above this level")
     sp.add_argument("--out", default=None, help="output SVG path")
-    sp.set_defaults(func=cmd_render, **dict.fromkeys(_RENDER_SAMPLING))
+    sp.set_defaults(func=cmd_render)
 
     return p
 

@@ -114,16 +114,14 @@ def _layout_tables() -> dict:
     """Lookup tables of the %g layout, built on first use.
 
     ``digits``: the four ASCII digits of each of 0..9999 as one uint32 word;
-    ``zeros``: the trailing zeros of each (4 for 0); ``exponent``: the lead
-    and exponent columns of decimal exponent E at row E + 300; ``keep``,
-    by row q, 1 for each of the first q digits; ``left``, ``dot`` and
-    ``right``, by row q, 1 for the body columns that hold their own digit,
-    46 (the point) and 1 for those that hold the digit before them, when
-    the point follows digit q (row 17: no point).
+    ``exponent``: the lead and exponent columns of decimal exponent E at row
+    E + 300; ``keep``, by row q, 1 for each of the first q digits; ``left``,
+    ``dot`` and ``right``, by row q, 1 for the body columns that hold their
+    own digit, 46 (the point) and 1 for those that hold the digit before
+    them, when the point follows digit q (row 17: no point).
     """
     d = np.arange(10_000)
     ascii4 = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + 48
-    zeros = sum((d % p == 0).astype(np.int64) for p in (10, 100, 1000, 10_000))
     exponent = np.zeros((601, 10), dtype=np.uint8)
     for e in range(-300, 301):
         if -4 <= e < 0:
@@ -132,10 +130,9 @@ def _layout_tables() -> dict:
             text = b"e%+03d" % e
             exponent[e + 300, 10 - len(text):] = np.frombuffer(text, np.uint8)
     col, q = np.arange(18), np.arange(18)[:, None]
-    return {"digits": ascii4.astype(np.uint8).view(np.uint32).ravel(), "zeros": zeros,
-            "exponent": exponent, "keep": (col[:17] < q).astype(np.uint8),
-            "left": (col <= q).astype(np.uint8), "dot": np.uint8(46) * (col == q + 1),
-            "right": (col > q + 1).astype(np.uint8)}
+    return {"digits": ascii4.astype(np.uint8).view(np.uint32).ravel(), "exponent": exponent,
+            "keep": (col[:17] < q).astype(np.uint8), "left": (col <= q).astype(np.uint8),
+            "dot": np.uint8(46) * (col == q + 1), "right": (col > q + 1).astype(np.uint8)}
 
 
 @functools.cache
@@ -203,27 +200,6 @@ def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fast, e, big
 
 
-def _digits(big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 digits of each N, a lead digit and four words of four, as
-    the rows of an (n, 19) uint8 array; and the count of significant
-    digits without trailing zeros."""
-    n = len(big)
-    t = _layout_tables()
-    lead = big // _E16
-    hi8, lo8 = np.divmod(big - lead * _E16, 10 ** 8)
-    words = np.stack([hi8 // 10_000, hi8 % 10_000, lo8 // 10_000, lo8 % 10_000], axis=1)
-    body = np.zeros((n, 19), dtype=np.uint8)  # a NUL, the digits, a NUL
-    body[:, 1] = lead + 48
-    body[:, 2:18] = t["digits"].take(words).view(np.uint8).reshape(n, 16)
-    zeros = t["zeros"].take(words)
-    trailing = zeros[:, 3].copy()
-    whole_word = trailing == 4  # a word of zeros adds the next word's zeros
-    for i in (2, 1, 0):
-        trailing += np.where(whole_word, zeros[:, i], 0)
-        whole_word &= zeros[:, i] == 4
-    return body, 17 - trailing
-
-
 def float_cells(x) -> np.ndarray:
     """'%.17g' % v for each element v of a float64 array, exactly, as the
     rows of an (n, _FLOAT_CELL) uint8 array: the non-NUL bytes of row i, in
@@ -234,7 +210,9 @@ def float_cells(x) -> np.ndarray:
     if not n:
         return np.zeros((0, _FLOAT_CELL), dtype=np.uint8)
     fast, e, big = _significand(x)
-    body, nd = _digits(big)
+    body = np.zeros((n, 19), dtype=np.uint8)  # a NUL, the 17 digits of N, a NUL
+    body[:, 1:18] = int_cells(big)[:, -17:]
+    nd = 17 - np.argmax(body[:, 17:0:-1] != 48, axis=1)  # the digits but trailing zeros
 
     # the %g layout: fixed notation for -4 <= E < 17, else d.ddde+XX
     fixed = (e >= -4) & (e < 17)
@@ -265,8 +243,10 @@ def int_cells(v) -> np.ndarray:
     rows of an (n, k) uint8 array, right-aligned after NUL padding."""
     v = np.asarray(v, dtype=np.int64).ravel()
     width = 4 * -(-len(str(int(v.max()) if v.size else 0)) // 4)
-    scale = 10_000 ** np.arange(width // 4 - 1, -1, -1, dtype=np.int64)
-    cells = _layout_tables()["digits"].take(v[:, None] // scale % 10_000)
+    words, q = np.empty((len(v), width // 4), dtype=np.int64), v
+    for i in range(width // 4 - 1, -1, -1):  # by a scalar divisor, the fast division
+        q, words[:, i] = np.divmod(q, 10_000)
+    cells = _layout_tables()["digits"].take(words)
     # blank the leading zeros, by a row of 0/1 per count of digits
     digits = np.searchsorted(10 ** np.arange(1, min(width, 19)), v, side="right") + 1
     keep = (np.arange(width) >= width - np.arange(width + 1)[:, None]).astype(np.uint8)

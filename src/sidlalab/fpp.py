@@ -188,16 +188,16 @@ def build_forest(field: WeightField) -> Forest:
                 parent_dir[y] = take_right
                 root_x[y] = root_x[y - 1][np.where(take_right, cols_r, cols_l)]
     forest = Forest(win, field.profile.value, field.seed, dist, parent_dir, root_x)
-    _check_finite(forest, 0, (M + 1) * W, "use a smaller height cap")
+    check_finite(forest, 0, (M + 1) * W, "use a smaller height cap")
     return forest
 
 
-def _check_finite(forest: Forest, lo: int, hi: int, why: str) -> None:
+def check_finite(forest: Forest, lo: int, hi: int, why: str) -> None:
     """Raise ConfigError, naming its level and why it is refused, at the
     first value of flat indices lo..hi-1 (level * W + column) that is not
-    finite."""
+    finite.  An unclaimed vertex (root label -1) holds no value and passes."""
     W, M = forest.window.W, forest.window.M
-    finite = np.isfinite(forest.values.ravel()[lo:hi])
+    finite = np.isfinite(forest.values.ravel()[lo:hi]) | (forest.root_x.ravel()[lo:hi] < 0)
     if not finite.all():
         y = (lo + int(np.argmin(finite))) // W
         raise ConfigError(f"{forest.value_key} is not finite at level {y} ({forest.label}, "
@@ -229,7 +229,7 @@ def _vertex_rows(forest: Forest, lo: int, hi: int) -> bytearray:
     non-finite value, which JSON cannot hold, raises ConfigError naming its
     level."""
     W, M = forest.window.W, forest.window.M
-    _check_finite(forest, lo, hi, "a JSON snapshot cannot hold it")
+    check_finite(forest, lo, hi, "a JSON snapshot cannot hold it")
     values = forest.values.ravel()[lo:hi]
     y, j = np.divmod(np.arange(lo, hi), W)
     # as unsigned, a code outside -1..1 indexes past the table, not round it

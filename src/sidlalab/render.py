@@ -50,13 +50,12 @@ class RenderOptions:
             raise ConfigError(f"max_level must be nonnegative, got {self.max_level}")
 
 
-def coordinate_texts(W: int, M: int, options: RenderOptions) -> list[str]:
+def _coordinate_texts(W: int, M: int, options: RenderOptions) -> list[str]:
     """The texts ``text[k] = _fmt(k * scale)``, k = 0..2W+1, of a W x M
     drawing: x (-1..2W) is drawn as ``text[x + 1]`` and level y as
     ``text[top - y + 1]``, inside the table since top <= M <= W.  ConfigError
     if the drawing's extent is no finite double or a text would read back
-    more than _READBACK_TOL of a step off.  The table depends on W and the
-    scale alone, so a drawing can be refused before its forest is sampled."""
+    more than _READBACK_TOL of a step off."""
     s = options.scale
     extent = (2 * W + 2) * s
     if not np.isfinite(extent):
@@ -85,7 +84,7 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
 
     Root labels must be boundary roots (fpp.check_invariants); vertices
     labeled -1 are not drawn.  Each segment is a line of pieces from small
-    tables: x by tail and by head x (``coordinate_texts``), two texts per
+    tables: x by tail and by head x (``_coordinate_texts``), two texts per
     level, and the stroke by root column.  Each level's plain segments are
     copied as one ``cell_text`` into one buffer presized at a lower bound
     of the document, as ``fileio.block_text`` does; the highlighted ones
@@ -93,7 +92,7 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
     """
     win = forest.window
     W, M = win.W, win.M
-    text = coordinate_texts(W, M, options)
+    text = _coordinate_texts(W, M, options)
     top = M if options.max_level is None else min(options.max_level, M)
     s = options.scale
     hr = options.highlight_root

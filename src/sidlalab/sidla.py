@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fileio import block_text, cell_text, float_cells, int_cells
-from .fpp import Forest, WeightField, WeightProfile
+from .fpp import Forest, WeightField, WeightProfile, check_finite
 from .hashing import (
     CLOCK_STREAM,
     COIN_STREAM,
@@ -358,7 +358,8 @@ def run_until_covered(window: Window, seed: int, method: str = "auto",
     and its clock and n_rings end at the event after which the last such
     edge closed.  The jumps driver takes the run's stretch
     ``WeightField.rates``; a cap they cannot hold is refused as fpp refuses
-    it, before any event.
+    it, before any event, and a claim time past the largest double (from
+    level 1023) as fpp refuses a passage time, by ``fpp.check_finite``.
     """
     if method not in ("auto", "rings", "jumps"):
         raise ConfigError(f"unknown method {method!r}; use auto, rings or jumps")
@@ -372,9 +373,11 @@ def run_until_covered(window: Window, seed: int, method: str = "auto",
     if method == "auto":
         method = "rings" if window.M <= AUTO_LITERAL_MAX_CAP else "jumps"
     if method == "rings":
-        return _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M,
-                          up_to, root)
-    return _run_jumps(state, seed, rates, up_to, root)
+        _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M, up_to, root)
+    else:
+        _run_jumps(state, seed, rates, up_to, root)
+    check_finite(state.forest, 0, (window.M + 1) * window.W, "use a smaller height cap")
+    return state
 
 
 def events_csv_text(state: SidlaState) -> bytearray:

@@ -241,7 +241,7 @@ CLI_RUNS = [
      "--levels", "1,2,4,8", "--out", "surv.csv"],
     ["compare", "--seed", "1", "-W", "6", "-M", "3", "--replicas", "30",
      "--alpha", "1e-9", "--out", "cmp.json"],
-    ["render", "--seed", "9", "-W", "8", "-M", "6", "--out", "pic.svg"],
+    ["render", "--in", "f.json", "--out", "pic.svg"],
 ]
 
 

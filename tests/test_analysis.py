@@ -260,6 +260,12 @@ def test_flank_left_distances_pools_all_roots():
     assert np.array_equal(pooled, np.asarray(per_root))
 
 
+@pytest.mark.parametrize("n", [0, 9])
+def test_flank_left_distances_refuses_a_level_outside_the_window(n):
+    with pytest.raises(ValueError, match=f"^level {n} outside 1..8$"):
+        flank_left_distances(stretch_forest(seed=7, W=16, M=8), n)
+
+
 def test_cone_check_on_real_and_corrupted_forest():
     fo = stretch_forest(seed=9, W=8, M=8)
     for root in boundary(fo.window):
@@ -288,6 +294,12 @@ def test_wilson_interval_is_the_score_interval(k, n, z):
     disc = np.sqrt(qb * qb - 4 * qa * qc)
     assert np.allclose([(-qb - disc) / (2 * qa), (-qb + disc) / (2 * qa)],
                        [lo, hi], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_wilson_interval_needs_a_sample(n):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        wilson_interval(0, n, 1.96)
 
 
 def scalar_wilson(k, n, z):

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import sidlalab
-from sidlalab import analysis, cli, coupling, fpp, sidla
+from sidlalab import analysis, cli, coupling, fpp, render, sidla
 from sidlalab.cli import EXIT_CONFIG, EXIT_FAULT, main
 from sidlalab.errors import CouplingFault
 from sidlalab.fileio import atomic_write_text, json_text
@@ -135,14 +136,12 @@ def test_couple_refuses_two_outputs_naming_one_file(gaps, monkeypatch, capsys):
     (["sidla", "-W", "8", "-M", "4"], cli, "_sidla_task"),
     (["stats", "-W", "8", "-M", "4"], cli, "_stats_task"),
     (["compare", "-W", "8", "-M", "4", "--replicas", "40"], cli, "_compare_task"),
-    (["render", "-W", "8", "-M", "4"], cli, "_picture_run"),
     (["render", "--in", "f.json"], fpp, "load_snapshot"),
-], ids=["fpp", "sidla", "stats", "compare", "render", "render-in"])
+], ids=["fpp", "sidla", "stats", "compare", "render-in"])
 def test_a_missing_output_directory_is_refused_before_any_work(argv, module, target, in_tmp,
                                                                monkeypatch, capsys):
     """Every command that writes checks its outputs first: no replica runs,
-    no forest is sampled or loaded, nothing is printed and nothing is
-    written."""
+    no snapshot is loaded, nothing is printed and nothing is written."""
     monkeypatch.setattr(module, target, _no_work)
     assert run(*argv, "--out", "missing/x.out") == EXIT_CONFIG
     out, err = capsys.readouterr()
@@ -211,7 +210,7 @@ def test_couple_guards_zero_gaps_pooled_from_small_replicas(monkeypatch, capsys)
     assert not Path("c.json").exists() and not Path("g.csv").exists()
 
 
-@pytest.mark.parametrize("command,profile", [("stats", "eden"), ("render", "decreasing")])
+@pytest.mark.parametrize("command,profile", [("stats", "eden")])
 def test_particle_picture_refuses_other_profiles(command, profile, capsys):
     """The particle drivers run the stretch rates only; another profile is
     refused before any work, naming it, and nothing is written."""
@@ -221,7 +220,7 @@ def test_particle_picture_refuses_other_profiles(command, profile, capsys):
     assert not Path("out.x").exists()
 
 
-@pytest.mark.parametrize("command", ["stats", "render"])
+@pytest.mark.parametrize("command", ["stats"])
 def test_fpp_picture_refuses_a_method(command, capsys):
     """--method picks a particle driver; given with the fpp picture it is
     refused, naming it, and nothing is written."""
@@ -231,7 +230,7 @@ def test_fpp_picture_refuses_a_method(command, capsys):
     assert not Path("out.x").exists()
 
 
-@pytest.mark.parametrize("command", ["fpp", "couple", "stats", "render"])
+@pytest.mark.parametrize("command", ["fpp", "couple", "stats"])
 def test_unknown_profile_is_refused(command, capsys):
     assert run(command, "--profile", "bogus", "-W", "8", "-M", "4",
                "--out", "out.x") == EXIT_CONFIG
@@ -240,24 +239,24 @@ def test_unknown_profile_is_refused(command, capsys):
 
 
 def test_render_in_refuses_sampling_options(capsys):
-    """A snapshot carries its own window and seed; a sampling option given
-    next to --in is refused, naming it, and no SVG is written.  The drawing
-    options still apply."""
+    """A snapshot carries its own window and seed, and render only draws
+    one: the sampling options are no options of render, so each is refused
+    as unrecognized and no SVG is written.  The drawing options still
+    apply."""
     assert run("fpp", "-W", "8", "-M", "4", "--out", "f.json") == 0
-    for extra in (["--seed", "1"], ["-W", "99", "-M", "3"], ["--picture", "fpp"],
+    for extra in (["--seed", "1"], ["-W", "99"], ["-M", "3"], ["--picture", "fpp"],
                   ["--profile", "stretch"], ["--method", "rings"]):
         assert run("render", "--in", "f.json", *extra, "--out", "x.svg") == EXIT_CONFIG
-        assert f"takes no {extra[0]}" in capsys.readouterr().err
-    assert run("render", "--in", "f.json", "--seed", "5", "--picture", "sidla",
-               "--out", "x.svg") == EXIT_CONFIG
-    assert "takes no --seed, --picture" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert run("render", "-W", "8", "-M", "4", "--out", "x.svg") == EXIT_CONFIG
+    assert "the following arguments are required: --in" in capsys.readouterr().err
     assert not Path("x.svg").exists()
     assert run("render", "--in", "f.json", "--highlight-root", "none",
                "--scale", "6", "--max-level", "2", "--out", "x.svg") == 0
     assert Path("x.svg").exists()
 
 
-SEED_COMMANDS = ["fpp", "sidla", "couple", "stats", "compare", "render"]
+SEED_COMMANDS = ["fpp", "sidla", "couple", "stats", "compare"]
 
 
 @pytest.mark.parametrize("command", SEED_COMMANDS)
@@ -270,7 +269,7 @@ def test_seeds_outside_64_bits_are_refused(command, seed, capsys):
     assert not list(Path(".").iterdir())
 
 
-@pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c != "render"])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
 def test_replica_seeds_past_64_bits_are_refused(command, monkeypatch, capsys):
     """The seed range is refused before any output path is formed, so a
     huge --replicas is refused at once."""
@@ -282,7 +281,7 @@ def test_replica_seeds_past_64_bits_are_refused(command, monkeypatch, capsys):
     assert not list(Path(".").iterdir())
 
 
-@pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c != "render"])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
 @pytest.mark.parametrize("flag", ["--replicas", "--jobs"])
 def test_replicas_and_jobs_below_one_are_refused(command, flag, capsys):
     assert run(command, flag, "0", "-W", "8", "-M", "4") == EXIT_CONFIG
@@ -295,13 +294,46 @@ def test_the_largest_seed_is_taken(capsys):
     assert run("fpp", "--seed", str(last - 1), "--replicas", "2", "-W", "4", "-M", "2",
                "--out", "f.json") == 0
     assert load_snapshot(f"f_s{last}.json").seed == last
-    assert run("render", "--seed", str(last), "-W", "4", "-M", "2", "--out", "r.svg") == 0
+    assert run("render", "--in", f"f_s{last}.json", "--out", "r.svg") == 0
+    assert f"render seed={last} window=4x2" in capsys.readouterr().out
 
 
 def test_render_takes_no_replica_options(capsys):
+    """render draws one snapshot; --replicas and --jobs are refused as
+    unrecognized and nothing is written."""
+    assert run("fpp", "-W", "8", "-M", "4", "--out", "f.json") == 0
     for flag in ("--replicas", "--jobs"):
-        assert run("render", flag, "2", "-W", "8", "-M", "4") == EXIT_CONFIG
-    assert not list(Path(".").iterdir())
+        assert run("render", "--in", "f.json", flag, "2", "--out", "x.svg") == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert [p.name for p in Path(".").iterdir()] == ["f.json"]
+
+
+def test_default_output_names_embed_the_window_and_seed(capsys):
+    """Without --out each writing command names its files after its window,
+    seed and, where it has one, its profile or picture."""
+    assert run("fpp", "--seed", "3", "-W", "4", "-M", "2", "--replicas", "2") == 0
+    assert run("sidla", "--seed", "3", "-W", "4", "-M", "2") == 0
+    assert run("couple", "--seed", "3", "-W", "4", "-M", "2") == 0
+    assert run("stats", "--seed", "3", "-W", "4", "-M", "2") == 0
+    assert run("render", "--in", "fpp_w4_m2_stretch_s4.json") == 0
+    assert sorted(p.name for p in Path(".").iterdir()) == [
+        "couple_w4_m2_s3.json", "couple_w4_m2_s3_gaps.csv", "fpp_w4_m2_stretch_s3.json",
+        "fpp_w4_m2_stretch_s4.json", "render_w4_m2_s4.svg", "sidla_w4_m2_s3.json",
+        "sidla_w4_m2_s3_events.csv", "stats_fpp_w4_m2_s3.csv"]
+
+
+def test_the_readme_command_lines_parse():
+    """Every ``sidlalab ...`` line of the README's code blocks is one the
+    parser takes; nothing is run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    lines = [line.strip() for block in blocks for line in block.splitlines()
+             if line.strip().startswith("sidlalab ")]
+    assert len(lines) >= 7
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]
 
 
 def test_shells_exact_line(capsys):
@@ -353,36 +385,23 @@ def test_render_rejects_a_missing_or_malformed_snapshot(capsys):
     assert not Path("x.svg").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--scale", "0"), ("--max-level", "-1"),
-                                        ("--scale", "inf"), ("--scale", "1e308")])
-def test_render_rejects_bad_options(flag, value, capsys):
-    assert run("render", "-W", "6", "-M", "4", flag, value, "--out", "x.svg") == EXIT_CONFIG
-    assert not Path("x.svg").exists()
-
-
-@pytest.mark.parametrize("width,written,off", [("50000", "1.00004e+06", "0.333 of"),
-                                               ("500000", "1.00002e+07", "4 of")])
-def test_render_refuses_coordinates_six_digits_cannot_hold(width, written, off, capsys,
-                                                           monkeypatch):
-    """Coordinates are written with 6 significant digits.  At 50,000 columns
-    an x would read back a third of a lattice step off; at 500,000 the
-    boundary circles would share 20,001 cx texts among 83,334 of them.
-    Both drawings are refused before any forest is sampled, and nothing is
-    written."""
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("the forest was sampled before the drawing was refused")
-
-    monkeypatch.setattr(cli, "_picture_run", no_sampling)
-    assert run("render", "-W", width, "-M", "1", "--out", "x.svg") == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "needs more than 6 significant digits" in err
-    assert f"written {written}, {off} a lattice step off (at most 0.01)" in err
+@pytest.mark.parametrize("flag,value,why", [
+    ("--scale", "0", "scale must be positive, got 0.0"),
+    ("--max-level", "-1", "max_level must be nonnegative, got -1"),
+    ("--scale", "inf", "scale inf makes the 6x4 drawing inf wide"),
+    ("--scale", "1e308", "scale 1e+308 makes the 6x4 drawing inf wide"),
+], ids=["--scale-0", "--max-level--1", "--scale-inf", "--scale-1e308"])
+def test_render_rejects_bad_options(flag, value, why, capsys):
+    assert run("fpp", "-W", "6", "-M", "4", "--out", "f.json") == 0
+    assert run("render", "--in", "f.json", flag, value, "--out", "x.svg") == EXIT_CONFIG
+    assert why in capsys.readouterr().err
     assert not Path("x.svg").exists()
 
 
 def test_render_in_refuses_coordinates_six_digits_cannot_hold(capsys):
-    """A 50,000-column snapshot is refused as the sampled drawing is, and
-    nothing is written."""
+    """Coordinates are written with 6 significant digits: at 50,000 columns
+    an x would read back a third of a lattice step off.  The drawing is
+    refused and nothing is written."""
     assert run("fpp", "-W", "50000", "-M", "1", "--out", "f.json") == 0
     assert run("render", "--in", "f.json", "--out", "x.svg") == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -410,8 +429,7 @@ def test_compare_refuses_an_unrepresentable_rate(capsys):
 
 
 @pytest.mark.parametrize("argv", [("sidla",), ("sidla", "--method", "rings"),
-                                  ("stats", "--picture", "sidla"),
-                                  ("render", "--picture", "sidla")])
+                                  ("stats", "--picture", "sidla")])
 def test_particle_picture_refuses_the_cap_fpp_refuses(argv, monkeypatch, capsys):
     """The particle drivers take their rates from the run's stretch
     WeightField, so the cap whose rate (2**-1075) is no positive double is
@@ -437,7 +455,7 @@ def test_an_exhausted_ring_budget_is_a_usage_error(monkeypatch, capsys):
     assert not list(Path(".").iterdir())
 
 
-@pytest.mark.parametrize("command", ["stats", "render"])
+@pytest.mark.parametrize("command", ["stats"])
 def test_overflowed_passage_times_are_refused(command, capsys):
     """From level 1023 (seed 1) the stretch passage times pass the largest
     double, where ties between two infinite candidates would set parents by
@@ -450,6 +468,20 @@ def test_overflowed_passage_times_are_refused(command, capsys):
     err = capsys.readouterr().err
     assert "error: dist is not finite at level 1023 (stretch, 1074x1074)" in err
     assert "RuntimeWarning" not in err
+    assert not list(Path(".").iterdir())
+
+
+@pytest.mark.parametrize("command", [("sidla",), ("stats", "--picture", "sidla")])
+def test_particle_picture_refuses_overflowed_claim_times(command, tiny_rates_from_level_2,
+                                                          capsys):
+    """A particle clock past the largest double (forced here from level 2;
+    the stretch rates pass it from level 1023 at 1074x1074) is refused as
+    the fpp picture's passage times are: exit 1, the level named, nothing
+    written."""
+    assert run(*command, "--method", "jumps", "-W", "6", "-M", "4",
+               "--out", "x.json") == EXIT_CONFIG
+    assert ("error: occupancy_time is not finite at level 2 (sidla, 6x4); "
+            "use a smaller height cap" in capsys.readouterr().err)
     assert not list(Path(".").iterdir())
 
 
@@ -687,24 +719,25 @@ def test_compare_alpha_one_always_fails(capsys):
 
 
 def test_render_sampled_and_from_snapshot(capsys):
+    """render --in draws the sampled forest's own picture: the snapshot
+    round trip does not change the drawing."""
     assert run("fpp", "--seed", "9", "-W", "8", "-M", "6", "--out", "f.json") == 0
     assert run("render", "--in", "f.json", "--out", "a.svg") == 0
-    assert run("render", "--seed", "9", "-W", "8", "-M", "6",
-               "--out", "b.svg") == 0
-    a = Path("a.svg").read_text()
-    b = Path("b.svg").read_text()
-    assert a == b  # snapshot round-trip does not change the drawing
+    sampled = fpp.build_forest(fpp.WeightField(9, fpp.WeightProfile.STRETCH, Window(8, 6)))
+    a = Path("a.svg").read_bytes()
+    assert a == render.render_svg(sampled)
     ET.fromstring(a)
 
 
 def test_render_highlight_none_and_bad_root(capsys):
-    assert run("render", "-W", "6", "-M", "4", "--highlight-root", "none",
-               "--out", "n.svg") == 0
+    assert run("fpp", "-W", "6", "-M", "4", "--out", "f.json") == 0
+    assert run("render", "--in", "f.json", "--highlight-root", "none", "--out", "n.svg") == 0
     assert "#d81b2a" not in Path("n.svg").read_text()
-    assert run("render", "-W", "6", "-M", "4", "--highlight-root", "3",
-               "--out", "x.svg") == 1
-    assert run("render", "-W", "6", "-M", "4", "--highlight-root", "q",
-               "--out", "x.svg") == 1
+    assert run("render", "--in", "f.json", "--highlight-root", "3", "--out", "x.svg") == 1
+    assert "highlight root must be even, got 3" in capsys.readouterr().err
+    assert run("render", "--in", "f.json", "--highlight-root", "q", "--out", "x.svg") == 1
+    assert "highlight root must be an even integer or 'none', got 'q'" in capsys.readouterr().err
+    assert not Path("x.svg").exists()
 
 
 def test_byte_determinism_across_reruns(capsys):

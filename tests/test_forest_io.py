@@ -33,11 +33,14 @@ from sidlalab.fpp import (
     snapshot_text,
 )
 from sidlalab.lattice import Window
-from sidlalab.render import RenderOptions, coordinate_texts, render_svg
+from sidlalab.render import RenderOptions, _coordinate_texts, render_svg
 from sidlalab.sidla import SimulationLimitError, _run_rings, new_state, run_until_covered
 
 # sha256 of CLI artifacts and stdout, recorded on the per-vertex writers,
-# loader and stats loops.  Commands of one case run in one directory.  A
+# loader and stats loops.  Commands of one case run in one directory.  The
+# render_* cases drew a fresh sample when render could sample; their SVG
+# digests are the ones recorded then, and their stdout digests hash the
+# pinned fpp line followed by the recorded render line.  A
 # "<snapshot> arrays" entry is oracles.snapshot_arrays_sha256 of the reloaded
 # snapshot, recorded beside its text digest: a snapshot layout change may
 # replace the text digest and must keep it.
@@ -61,21 +64,25 @@ GOLDEN = {
              "6c0c35e4adf62045d6fc2ee0d439222bcf77a6d415ee06f209013351dafd8c58",
          "stdout": "335c0122b3732a4680ce8839b695a3c23400bc57c0dda253f5beff8b34feae7f"}),
     "render_default": (
-        ["render --seed 7 -W 8 -M 6 --out d.svg"],
+        ["fpp --seed 7 -W 8 -M 6 --out f.json",
+         "render --in f.json --out d.svg"],
         {"d.svg": "c6d61a7cf036f78bdcd8cf0afb7ea2cc34dca373c752abfe718212bb83124f4a",
-         "stdout": "31bf249aabd044883b95c59daa8e17c9668362a2711812a07cee61a56a1fe07e"}),
+         "stdout": "a06b3247ead93b93c251f40583ee880d3be12418bbcc1466d6d0901ad8ef0093"}),
     "render_no_highlight": (
-        ["render --seed 7 -W 8 -M 6 --highlight-root none --out n.svg"],
+        ["fpp --seed 7 -W 8 -M 6 --out f.json",
+         "render --in f.json --highlight-root none --out n.svg"],
         {"n.svg": "5dd344fd060b97b669a90a0aa93c8225b7973de9dfc1c930969f70b71cee463c",
-         "stdout": "21b3de6c5f3d62e0a08605cf226eec8818f5a227a2d420ba122756357f27c798"}),
+         "stdout": "103e022a77f91dcd41005d2fde610161c0fcb59fec1b727123874d7ad787b031"}),
     "render_max_level": (
-        ["render --seed 7 -W 8 -M 6 --max-level 2 --out m.svg"],
+        ["fpp --seed 7 -W 8 -M 6 --out f.json",
+         "render --in f.json --max-level 2 --out m.svg"],
         {"m.svg": "b3a1ed7d311ab67ff70583b81a19be9f6c7496244d081eee1ae812bf0ecf8f53",
-         "stdout": "eeb91346c3743c04a4683870997804550796c9f23bd842e50eff16be76f7a73c"}),
+         "stdout": "0b12b7ee90ff755037e8174c0b26dcb8eddc06626e01f1a4d88b386493cc4db9"}),
     "render_scale": (
-        ["render --seed 7 -W 8 -M 6 --scale 7.3 --out s.svg"],
+        ["fpp --seed 7 -W 8 -M 6 --out f.json",
+         "render --in f.json --scale 7.3 --out s.svg"],
         {"s.svg": "8971f3b5b138d33caf12cc990651c76cee5661eadcf58ff9f9b9b7c8f972c0bb",
-         "stdout": "583528977ba900d5e65a17194a7e938f3f46c02de5ee8cc57f0417829e0e6bff"}),
+         "stdout": "b1f024725f8f8fd7c3d0dac0cc275cd1c3c3af4d540884cf0ab81060b3b496bd"}),
     "render_reloaded": (
         ["fpp --seed 11 -W 12 -M 10 --profile decreasing --out f.json",
          "render --in f.json --highlight-root 6 --out r.svg",
@@ -210,7 +217,7 @@ def test_render_matches_oracle_where_coordinates_take_more_than_six_digits():
     oracle's."""
     fo = build_forest(WeightField(4, WeightProfile.STRETCH, Window(1000, 2)))
     opts = RenderOptions(highlight_root=int(fo.root_x[1, 0]), scale=0.123456789, max_level=1)
-    text = coordinate_texts(1000, 2, opts)
+    text = _coordinate_texts(1000, 2, opts)
     assert sum(float(t) != k * opts.scale for k, t in enumerate(text)) == len(text) - 1
     svg = render_svg(fo, opts)
     assert svg == reference_render_svg(fo, opts).encode()
@@ -252,6 +259,14 @@ def test_json_text_rules():
     for bad in (float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             json_text({"v": bad})
+
+
+@pytest.mark.parametrize("value", [[1], (0.5,), np.float32(0.5)])
+def test_json_text_refuses_a_value_it_has_no_form_for(value):
+    """Lists, tuples and floats other than Python's (a float32 would be
+    written with the wrong digits) are refused, naming the type."""
+    with pytest.raises(TypeError, match=f"^no JSON form for {type(value).__name__} "):
+        json_text({"v": value})
 
 
 def small_text():

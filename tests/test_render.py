@@ -63,6 +63,16 @@ def test_max_level_truncates():
     assert n_full > n_cropped
 
 
+def test_render_svg_refuses_coordinates_six_digits_cannot_hold():
+    """Coordinates are written with 6 significant digits: at 500,000 columns
+    the boundary circles would share 20,001 cx texts among 83,334 of them,
+    so the drawing is refused before any of it is built."""
+    with pytest.raises(ConfigError, match=r"the 500000x1 drawing at scale 12 needs more than 6 "
+                                          r"significant digits: .* written 1\.00002e\+07, 4 of "
+                                          r"a lattice step off \(at most 0\.01\)$"):
+        render_svg(forest(seed=1, W=500_000, M=1))
+
+
 def test_byte_determinism():
     fo = forest(seed=5)
     assert render_svg(fo) == render_svg(fo)

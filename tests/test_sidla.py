@@ -647,6 +647,29 @@ def test_jumps_rates_are_the_stretch_field_rates(M, monkeypatch):
         (0.0).hex(), *(level_rate(WeightProfile.STRETCH, h).hex() for h in range(1, M + 1))]
 
 
+def test_a_claim_time_past_the_largest_double_is_refused(tiny_rates_from_level_2):
+    """A particle run whose clock passes the largest double is refused as
+    fpp refuses such a passage time: naming the first level that holds one.
+    A run stopped before that (compare's root stop) passes, though its
+    unclaimed vertices hold NaN."""
+    with pytest.raises(ConfigError, match=r"^occupancy_time is not finite at level 2 "
+                                          r"\(sidla, 6x4\); use a smaller height cap$"):
+        run_until_covered(Window(6, 4), 1, method="jumps")
+    forest = run_until_covered(Window(6, 4), 1, method="jumps", up_to=1, root=0).forest
+    claimed = forest.root_x >= 0
+    assert np.isfinite(forest.values[claimed]).all() and np.isnan(forest.values[~claimed]).all()
+    assert not claimed.all()
+
+
+def test_a_stopped_run_has_no_snapshot():
+    """A snapshot holds every vertex; a run stopped at root 0's tree leaves
+    others unclaimed, and snapshot_text refuses it."""
+    state = run_until_covered(Window(6, 4), 1, method="jumps", up_to=2, root=0)
+    assert (state.forest.root_x < 0).any()
+    with pytest.raises(ValueError, match="^snapshot requires a fully covered window$"):
+        snapshot_text(state.forest)
+
+
 @pytest.mark.parametrize("seed", [2**64 + 1, -1])
 def test_particle_runs_refuse_a_seed_outside_64_bits(seed):
     """-1 would alias seed 2**64 - 1 in every stream of the run."""
