@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
@@ -359,57 +359,42 @@ class Chi2Result:
     n_bins: int
 
 
-def chi_square_compare(hist_a: Mapping[int, int],
-                       hist_b: Mapping[int, int]) -> Chi2Result:
-    """Two-sample chi-square on a 2 x k contingency table of two
-    label -> count mappings, over the union of their labels.
+def chi_square_compare(sample_a, sample_b) -> Chi2Result:
+    """Two-sample chi-square on the 2 x k contingency table of two integer
+    samples, binned over the sorted union of their values.
 
     Adjacent-style pooling: while some expected count drops below 5, the
     smallest-expectation bin is merged into a neighbor.  Identical
-    histograms give statistic 0 and p = 1.
+    samples give statistic 0 and p = 1.
     """
-    keys = sorted(set(hist_a) | set(hist_b))
-    a = np.array([hist_a.get(k, 0) for k in keys], dtype=np.float64)
-    b = np.array([hist_b.get(k, 0) for k in keys], dtype=np.float64)
-    keep = (a + b) > 0
-    a, b = a[keep], b[keep]
-    if a.size == 0 or a.sum() == 0 or b.sum() == 0:
-        raise ValueError("chi-square needs two nonempty histograms")
-    total = a.sum() + b.sum()
-
-    def expected(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-        col = av + bv
-        return np.minimum(av.sum() * col / total, bv.sum() * col / total)
-
-    a = list(a)
-    b = list(b)
-    while len(a) > 1:
-        exp = expected(np.asarray(a), np.asarray(b))
-        if exp.min() >= 5.0:
+    n_a, n_b = len(sample_a), len(sample_b)
+    if not n_a or not n_b:
+        raise ValueError("chi-square needs two nonempty samples")
+    keys, bins = np.unique(np.concatenate([sample_a, sample_b]).astype(np.int64),
+                           return_inverse=True)
+    a = np.bincount(bins[:n_a], minlength=keys.size).tolist()
+    b = np.bincount(bins[n_a:], minlength=keys.size).tolist()
+    small, total = min(n_a, n_b), n_a + n_b  # the smaller side has the smaller expectation
+    while True:
+        exp = [small * (x + y) / total for x, y in zip(a, b)]
+        i = exp.index(min(exp))
+        if exp[i] >= 5.0 or len(a) == 1:
             break
-        i = int(np.argmin(exp))
         va, vb = a.pop(i), b.pop(i)
         # after the pop, the right neighbor (if any) sits at index i
         t = i if i < len(a) else i - 1
         a[t] += va
         b[t] += vb
-    av = np.asarray(a)
-    bv = np.asarray(b)
-    if expected(av, bv).min() < 5.0:
-        raise ConfigError(
-            "expected counts below 5 even after pooling; samples too small"
-        )
-    if len(av) == 1:
+    if exp[i] < 5.0:
+        raise ConfigError("expected counts below 5 even after pooling; samples too small")
+    if len(a) == 1:
         return Chi2Result(statistic=0.0, p_value=1.0, dof=0, n_bins=1)
+    av = np.array(a, dtype=np.float64)
+    bv = np.array(b, dtype=np.float64)
     col = av + bv
-    ea = av.sum() * col / total
-    eb = bv.sum() * col / total
+    ea = n_a * col / total
+    eb = n_b * col / total
     stat = float(np.sum((av - ea) ** 2 / ea) + np.sum((bv - eb) ** 2 / eb))
     dof = len(av) - 1
     p = float(chdtrc(dof, stat))
     return Chi2Result(statistic=stat, p_value=p, dof=dof, n_bins=len(av))
-
-
-def histogram(values) -> dict[int, int]:
-    """Counter of integer-valued samples as a plain dict."""
-    return dict(Counter(int(v) for v in values))

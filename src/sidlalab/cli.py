@@ -352,13 +352,16 @@ def _parse_levels(text: str, M: int) -> list[int]:
 
 
 def _compare_task(task):
-    # Both statistics read only root 0's tree on levels 0..min(height_clip, M)
-    seed, picture, W, M, profile_value, method, height_clip = task
-    forest = _picture_run(picture, seed, W, M, profile_value, method,
-                          up_to=min(height_clip, M), root=0)
-    t1 = analysis.level_profile(forest, 0, 1)
-    heights, _ = analysis.root_heights(forest)
-    return t1, min(int(heights[0]), height_clip)
+    # root 0's level-1 slice and clipped height, fpp's then sidla's; both read
+    # only root 0's tree on levels 0..min(height_clip, M)
+    seed, W, M, method, height_clip = task
+    values = []
+    for picture in ("fpp", "sidla"):
+        forest = _picture_run(picture, seed, W, M, "stretch", method,
+                              up_to=min(height_clip, M), root=0)
+        heights, _ = analysis.root_heights(forest)
+        values += [analysis.level_profile(forest, 0, 1), min(int(heights[0]), height_clip)]
+    return values
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -373,14 +376,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # replica runs, as the fpp DP runs below the cap; _replicas checks the seeds
     fpp.WeightField(0, fpp.WeightProfile.STRETCH, win)
     outputs = [args.out] if args.out else []
-    fpp_res, sidla_res = [_replicas(args, outputs, _compare_task, picture, win.W, win.M,
-                                    "stretch", args.method, clip)
-                          for picture in ("fpp", "sidla")]
-
-    t1_a = analysis.histogram(r[0] for r in fpp_res)
-    t1_b = analysis.histogram(r[0] for r in sidla_res)
-    h_a = analysis.histogram(r[1] for r in fpp_res)
-    h_b = analysis.histogram(r[1] for r in sidla_res)
+    t1_a, h_a, t1_b, h_b = np.array(
+        _replicas(args, outputs, _compare_task, win.W, win.M, args.method, clip)).T
     r_t1 = analysis.chi_square_compare(t1_a, t1_b)
     r_h = analysis.chi_square_compare(h_a, h_b)
     print(f"compare slice1 chi2={r_t1.statistic:.6g} p={r_t1.p_value:.6g} "

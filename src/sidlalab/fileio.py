@@ -211,7 +211,7 @@ def float_cells(x) -> np.ndarray:
         return np.zeros((0, _FLOAT_CELL), dtype=np.uint8)
     fast, e, big = _significand(x)
     body = np.zeros((n, 19), dtype=np.uint8)  # a NUL, the 17 digits of N, a NUL
-    body[:, 1:18] = int_cells(big)[:, -17:]
+    body[:, 1:18] = _word_cells(big)[:, -17:]
     nd = 17 - np.argmax(body[:, 17:0:-1] != 48, axis=1)  # the digits but trailing zeros
 
     # the %g layout: fixed notation for -4 <= E < 17, else d.ddde+XX
@@ -238,19 +238,26 @@ def float_cells(x) -> np.ndarray:
     return cells
 
 
-def int_cells(v) -> np.ndarray:
-    """The decimal digits of each non-negative integer of an array, as the
-    rows of an (n, k) uint8 array, right-aligned after NUL padding."""
-    v = np.asarray(v, dtype=np.int64).ravel()
+def _word_cells(v: np.ndarray) -> np.ndarray:
+    """The decimal digits of each non-negative int64 of v, zero-padded to
+    whole 4-digit words, as the rows of an (n, k) uint8 array."""
     width = 4 * -(-len(str(int(v.max()) if v.size else 0)) // 4)
     words, q = np.empty((len(v), width // 4), dtype=np.int64), v
     for i in range(width // 4 - 1, -1, -1):  # by a scalar divisor, the fast division
         q, words[:, i] = np.divmod(q, 10_000)
-    cells = _layout_tables()["digits"].take(words)
+    return _layout_tables()["digits"].take(words).view(np.uint8).reshape(len(v), width)
+
+
+def int_cells(v) -> np.ndarray:
+    """The decimal digits of each non-negative integer of an array, as the
+    rows of an (n, k) uint8 array, right-aligned after NUL padding."""
+    v = np.asarray(v, dtype=np.int64).ravel()
+    cells = _word_cells(v)
+    width = cells.shape[1]
     # blank the leading zeros, by a row of 0/1 per count of digits
     digits = np.searchsorted(10 ** np.arange(1, min(width, 19)), v, side="right") + 1
     keep = (np.arange(width) >= width - np.arange(width + 1)[:, None]).astype(np.uint8)
-    return cells.view(np.uint8).reshape(len(v), width) * keep.take(digits, axis=0)
+    return cells * keep.take(digits, axis=0)
 
 
 # Rows per block of every bulk writer and of the snapshot reader, whose

@@ -42,6 +42,10 @@ The last group are the per-vertex forest writers, loader and reductions
 ``reference_flank_left_distances``): one Python step per vertex or per
 root, kept as the bitwise reference for the array forms in ``sidlalab``.
 
+``reference_chi_square_compare`` counts each sample into a label -> count
+dict and pools the two dicts' table with numpy arrays rebuilt at every
+merge, the bitwise reference for ``analysis.chi_square_compare``.
+
 ``exact_forest`` reruns the forest program in exact rational arithmetic,
 so rounding cannot move a root unnoticed.
 
@@ -65,14 +69,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
+from scipy.special import chdtrc
 
-from sidlalab.analysis import SlimParams, extract_tree, root_heights, slim_levels
+from sidlalab.analysis import Chi2Result, SlimParams, extract_tree, root_heights, slim_levels
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import Forest, WeightField, WeightProfile, load_snapshot
@@ -1044,6 +1050,53 @@ def reference_flank_left_distances(forest: Forest, n: int) -> np.ndarray:
         col = column_of(win, canonicalize(win, Vertex(lx, n)))
         out.append(float(values[n, col]))
     return np.asarray(out, dtype=np.float64)
+
+
+def reference_chi_square_compare(sample_a, sample_b) -> Chi2Result:
+    """Two-sample chi-square over the union of the two histograms' labels;
+    while some expected count (the smaller side's) drops below 5, the
+    smallest-expectation bin is merged into a neighbor."""
+    hist_a = dict(Counter(int(v) for v in sample_a))
+    hist_b = dict(Counter(int(v) for v in sample_b))
+    keys = sorted(set(hist_a) | set(hist_b))
+    a = np.array([hist_a.get(k, 0) for k in keys], dtype=np.float64)
+    b = np.array([hist_b.get(k, 0) for k in keys], dtype=np.float64)
+    keep = (a + b) > 0
+    a, b = a[keep], b[keep]
+    if a.size == 0 or a.sum() == 0 or b.sum() == 0:
+        raise ValueError("chi-square needs two nonempty histograms")
+    total = a.sum() + b.sum()
+
+    def expected(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+        col = av + bv
+        return np.minimum(av.sum() * col / total, bv.sum() * col / total)
+
+    a = list(a)
+    b = list(b)
+    while len(a) > 1:
+        exp = expected(np.asarray(a), np.asarray(b))
+        if exp.min() >= 5.0:
+            break
+        i = int(np.argmin(exp))
+        va, vb = a.pop(i), b.pop(i)
+        t = i if i < len(a) else i - 1
+        a[t] += va
+        b[t] += vb
+    av = np.asarray(a)
+    bv = np.asarray(b)
+    if expected(av, bv).min() < 5.0:
+        raise ConfigError(
+            "expected counts below 5 even after pooling; samples too small"
+        )
+    if len(av) == 1:
+        return Chi2Result(statistic=0.0, p_value=1.0, dof=0, n_bins=1)
+    col = av + bv
+    ea = av.sum() * col / total
+    eb = bv.sum() * col / total
+    stat = float(np.sum((av - ea) ** 2 / ea) + np.sum((bv - eb) ** 2 / eb))
+    dof = len(av) - 1
+    p = float(chdtrc(dof, stat))
+    return Chi2Result(statistic=stat, p_value=p, dof=dof, n_bins=len(av))
 
 
 def _triangle_lattice_points(a: Vertex, b: Vertex, c: Vertex) -> frozenset[Vertex]:

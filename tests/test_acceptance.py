@@ -30,7 +30,6 @@ from sidlalab.analysis import (
     enumerate_monotone_trees,
     flank_bound_test,
     flank_left_distances,
-    histogram,
     ks_test_exp1,
     level_profile,
     root_heights,
@@ -97,8 +96,8 @@ def test_04_two_pictures_share_one_law():
         h2, _ = root_heights(st)
         slice_sidla.append(level_profile(st, 0, 1))
         h_sidla.append(min(int(h2[0]), 16))
-    r_slice = chi_square_compare(histogram(slice_fpp), histogram(slice_sidla))
-    r_height = chi_square_compare(histogram(h_fpp), histogram(h_sidla))
+    r_slice = chi_square_compare(slice_fpp, slice_sidla)
+    r_height = chi_square_compare(h_fpp, h_sidla)
     ok = r_slice.p_value > 0.01 and r_height.p_value > 0.01
     line = record(4, "law-equality", ok,
                   f"500 runs each: slice1 p={r_slice.p_value:.4f}, "

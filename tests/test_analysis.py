@@ -16,6 +16,7 @@ from oracles import (
     flanks,
     head,
     is_monotone_tree,
+    reference_chi_square_compare,
     reference_enumerate_monotone_trees,
     shell_weighted_sum,
     trees_by_subset_filter,
@@ -30,7 +31,6 @@ from sidlalab.analysis import (
     extract_tree,
     flank_bound_test,
     flank_left_distances,
-    histogram,
     ks_test_exp1,
     level_profile,
     root_heights,
@@ -446,26 +446,63 @@ def test_ks_statistic_known_value():
     assert res.statistic == pytest.approx(0.5)
 
 
+def _sample(hist: dict) -> np.ndarray:
+    """The integer sample with the value -> count table hist."""
+    return np.repeat(np.array(list(hist), dtype=np.int64), list(hist.values()))
+
+
 def test_chi_square_identical_histograms():
-    h = {0: 40, 1: 30, 2: 30}
+    h = _sample({0: 40, 1: 30, 2: 30})
     res = chi_square_compare(h, h)
     assert (res.statistic, res.p_value) == (0.0, 1.0)
-    one = chi_square_compare({1: 30}, {1: 30})  # one bin: no test to make
+    one = chi_square_compare([1] * 30, [1] * 30)  # one bin: no test to make
     assert (one.statistic, one.p_value, one.n_bins) == (0.0, 1.0, 1)
 
 
 def test_chi_square_detects_shift():
-    res = chi_square_compare({0: 100, 1: 100}, {0: 160, 1: 40})
+    res = chi_square_compare(_sample({0: 100, 1: 100}), _sample({0: 160, 1: 40}))
     assert res.p_value < 1e-6
     assert res.dof == 1
 
 
 def test_chi_square_pools_sparse_bins():
-    a = {0: 50, 1: 50, 2: 2, 3: 1}
-    b = {0: 48, 1: 52, 2: 1, 3: 2}
+    a = _sample({0: 50, 1: 50, 2: 2, 3: 1})
+    b = _sample({0: 48, 1: 52, 2: 1, 3: 2})
     res = chi_square_compare(a, b)
     assert res.n_bins < 4
     assert res.p_value > 0.5
+
+
+@st.composite
+def sample_pair(draw):
+    """Two integer samples of 1..400 values each, drawn from one run of at
+    most 25 consecutive integers."""
+    lo = draw(st.integers(-50, 50))
+    values = st.integers(lo, lo + draw(st.integers(0, 24)))
+    return tuple(draw(st.lists(values, min_size=n, max_size=n))
+                 for n in (draw(st.integers(1, 400)), draw(st.integers(1, 400))))
+
+
+def _outcome(test, a, b):
+    """test's result with every float as its bits, or the type of the
+    ValueError (ConfigError among them) it raised."""
+    try:
+        res = test(a, b)
+    except ValueError as exc:
+        return type(exc)
+    return res.statistic.hex(), res.p_value.hex(), res.dof, res.n_bins
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_pair())
+@example(([0] * 40 + [1] * 30 + [2] * 30, [0] * 30 + [1] * 40 + [2] * 30))
+@example(([5] * 3, [5] * 4))  # one bin below 5
+@example(([1] * 30, [1] * 30))  # one bin
+def test_chi_square_compare_is_the_histogram_reference(pair):
+    """Binning by one bincount per sample and pooling on plain lists gives
+    the histogram-dict reference's result bit for bit, or its exception."""
+    a, b = pair
+    assert _outcome(chi_square_compare, a, b) == _outcome(reference_chi_square_compare, a, b)
 
 
 def test_chdtrc_matches_chi2_sf_bitwise():
@@ -482,16 +519,11 @@ def test_chdtrc_matches_chi2_sf_bitwise():
 
 def test_chi_square_needs_two_nonempty_histograms():
     with pytest.raises(ValueError):
-        chi_square_compare({}, {})
+        chi_square_compare([], [])
     with pytest.raises(ValueError):
-        chi_square_compare({0: 5, 1: 0}, {})
+        chi_square_compare([0] * 5, [])
 
 
 def test_chi_square_accepts_union_of_keys():
-    res = chi_square_compare({0: 50, 1: 50}, {0: 50, 2: 50})
+    res = chi_square_compare(_sample({0: 50, 1: 50}), _sample({0: 50, 2: 50}))
     assert res.n_bins >= 2
-
-
-def test_histogram():
-    assert histogram([1, 1, 2.0, 5]) == {1: 2, 2: 1, 5: 1}
-    assert histogram([]) == {}

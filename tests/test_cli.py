@@ -418,10 +418,11 @@ def test_fpp_refuses_an_unrepresentable_rate(capsys):
     assert not Path("f.json").exists()
 
 
-def test_compare_refuses_an_unrepresentable_rate(capsys):
+def test_compare_refuses_an_unrepresentable_rate(monkeypatch, capsys):
     """The fpp picture runs on levels 0..clip alone, yet a cap whose
     stretch rate (2**-1075) is no positive double is still refused, before
     any replica runs."""
+    monkeypatch.setattr(cli, "_compare_task", _no_work)
     assert run("compare", "-W", "1075", "-M", "1075", "--replicas", "2",
                "--out", "c.json") == EXIT_CONFIG
     assert "stretch rate at level M=1075" in capsys.readouterr().err
@@ -691,8 +692,7 @@ def test_compare_stops_particle_runs_at_the_clip_with_the_full_runs_report(
         for picture, forest in (("fpp", fo), ("sidla", st)):
             samples[picture][0].append(analysis.level_profile(forest, 0, 1))
             samples[picture][1].append(min(int(analysis.root_heights(forest)[0][0]), clip))
-    r_t1, r_h = (analysis.chi_square_compare(analysis.histogram(samples["fpp"][i]),
-                                             analysis.histogram(samples["sidla"][i]))
+    r_t1, r_h = (analysis.chi_square_compare(samples["fpp"][i], samples["sidla"][i])
                  for i in (0, 1))
     want = {"replicas": 40, "alpha": 0.01,
             "slice1": {"statistic": r_t1.statistic, "p_value": r_t1.p_value},
@@ -710,6 +710,31 @@ def test_compare_stops_particle_runs_at_the_clip_with_the_full_runs_report(
     assert code == (0 if min(r_t1.p_value, r_h.p_value) > 0.01 else 2)
     assert Path("c.json").read_bytes() == (json_text(want) + "\n").encode()
     assert f"compare height chi2={r_h.statistic:.6g} p={r_h.p_value:.6g}" in capsys.readouterr().out
+
+
+def test_compare_runs_one_replica_pass(monkeypatch, capsys):
+    """Each seed's task samples both pictures, so compare runs its
+    replicas once."""
+    calls, replicas = [], cli._replicas
+    monkeypatch.setattr(cli, "_replicas", lambda *a: calls.append(a[2]) or replicas(*a))
+    assert run("compare", "-W", "6", "-M", "3", "--replicas", "40", "--alpha", "1e-9") == 0
+    assert calls == [cli._compare_task]
+
+
+@pytest.mark.parametrize("method", ["rings", "jumps"])
+@pytest.mark.parametrize("W,M", [(8, 4), (16, 8)])
+@pytest.mark.parametrize("clip", [3, 16])
+def test_compare_task_reads_both_pictures_runs(W, M, clip, method):
+    """One task is root 0's level-1 slice and clipped height read from the
+    fpp run, then from the particle run, each stopped at min(clip, M)."""
+    for seed in range(1, 6):
+        want = []
+        for picture in ("fpp", "sidla"):
+            forest = cli._picture_run(picture, seed, W, M, "stretch", method,
+                                      up_to=min(clip, M), root=0)
+            want += [analysis.level_profile(forest, 0, 1),
+                     min(int(analysis.root_heights(forest)[0][0]), clip)]
+        assert cli._compare_task((seed, W, M, method, clip)) == want
 
 
 def test_compare_alpha_one_always_fails(capsys):
