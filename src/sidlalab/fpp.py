@@ -131,6 +131,14 @@ class Forest:
     def value_key(self) -> str:
         return VALUE_KEYS[self.label]
 
+    @classmethod
+    def unclaimed(cls, window: Window, label: str, seed: int) -> Forest:
+        """The boundary alone: row 0 as above, the rest unclaimed (NaN, parent -1, root -1)."""
+        shape = (window.M + 1, window.W)
+        values, root_x = np.full(shape, np.nan), np.full(shape, -1, dtype=np.int64)
+        values[0], root_x[0] = 0.0, 2 * np.arange(window.W)
+        return cls(window, label, seed, values, np.full(shape, -1, dtype=np.int8), root_x)
+
 
 def slice_sizes(forest: Forest) -> np.ndarray:
     """The slice-size table: ``sizes[j, m] = |T^m(root 2j)|``, the number
@@ -164,13 +172,10 @@ def build_forest(field: WeightField) -> Forest:
     double, whose ties would be decided by rule, raises ConfigError naming
     the first level that holds one.
     """
-    win = field.window
-    W, M = win.W, win.M
-    dist = np.zeros((M + 1, W), dtype=np.float64)
-    parent_dir = np.full((M + 1, W), -1, dtype=np.int8)
-    root_x = np.zeros((M + 1, W), dtype=np.int64)
+    W, M = field.window.W, field.window.M
+    forest = Forest.unclaimed(field.window, field.profile.value, field.seed)
+    dist, parent_dir, root_x = forest.values, forest.parent_dir, forest.root_x
     cols = np.arange(W, dtype=np.int64)
-    root_x[0] = 2 * cols
     # tail columns of the (right-step, left-step) edges into even, odd levels
     tail_cols = [tail_column(W, parity, cols, _IN_DIRS) for parity in (0, 1)]
     step = max(1, HASH_BLOCK // (2 * W))
@@ -187,7 +192,6 @@ def build_forest(field: WeightField) -> Forest:
                 take_right = cand_l > cand_r  # LEFT is code 0, so ties go LEFT
                 parent_dir[y] = take_right
                 root_x[y] = root_x[y - 1][np.where(take_right, cols_r, cols_l)]
-    forest = Forest(win, field.profile.value, field.seed, dist, parent_dir, root_x)
     check_finite(forest, 0, (M + 1) * W, "use a smaller height cap")
     return forest
 
@@ -424,8 +428,7 @@ def load_snapshot(path: str) -> Forest:
     if listed != n:
         raise ConfigError(f"snapshot {path} lists {listed} vertices; its {W}x{M} window "
                           f"holds {n}")
-    forest = Forest(win, label, seed, np.empty((M + 1, W)),
-                    np.empty((M + 1, W), dtype=np.int8), np.empty((M + 1, W), dtype=np.int64))
+    forest = Forest.unclaimed(win, label, seed)
     array = np.frombuffer(data, np.uint8)
     for lo in range(0, n, TEXT_BLOCK):
         hi = min(lo + TEXT_BLOCK, n)

@@ -103,14 +103,8 @@ class SidlaState:
 
 def new_state(window: Window, seed: int = 0) -> SidlaState:
     check_seeds(seed)
-    W, M = window.W, window.M
-    root_x = np.full((M + 1, W), -1, dtype=np.int64)
-    parent_dir = np.full((M + 1, W), -1, dtype=np.int8)
-    times = np.full((M + 1, W), np.nan, dtype=np.float64)
-    root_x[0] = 2 * np.arange(W, dtype=np.int64)
-    times[0] = 0.0
-    forest = Forest(window, "sidla", seed, times, parent_dir, root_x)
-    return SidlaState(forest, np.full_like(root_x, -1))
+    forest = Forest.unclaimed(window, "sidla", seed)
+    return SidlaState(forest, np.full_like(forest.root_x, -1))
 
 
 def _ring_arrivals(clock_mid: int, k: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,22 +140,6 @@ def _ring_draws(seed: int, n_rings: int, W: int, M: int):
         yield from zip(gaps.tolist(), sites.tolist(), coins.tolist())
 
 
-def _open_weights(W: int, M: int, root: int | None) -> list[int]:
-    """The stop rule's weight of each vertex, by flat index ``level * W +
-    col``: 1 if its tree is watched (root's, or every tree if root is None)
-    and its out-edges lead into levels 1..up_to, else 0.  Only the boundary
-    holds weights here; a driver gives each vertex it claims below up_to its
-    tail's weight.  The open edges are the free edges whose tail weighs 1:
-    a claim closes its in-edges from claimed tails (weight 0 if unclaimed)
-    and opens its out-edges to free heads."""
-    weight = [0] * ((M + 1) * W)
-    if root is None:
-        weight[:W] = [1] * W
-    else:
-        weight[root >> 1] = 1
-    return weight
-
-
 def _claims() -> tuple[array, array, array, array]:
     """Empty claim records, C arrays of each claim's vertex (flat index),
     root, direction and clock."""
@@ -189,7 +167,11 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
     Each ring drops a particle on its site and walks it up by its coins
     while the edge taken is its own tree's parent edge; it claims a free
     head as ring n and vanishes on a foreign one or at the cap.  ``opened``
-    counts the open edges (``_open_weights``).
+    counts the open edges: the free edges whose tail lies below up_to in a
+    watched tree (root's, or every tree if root is None).  A tail's root is
+    its ``mark & -2``, so a claim at row <= up_to closes its in-edges from
+    claimed tails of watched trees, and one at row < up_to by a watched
+    site opens its out-edges to free heads.
     """
     forest = state.forest
     W, M = forest.window.W, forest.window.M
@@ -198,8 +180,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
     mark = forest.root_x.tolist()
     claims = order, roots, dirs, times = _claims()
     rings = array("q")  # each claim's ring
-    weight = _open_weights(W, M, root)
-    clock, n, opened = 0.0, 0, 2 * sum(weight)
+    clock, n, opened = 0.0, 0, 2 * W if root is None else 2
     for gap, site, coins in _ring_draws(seed, max_rings, W, M):
         clock += gap
         c = site >> 1
@@ -217,11 +198,12 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
                 times.append(clock)
                 rings.append(n)
                 # the in-edges from columns left and right below close
-                tails, left = (row - 1) * W, (c + d - 1) % W
+                tails, left = mark[row - 1], (c + d - 1) % W
                 right = (left + 1) % W
-                opened -= weight[tails + left] + weight[tails + right]
-                if row < up_to and weight[tails + c]:
-                    weight[row * W + j] = 1
+                if row <= up_to:
+                    for t in (tails[left], tails[right]):
+                        opened -= t >= 0 and (root is None or t & -2 == root)
+                if row < up_to and (root is None or site == root):
                     heads = mark[row + 1]
                     opened += (heads[left] < 0) + (heads[right] < 0)
             break
@@ -263,9 +245,12 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
     then takes a uniform edge within it.  Only levels low..top (the lowest
     with free edges, the highest reached) hold any: the sums are 0.0 below
     and constant above, so an event sums the band alone, in the same float
-    adds, at O(band) cost.  ``opened`` counts the open edges
-    (``_open_weights``).  Owners are a flat list by vertex; each claim is
-    recorded in C arrays, written back at the end.
+    adds, at O(band) cost.  Owners are a flat list by vertex; each claim is
+    recorded in C arrays, written back at the end.  ``opened`` counts the
+    open edges: the free edges whose tail lies below up_to in a watched
+    tree (root's, or every tree if root is None).  So a claim at level h <=
+    up_to closes its free in-edges from watched owners, and one at h <
+    up_to in a watched tree opens its new out-edges.
     """
     forest = state.forest
     W, M = forest.window.W, forest.window.M
@@ -279,8 +264,7 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
     low = top = 1
     owner = forest.root_x.ravel().tolist()
     claims = order, roots, dirs, times = _claims()
-    weight = _open_weights(W, M, root)
-    clock, opened = 0.0, 2 * sum(weight)
+    clock, opened = 0.0, 2 * W if root is None else 2
     for e0, u1, u2 in _jump_draws(seed, W * M):
         pref = list(accumulate(term[low:top + 1]))
         rate_sum = pref[-1]
@@ -314,20 +298,21 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
                 if last != dead:
                     lst[i] = last
                     pos[last] = i
-                opened -= weight[dead >> 1]
+                if h <= up_to and (root is None or owner[dead >> 1] == root):
+                    opened -= 1
         term[h] = len(lst) * level_rate[h]
         if h < M:
             up = free[h + 1]
             heads = base + 2 * W
-            wv = weight[v] = weight[tail] if h < up_to else 0
+            opens = h < up_to and (root is None or tree == root)
             if owner[heads + left] < 0:  # the Left out-edge
                 pos[2 * v] = len(up)
                 up.append(2 * v)
-                opened += wv
+                opened += opens
             if owner[heads + right] < 0:
                 pos[2 * v + 1] = len(up)
                 up.append(2 * v + 1)
-                opened += wv
+                opened += opens
             term[h + 1] = len(up) * level_rate[h + 1]
             if h == top:
                 top = h + 1

@@ -297,6 +297,8 @@ def run_arrays(state):
 @example(("jumps", 1, 1, 1, 2))  # W = 1 and 2: a claim's two columns wrap
 @example(("rings", 2, 2, 1, 6))
 @example(("jumps", 2, 2, 1, 8))
+@example(("jumps", 2, 2, 1, 1))  # tails at level up_to open no edge
+@example(("jumps", 3, 3, 2, 0))
 def test_a_stopped_run_is_the_full_run_cut_at_its_stop(case):
     """A run stopped at level L equals the full run on rows 0..L and covers
     levels 1..L.  It is the full run cut after the event that claimed the
@@ -335,6 +337,8 @@ def root_stop_case(draw):
 @example(("jumps", 64, 32, 16, 0, 1))  # compare's stop at the benchmark's window
 @example(("rings", 10, 6, 3, 18, 5))
 @example(("jumps", 1, 1, 1, 0, 0))  # both out-edges of a root lead to one head
+@example(("jumps", 7, 7, 7, 12, 3))  # a root at the seam column, stopped at the cap
+@example(("rings", 1, 1, 1, 0, 4))  # W = 1: both tails of a claim lie in one column
 def test_a_root_stopped_run_is_final_on_the_roots_tree(case):
     """A run stopped once no free edge leads from root r's tree into levels
     1..L is the full run cut after its last event, and so equals it on that
