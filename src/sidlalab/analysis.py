@@ -152,23 +152,12 @@ def enumerate_monotone_trees(max_edges: int) -> Iterator[MonotoneTree]:
 # Slimness and flanks
 
 
-@dataclass(frozen=True)
-class SlimParams:
-    """Width threshold D for slim levels."""
-
-    D: float
-
-    def __post_init__(self) -> None:
-        if not self.D > 0:
-            raise ValueError(f"slim threshold D must be positive, got {self.D}")
-
-
-def slim_levels(tree: MonotoneTree, params: SlimParams) -> list[int]:
+def slim_levels(tree: MonotoneTree, D: float) -> list[int]:
     """Levels n up to the height where the slice size is strictly between
     0 and D."""
     counts = tree.level_counts()
     h = tree.height()
-    return [n for n in range(1, h + 1) if 0 < counts.get(n, 0) < params.D]
+    return [n for n in range(1, h + 1) if 0 < counts.get(n, 0) < D]
 
 
 def flank_left_distances(forest: Forest, n: int) -> np.ndarray:
@@ -294,6 +283,8 @@ def slim_fractions(forest: Forest, D: float, sizes: np.ndarray | None = None) ->
     given).  The tallest tree, the likeliest to cross the seam, is also
     lifted with ``extract_tree`` and counted with ``slim_levels``; a
     disagreement with the table raises RuntimeError."""
+    if not D > 0:
+        raise ValueError(f"slim threshold D must be positive, got {D}")
     M = forest.window.M
     if sizes is None:
         sizes = slice_sizes(forest)
@@ -303,7 +294,7 @@ def slim_fractions(forest: Forest, D: float, sizes: np.ndarray | None = None) ->
     tree = extract_tree(forest, 2 * j)
     counts = tree.level_counts()
     if ([counts[m] for m in range(1, M + 1)] != sizes[j, 1:].tolist()
-            or len(slim_levels(tree, SlimParams(D))) != slim[j]):
+            or len(slim_levels(tree, D)) != slim[j]):
         raise RuntimeError(f"slice-size table disagrees with the tree of root {2 * j}")
     kept = (heights < M) & (heights >= 1)
     return slim[kept] / heights[kept]

@@ -247,9 +247,10 @@ def replay(rings: Rings) -> SidlaState:
     first = [(int(np.argmax(bad)), why) for bad, why in faults if bad.any()]
     if first:
         i, why = min(first)
+        y, j = divmod(int(rings.head[i]), W)
         raise CouplingFault(
             f"ring {i} at t={float(rings.time[i])!r} site={int(rings.site[i])} "
-            f"head={divmod(int(rings.head[i]), W)}: {why}"
+            f"head={((y & 1) + 2 * j, y)}: {why}"
         )
 
     state = new_state(window)

@@ -323,9 +323,9 @@ def _expect(path: str, data: bytes, at: int, expected: bytes, to_end: bool = Fal
                       f"where the writer {writes}")
 
 
-# The widest value token with the comma after it, the most rootX digits
-# the reader takes, and by length, 1 for each byte of a value token.
-_VALUE_TOKEN, _ROOT_TOKEN = 25, 18
+# The widest value token with the comma after it, and by length, 1 for
+# each byte of a value token.
+_VALUE_TOKEN = 25
 _PREFIXES = (np.arange(_VALUE_TOKEN - 1) < np.arange(_VALUE_TOKEN)[:, None]).astype(np.uint8)
 
 
@@ -338,10 +338,11 @@ def _float_or_zero(token: bytes) -> float:
 
 def _read_rows(forest: Forest, data: np.ndarray, at: int, lo: int, hi: int) -> None:
     """Parse vertex rows lo..hi-1 of the writer's layout from data, the
-    file's bytes, starting at byte ``at``: the value, parentDir and rootX
-    tokens of each line, found by position, into the forest's arrays.
-    Bytes that are not the writer's parse to something that re-encodes
-    differently."""
+    file's bytes, starting at byte ``at``: the value and parentDir tokens
+    of each line, found by position, into the forest's arrays.  Each root
+    label above the boundary is its parent's, set one level segment at a
+    time, so rows before lo must already hold theirs.  Bytes that are not
+    the writer's parse to something that re-encodes differently."""
     W, M = forest.window.W, forest.window.M
     y, j = np.divmod(np.arange(lo, hi), W)
     x = (y & 1) + 2 * j
@@ -349,7 +350,7 @@ def _read_rows(forest: Forest, data: np.ndarray, at: int, lo: int, hi: int) -> N
     powers = 10 ** np.arange(1, 19)
     prefix = len(_ROW_X) + len(_ROW_Y) + len(_value_column(forest))
     longest = (prefix + len(str(2 * W - 1)) + len(str(M)) + _VALUE_TOKEN + len(_ROW_DIR) + 4
-               + len(_ROW_ROOT) + _ROOT_TOKEN + len(_ROW_END))
+               + len(_ROW_ROOT) + len(str(2 * W)) + len(_ROW_END))
     # each line's newline; past a missing one the line, longer than any the
     # writer writes, mismatches whatever is parsed there
     newline = np.full(rows, min(at + rows * longest, len(data) - 1))
@@ -369,19 +370,12 @@ def _read_rows(forest: Forest, data: np.ndarray, at: int, lo: int, hi: int) -> N
     start += length + len(_ROW_DIR)
     letter = data[np.minimum(start + 1, len(data) - 1)]
     code = np.where(letter == ord("L"), Dir.LEFT, np.where(letter == ord("R"), Dir.RIGHT, -1))
-    start += np.where(code < 0, 4, 3) + len(_ROW_ROOT)
-    # rootX ends at the "}" that ends its line, the window's last "}\n"
-    close = np.clip(newline - 2 + (np.arange(lo, hi) == (M + 1) * W - 1),
-                    _ROOT_TOKEN, len(data))
-    length = close - start
-    width = int(np.clip(length, 1, _ROOT_TOKEN).max())
-    token = sliding_window_view(data, width)[close - width].astype(np.int64) - ord("0")
-    inside = np.arange(width, 0, -1) <= length[:, None]
-    ok = (length > 0) & (length <= width) & ((token >= 0) & (token <= 9) | ~inside).all(axis=1)
-    roots = (token * inside * 10 ** np.arange(width - 1, -1, -1)).sum(axis=1)
     forest.values.ravel()[lo:hi] = values
     forest.parent_dir.ravel()[lo:hi] = code
-    forest.root_x.ravel()[lo:hi] = np.where(ok, roots, 0)
+    roots = forest.root_x.ravel()
+    for level in range(max(lo // W, 1), (hi - 1) // W + 1):
+        a, b = max(level * W, lo), min(level * W + W, hi)
+        roots[a:b] = roots[incoming_tail_index(W, np.arange(a, b), code[a - lo:b - lo])]
 
 
 def load_snapshot(path: str) -> Forest:
@@ -390,12 +384,13 @@ def load_snapshot(path: str) -> Forest:
     The header is parsed as JSON (W, M and seed must be integers, the seed
     in 0..2**64-1, and the profile a label), and the vertex lines are
     counted against the window before anything of its size is allocated.
-    Then the values, parent directions and root labels are parsed from the
-    file's bytes one block of lines at a time, re-encoded by the writer's
-    own row code and compared with the file: the first line that differs
-    is refused with ConfigError naming it, the file's text and the
-    writer's, and so is a non-finite value, by the writer's guard.  Then
-    the arrays must pass check_invariants.
+    Then the values and parent directions are parsed from the file's bytes
+    one block of lines at a time, each root label is derived as its
+    parent's, and the block is re-encoded by the writer's own row code and
+    compared with the file: the first line that differs is refused with
+    ConfigError naming it, the file's text and the writer's, and so is a
+    non-finite value, by the writer's guard.  Then the arrays must pass
+    check_invariants.
     """
     try:
         with open(path, "rb") as fh:

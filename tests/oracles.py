@@ -78,7 +78,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 from scipy.special import chdtrc
 
-from sidlalab.analysis import Chi2Result, SlimParams, extract_tree, root_heights, slim_levels
+from sidlalab.analysis import Chi2Result, extract_tree, root_heights, slim_levels
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import Forest, WeightField, WeightProfile, load_snapshot
@@ -1017,13 +1017,12 @@ def reference_slim_fractions(obj, slim_d: float) -> list[float]:
     positive height, its slim-level count over its height."""
     W = obj.window.W
     heights, censored = root_heights(obj)
-    params = SlimParams(D=slim_d)
     slim_fracs = []
     for j in range(W):
         if censored[j] or heights[j] < 1:
             continue
         tree = extract_tree(obj, 2 * j)
-        frac = len(slim_levels(tree, params)) / heights[j]
+        frac = len(slim_levels(tree, slim_d)) / heights[j]
         slim_fracs.append(frac)
     return slim_fracs
 

@@ -24,7 +24,6 @@ from oracles import (
 from sidlalab.analysis import (
     Chi2Result,
     MonotoneTree,
-    SlimParams,
     chi_square_compare,
     coverage_partition_check,
     enumerate_monotone_trees,
@@ -36,6 +35,7 @@ from sidlalab.analysis import (
     root_heights,
     shell_identity_check,
     shell_weight,
+    slim_fractions,
     slim_levels,
     tail_height_estimate,
     wilson_interval,
@@ -201,15 +201,18 @@ def test_level_profile_validation():
 
 
 def test_slim_params_validation():
-    SlimParams(D=4.0)
-    with pytest.raises(ValueError):
-        SlimParams(D=0.0)
+    """slim_fractions refuses a slim threshold D that is not positive."""
+    fo = build_forest(WeightField(1, WeightProfile.STRETCH, Window(8, 4)))
+    slim_fractions(fo, 4.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="slim threshold D must be positive"):
+            slim_fractions(fo, bad)
 
 
 def test_slim_levels_thin_chain():
     chain = MonotoneTree(0, frozenset([(0, 0, Dir.RIGHT), (1, 1, Dir.RIGHT), (2, 2, Dir.RIGHT)]))
-    assert slim_levels(chain, SlimParams(D=2.0)) == [1, 2, 3]
-    assert slim_levels(chain, SlimParams(D=1.0)) == []  # strict on both sides
+    assert slim_levels(chain, 2.0) == [1, 2, 3]
+    assert slim_levels(chain, 1.0) == []  # strict on both sides
 
 
 def fake_forest_one_column_tree():

@@ -188,7 +188,9 @@ def test_replay_detects_boundary_ring_before_its_head_claim():
     claim = np.flatnonzero(interior(rings) & (rings.head == rings.head[i]))[0]
     assert claim < i
     broken = rings.take(np.r_[0:claim, i, claim:i, i + 1:len(rings)])
-    with pytest.raises(CouplingFault, match=f"ring {claim} .*before the claim"):
+    v = vertex_at(win, *divmod(int(rings.head[i]), win.W))
+    with pytest.raises(CouplingFault,
+                       match=rf"ring {claim} .* head=\({v.x}, {v.y}\): .*before the claim"):
         replay(broken)
 
 
@@ -196,7 +198,9 @@ def test_replay_detects_a_second_claim():
     win, forest, rings, _ = make_rings(seed=3)
     i = np.flatnonzero(interior(rings))[0]
     doubled = rings.take(np.r_[0:len(rings), i])
-    with pytest.raises(CouplingFault, match="already claimed"):
+    v = vertex_at(win, *divmod(int(rings.head[i]), win.W))
+    with pytest.raises(CouplingFault,
+                       match=rf"ring {len(rings)} .* head=\({v.x}, {v.y}\): .*already claimed"):
         replay(doubled)
 
 

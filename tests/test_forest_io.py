@@ -19,7 +19,7 @@ from oracles import (
     reference_snapshot_text,
     snapshot_arrays_sha256,
 )
-from sidlalab import analysis
+from sidlalab import analysis, fpp
 from sidlalab.analysis import MonotoneTree, flank_left_distances, slim_fractions
 from sidlalab.cli import main
 from sidlalab.errors import ConfigError
@@ -291,10 +291,10 @@ def line_no(x, y, W=4):
     return 6 + y * W + x // 2
 
 
-def edit(text, x, y, key, token):
+def edit(text, x, y, key, token, W=4):
     """text with the key's token in vertex (x, y)'s line replaced."""
     lines = text.split("\n")
-    i = line_no(x, y) - 1
+    i = line_no(x, y, W) - 1
     lines[i], n = re.subn(rf'"{key}": [^,}}]+', f'"{key}": {token}', lines[i])
     assert n == 1
     return "\n".join(lines)
@@ -386,10 +386,15 @@ def test_loader_takes_only_the_writers_vertex_order(tmp_path):
 def test_loader_refuses_a_boundary_parent_dir(tmp_path):
     rejects(tmp_path, edit(small_text(), 0, 0, "parentDir", '"L"'),
             r'line 6 reads .*"parentDir": "L".* where the writer writes .*"parentDir": null')
-    # null above the boundary is the writer's text of a missing parent,
-    # which check_invariants refuses
+    # null above the boundary is the writer's text of a missing parent.  It
+    # names no edge, so the root label derived through it is some other
+    # vertex's; where that differs from the file's rootX the line is named,
+    # and where it agrees check_invariants refuses the missing parent
     rejects(tmp_path, edit(small_text(), 1, 1, "parentDir", "null"),
-            r"inconsistent snapshot .*: vertex \(1, 1\) has parent direction code -1; "
+            r'line 10 reads .*"parentDir": null, "rootX": 2\}.* where the writer writes '
+            r'.*"parentDir": null, "rootX": 4\}')
+    rejects(tmp_path, edit(small_text(), 2, 2, "parentDir", "null"),
+            r"inconsistent snapshot .*: vertex \(2, 2\) has parent direction code -1; "
             "above the boundary it must be L or R")
 
 
@@ -444,12 +449,39 @@ def test_loader_refuses_numbers_the_writer_writes_otherwise(tmp_path, x, y, key,
 def test_loader_rejects_root_contradicting_parent_chain(tmp_path):
     root = json.loads(small_text())["vertices"][line_no(3, 3) - 6]["rootX"]
     rejects(tmp_path, edit(small_text(), 3, 3, "rootX", (root + 2) % 8),
-            r"vertex \(3, 3\) has a root label other than its parent's")
+            rf'line 19 reads .*"rootX": {(root + 2) % 8}\}}.* where the writer writes '
+            rf'.*"rootX": {root}\}}')
+
+
+@pytest.mark.parametrize("seed,x,y,root", [
+    (1, 4, 2, 6),  # the first line of a block, its level begun in the block before
+    (3, 0, 2, 10),  # a root at the seam column, its tree across the seam
+    (1, 11, 1, 0),  # a root at column 0, its tree across the seam
+])
+def test_loader_derives_roots_of_a_level_split_between_blocks(tmp_path, monkeypatch, seed,
+                                                              x, y, root):
+    """With 7 lines per reader block on a 6-wide window, every level above
+    the boundary is split between two blocks.  The root labels, derived one
+    level segment at a time, reload the forest exactly, and a rootX edited
+    in a split level is refused, naming its line."""
+    monkeypatch.setattr(fpp, "TEXT_BLOCK", 7)
+    W = 6
+    fo = build_forest(WeightField(seed, WeightProfile.STRETCH, Window(W, 4)))
+    assert fo.root_x[y, x // 2] == root
+    text = snapshot_text(fo)
+    path = tmp_path / "f.json"
+    path.write_bytes(text)
+    assert_same_snapshot(load_snapshot(str(path)), fo)
+    other = (root + 2) % (2 * W)
+    rejects(tmp_path, edit(text.decode(), x, y, "rootX", other, W),
+            rf'line {line_no(x, y, W)} reads .*"x": {x}, "y": {y}, .*"rootX": {other}\}}.* '
+            rf'where the writer writes .*"rootX": {root}\}}')
 
 
 def test_loader_rejects_wrong_boundary_label_and_falling_value(tmp_path):
     rejects(tmp_path, edit(small_text(), 2, 0, "rootX", 4),
-            r"boundary vertex \(2,0\) has root label 4")
+            r'line 7 reads .*"x": 2, "y": 0, .*"rootX": 4\}.* where the writer writes '
+            r'.*"rootX": 2\}')
     rejects(tmp_path, edit(small_text(), 1, 3, "dist", -1),
             r"vertex \(1, 3\) has a value below its parent's")
 
