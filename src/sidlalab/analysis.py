@@ -8,7 +8,7 @@ monotone trees.  The statistical family summarizes simulation samples:
 tree heights with censoring, slice profiles, the flank distance tail
 bound, survival curves with binomial confidence bands, and the generic KS
 and chi-square tests used to compare the particle picture with the weight
-picture.
+picture, with their p-values from closed forms in Python floats.
 
 Everything here is a pure function of its inputs; nothing draws random
 numbers.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov
 
 from .errors import ConfigError
 from .fpp import Forest, slice_sizes, tree_heights
@@ -317,6 +316,64 @@ def tail_height_estimate(heights, levels) -> tuple[np.ndarray, np.ndarray, np.nd
 # Generic tests
 
 
+def chi2_sf(k: int, x: float) -> float:
+    """P(X > x) for X chi-square with k >= 1 degrees of freedom, Q(k/2, x/2),
+    as sums of positive terms (Abramowitz & Stegun 26.4.4-26.4.5).
+
+    With h = x/2, let t_j = h**j / j! for even k and h**(j - 1/2) /
+    gamma(j + 1/2) for odd k.  Then Q = exp(-h) * sum(t_j for j < k/2), plus
+    erfc(sqrt(h)) for odd k, and the lower tail 1 - Q is exp(-h) times the
+    rest of the series.  Far below the mean (8h < k) Q is one minus that
+    small lower tail, which keeps Q monotone where it rounds to 1.  Where
+    exp(-h) would be subnormal, or the terms are rescaled by powers of two
+    to stay finite, the weight goes into the exponent instead."""
+    h = 0.5 * x
+    if 0.0 < 8.0 * h < k:
+        a = 0.5 * k
+        s, t, d = 0.0, 1.0, a + 1.0
+        while t > 1e-17 * s:
+            s += t
+            t = t * h / d
+            d += 1.0
+        return 1.0 - math.exp(a * math.log(h) - h - math.lgamma(a + 1.0)) * s
+    if k % 2:
+        p, t, d = math.erfc(math.sqrt(h)), math.sqrt(h) / math.gamma(1.5), 1.5
+    else:
+        p, t, d = 0.0, 1.0, 1.0
+    s, scale = 0.0, 0  # the terms are scaled by 2**-scale
+    for _ in range(k // 2):
+        s += t
+        t = t * h / d
+        d += 1.0
+        if t > 2.0 ** 960:
+            s, t, scale = math.ldexp(s, -960), math.ldexp(t, -960), scale + 960
+    if h < 708.0 and not scale:
+        return min(p + math.exp(-h) * s, 1.0)
+    if s:
+        p += math.exp(math.log(s) + scale * math.log(2.0) - h)
+    return min(p, 1.0)
+
+
+def kolmogorov_sf(y: float) -> float:
+    """P(sqrt(n) D_n > y) in the limit n -> oo: the Kolmogorov survival
+    function, by its alternating series for y >= 1 and its theta-function
+    form below 1 (Marsaglia, Tsang & Wang 2003), clamped to [0, 1]."""
+    if y >= 1.0:
+        s, k = 0.0, 1
+        while True:
+            term = math.exp(-2.0 * k * k * y * y)
+            s += term if k % 2 else -term
+            if term <= 1e-17 * s:
+                break
+            k += 1
+        p = 2.0 * s
+    else:
+        s = sum(math.exp(-(2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * y * y))
+                for k in range(1, 8))
+        p = 1.0 - math.sqrt(2.0 * math.pi) / y * s
+    return min(max(p, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
@@ -338,7 +395,7 @@ def ks_test_exp1(sample) -> KsResult:
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1.0) / n)
     d = max(float(d_plus), float(d_minus))
-    p = float(kolmogorov(math.sqrt(n) * d))
+    p = kolmogorov_sf(math.sqrt(n) * d)
     return KsResult(statistic=d, p_value=p, n_samples=int(n))
 
 
@@ -387,5 +444,5 @@ def chi_square_compare(sample_a, sample_b) -> Chi2Result:
     eb = n_b * col / total
     stat = float(np.sum((av - ea) ** 2 / ea) + np.sum((bv - eb) ** 2 / eb))
     dof = len(av) - 1
-    p = float(chdtrc(dof, stat))
+    p = chi2_sf(dof, stat)
     return Chi2Result(statistic=stat, p_value=p, dof=dof, n_bins=len(av))

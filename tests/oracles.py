@@ -76,9 +76,8 @@ from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc
 
-from sidlalab.analysis import Chi2Result, extract_tree, root_heights, slim_levels
+from sidlalab.analysis import Chi2Result, chi2_sf, extract_tree, root_heights, slim_levels
 from sidlalab.coupling import REPEAT_MODES, AuxClockField, RingKind
 from sidlalab.errors import ConfigError, CouplingFault
 from sidlalab.fpp import Forest, WeightField, WeightProfile, load_snapshot
@@ -1094,7 +1093,7 @@ def reference_chi_square_compare(sample_a, sample_b) -> Chi2Result:
     eb = bv.sum() * col / total
     stat = float(np.sum((av - ea) ** 2 / ea) + np.sum((bv - eb) ** 2 / eb))
     dof = len(av) - 1
-    p = float(chdtrc(dof, stat))
+    p = chi2_sf(dof, stat)
     return Chi2Result(statistic=stat, p_value=p, dof=dof, n_bins=len(av))
 
 

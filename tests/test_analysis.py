@@ -24,12 +24,14 @@ from oracles import (
 from sidlalab.analysis import (
     Chi2Result,
     MonotoneTree,
+    chi2_sf,
     chi_square_compare,
     coverage_partition_check,
     enumerate_monotone_trees,
     extract_tree,
     flank_bound_test,
     flank_left_distances,
+    kolmogorov_sf,
     ks_test_exp1,
     level_profile,
     root_heights,
@@ -508,16 +510,68 @@ def test_chi_square_compare_is_the_histogram_reference(pair):
     assert _outcome(chi_square_compare, a, b) == _outcome(reference_chi_square_compare, a, b)
 
 
-def test_chdtrc_matches_chi2_sf_bitwise():
-    """chi_square_compare takes its p-value from scipy.special.chdtrc so
-    that scipy.stats stays off the import path; it equals chi2.sf bit for
-    bit on the dof and statistic ranges the CLI produces."""
-    from scipy.special import chdtrc
-    from scipy.stats import chi2
+_TINY = np.finfo(np.float64).tiny
 
-    x = np.concatenate([np.linspace(0.0, 200.0, 5001), np.geomspace(1e-8, 1e3, 200)])
-    for dof in range(1, 40):
-        assert chdtrc(dof, x).tobytes() == chi2.sf(x, dof).tobytes(), dof
+
+def _check_against_oracle(ours: np.ndarray, oracle: np.ndarray, tol) -> None:
+    """Relative error within tol where the oracle is a normal double; below
+    that both values must be below the smallest normal (with the slack of
+    one subnormal rounding)."""
+    normal = oracle >= _TINY
+    rel = np.abs(ours[normal] - oracle[normal]) / oracle[normal]
+    assert np.all(rel <= np.broadcast_to(tol, oracle.shape)[normal]), rel.max()
+    assert np.all(ours[~normal] < 2.3e-308) and np.all(oracle[~normal] < 2.3e-308)
+
+
+def test_chi2_sf_matches_scipy_within_bound():
+    """chi2_sf against scipy.special.chdtrc, a test-only oracle, for dof
+    1-60 and statistics up to 2000.  Each error of chi2_sf that can exceed
+    a few ulps grows with h = x/2: erfc at a rounded sqrt(h) and an
+    exponent of size h rounded to a double, at most h * 2**-52 together,
+    and chdtrc itself is off by up to 1.3e-13 there (against 40-digit
+    mpmath at x = 1491.2, dof 41).  From h = 708 exp(-h) is subnormal and
+    the weight goes into the exponent: at (16, 1490) and (40, 1600)
+    exp(-h) * s would give 1.26e-307 and 0 against 7.20e-308 and 4.45e-310.
+    p lies in [0, 1] and does not increase with x."""
+    from scipy.special import chdtrc
+
+    x = np.unique(np.concatenate([np.linspace(0.0, 2000.0, 8001),
+                                  np.geomspace(1e-8, 2000.0, 800), [1490.0, 1600.0]]))
+    for dof in range(1, 61):
+        ours = np.array([chi2_sf(dof, v) for v in x.tolist()])
+        _check_against_oracle(ours, chdtrc(dof, x), 1e-13 + x / 2 * 2.0 ** -52)
+        assert ours[0] == 1.0 and np.all((ours >= 0.0) & (ours <= 1.0)), dof
+        assert np.all(np.diff(ours) <= 0.0), dof
+
+
+def test_chi2_sf_stays_finite_for_many_degrees_of_freedom():
+    """Terms h**j / j! past exp(709) are rescaled, not overflowed: near the
+    mean p stays near one half however large the dof."""
+    from scipy.special import chdtrc
+
+    for dof, x in [(1500, 1500.0), (2000, 2000.0), (1417, 1600.0), (5001, 4000.0)]:
+        assert abs(chi2_sf(dof, x) - float(chdtrc(dof, x))) < 1e-12, dof
+
+
+def test_chi2_sf_gives_the_compare_pins_bit_for_bit():
+    """The pinned compare.json p-values (64x32, 40 replicas, seeds 1 and
+    4242), which scipy's chdtrc produced before."""
+    assert chi2_sf(2, 1.8361638361638362) == 0.39928416680355588
+    assert chi2_sf(3, 2.0042735042735043) == 0.57152019662201825
+    assert chi2_sf(3, 0.91034482758620694) == 0.82293067354097515
+
+
+def test_kolmogorov_sf_matches_scipy_within_bound():
+    """kolmogorov_sf against scipy.special.kolmogorov, a test-only oracle,
+    on (0, 6]; p lies in [0, 1] and does not increase with y."""
+    from scipy.special import kolmogorov
+
+    y = np.unique(np.concatenate([np.linspace(0.0, 6.0, 24001)[1:], np.geomspace(1e-3, 6.0, 500)]))
+    ours = np.array([kolmogorov_sf(v) for v in y.tolist()])
+    _check_against_oracle(ours, kolmogorov(y), 1e-13)
+    assert np.all((ours >= 0.0) & (ours <= 1.0))
+    assert np.all(np.diff(ours) <= 0.0)
+    assert kolmogorov_sf(40.0) == 0.0
 
 
 def test_chi_square_needs_two_nonempty_histograms():

@@ -786,23 +786,56 @@ def test_jobs_parallel_matches_serial(capsys):
                 == Path(f"ser_s{s}.json").read_bytes())
 
 
-def loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter that imports the CLI has loaded module."""
+def _cli_env() -> dict:
+    """The environment of a fresh interpreter that finds this sidlalab."""
     src = str(Path(sidlalab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter that imports the CLI has loaded module."""
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys, sidlalab.cli; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+        env=_cli_env(), capture_output=True, text=True, check=True,
     )
     return out.stdout.strip() == "True"
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """scipy.stats costs most of a cold start; a fresh interpreter that
-    imports the CLI must not load it."""
-    assert not loaded_by_cli_import("scipy.stats")
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports the CLI loads no scipy module (none loads without the
+    package itself)."""
+    assert not loaded_by_cli_import("scipy")
+
+
+def test_p_value_commands_run_without_scipy(tmp_path):
+    """compare and couple, the two commands that report p-values, exit 0
+    or 2 in an interpreter where importing scipy fails, and write the same
+    bytes as without that block."""
+    commands = {
+        "compare": ["compare", "-W", "8", "-M", "4", "--replicas", "40",
+                    "--out", "compare.json"],
+        "couple": ["couple", "-W", "8", "-M", "4", "--repeats", "full",
+                   "--out", "couple.json", "--gaps-out", "gaps.csv"],
+    }
+    outputs = {}
+    for blocked in (False, True):
+        block = "sys.modules['scipy'] = None; " if blocked else ""
+        for name, argv in commands.items():
+            cwd = tmp_path / f"{name}-{blocked}"
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 f"import sys; {block}from sidlalab.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv],
+                cwd=cwd, env=_cli_env(), capture_output=True, text=True)
+            assert proc.returncode in (0, 2), (name, blocked, proc.stderr)
+            outputs[name, blocked] = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    for name in commands:
+        assert outputs[name, True] == outputs[name, False] != {}, name
 
 
 def test_cli_import_leaves_the_process_pool_out():
