@@ -383,18 +383,22 @@ class KsResult:
 
 def ks_test_exp1(sample) -> KsResult:
     """One-sample KS against the unit-rate exponential CDF with the
-    standard asymptotic p-value."""
-    arr = np.sort(np.asarray(sample, dtype=np.float64))
-    n = arr.size
+    standard asymptotic p-value.  The statistic is computed in place: one
+    sorted copy of the sample and one index array."""
+    cdf = np.array(sample, dtype=np.float64).ravel()  # the one copy, sorted
+    cdf.sort()
+    n = cdf.size
     if n < 10:
         raise ValueError(f"need >= 10 samples, got {n}")
-    if arr[0] <= 0.0:
+    if cdf[0] <= 0.0:
         raise ValueError("sample contains nonpositive values")
-    cdf = -np.expm1(-arr)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1.0) / n)
-    d = max(float(d_plus), float(d_minus))
+    np.negative(np.expm1(np.negative(cdf, out=cdf), out=cdf), out=cdf)  # 1 - exp(-x)
+    step = np.arange(1, n + 1, dtype=np.float64)  # i, then i / n - cdf
+    d_plus = float(np.subtract(np.divide(step, n, out=step), cdf, out=step).max())
+    del step  # so the next index array takes its place
+    step = np.arange(n, dtype=np.float64)  # i - 1, then cdf - (i - 1) / n
+    d_minus = float(np.subtract(cdf, np.divide(step, n, out=step), out=step).max())
+    d = max(d_plus, d_minus)
     p = kolmogorov_sf(math.sqrt(n) * d)
     return KsResult(statistic=d, p_value=p, n_samples=int(n))
 

@@ -97,77 +97,113 @@ def atomic_write_text(path: str, data) -> None:
 # Python's own '%.17g': a fast path with a scalar fallback, as in Grisu3
 # (Loitsch 2010).  A fraction near 0 or 1 is harmless: N and N + 1 with a
 # fraction near 1 both round to N + 1.
+#
+# The text is byte arithmetic on tables.  N is split once at 10**8 into
+# int32 halves, which give its five words of four digits by floor division
+# by a scalar (numpy's fast division; np.divmod has none).  By word, a
+# 10,000-row table gives the count of trailing zeros, so the digits to
+# keep, and two more the ASCII digits as the low or the high half of a
+# uint64, so each cell is built as four uint64: one contiguous (n, 32)
+# byte frame.  Rows of 0/1 tables, by the digits kept and the place of the
+# point, blank what %g drops; where the point falls inside the digits,
+# those before it move one byte left by a one-byte shift of the flat
+# frame.  The sign, a "0.000" lead and the exponent come from one table by
+# (E + 300) * 2 + sign.
 
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _TIE = 2.0 ** -44
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-_E16, _E17 = 10 ** 16, 10 ** 17
+_E8, _E16, _E17 = 10 ** 8, 10 ** 16, 10 ** 17
 
-# Columns of a float cell: sign, a "0.000" lead for -4 <= E < 0, the 17
-# digits with at most one point among them, then "e", the exponent's sign
-# and three exponent digits.
-_FLOAT_CELL = 29
+# A float cell, as four uint64 columns of eight bytes: the sign and a
+# "0.000" lead for -4 <= E < 0 in bytes 0..5, the frame of the five words of
+# N in bytes 4..23 (three zeros, then the 17 digits from byte 7), and "e",
+# the exponent's sign and its digits in bytes 24..31.
+_FLOAT_CELL = 32
 
 
 @functools.cache
 def _layout_tables() -> dict:
     """Lookup tables of the %g layout, built on first use.
 
-    ``digits``: the four ASCII digits of each of 0..9999 as one uint32 word;
-    ``exponent``: the lead and exponent columns of decimal exponent E at row
-    E + 300; ``keep``, by row q, 1 for each of the first q digits; ``left``,
-    ``dot`` and ``right``, by row q, 1 for the body columns that hold their
-    own digit, 46 (the point) and 1 for those that hold the digit before
-    them, when the point follows digit q (row 17: no point).
+    ``digits``: the four ASCII digits of each of 0..9999 as one uint32 word,
+    ``zeros`` its count of trailing zeros (4 for 0), and ``halves`` the
+    same digits in bytes 0..3 and in bytes 4..7 of a uint64; ``ends``, at
+    row (E + 300) * 2 + s, bytes 0..7 (the sign if s, then the lead) and
+    24..31 (the exponent) of a cell for decimal exponent E.  By row
+    18 * k + q, for the first k of the 17 digits kept and the point after
+    q + 1 of them (q = 17: no point), over the cell's bytes: ``left``, 1 for
+    the bytes that take the kept digit after them, ``dot``, 46 at the point,
+    and ``right``, 1 for the kept digits that stay.
     """
-    d = np.arange(10_000)
-    ascii4 = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + 48
-    exponent = np.zeros((601, 10), dtype=np.uint8)
+    d = np.arange(10_000, dtype=np.uint16)
+    ascii4 = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1).astype(np.uint8)
+    ascii4 += 48
+    halves = np.zeros((2, 10_000, 8), dtype=np.uint8)
+    halves[0, :, :4] = halves[1, :, 4:] = ascii4
+    ends = np.zeros((601, 2, 16), dtype=np.uint8)
+    ends[:, 1, 0] = 45
     for e in range(-300, 301):
         if -4 <= e < 0:
-            exponent[e + 300, :1 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
+            ends[e + 300, :, 1:2 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
         elif not 0 <= e < 17:
             text = b"e%+03d" % e
-            exponent[e + 300, 10 - len(text):] = np.frombuffer(text, np.uint8)
-    col, q = np.arange(18), np.arange(18)[:, None]
-    return {"digits": ascii4.astype(np.uint8).view(np.uint32).ravel(), "exponent": exponent,
-            "keep": (col[:17] < q).astype(np.uint8), "left": (col <= q).astype(np.uint8),
-            "dot": np.uint8(46) * (col == q + 1), "right": (col > q + 1).astype(np.uint8)}
+            ends[e + 300, :, 16 - len(text):] = np.frombuffer(text, np.uint8)
+    col, q = np.arange(_FLOAT_CELL), np.arange(18)[:, None]
+    keep = ((col >= 7) & (col < q + 7))[:, None]  # by k, then q
+    left = np.roll(keep, -1, axis=2) & (col <= q + 6) & (q < 17)
+    right = keep & ((col > q + 7) | (q == 17))
+    return {"digits": ascii4.view(np.uint32).ravel(),
+            "zeros": (ascii4[:, ::-1] == 48).cumprod(1, dtype=np.uint8).sum(1, dtype=np.uint8),
+            "halves": halves.view(np.uint64)[..., 0], "ends": ends.view(np.uint64).reshape(-1, 2),
+            "left": left.astype(np.uint8).reshape(-1, _FLOAT_CELL),
+            "dot": np.tile(np.uint8(46) * ((col == q + 7) & (q < 17)), (18, 1)),
+            "right": right.astype(np.uint8).reshape(-1, _FLOAT_CELL)}
 
 
 @functools.cache
-def _pow10_parts(k: int) -> tuple[float, float, float, float]:
-    """hi, lo and hi's Dekker halves of 10**k: hi is 10**k rounded and lo
-    the rounded rest, built on first use for the exponents a call needs.
-    10**k is the integer ratio a / b, and int / int rounds correctly."""
-    a, b = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-    hi = a / b
-    p, q = hi.as_integer_ratio()
-    c = _SPLIT * hi
-    hi_h = c - (c - hi)
-    return hi, (a * q - p * b) / (b * q), hi_h, hi - hi_h
-
-
-def _pow10(k: np.ndarray) -> list[np.ndarray]:
-    """_pow10_parts of each element of k, as four arrays."""
-    k0 = int(k.min())
-    table = np.array([_pow10_parts(j) for j in range(k0, int(k.max()) + 1)]).T.copy()
-    return [column[k - k0] for column in table]
+def _pow10_table() -> np.ndarray:
+    """hi, lo and hi's Dekker halves of 10**k for k = -300..300, as the four
+    rows of a (4, 601) array at column k + 300: hi is 10**k rounded and lo
+    the rounded rest.  10**k is the integer ratio a / b, and int / int
+    rounds correctly."""
+    parts = []
+    for k in range(-300, 301):
+        a, b = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = a / b
+        p, q = hi.as_integer_ratio()
+        c = _SPLIT * hi
+        hi_h = c - (c - hi)
+        parts.append((hi, (a * q - p * b) / (b * q), hi_h, hi - hi_h))
+    return np.array(parts).T.copy()
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer part and fraction of a * 10**(16 - e), for a in the table's
-    range (see the error bound above)."""
-    hi, lo, hi_h, hi_l = _pow10(16 - e)
-    p = a * hi
-    c = _SPLIT * a
-    a_h = c - (c - a)
-    a_l = a - a_h
-    err = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
-    whole = np.floor(p)
-    r = (p - whole) + (err + a * lo)
-    carry = np.floor(r)
-    return whole.astype(np.int64) + carry.astype(np.int64), r - carry
+    range (see the error bound above), in place where the terms allow."""
+    p, lo, hi_h, hi_l = _pow10_table().take(316 - e, axis=1)
+    p *= a  # a * hi
+    a_h = _SPLIT * a
+    a_l = a_h - a
+    a_h -= a_l
+    np.subtract(a, a_h, out=a_l)
+    err = a_h * hi_h  # then + a_h * hi_l + a_l * hi_h + a_l * hi_l, in order
+    err -= p
+    a_h *= hi_l
+    err += a_h
+    hi_h *= a_l
+    err += hi_h
+    a_l *= hi_l
+    err += a_l
+    big = p.astype(np.int64)  # floor(p), as p > 0
+    p -= big
+    lo *= a
+    err += lo
+    p += err  # the fraction, before its carry of -1, 0 or 1
+    carry = np.floor(p, out=err)
+    p -= carry
+    big += carry.astype(np.int8)
+    return big, p
 
 
 def _scalar_g17(x: np.ndarray) -> np.ndarray:
@@ -182,22 +218,52 @@ def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     significant digits as one integer N; N is 10**16 in the other lanes."""
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # false for 0, inf and nan
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
+    np.copyto(a, 1.0, where=~fast)
+    e = np.log10(a)
+    e = np.floor(e, out=e).astype(np.int64)
     big, frac = _scaled(a, e)
     # log10 can miss the exponent by one next to a power of ten
-    off = (big >= _E17).astype(np.int64) - (big < _E16)
+    off = (big >= _E17).astype(np.int8) - (big < _E16)
     redo = np.flatnonzero(off)
     if redo.size:
         e[redo] += off[redo]
         big[redo], frac[redo] = _scaled(a[redo], e[redo])
         fast[redo] &= (big[redo] >= _E16) & (big[redo] < _E17)
-    fast &= np.abs(frac - 0.5) > _TIE
-    big = np.where(fast, big + (frac > 0.5), _E16)
+    frac -= 0.5
+    fast &= np.abs(frac) > _TIE
+    big += frac > 0
+    np.copyto(big, _E16, where=~fast)
     carry = big == _E17
     big[carry] = _E16
     e += carry
     return fast, e, big
+
+
+def _digit_frame(e: np.ndarray, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of N by lane, as (n, 4) uint64 cells that hold its five
+    words in bytes 4..23, and the row 18 * k + q of the layout tables that
+    keeps the first k digits and puts a point after q + 1 (q = 17: none)."""
+    t = _layout_tables()
+    words = _digit_words(big, 17)  # one digit, then four words
+    low, high = t["halves"]
+    cells = np.empty((len(big), 4), dtype=np.uint64)
+    cells[:, 0] = high.take(words[0])
+    cells[:, 1] = low.take(words[1]) | high.take(words[2])
+    cells[:, 2] = low.take(words[3]) | high.take(words[4])
+    cells[:, 3] = 0
+    z = t["zeros"].take(words[1:])  # the first word, a digit 1..9, has none
+    tz = z[0]
+    for zw in z[1:]:
+        tz = zw + (zw == 4) * tz
+    nd = 17 - tz.astype(np.int64)  # the digits but trailing zeros
+
+    # the %g layout: fixed notation for -4 <= E < 17, else d.ddde+XX
+    fixed = (e >= -4) & (e < 17)
+    small = fixed & (e < 0)
+    kept = np.where(fixed & ~small, np.maximum(nd, e + 1), nd)
+    point = np.where(fixed, e, 0)  # the point follows digit point + 1 ...
+    point = np.where((nd > point + 1) & ~small, point, 17)  # ... if any
+    return cells, 18 * kept + point
 
 
 def float_cells(x) -> np.ndarray:
@@ -210,26 +276,20 @@ def float_cells(x) -> np.ndarray:
     if not n:
         return np.zeros((0, _FLOAT_CELL), dtype=np.uint8)
     fast, e, big = _significand(x)
-    body = np.zeros((n, 19), dtype=np.uint8)  # a NUL, the 17 digits of N, a NUL
-    body[:, 1:18] = _word_cells(big)[:, -17:]
-    nd = 17 - np.argmax(body[:, 17:0:-1] != 48, axis=1)  # the digits but trailing zeros
-
-    # the %g layout: fixed notation for -4 <= E < 17, else d.ddde+XX
-    fixed = (e >= -4) & (e < 17)
-    small = fixed & (e < 0)
-    kept = np.where(fixed & ~small, np.maximum(nd, e + 1), nd)
-    point = np.where(fixed, e, 0)  # the point follows this digit ...
-    point = np.where((nd > point + 1) & ~small, point, 17)  # ... if any
+    cells, row = _digit_frame(e, big)
+    del big
     t = _layout_tables()
-    body[:, 1:18] *= t["keep"].take(kept, axis=0)
-    body[:, 1:] = (body[:, 1:] * t["left"].take(point, axis=0) + t["dot"].take(point, axis=0)
-                   + body[:, :-1] * t["right"].take(point, axis=0))
-    cells = np.empty((n, _FLOAT_CELL), dtype=np.uint8)
-    cells[:, 0] = np.signbit(x) * np.uint8(45)
-    expo = t["exponent"].take(e + 300, axis=0)
-    cells[:, 1:6] = expo[:, :5]
-    cells[:, 6:24] = body[:, 1:]
-    cells[:, 24:] = expo[:, 5:]
+    flat = cells.view(np.uint8).reshape(-1)
+    moved = t["left"].take(row, axis=0).reshape(-1)[:-1]
+    moved *= flat[1:]  # the kept digits before a point, one byte to the left
+    flat *= t["right"].take(row, axis=0).reshape(-1)
+    flat += t["dot"].take(row, axis=0).reshape(-1)
+    flat[:-1] += moved
+    del moved
+    ends = t["ends"].take(2 * e + 600 + np.signbit(x), axis=0)
+    cells[:, 0] |= ends[:, 0]
+    cells[:, 3] = ends[:, 1]
+    cells = cells.view(np.uint8)
 
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -238,22 +298,39 @@ def float_cells(x) -> np.ndarray:
     return cells
 
 
-def _word_cells(v: np.ndarray) -> np.ndarray:
-    """The decimal digits of each non-negative int64 of v, zero-padded to
-    whole 4-digit words, as the rows of an (n, k) uint8 array."""
-    width = 4 * -(-len(str(int(v.max()) if v.size else 0)) // 4)
-    words, q = np.empty((len(v), width // 4), dtype=np.int64), v
-    for i in range(width // 4 - 1, -1, -1):  # by a scalar divisor, the fast division
-        q, words[:, i] = np.divmod(q, 10_000)
-    return _layout_tables()["digits"].take(words).view(np.uint8).reshape(len(v), width)
+def _digit_words(v: np.ndarray, digits: int) -> np.ndarray:
+    """The decimal digits of each non-negative int64 of v, none of which
+    has more than ``digits``, as rows of int32 words of four digits, the
+    most significant first.  For more than 8 digits, v is split once at
+    10**8, into int32 halves up to 17 digits; then each word comes by
+    floor division by a scalar, numpy's fast division (np.divmod has
+    none)."""
+    count = -(-digits // 4)
+    words = np.empty((count, len(v)), dtype=np.int32)
+    if count > 2:
+        hi = v // _E8
+        parts = [(hi if digits > 17 else hi.astype(np.int32), count - 2),
+                 ((v - hi * _E8).astype(np.int32), 2)]
+    else:
+        parts = [(v.astype(np.int32), count)]
+    at = 0
+    for part, k in parts:
+        for i in range(at + k - 1, at, -1):
+            q = part // 10_000
+            words[i] = part - q * 10_000
+            part = q
+        words[at] = part
+        at += k
+    return words
 
 
 def int_cells(v) -> np.ndarray:
     """The decimal digits of each non-negative integer of an array, as the
     rows of an (n, k) uint8 array, right-aligned after NUL padding."""
     v = np.asarray(v, dtype=np.int64).ravel()
-    cells = _word_cells(v)
-    width = cells.shape[1]
+    words = _digit_words(v, len(str(int(v.max()) if v.size else 0)))
+    width = 4 * len(words)
+    cells = _layout_tables()["digits"].take(words.T).view(np.uint8).reshape(len(v), width)
     # blank the leading zeros, by a row of 0/1 per count of digits
     digits = np.searchsorted(10 ** np.arange(1, min(width, 19)), v, side="right") + 1
     keep = (np.arange(width) >= width - np.arange(width + 1)[:, None]).astype(np.uint8)

@@ -42,6 +42,10 @@ The last group are the per-vertex forest writers, loader and reductions
 ``reference_flank_left_distances``): one Python step per vertex or per
 root, kept as the bitwise reference for the array forms in ``sidlalab``.
 
+``reference_ks_statistic`` is the one-sample KS statistic against the
+unit exponential CDF in plain array expressions, the bitwise reference
+for the in-place ``analysis.ks_test_exp1``.
+
 ``reference_chi_square_compare`` counts each sample into a label -> count
 dict and pools the two dicts' table with numpy arrays rebuilt at every
 merge, the bitwise reference for ``analysis.chi_square_compare``.
@@ -1048,6 +1052,16 @@ def reference_flank_left_distances(forest: Forest, n: int) -> np.ndarray:
         col = column_of(win, canonicalize(win, Vertex(lx, n)))
         out.append(float(values[n, col]))
     return np.asarray(out, dtype=np.float64)
+
+
+def reference_ks_statistic(sample) -> float:
+    """max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted sample, with
+    F(x) = 1 - exp(-x) as -expm1(-x)."""
+    arr = np.sort(np.asarray(sample, dtype=np.float64))
+    n = arr.size
+    cdf = -np.expm1(-arr)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return max(float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1.0) / n)))
 
 
 def reference_chi_square_compare(sample_a, sample_b) -> Chi2Result:

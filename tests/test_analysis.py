@@ -18,6 +18,7 @@ from oracles import (
     is_monotone_tree,
     reference_chi_square_compare,
     reference_enumerate_monotone_trees,
+    reference_ks_statistic,
     shell_weighted_sum,
     trees_by_subset_filter,
 )
@@ -449,6 +450,18 @@ def test_ks_statistic_known_value():
     # so D = 1/2 exactly
     res = ks_test_exp1(np.full(16, np.log(2.0)))
     assert res.statistic == pytest.approx(0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e-300, 1e3, allow_subnormal=False), min_size=10, max_size=400),
+       st.sampled_from([1.0, 1e-3, 50.0]))
+def test_ks_statistic_matches_the_reference_bitwise(sample, scale):
+    """The in-place statistic is the plain formula's, bit for bit, and
+    the sample passed in is left as it was."""
+    x = np.array(sample) * scale
+    before = x.copy()
+    assert ks_test_exp1(x).statistic == reference_ks_statistic(x)
+    assert np.array_equal(x, before)
 
 
 def _sample(hist: dict) -> np.ndarray:

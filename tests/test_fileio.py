@@ -86,6 +86,58 @@ def test_int_cells_match_str():
     assert int_cells(np.array([], dtype=np.int64)).shape[0] == 0
 
 
+@pytest.mark.parametrize("power", [8, 12, 16])
+def test_int_cells_at_the_word_split(power):
+    """Each side of 10**8, 10**12 and 10**16, alone (so the widest value
+    sets the count of words) and with smaller values."""
+    near = [10**power - 1, 10**power, 10**power + 1]
+    for v in [[i] for i in near] + [near + [0, 7, 10**8 - 1, 10**8]]:
+        assert texts(int_cells(v)) == [str(i).encode() for i in v]
+
+
+def _doubles_with_significand(digits: str, exponents) -> list[float]:
+    """The doubles whose '%.17g' has the 17 significant digits ``digits``
+    at a decimal exponent of ``exponents``: for each exponent, the double
+    nearest the decimal, if its 17 digits are these."""
+    found = []
+    for e in exponents:
+        x = float(f"{digits[0]}.{digits[1:]}e{e}")
+        if "%.16e" % x == f"{digits[0]}.{digits[1:]}e{e:+03d}":
+            found.append(x)
+    return found
+
+
+def test_float_cells_at_every_count_of_trailing_zeros():
+    """Significands N ending in 0..16 zeros, so the last digit kept falls
+    at each place of each word, in the exponent layout (E = -5 and 17) and
+    the fixed one (E = -4 and -1, with a lead; E = 0 and 16, where the
+    point falls inside the digits or is dropped), with both signs.  No
+    double has a single significant digit at E = -5: 1e-05 to 9e-05 all
+    round to 17 digits that are not 16 zeros."""
+    rng = np.random.default_rng(11)
+    seen = set()
+    for e in (-5, -4, -1, 0, 16, 17):
+        for zeros in range(17):
+            for _ in range(1000):
+                head = str(rng.integers(10 ** (16 - zeros), 10 ** (17 - zeros)))
+                if head[-1] != "0":
+                    x = _doubles_with_significand(head + "0" * zeros, [e])
+                    if x:
+                        assert_g17([x[0], -x[0]])
+                        seen.add((e, zeros))
+                        break
+    assert seen == {(e, z) for e in (-5, -4, -1, 0, 16, 17) for z in range(17)} - {(-5, 16)}
+
+
+@pytest.mark.parametrize("n", [10**16, 10**16 + 9999, 10**17 - 1])
+def test_float_cells_at_the_ends_of_the_significand(n):
+    """N at the bottom of its range, with only its last word nonzero
+    (all nines), and at the top, at every exponent some double has it."""
+    x = _doubles_with_significand(str(n), range(-280, 281))
+    assert len(x) >= 10
+    assert_g17(x + [-v for v in x])
+
+
 def test_cell_text_joins_literals_and_cells_and_drops_nul():
     rows = cell_text([b"<", int_cells([7, 10, 0]), b",", float_cells([0.5, -2.0, 1e300]), b">\n"])
     assert rows == b"<7,0.5>\n<10,-2>\n<0,1.0000000000000001e+300>\n"
@@ -93,12 +145,14 @@ def test_cell_text_joins_literals_and_cells_and_drops_nul():
 
 def test_importing_the_cli_builds_no_kernel_table():
     """setup_s and law-compare, which write no bulk text, must not pay for
-    the kernel's tables."""
+    the kernel's tables: no cached table of fileio is built."""
     src = str(Path(sidlalab.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sidlalab.cli; "
             "sidlalab.cli.build_parser(); from sidlalab import fileio; "
-            "assert fileio._layout_tables.cache_info().currsize == 0; "
-            "assert fileio._pow10_parts.cache_info().currsize == 0")
+            "tables = {k: f.cache_info().currsize for k, f in vars(fileio).items() "
+            "if hasattr(f, 'cache_info')}; "
+            "assert set(tables) == {'_layout_tables', '_pow10_table'}, tables; "
+            "assert not any(tables.values()), tables")
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
