@@ -272,7 +272,8 @@ def check_invariants(forest: Forest) -> None:
     Boundary labels must equal their own x, every vertex above the boundary
     must have a parent direction, L or R, and carry its parent's root
     label, so every label is a boundary root.  Values must not decrease
-    along a parent edge.
+    along a parent edge.  The checks run in that order, each over all rows,
+    following parent edges one TEXT_BLOCK of heads at a time.
     """
     W, M = forest.window.W, forest.window.M
     roots = forest.root_x
@@ -287,17 +288,16 @@ def check_invariants(forest: Forest) -> None:
         y, j = divmod(W + int(bad[0]), W)
         raise ValueError(f"vertex {((y & 1) + 2 * j, y)} has parent direction code "
                          f"{int(dirs[bad[0]])}; above the boundary it must be L or R")
-    heads = np.arange(W, (M + 1) * W)
-    tails = incoming_tail_index(W, heads, dirs)
-    for broken, what in (
-        (roots.ravel()[heads] != roots.ravel()[tails], "a root label other than"),
-        (values.ravel()[heads] < values.ravel()[tails], "a value below"),
-    ):
-        if broken.any():
-            y, j = divmod(int(heads[np.argmax(broken)]), W)
-            raise ValueError(
-                f"vertex {((y & 1) + 2 * j, y)} has {what} its parent's"
-            )
+    n = (M + 1) * W
+    for what, column, fault in (("a root label other than", roots.ravel(), np.not_equal),
+                                ("a value below", values.ravel(), np.less)):
+        for lo in range(W, n, TEXT_BLOCK):
+            heads = np.arange(lo, min(lo + TEXT_BLOCK, n))
+            tails = incoming_tail_index(W, heads, dirs[lo - W:lo - W + heads.size])
+            broken = fault(column[heads], column[tails])
+            if broken.any():
+                y, j = divmod(lo + int(np.argmax(broken)), W)
+                raise ValueError(f"vertex {((y & 1) + 2 * j, y)} has {what} its parent's")
 
 
 def _expect(path: str, data: bytes, at: int, expected: bytes, to_end: bool = False) -> int:
@@ -384,12 +384,18 @@ def load_snapshot(path: str) -> Forest:
     The header is parsed as JSON (W, M and seed must be integers, the seed
     in 0..2**64-1, and the profile a label), and the vertex lines are
     counted against the window before anything of its size is allocated.
-    Then the values and parent directions are parsed from the file's bytes
-    one block of lines at a time, each root label is derived as its
-    parent's, and the block is re-encoded by the writer's own row code and
-    compared with the file: the first line that differs is refused with
-    ConfigError naming it, the file's text and the writer's, and so is a
-    non-finite value, by the writer's guard.  Then the arrays must pass
+    A weight profile's forest is rebuilt from the header, and the writer's
+    rows for it are compared with the file one block of lines at a time:
+    equal bytes hold exactly the rebuilt arrays, as the writer is injective
+    ('%.17g' round-trips every double; the other columns are fixed by
+    position and labels).  From the first block that differs (throughout
+    for "sidla" or a header the weight field refuses) the values and parent
+    directions are parsed from the file instead, each root label is derived
+    as its parent's, and the block is re-encoded and compared: the first
+    line that differs is refused with ConfigError naming it, the file's
+    text and the writer's, and so is a non-finite value, by the writer's
+    guard.  A block taken from the rebuild is what the parse would read, so
+    the two paths agree on every file.  Then the arrays must pass
     check_invariants.
     """
     try:
@@ -423,10 +429,25 @@ def load_snapshot(path: str) -> Forest:
     if listed != n:
         raise ConfigError(f"snapshot {path} lists {listed} vertices; its {W}x{M} window "
                           f"holds {n}")
-    forest = Forest.unclaimed(win, label, seed)
+    forest = None
+    if label != "sidla":  # every other label is a weight profile
+        try:
+            forest = build_forest(WeightField(seed, WeightProfile(label), win))
+        except ConfigError:  # a cap the field or its passage times cannot hold
+            pass
+    rebuilt = forest is not None
+    if not rebuilt:
+        forest = Forest.unclaimed(win, label, seed)
     array = np.frombuffer(data, np.uint8)
     for lo in range(0, n, TEXT_BLOCK):
         hi = min(lo + TEXT_BLOCK, n)
+        if rebuilt:
+            rows = _vertex_rows(forest, lo, hi)
+            # not _expect: a file that differs from the rebuild is parsed
+            if rows == memoryview(data)[at:at + len(rows)]:
+                at += len(rows)
+                continue
+            rebuilt = False
         _read_rows(forest, array, at, lo, hi)
         try:
             rows = _vertex_rows(forest, lo, hi)

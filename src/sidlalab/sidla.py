@@ -38,6 +38,7 @@ and the vertex it claims has both tails and both heads in columns
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -220,16 +221,17 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
 
 
 def _jump_draws(seed: int, n_events: int):
-    """Yield (Exp(1) variate, level uniform, edge uniform) for events
-    0..n_events-1 of a jumps run: ``hash_uniform(mid, k, j)`` for j = 0, 1, 2
-    with ``mid = hash_u64(seed, JUMP_STREAM)``, a block of events
-    (``_draw_blocks``, three words each within HASH_BLOCK) per vector hash.
-    The variate is ``-log1p(-u0)``, as in exp_from_uniform."""
+    """Yield, one block of events at a time, the (Exp(1) variate, level
+    uniform, edge uniform) of each of events 0..n_events-1 of a jumps run:
+    ``hash_uniform(mid, k, j)`` for j = 0, 1, 2 with ``mid = hash_u64(seed,
+    JUMP_STREAM)``, a block of events (``_draw_blocks``, three words each
+    within HASH_BLOCK) per vector hash.  The variate is ``-log1p(-u0)``, as
+    in exp_from_uniform."""
     mid = hash_u64(seed, JUMP_STREAM)
     for lo, hi in _draw_blocks(n_events, max(1, HASH_BLOCK // 3)):
         k = np.arange(lo, hi, dtype=np.uint64)
         u = hash_uniform_vec(mid, [k[:, None], np.arange(3, dtype=np.uint64)])
-        yield from zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
+        yield zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
 
 
 def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
@@ -250,7 +252,9 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
     open edges: the free edges whose tail lies below up_to in a watched
     tree (root's, or every tree if root is None).  So a claim at level h <=
     up_to closes its free in-edges from watched owners, and one at h <
-    up_to in a watched tree opens its new out-edges.
+    up_to in a watched tree opens its new out-edges.  A clock past the
+    largest double is refused at the end of its draw block, with the claims
+    so far written back, as fpp refuses a passage time (fpp.check_finite).
     """
     forest = state.forest
     W, M = forest.window.W, forest.window.M
@@ -265,62 +269,68 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
     owner = forest.root_x.ravel().tolist()
     claims = order, roots, dirs, times = _claims()
     clock, opened = 0.0, 2 * W if root is None else 2
-    for e0, u1, u2 in _jump_draws(seed, W * M):
-        pref = list(accumulate(term[low:top + 1]))
-        rate_sum = pref[-1]
-        w = e0 / rate_sum
-        clock += w if w > 0.0 else TINY
-        h = low + bisect_right(pref, u1 * rate_sum)
-        if h > top:  # r rounded up to a subnormal rate_sum: last non-empty level
-            h = max(i for i in range(low, top + 1) if free[i])
-        lst = free[h]
-        n = len(lst)
-        k = int(u2 * n)
-        code = lst[k if k < n else n - 1]
-        tail, d, base = code >> 1, code & 1, (h - 1) * W
-        left = (tail - base + d - 1) % W
-        right = (left + 1) % W
-        v = base + W + (left if h & 1 else right)
-        if owner[v] >= 0:
-            raise ValueError(f"vertex {v} at level {h} already occupied")
-        tree = owner[v] = owner[tail]
-        order.append(v)
-        roots.append(tree)
-        dirs.append(d)
-        times.append(clock)
-        # both in-edges of the new vertex die, Right (from left) before Left
-        # (from right): the order fixes where swap-with-last moves codes
-        for dead in (2 * (base + left) + 1, 2 * (base + right)):
-            i = pos[dead]
-            if i >= 0:
-                pos[dead] = -1
-                last = lst.pop()
-                if last != dead:
-                    lst[i] = last
-                    pos[last] = i
-                if h <= up_to and (root is None or owner[dead >> 1] == root):
-                    opened -= 1
-        term[h] = len(lst) * level_rate[h]
-        if h < M:
-            up = free[h + 1]
-            heads = base + 2 * W
-            opens = h < up_to and (root is None or tree == root)
-            if owner[heads + left] < 0:  # the Left out-edge
-                pos[2 * v] = len(up)
-                up.append(2 * v)
-                opened += opens
-            if owner[heads + right] < 0:
-                pos[2 * v + 1] = len(up)
-                up.append(2 * v + 1)
-                opened += opens
-            term[h + 1] = len(up) * level_rate[h + 1]
-            if h == top:
-                top = h + 1
-        if not opened:
+    for draws in _jump_draws(seed, W * M):
+        for e0, u1, u2 in draws:
+            pref = list(accumulate(term[low:top + 1]))
+            rate_sum = pref[-1]
+            w = e0 / rate_sum
+            clock += w if w > 0.0 else TINY
+            h = low + bisect_right(pref, u1 * rate_sum)
+            if h > top:  # r rounded up to a subnormal rate_sum: last non-empty level
+                h = max(i for i in range(low, top + 1) if free[i])
+            lst = free[h]
+            n = len(lst)
+            k = int(u2 * n)
+            code = lst[k if k < n else n - 1]
+            tail, d, base = code >> 1, code & 1, (h - 1) * W
+            left = (tail - base + d - 1) % W
+            right = (left + 1) % W
+            v = base + W + (left if h & 1 else right)
+            if owner[v] >= 0:
+                raise ValueError(f"vertex {v} at level {h} already occupied")
+            tree = owner[v] = owner[tail]
+            order.append(v)
+            roots.append(tree)
+            dirs.append(d)
+            times.append(clock)
+            # both in-edges of the new vertex die, Right (from left) before Left
+            # (from right): the order fixes where swap-with-last moves codes
+            for dead in (2 * (base + left) + 1, 2 * (base + right)):
+                i = pos[dead]
+                if i >= 0:
+                    pos[dead] = -1
+                    last = lst.pop()
+                    if last != dead:
+                        lst[i] = last
+                        pos[last] = i
+                    if h <= up_to and (root is None or owner[dead >> 1] == root):
+                        opened -= 1
+            term[h] = len(lst) * level_rate[h]
+            if h < M:
+                up = free[h + 1]
+                heads = base + 2 * W
+                opens = h < up_to and (root is None or tree == root)
+                if owner[heads + left] < 0:  # the Left out-edge
+                    pos[2 * v] = len(up)
+                    up.append(2 * v)
+                    opened += opens
+                if owner[heads + right] < 0:
+                    pos[2 * v + 1] = len(up)
+                    up.append(2 * v + 1)
+                    opened += opens
+                term[h + 1] = len(up) * level_rate[h + 1]
+                if h == top:
+                    top = h + 1
+            if not opened:
+                break
+            while low < top and not free[low]:
+                low += 1
+        if not opened or not math.isfinite(clock):
             break
-        while low < top and not free[low]:
-            low += 1
-    return _write_claims(state, claims, np.arange(len(order)), clock, len(order), "jumps")
+    _write_claims(state, claims, np.arange(len(order)), clock, len(order), "jumps")
+    if not math.isfinite(clock):
+        check_finite(forest, 0, (M + 1) * W, "use a smaller height cap")
+    return state
 
 
 def run_until_covered(window: Window, seed: int, method: str = "auto",

@@ -3,6 +3,7 @@ the stats reductions, checked against golden digests recorded on the
 per-vertex implementations and against those implementations, kept in
 ``oracles``, bit for bit."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -476,6 +477,98 @@ def test_loader_derives_roots_of_a_level_split_between_blocks(tmp_path, monkeypa
     rejects(tmp_path, edit(text.decode(), x, y, "rootX", other, W),
             rf'line {line_no(x, y, W)} reads .*"x": {x}, "y": {y}, .*"rootX": {other}\}}.* '
             rf'where the writer writes .*"rootX": {root}\}}')
+
+
+# 129 levels of 160 vertices: 20,640 lines, more than one reader block
+WIDE = Window(160, 128)
+
+
+def load_counting(path, monkeypatch):
+    """load_snapshot of path, with its build_forest and _read_rows calls counted."""
+    calls = {"build_forest": 0, "_read_rows": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(fpp, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(fpp, name, counted)
+    return load_snapshot(str(path)), calls
+
+
+@pytest.mark.parametrize("profile", [p.value for p in WeightProfile])
+def test_loader_takes_the_rebuilt_forest_when_the_bytes_match(tmp_path, monkeypatch, profile):
+    """A profile's snapshot is its header's rebuild: one build_forest
+    call, no block parsed, and the forest that was written, bit for bit."""
+    assert (WIDE.M + 1) * WIDE.W > fpp.TEXT_BLOCK
+    fo = build_forest(WeightField(1, WeightProfile(profile), WIDE))
+    path = tmp_path / "f.json"
+    path.write_bytes(snapshot_text(fo))
+    loaded, calls = load_counting(path, monkeypatch)
+    assert_same_snapshot(loaded, fo)
+    assert calls == {"build_forest": 1, "_read_rows": 0}
+
+
+def raise_one_top_value(fo):
+    fo.values[-1, 7] = np.nextafter(fo.values[-1, 7], np.inf)
+    return fo
+
+
+@pytest.mark.parametrize("written,parsed", [
+    # another seed's forest under seed 1's header differs from level 1 on
+    (lambda: dataclasses.replace(build_forest(WeightField(2, WeightProfile.STRETCH, WIDE)),
+                                 seed=1), 2),
+    # a top-level value one ulp up, in the second block: no check refuses it
+    (lambda: raise_one_top_value(build_forest(WeightField(1, WeightProfile.STRETCH, WIDE))), 1),
+], ids=["seed-2-forest", "one-ulp-up"])
+def test_loader_parses_from_the_first_block_the_rebuild_misses(tmp_path, monkeypatch,
+                                                               written, parsed):
+    """A file the writer could have written that is not its header's
+    rebuild loads as written: parsed from the first block that differs."""
+    fo = written()
+    path = tmp_path / "f.json"
+    path.write_bytes(snapshot_text(fo))
+    loaded, calls = load_counting(path, monkeypatch)
+    assert_same_snapshot(loaded, fo)
+    assert calls == {"build_forest": 1, "_read_rows": parsed}
+
+
+def test_loader_parses_a_file_it_has_no_rebuild_for(tmp_path, monkeypatch):
+    """A particle run's snapshot, and a header whose rebuild raises
+    ConfigError, are parsed whole."""
+    state = run_until_covered(WIDE, 4, method="jumps")
+    path = tmp_path / "run.json"
+    path.write_bytes(snapshot_text(state.forest))
+    loaded, calls = load_counting(path, monkeypatch)
+    assert_same_snapshot(loaded, state.forest)
+    assert calls == {"build_forest": 0, "_read_rows": 2}
+    fo = build_forest(WeightField(1, WeightProfile.EDEN, WIDE))
+    path.write_bytes(snapshot_text(fo))
+
+    def refused(field):
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(fpp, "build_forest", refused)
+    loaded, calls = load_counting(path, monkeypatch)
+    assert_same_snapshot(loaded, fo)
+    assert calls["_read_rows"] == 2
+
+
+def test_loader_names_a_corrupt_byte_after_a_block_that_matched(tmp_path):
+    """One byte changed in the second block: the message is the one the
+    loader gave when it parsed every block."""
+    fo = build_forest(WeightField(1, WeightProfile.STRETCH, WIDE))
+    lines = bytes(snapshot_text(fo)).split(b"\n")
+    assert lines[20005].endswith(b'"parentDir": "R", "rootX": 314},')
+    lines[20005] = lines[20005].replace(b'"R"', b'"U"')
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ConfigError) as refused:
+        load_snapshot(str(path))
+    # the message recorded where every block was parsed
+    file_line = ('    {"x": 1, "y": 125, "dist": 1.0030208351640077e+37, "parentDir": "U", '
+                 '"rootX": 314},\n')
+    writer_line = file_line.replace('"U"', "null")
+    assert str(refused.value) == (f"snapshot {path} line 20006 reads {file_line!r} "
+                                  f"where the writer writes {writer_line!r}")
 
 
 def test_loader_rejects_wrong_boundary_label_and_falling_value(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -325,6 +326,36 @@ def test_load_snapshot_rejects_bad_payload(tmp_path):
         load_snapshot(str(p))
     with pytest.raises(ConfigError, match="cannot read snapshot"):
         load_snapshot(str(tmp_path / "missing.json"))
+
+
+def test_check_invariants_peak_stays_at_a_block(monkeypatch):
+    """check_invariants follows parent edges one TEXT_BLOCK of heads at a
+    time: on a 512x128 forest (65,536 heads above the boundary, four
+    blocks, where one whole-forest index array takes 0.5 MiB) its
+    tracemalloc peak stays under 1.5 MiB."""
+    fo = build_forest(small_field(seed=1, W=512, M=128))
+    tracemalloc.start()
+    try:
+        check_invariants(fo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
+
+
+def test_check_invariants_names_root_faults_before_falling_values(monkeypatch):
+    """Each check runs over all rows before the next, so a root label in
+    the last block is named before a falling value in the first."""
+    monkeypatch.setattr(fpp, "TEXT_BLOCK", 7)
+    fo = build_forest(small_field(seed=5))
+    fo.values[1, 0] = -1.0
+    fo.root_x[6, 3] = (fo.root_x[6, 3] + 2) % 12
+    with pytest.raises(ValueError, match=r"^vertex \(6, 6\) has a root label other than its "
+                                         r"parent's$"):
+        check_invariants(fo)
+    fo.root_x[6, 3] = (fo.root_x[6, 3] - 2) % 12
+    with pytest.raises(ValueError, match=r"^vertex \(1, 1\) has a value below its parent's$"):
+        check_invariants(fo)
 
 
 @pytest.mark.parametrize("profile,M", [("decreasing", 1024), ("stretch", 1075)])

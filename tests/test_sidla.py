@@ -557,15 +557,17 @@ def test_jumps_match_reference_bitwise(case):
 
 
 def test_jump_draws_match_per_event_hashes(monkeypatch):
-    """The block draw equals the per-event scalar hashes, across blocks
-    that split the run unevenly, and a whole run with such blocks still
-    matches the reference driver bit for bit."""
+    """The block draw, yielded a block at a time, equals the per-event
+    scalar hashes, across blocks that split the run unevenly, and a whole
+    run with such blocks still matches the reference driver bit for bit."""
     monkeypatch.setattr(sidla, "HASH_BLOCK", 21)  # at most 7 events per block
     monkeypatch.setattr(sidla, "FIRST_DRAW_BLOCK", 2)  # blocks of 2, 4, 7, 7, 7, 3
     mid = hash_u64(5, JUMP_STREAM)
     expect = [(float(-np.log1p(-hash_uniform(mid, k, 0))), hash_uniform(mid, k, 1),
                hash_uniform(mid, k, 2)) for k in range(30)]
-    assert list(sidla._jump_draws(5, 30)) == expect
+    blocks = [list(block) for block in sidla._jump_draws(5, 30)]
+    assert [len(block) for block in blocks] == [2, 4, 7, 7, 7, 3]
+    assert [draw for block in blocks for draw in block] == expect
     win = Window(9, 5)
     fast = run_until_covered(win, 5, method="jumps")
     log = []
@@ -663,6 +665,25 @@ def test_a_claim_time_past_the_largest_double_is_refused(tiny_rates_from_level_2
     claimed = forest.root_x >= 0
     assert np.isfinite(forest.values[claimed]).all() and np.isnan(forest.values[~claimed]).all()
     assert not claimed.all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_the_jumps_driver_refuses_an_overflowed_clock_at_its_draw_block(k):
+    """With rate 5e-324 at level k alone, the clock gap e / rate_sum passes
+    the largest double once levels below k are full, within the first draw
+    block of a 32x16 run (96 events at most for k = 4).  The driver itself
+    refuses it at the end of that block, naming level k, with the claims so
+    far written back, not after all W * M events."""
+    win = Window(32, 16)
+    rates = WeightField(3, WeightProfile.EDEN, win).rates.copy()
+    rates[k] = 5e-324
+    state = new_state(win, seed=3)
+    with pytest.raises(ConfigError, match=rf"^occupancy_time is not finite at level {k} "
+                                          r"\(sidla, 32x16\); use a smaller height cap$"):
+        sidla._run_jumps(state, 3, rates, win.M)
+    assert state.n_rings == sidla.FIRST_DRAW_BLOCK < win.W * win.M
+    assert np.count_nonzero(state.forest.root_x[1:] >= 0) == state.n_rings
+    assert math.isinf(state.clock)
 
 
 def test_a_stopped_run_has_no_snapshot():
