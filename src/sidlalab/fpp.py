@@ -266,40 +266,6 @@ def snapshot_text(forest: Forest) -> bytearray:
                       len(literals), _TRAILER)
 
 
-def check_invariants(forest: Forest) -> None:
-    """Raise ValueError unless a covered forest is consistent.
-
-    Boundary labels must equal their own x, every vertex above the boundary
-    must have a parent direction, L or R, and carry its parent's root
-    label, so every label is a boundary root.  Values must not decrease
-    along a parent edge.  The checks run in that order, each over all rows,
-    following parent edges one TEXT_BLOCK of heads at a time.
-    """
-    W, M = forest.window.W, forest.window.M
-    roots = forest.root_x
-    values = forest.values
-    bad = np.flatnonzero(roots[0] != 2 * np.arange(W))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"boundary vertex ({2 * j},0) has root label {int(roots[0, j])}")
-    dirs = forest.parent_dir[1:].ravel()
-    bad = np.flatnonzero((dirs != Dir.LEFT) & (dirs != Dir.RIGHT))
-    if bad.size:
-        y, j = divmod(W + int(bad[0]), W)
-        raise ValueError(f"vertex {((y & 1) + 2 * j, y)} has parent direction code "
-                         f"{int(dirs[bad[0]])}; above the boundary it must be L or R")
-    n = (M + 1) * W
-    for what, column, fault in (("a root label other than", roots.ravel(), np.not_equal),
-                                ("a value below", values.ravel(), np.less)):
-        for lo in range(W, n, TEXT_BLOCK):
-            heads = np.arange(lo, min(lo + TEXT_BLOCK, n))
-            tails = incoming_tail_index(W, heads, dirs[lo - W:lo - W + heads.size])
-            broken = fault(column[heads], column[tails])
-            if broken.any():
-                y, j = divmod(lo + int(np.argmax(broken)), W)
-                raise ValueError(f"vertex {((y & 1) + 2 * j, y)} has {what} its parent's")
-
-
 def _expect(path: str, data: bytes, at: int, expected: bytes, to_end: bool = False) -> int:
     """The position after expected, if data holds it at ``at`` (and ends
     there, if to_end); else ConfigError naming the first line that differs,
@@ -378,6 +344,26 @@ def _read_rows(forest: Forest, data: np.ndarray, at: int, lo: int, hi: int) -> N
         roots[a:b] = roots[incoming_tail_index(W, np.arange(a, b), code[a - lo:b - lo])]
 
 
+def _check_parsed(path: str, forest: Forest, lo: int, hi: int) -> None:
+    """Refuse the first of parsed rows lo..hi-1 above the boundary with a parent
+    direction other than L or R, else the first with a value below its parent's."""
+    W = forest.window.W
+    lo = max(lo, W)
+    heads = np.arange(lo, hi)
+    dirs = forest.parent_dir.ravel()[lo:hi]
+    values = forest.values.ravel()
+    bad = np.flatnonzero((dirs != Dir.LEFT) & (dirs != Dir.RIGHT))
+    if bad.size:
+        fault = f"parent direction code {int(dirs[bad[0]])}; above the boundary it must be L or R"
+    else:
+        bad = np.flatnonzero(values[heads] < values[incoming_tail_index(W, heads, dirs)])
+        fault = "a value below its parent's"
+    if bad.size:
+        y, j = divmod(lo + int(bad[0]), W)
+        raise ConfigError(f"inconsistent snapshot {path}: vertex {((y & 1) + 2 * j, y)} "
+                          f"has {fault}")
+
+
 def load_snapshot(path: str) -> Forest:
     """Reload a snapshot written by snapshot_text, and only its bytes.
 
@@ -394,9 +380,11 @@ def load_snapshot(path: str) -> Forest:
     as its parent's, and the block is re-encoded and compared: the first
     line that differs is refused with ConfigError naming it, the file's
     text and the writer's, and so is a non-finite value, by the writer's
-    guard.  A block taken from the rebuild is what the parse would read, so
-    the two paths agree on every file.  Then the arrays must pass
-    check_invariants.
+    guard.  A parsed block must also be a forest: above the boundary each
+    vertex has parent direction L or R and no value below its parent's
+    (root labels, being derived, need no check).  A block taken from the
+    rebuild is what the parse would read and passes that check by
+    construction, so the two paths agree on every file.
     """
     try:
         with open(path, "rb") as fh:
@@ -454,9 +442,6 @@ def load_snapshot(path: str) -> Forest:
         except ConfigError as exc:  # the writer's guard: a non-finite value
             raise ConfigError(f"snapshot {path}: {exc}") from None
         at = _expect(path, data, at, rows)
+        _check_parsed(path, forest, lo, hi)
     _expect(path, data, at, _TRAILER, to_end=True)
-    try:
-        check_invariants(forest)
-    except ValueError as exc:
-        raise ConfigError(f"inconsistent snapshot {path}: {exc}") from None
     return forest

@@ -82,7 +82,7 @@ def _cells(texts: list) -> np.ndarray:
 def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> bytearray:
     """Render a forest as an SVG document, in ASCII bytes.
 
-    Root labels must be boundary roots (fpp.check_invariants); vertices
+    Root labels must be boundary roots (fpp.load_snapshot derives them); vertices
     labeled -1 are not drawn.  Each segment is a line of pieces from small
     tables: x by tail and by head x (``_coordinate_texts``), two texts per
     level, and the stroke by root column.  Each level's plain segments are

@@ -353,8 +353,8 @@ def run_until_covered(window: Window, seed: int, method: str = "auto",
     and its clock and n_rings end at the event after which the last such
     edge closed.  The jumps driver takes the run's stretch
     ``WeightField.rates``; a cap they cannot hold is refused as fpp refuses
-    it, before any event, and a claim time past the largest double (from
-    level 1023) as fpp refuses a passage time, by ``fpp.check_finite``.
+    it, before any event; the jumps driver refuses a claim time past the
+    largest double (from level 1023), and the rings clock stays finite.
     """
     if method not in ("auto", "rings", "jumps"):
         raise ConfigError(f"unknown method {method!r}; use auto, rings or jumps")
@@ -371,7 +371,6 @@ def run_until_covered(window: Window, seed: int, method: str = "auto",
         _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M, up_to, root)
     else:
         _run_jumps(state, seed, rates, up_to, root)
-    check_finite(state.forest, 0, (window.M + 1) * window.W, "use a smaller height cap")
     return state
 
 

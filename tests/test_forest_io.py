@@ -29,7 +29,6 @@ from sidlalab.fpp import (
     WeightField,
     WeightProfile,
     build_forest,
-    check_invariants,
     load_snapshot,
     snapshot_text,
 )
@@ -176,7 +175,6 @@ def test_forest_path_matches_oracles(tmp_path_factory, fo, data):
 @pytest.mark.parametrize("seed,W,M", [(3, 6, 4), (8, 9, 9), (1, 12, 5)])
 def test_particle_state_path_matches_oracles(seed, W, M, tmp_path):
     state = run_until_covered(Window(W, M), seed, method="jumps").forest
-    check_invariants(state)
     text = snapshot_text(state)
     assert text == reference_snapshot_text(state).encode()
     path = tmp_path / "s.json"
@@ -390,7 +388,7 @@ def test_loader_refuses_a_boundary_parent_dir(tmp_path):
     # null above the boundary is the writer's text of a missing parent.  It
     # names no edge, so the root label derived through it is some other
     # vertex's; where that differs from the file's rootX the line is named,
-    # and where it agrees check_invariants refuses the missing parent
+    # and where it agrees the block's forest check refuses the missing parent
     rejects(tmp_path, edit(small_text(), 1, 1, "parentDir", "null"),
             r'line 10 reads .*"parentDir": null, "rootX": 2\}.* where the writer writes '
             r'.*"parentDir": null, "rootX": 4\}')
@@ -479,13 +477,40 @@ def test_loader_derives_roots_of_a_level_split_between_blocks(tmp_path, monkeypa
             rf'where the writer writes .*"rootX": {root}\}}')
 
 
+@pytest.mark.parametrize("x,y,key,token,fault", [
+    (4, 2, "dist", "0", "a value below its parent's"),
+    # code -1 reads the tail at column 0 of level 1, whose root is the file's
+    (10, 2, "parentDir", "null",
+     "parent direction code -1; above the boundary it must be L or R"),
+])
+def test_loader_checks_a_parsed_block_against_a_rebuilt_parent(tmp_path, monkeypatch,
+                                                                x, y, key, token, fault):
+    """With 7 lines per reader block, a fault in the third block of a 6x4
+    snapshot leaves the first two equal to the rebuild: parsing starts at
+    the third, whose forest check refuses the vertex, its parent's row
+    taken from a rebuilt block."""
+    monkeypatch.setattr(fpp, "TEXT_BLOCK", 7)
+    fo = build_forest(WeightField(1, WeightProfile.STRETCH, Window(6, 4)))
+    parsed = []
+
+    def read_rows(forest, data, at, lo, hi, _fn=fpp._read_rows):
+        parsed.append(lo)
+        return _fn(forest, data, at, lo, hi)
+
+    monkeypatch.setattr(fpp, "_read_rows", read_rows)
+    rejects(tmp_path, edit(snapshot_text(fo).decode(), x, y, key, token, 6),
+            rf"^inconsistent snapshot .*: vertex \({x}, {y}\) has {re.escape(fault)}$")
+    assert parsed == [14]
+
+
 # 129 levels of 160 vertices: 20,640 lines, more than one reader block
 WIDE = Window(160, 128)
 
 
 def load_counting(path, monkeypatch):
-    """load_snapshot of path, with its build_forest and _read_rows calls counted."""
-    calls = {"build_forest": 0, "_read_rows": 0}
+    """load_snapshot of path, with its build_forest, _read_rows and
+    _check_parsed calls counted."""
+    calls = {"build_forest": 0, "_read_rows": 0, "_check_parsed": 0}
     for name in calls:
         def counted(*args, _fn=getattr(fpp, name), _name=name):
             calls[_name] += 1
@@ -504,7 +529,7 @@ def test_loader_takes_the_rebuilt_forest_when_the_bytes_match(tmp_path, monkeypa
     path.write_bytes(snapshot_text(fo))
     loaded, calls = load_counting(path, monkeypatch)
     assert_same_snapshot(loaded, fo)
-    assert calls == {"build_forest": 1, "_read_rows": 0}
+    assert calls == {"build_forest": 1, "_read_rows": 0, "_check_parsed": 0}
 
 
 def raise_one_top_value(fo):
@@ -528,7 +553,7 @@ def test_loader_parses_from_the_first_block_the_rebuild_misses(tmp_path, monkeyp
     path.write_bytes(snapshot_text(fo))
     loaded, calls = load_counting(path, monkeypatch)
     assert_same_snapshot(loaded, fo)
-    assert calls == {"build_forest": 1, "_read_rows": parsed}
+    assert calls == {"build_forest": 1, "_read_rows": parsed, "_check_parsed": parsed}
 
 
 def test_loader_parses_a_file_it_has_no_rebuild_for(tmp_path, monkeypatch):
@@ -539,7 +564,7 @@ def test_loader_parses_a_file_it_has_no_rebuild_for(tmp_path, monkeypatch):
     path.write_bytes(snapshot_text(state.forest))
     loaded, calls = load_counting(path, monkeypatch)
     assert_same_snapshot(loaded, state.forest)
-    assert calls == {"build_forest": 0, "_read_rows": 2}
+    assert calls == {"build_forest": 0, "_read_rows": 2, "_check_parsed": 2}
     fo = build_forest(WeightField(1, WeightProfile.EDEN, WIDE))
     path.write_bytes(snapshot_text(fo))
 
@@ -549,7 +574,7 @@ def test_loader_parses_a_file_it_has_no_rebuild_for(tmp_path, monkeypatch):
     monkeypatch.setattr(fpp, "build_forest", refused)
     loaded, calls = load_counting(path, monkeypatch)
     assert_same_snapshot(loaded, fo)
-    assert calls["_read_rows"] == 2
+    assert calls["_read_rows"] == calls["_check_parsed"] == 2
 
 
 def test_loader_names_a_corrupt_byte_after_a_block_that_matched(tmp_path):

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +29,6 @@ from sidlalab.fpp import (
     WeightField,
     WeightProfile,
     build_forest,
-    check_invariants,
     load_snapshot,
     snapshot_text,
 )
@@ -328,36 +326,6 @@ def test_load_snapshot_rejects_bad_payload(tmp_path):
         load_snapshot(str(tmp_path / "missing.json"))
 
 
-def test_check_invariants_peak_stays_at_a_block(monkeypatch):
-    """check_invariants follows parent edges one TEXT_BLOCK of heads at a
-    time: on a 512x128 forest (65,536 heads above the boundary, four
-    blocks, where one whole-forest index array takes 0.5 MiB) its
-    tracemalloc peak stays under 1.5 MiB."""
-    fo = build_forest(small_field(seed=1, W=512, M=128))
-    tracemalloc.start()
-    try:
-        check_invariants(fo)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20, peak
-
-
-def test_check_invariants_names_root_faults_before_falling_values(monkeypatch):
-    """Each check runs over all rows before the next, so a root label in
-    the last block is named before a falling value in the first."""
-    monkeypatch.setattr(fpp, "TEXT_BLOCK", 7)
-    fo = build_forest(small_field(seed=5))
-    fo.values[1, 0] = -1.0
-    fo.root_x[6, 3] = (fo.root_x[6, 3] + 2) % 12
-    with pytest.raises(ValueError, match=r"^vertex \(6, 6\) has a root label other than its "
-                                         r"parent's$"):
-        check_invariants(fo)
-    fo.root_x[6, 3] = (fo.root_x[6, 3] - 2) % 12
-    with pytest.raises(ValueError, match=r"^vertex \(1, 1\) has a value below its parent's$"):
-        check_invariants(fo)
-
-
 @pytest.mark.parametrize("profile,M", [("decreasing", 1024), ("stretch", 1075)])
 def test_unrepresentable_rate_is_refused_up_front(profile, M):
     """The level-M rate of decreasing overflows at M = 1024; that of
@@ -390,13 +358,10 @@ def test_weight_field_refuses_a_seed_outside_64_bits(seed):
 
 def test_a_missing_parent_above_the_boundary_is_refused():
     """Code -1 (no parent) above level 0 is written as null, not by
-    wrapping round the letter table, and check_invariants refuses it; a
-    code outside -1..1 cannot be written at all."""
+    wrapping round the letter table (the loader refuses it); a code outside
+    -1..1 cannot be written at all."""
     fo = build_forest(small_field(seed=5, W=4, M=3))
     fo.parent_dir[2, 1] = -1
-    with pytest.raises(ValueError, match=r"vertex \(2, 2\) has parent direction code -1; "
-                                         "above the boundary it must be L or R"):
-        check_invariants(fo)
     assert re.search(r'"x": 2, "y": 2, "dist": [^,]+, "parentDir": null,', snapshot_text(fo).decode())
     for code in (2, -2):
         fo.parent_dir[2, 1] = code
