@@ -273,20 +273,17 @@ def root_heights(forest: Forest, sizes: np.ndarray | None = None
     return heights, heights == forest.window.M
 
 
-def slim_fractions(forest: Forest, D: float, sizes: np.ndarray | None = None) -> np.ndarray:
+def slim_fractions(forest: Forest, D: float, sizes: np.ndarray) -> np.ndarray:
     """Per tree of positive height below the cap, in ascending root order:
     the fraction of its levels whose slice is nonempty and narrower than D.
 
-    Slice sizes, heights and censoring of every tree come from the
-    slice-size table (the forest's ``slice_sizes``, built here unless
-    given).  The tallest tree, the likeliest to cross the seam, is also
-    lifted with ``extract_tree`` and counted with ``slim_levels``; a
-    disagreement with the table raises RuntimeError."""
+    Slice sizes, heights and censoring of every tree come from sizes, the
+    forest's ``slice_sizes``.  The tallest tree, the likeliest to cross the
+    seam, is also lifted with ``extract_tree`` and counted with
+    ``slim_levels``; a disagreement with the table raises RuntimeError."""
     if not D > 0:
         raise ValueError(f"slim threshold D must be positive, got {D}")
     M = forest.window.M
-    if sizes is None:
-        sizes = slice_sizes(forest)
     heights = tree_heights(sizes)
     slim = np.count_nonzero((sizes[:, 1:] > 0) & (sizes[:, 1:] < D), axis=1)
     j = int(np.argmax(heights))

@@ -262,8 +262,8 @@ def replay(rings: Rings) -> SidlaState:
     return state
 
 
-def pooled_gaps(rings: Rings, horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps at every site pooled in site order; returns (site_x, gap) arrays.
+def pooled_gaps(rings: Rings, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps at every site up to horizon, pooled in site order; returns (site_x, gap) arrays.
 
     The rings are in time order, so a stable sort by site leaves each
     site's times ascending; gaps are differences of neighbours that share
@@ -272,7 +272,7 @@ def pooled_gaps(rings: Rings, horizon: float | None = None) -> tuple[np.ndarray,
     a radix sort (up to 16 bits); the permutation, and so the order, is
     the same as a stable sort of the sites.
     """
-    keep = slice(None) if horizon is None else rings.time <= horizon
+    keep = rings.time <= horizon
     site, time = rings.site[keep], rings.time[keep]
     column = (site >> 1).astype(np.min_scalar_type(rings.window.W - 1))
     order = np.argsort(column, kind="stable")

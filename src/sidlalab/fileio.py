@@ -345,7 +345,8 @@ TEXT_BLOCK = 1 << 14
 def _put(buffer: bytearray, at: int, data: bytes | bytearray) -> int:
     """Copy data into buffer from byte at, growing it past its end, and
     return the end.  A bytearray is copied straight in, where any other
-    value would be copied to one first."""
+    value would be copied to one first.  block_text hands each block from
+    rows straight in, so it is released before rows builds the next one."""
     buffer[at:at + len(data)] = data
     return at + len(data)
 

@@ -243,7 +243,9 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
     Free edges are grouped by level (one rate per level) as codes ``2 *
     tail + d`` (module docstring), level 1's being ``range(2W)``; ``pos``
     (2 * W * M entries) holds a code's place in its level's list, -1 if not
-    free.  Each event bisects the prefix sums of count * rate for a level,
+    free.  An edge joins a list only while its head is unclaimed, and a
+    claim removes both in-edges of its vertex, so no event finds its head
+    taken.  Each event bisects the prefix sums of count * rate for a level,
     then takes a uniform edge within it.  Only levels low..top (the lowest
     with free edges, the highest reached) hold any: the sums are 0.0 below
     and constant above, so an event sums the band alone, in the same float
@@ -286,8 +288,6 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
             left = (tail - base + d - 1) % W
             right = (left + 1) % W
             v = base + W + (left if h & 1 else right)
-            if owner[v] >= 0:
-                raise ValueError(f"vertex {v} at level {h} already occupied")
             tree = owner[v] = owner[tail]
             order.append(v)
             roots.append(tree)

@@ -206,10 +206,10 @@ def test_level_profile_validation():
 def test_slim_params_validation():
     """slim_fractions refuses a slim threshold D that is not positive."""
     fo = build_forest(WeightField(1, WeightProfile.STRETCH, Window(8, 4)))
-    slim_fractions(fo, 4.0)
+    slim_fractions(fo, 4.0, slice_sizes(fo))
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="slim threshold D must be positive"):
-            slim_fractions(fo, bad)
+            slim_fractions(fo, bad, slice_sizes(fo))
 
 
 def test_slim_levels_thin_chain():

@@ -439,9 +439,9 @@ def test_rings_replay_and_gaps_match_reference_bitwise(case):
     assert float.hex(state.clock) == float.hex(ref_state.clock)
     assert forests_match(forest, state.forest)
 
-    for h in (None, horizon):
+    for h, ref_h in ((math.inf, None), (horizon, horizon)):
         sites, gaps = pooled_gaps(rings, horizon=h)
-        ref_sites, ref_gaps = reference_pooled_gaps(ref, win, horizon=h)
+        ref_sites, ref_gaps = reference_pooled_gaps(ref, win, horizon=ref_h)
         assert sites.dtype == ref_sites.dtype and gaps.dtype == ref_gaps.dtype
         assert sites.tobytes() == ref_sites.tobytes()
         assert gaps.tobytes() == ref_gaps.tobytes()

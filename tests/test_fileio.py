@@ -1,8 +1,9 @@
 """The bulk text kernel: ``float_cells`` against Python's own ``'%.17g'``
 over every class of double, ``int_cells`` against ``str`` and
 ``cell_text``'s row assembly; the kernel's tables stay unbuilt when the CLI
-is imported; ``atomic_write_text`` writes the bytes it is given; and each
-bulk writer's allocations peak near the length of its result."""
+is imported; ``atomic_write_text`` writes the bytes it is given; each bulk
+writer's allocations peak near the length of its result; and text blocks of
+any size give the same bytes and the same loaded snapshot."""
 
 import subprocess
 import sys
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sidlalab
-from sidlalab import fileio
-from sidlalab.coupling import gaps_csv_text
+from oracles import reference_snapshot_text
+from sidlalab import fileio, fpp
+from sidlalab.coupling import gaps_csv_text, verify_coupling
 from sidlalab.fileio import cell_text, float_cells, int_cells
-from sidlalab.fpp import WeightField, WeightProfile, build_forest, snapshot_text
+from sidlalab.fpp import WeightField, WeightProfile, build_forest, load_snapshot, snapshot_text
 from sidlalab.lattice import Window
 from sidlalab.render import render_svg
 from sidlalab.sidla import events_csv_text, run_until_covered
@@ -207,3 +209,30 @@ def test_bulk_writer_peak_stays_near_its_result(bulk_calls, name):
         tracemalloc.stop()
     assert text.isascii()
     assert peak <= 1.25 * len(text) + 2 * 2**20, (name, peak, len(text))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_snapshot_and_gaps_text_are_the_same_for_every_text_block(block, monkeypatch, tmp_path):
+    """Text blocks of 1, 2 or 7 rows split the writers' and the loader's
+    rows anywhere: a 6x4 snapshot (30 vertex rows) is the reference
+    writer's bytes and reloads bit for bit, from the rebuild for stretch
+    and parsed block by block for the jumps picture, and the gaps CSV is
+    its default-block bytes."""
+    win = Window(6, 4)
+    forests = (build_forest(WeightField(1, WeightProfile.STRETCH, win)),
+               run_until_covered(win, 1, method="jumps").forest)
+    report = verify_coupling(1, win)
+    assert len(report.gap_sample) > 7
+    gaps = gaps_csv_text(report.gap_sites, report.gap_sample)
+    monkeypatch.setattr(fileio, "TEXT_BLOCK", block)
+    monkeypatch.setattr(fpp, "TEXT_BLOCK", block)
+    assert gaps_csv_text(report.gap_sites, report.gap_sample) == gaps
+    for forest in forests:
+        text = snapshot_text(forest)
+        assert text == reference_snapshot_text(forest).encode()
+        path = tmp_path / f"{forest.label}.json"
+        path.write_bytes(text)
+        loaded = load_snapshot(str(path))
+        for a, b in ((loaded.values, forest.values), (loaded.parent_dir, forest.parent_dir),
+                     (loaded.root_x, forest.root_x)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -30,6 +30,7 @@ from sidlalab.fpp import (
     WeightProfile,
     build_forest,
     load_snapshot,
+    slice_sizes,
     snapshot_text,
 )
 from sidlalab.lattice import Window
@@ -169,7 +170,7 @@ def test_forest_path_matches_oracles(tmp_path_factory, fo, data):
         got, want = flank_left_distances(fo, n), reference_flank_left_distances(fo, n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     d = data.draw(st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0, 100.0]))
-    assert slim_fractions(fo, d).tolist() == reference_slim_fractions(fo, d)
+    assert slim_fractions(fo, d, slice_sizes(fo)).tolist() == reference_slim_fractions(fo, d)
 
 
 @pytest.mark.parametrize("seed,W,M", [(3, 6, 4), (8, 9, 9), (1, 12, 5)])
@@ -184,7 +185,8 @@ def test_particle_state_path_matches_oracles(seed, W, M, tmp_path):
     for n in range(1, M + 1):
         assert flank_left_distances(state, n).tobytes() \
             == reference_flank_left_distances(state, n).tobytes()
-    assert slim_fractions(state, 4.0).tolist() == reference_slim_fractions(state, 4.0)
+    assert slim_fractions(state, 4.0, slice_sizes(state)).tolist() \
+        == reference_slim_fractions(state, 4.0)
 
 
 def test_render_matches_oracle_on_a_partly_claimed_forest():
@@ -238,7 +240,7 @@ def test_slim_fractions_cross_checks_the_tallest_tree(monkeypatch, tmp_path, cap
 
     monkeypatch.setattr(analysis, "extract_tree", lift_one_level_short)
     with pytest.raises(RuntimeError, match=f"tree of root {tallest}"):
-        slim_fractions(fo, 4.0)
+        slim_fractions(fo, 4.0, slice_sizes(fo))
     assert calls == [tallest]
     monkeypatch.chdir(tmp_path)
     assert main("stats --seed 5 -W 12 -M 8 --replicas 2 --out st.csv".split()) == 3

@@ -254,11 +254,14 @@ def test_events_csv_refuses_a_state_without_claim_records():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=10).flatmap(
            lambda W: st.tuples(st.just(W), st.integers(min_value=1, max_value=min(W, 5)))),
-       st.integers(min_value=0, max_value=2**64 - 1))
-def test_claim_events_index_the_run(window, seed):
+       st.integers(min_value=0, max_value=2**64 - 1), st.data())
+def test_claim_events_index_the_run(window, seed, data):
     """A jumps event claims one vertex each, so the claim indices of the
     window are a permutation of 0..W*M-1; a rings run's are distinct ring
-    indices below n_rings.  The boundary holds -1."""
+    indices below n_rings.  The boundary holds -1.  A jumps run stopped at a
+    drawn level, watching every tree or a drawn root's, claims one vertex
+    per event too: its claimed vertices hold exactly 0..n_rings-1, so no
+    event found its head already claimed."""
     win = Window(*window)
     for method in ("jumps", "rings"):
         state = run_until_covered(win, seed, method=method)
@@ -271,6 +274,11 @@ def test_claim_events_index_the_run(window, seed):
         else:
             assert inner[0] >= 0 and inner[-1] < state.n_rings
             assert (np.diff(inner) > 0).all()
+    up_to = data.draw(st.integers(min_value=1, max_value=win.M))
+    root = data.draw(st.none() | st.integers(min_value=0, max_value=win.W - 1).map(lambda j: 2 * j))
+    state = run_until_covered(win, seed, method="jumps", up_to=up_to, root=root)
+    claim = state.claim_event[1:]
+    assert np.array_equal(np.sort(claim[claim >= 0]), np.arange(state.n_rings))
 
 
 @st.composite
