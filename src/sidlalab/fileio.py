@@ -5,9 +5,10 @@ Bulk writers format whole arrays of numbers as cells: (n, k) uint8 arrays
 whose non-NUL bytes, read in order, are one number's text per row.
 ``float_cells`` gives ``'%.17g' % v`` of every element of a float64 array,
 exactly; ``int_cells`` the decimal digits of non-negative integers;
-``cell_text`` assembles rows from cells and literal columns, dropping the
-NUL padding once per call; and ``block_text`` copies a text's blocks of
-rows into one buffer, which ``atomic_write_text`` writes as it is.
+``cell_text`` assembles rows in one frame per call, a template row of the
+literal columns repeated and the cells copied in, and drops the NUL padding
+from that frame; and ``block_text`` copies a text's blocks of rows into one
+buffer, which ``atomic_write_text`` writes as it is.
 """
 
 from __future__ import annotations
@@ -370,14 +371,22 @@ def block_text(head: bytes, n: int, rows, row_min: int, tail: bytes = b"") -> by
 
 def cell_text(columns: list) -> bytearray:
     """Rows assembled from columns in order, literal bytes repeated on every
-    row and (n, k) uint8 cells, with every NUL byte dropped."""
+    row and (n, k) uint8 cells, with every NUL byte dropped.
+
+    One frame of n rows holds them: a template row, the literals with NULs
+    where the cells go, repeated n times, then each cell column copied in
+    as one k-byte field per row.  The NULs are dropped from that frame, so
+    no other padded copy is made."""
     n = next(len(c) for c in columns if not isinstance(c, bytes))
-    columns = [np.frombuffer(c, np.uint8) if isinstance(c, bytes) else c for c in columns]
-    out = np.empty((n, sum(c.shape[-1] for c in columns)), dtype=np.uint8)
+    template = b"".join(c if isinstance(c, bytes) else bytes(c.shape[1]) for c in columns)
+    frame = bytearray(template) * n
+    rows = np.frombuffer(frame, np.uint8).reshape(n, len(template))
     at = 0
     for c in columns:
-        out[:, at:at + c.shape[-1]] = c
-        at += c.shape[-1]
-    text = bytearray(out)
-    del out  # so the padded rows are not held while the NULs are dropped
-    return text.translate(None, b"\0")
+        if isinstance(c, bytes):
+            at += len(c)
+        else:
+            field = f"V{c.shape[1]}"
+            rows[:, at:at + c.shape[1]].view(field)[...] = c.view(field)
+            at += c.shape[1]
+    return frame.translate(None, b"\0")

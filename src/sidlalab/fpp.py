@@ -368,8 +368,11 @@ def load_snapshot(path: str) -> Forest:
     """Reload a snapshot written by snapshot_text, and only its bytes.
 
     The header is parsed as JSON (W, M and seed must be integers, the seed
-    in 0..2**64-1, and the profile a label), and the vertex lines are
-    counted against the window before anything of its size is allocated.
+    in 0..2**64-1, and the profile a label).  A vertex line takes at least
+    11 bytes, so a file too short for (M + 1) * W of them is refused by its
+    line count before any array of the window's size (17 bytes a vertex,
+    about 1.6 times the file) is allocated.  Any later refusal counts the
+    lines first and names a miscount instead.
     A weight profile's forest is rebuilt from the header, and the writer's
     rows for it are compared with the file one block of lines at a time:
     equal bytes hold exactly the rebuilt arrays, as the writer is injective
@@ -413,10 +416,14 @@ def load_snapshot(path: str) -> Forest:
     win = Window(W, M)
     at = _expect(path, data, 0, _snapshot_header(W, M, label, seed))
     n = (M + 1) * W
-    listed = data.count(b"\n" + _ROW_X, at - 1)
-    if listed != n:
-        raise ConfigError(f"snapshot {path} lists {listed} vertices; its {W}x{M} window "
-                          f"holds {n}")
+
+    def refuse_a_miscount() -> None:  # the header, checked above, lists none
+        listed = data.count(b"\n" + _ROW_X)
+        if listed != n:
+            raise ConfigError(f"snapshot {path} lists {listed} vertices; its {W}x{M} window "
+                              f"holds {n}")
+    if n * len(b"\n" + _ROW_X) > len(data) - at + 1:  # too short for n listed lines
+        refuse_a_miscount()
     forest = None
     if label != "sidla":  # every other label is a weight profile
         try:
@@ -427,21 +434,25 @@ def load_snapshot(path: str) -> Forest:
     if not rebuilt:
         forest = Forest.unclaimed(win, label, seed)
     array = np.frombuffer(data, np.uint8)
-    for lo in range(0, n, TEXT_BLOCK):
-        hi = min(lo + TEXT_BLOCK, n)
-        if rebuilt:
-            rows = _vertex_rows(forest, lo, hi)
-            # not _expect: a file that differs from the rebuild is parsed
-            if rows == memoryview(data)[at:at + len(rows)]:
-                at += len(rows)
-                continue
-            rebuilt = False
-        _read_rows(forest, array, at, lo, hi)
-        try:
-            rows = _vertex_rows(forest, lo, hi)
-        except ConfigError as exc:  # the writer's guard: a non-finite value
-            raise ConfigError(f"snapshot {path}: {exc}") from None
-        at = _expect(path, data, at, rows)
-        _check_parsed(path, forest, lo, hi)
-    _expect(path, data, at, _TRAILER, to_end=True)
+    try:
+        for lo in range(0, n, TEXT_BLOCK):
+            hi = min(lo + TEXT_BLOCK, n)
+            if rebuilt:
+                rows = _vertex_rows(forest, lo, hi)
+                # not _expect: a file that differs from the rebuild is parsed
+                if rows == memoryview(data)[at:at + len(rows)]:
+                    at += len(rows)
+                    continue
+                rebuilt = False
+            _read_rows(forest, array, at, lo, hi)
+            try:
+                rows = _vertex_rows(forest, lo, hi)
+            except ConfigError as exc:  # the writer's guard: a non-finite value
+                raise ConfigError(f"snapshot {path}: {exc}") from None
+            at = _expect(path, data, at, rows)
+            _check_parsed(path, forest, lo, hi)
+        _expect(path, data, at, _TRAILER, to_end=True)
+    except ConfigError:  # a miscount is named first, as if counted up front
+        refuse_a_miscount()
+        raise
     return forest

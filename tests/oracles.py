@@ -34,7 +34,8 @@ arrivals in a scalar loop, the reference for ``AuxClockField.offsets``.
 
 ``reference_gaps_csv_text`` and ``reference_events_csv_text`` format
 every row by one ``%``-template (``%.17g`` for the floats), the bitwise
-reference for the cell-built CSV writers.
+reference for the cell-built CSV writers; ``reference_cell_text`` joins
+rows one cell at a time, the reference for ``fileio.cell_text``.
 
 The last group are the per-vertex forest writers, loader and reductions
 (``reference_snapshot_text``, ``reference_load_snapshot``,
@@ -865,6 +866,15 @@ def reference_events_csv_text(events: list) -> str:
     rows = "".join(['%s,%.17g,%s,"%s"\n' if e else "%s,%.17g,%s,%s\n"
                     for _, _, _, e in events])
     return "site_x,time,outcome,edge\n" + rows % tuple(chain.from_iterable(events))
+
+
+def reference_cell_text(columns: list) -> bytes:
+    """Rows of literal bytes and cell rows, joined one row and one column
+    at a time, with every NUL byte dropped."""
+    n = next(len(c) for c in columns if not isinstance(c, bytes))
+    rows = [b"".join(c if isinstance(c, bytes) else bytes(c[i].tolist()) for c in columns)
+            for i in range(n)]
+    return b"".join(rows).replace(b"\0", b"")
 
 
 # ---------------------------------------------------------------------------

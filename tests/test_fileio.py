@@ -1,7 +1,8 @@
 """The bulk text kernel: ``float_cells`` against Python's own ``'%.17g'``
 over every class of double, ``int_cells`` against ``str`` and
-``cell_text``'s row assembly; the kernel's tables stay unbuilt when the CLI
-is imported; ``atomic_write_text`` writes the bytes it is given; each bulk
+``cell_text``'s row assembly against a plain-Python one, with its peak of
+one padded frame; the kernel's tables stay unbuilt when the CLI is
+imported; ``atomic_write_text`` writes the bytes it is given; each bulk
 writer's allocations peak near the length of its result; and text blocks of
 any size give the same bytes and the same loaded snapshot."""
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sidlalab
-from oracles import reference_snapshot_text
+from oracles import reference_cell_text, reference_snapshot_text
 from sidlalab import fileio, fpp
 from sidlalab.coupling import gaps_csv_text, verify_coupling
 from sidlalab.fileio import cell_text, float_cells, int_cells
@@ -143,6 +144,54 @@ def test_float_cells_at_the_ends_of_the_significand(n):
 def test_cell_text_joins_literals_and_cells_and_drops_nul():
     rows = cell_text([b"<", int_cells([7, 10, 0]), b",", float_cells([0.5, -2.0, 1e300]), b">\n"])
     assert rows == b"<7,0.5>\n<10,-2>\n<0,1.0000000000000001e+300>\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cell_text_matches_the_reference_assembler(data):
+    """Literal columns (NULs in them dropped too) and cell columns 1 to 40
+    bytes wide, whose rows hold any bytes after a NUL lead and before a NUL
+    tail, all-NUL rows included, on 0, 1 or many rows."""
+    n = data.draw(st.sampled_from([0, 1]) | st.integers(2, 50), label="n")
+    columns = []
+    for literal in data.draw(st.lists(st.booleans(), min_size=1, max_size=6), label="kinds"):
+        if literal:
+            columns.append(data.draw(st.binary(max_size=8)))
+            continue
+        width = data.draw(st.integers(1, 40))
+        cells = np.zeros((n, width), dtype=np.uint8)
+        for row in cells:
+            lead = data.draw(st.integers(0, width))
+            body = data.draw(st.binary(max_size=width - lead))
+            row[lead:lead + len(body)] = list(body)
+        columns.append(cells)
+    if all(isinstance(c, bytes) for c in columns):
+        columns.append(np.zeros((n, data.draw(st.integers(1, 40))), dtype=np.uint8))
+    assert cell_text(columns) == reference_cell_text(columns)
+
+
+def test_cell_text_holds_one_frame(monkeypatch):
+    """One call on a 16,384-row snapshot block, whose cells are built
+    before the trace starts, peaks at no more than its padded frame, its
+    output and its cells.  ``bytearray.translate`` allocates its result at
+    the frame's size, so the call holds about two frames (3.4 MB here); a
+    second padded copy alive with them would add a third (1.7 MB)."""
+    forest = build_forest(WeightField(1, WeightProfile.STRETCH, Window(256, 128)))
+    calls = []
+    monkeypatch.setattr(fpp, "cell_text", lambda columns: calls.append(columns) or b"")
+    fpp._vertex_rows(forest, 0, fileio.TEXT_BLOCK)
+    [columns] = calls
+    tracemalloc.start()
+    try:
+        text = cell_text(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = sum(c.nbytes for c in columns if not isinstance(c, bytes))
+    frame = fileio.TEXT_BLOCK * sum(len(c) if isinstance(c, bytes) else c.shape[1]
+                                    for c in columns)
+    assert text == reference_cell_text(columns)
+    assert peak <= frame + len(text) + cells, (peak, frame, len(text), cells)
 
 
 def test_importing_the_cli_builds_no_kernel_table():

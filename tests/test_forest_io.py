@@ -335,6 +335,31 @@ def test_loader_refuses_a_window_its_vertices_cannot_cover(tmp_path):
             "lists 1 vertices; its 100000000000x1 window holds 200000000000")
 
 
+# a bad line, value or parent before the end, and the message it has alone
+EARLIER_FAULTS = {
+    "line": ((3, 1, "parentDir", '"U"'), r'line 11 reads .*"parentDir": "U"'),
+    "non-finite": ((3, 1, "dist", "Infinity"), r"dist is not finite at level 1 \(stretch, 4x3\)"),
+    "parent": ((2, 2, "parentDir", "null"), r"inconsistent snapshot .*: vertex \(2, 2\) has "
+                                             "parent direction code -1"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 4, fpp.TEXT_BLOCK])
+@pytest.mark.parametrize("fault", sorted(EARLIER_FAULTS))
+@pytest.mark.parametrize("listed", [15, 17])
+def test_loader_names_a_miscount_before_an_earlier_bad_block(tmp_path, monkeypatch, block,
+                                                             fault, listed):
+    """The lines are counted once a refusal is due, and a count other than
+    the window's is the message, as if the lines were counted first."""
+    monkeypatch.setattr(fpp, "TEXT_BLOCK", block)
+    edited, alone = EARLIER_FAULTS[fault]
+    text = edit(small_text(), *edited)
+    rejects(tmp_path, text, alone)
+    head, rows, tail = vertex_lines(text)
+    rows = rows[:-1] if listed == 15 else rows + rows[-1:]
+    rejects(tmp_path, join(head, rows, tail), f"lists {listed} vertices; its 4x3 window holds 16")
+
+
 def test_loader_refuses_header_numbers_that_are_not_integers(tmp_path):
     fo = build_forest(WeightField(1, WeightProfile.STRETCH, Window(3, 1)))
     for key, bad in (("W", 3.7), ("M", True), ("seed", 1.9), ("seed", True), ("W", "3")):
