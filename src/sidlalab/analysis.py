@@ -91,7 +91,7 @@ def level_profile(forest: Forest, root: int, m: int) -> int:
 
 def shell_weight(tree: MonotoneTree) -> tuple[int, int]:
     """The outer-shell weight sum as the integer ratio (n, 2**K), K =
-    height + 1.
+    height + 1; the shell identity holds exactly when n == 2**K.
 
     A vertex at level y with c children leaves 2 - c out-edges outside the
     tree, each an outer-shell edge of level y + 1 and weight 2**-(y + 1); so
@@ -101,13 +101,6 @@ def shell_weight(tree: MonotoneTree) -> tuple[int, int]:
     children = Counter((x, y) for y, x, _ in tree.edges)
     verts = {(tree.root, 0)} | {(x + 2 * d - 1, y + 1) for y, x, d in tree.edges}
     return sum((2 - children[v]) << (k - v[1] - 1) for v in verts), 1 << k
-
-
-def shell_identity_check(tree: MonotoneTree) -> bool:
-    """Exact test of the shell identity: the level-i outer-shell edges,
-    weighted 2**-i, sum to exactly 1."""
-    num, den = shell_weight(tree)
-    return num == den
 
 
 def enumerate_monotone_trees(max_edges: int) -> Iterator[MonotoneTree]:

@@ -230,9 +230,9 @@ def cmd_shells(args: argparse.Namespace) -> int:
     k = args.max_edges
     count = 0
     for tree in analysis.enumerate_monotone_trees(k):
-        if not analysis.shell_identity_check(tree):
+        num, den = analysis.shell_weight(tree)
+        if num != den:
             # the sum as a reduced fraction, n or n/d
-            num, den = analysis.shell_weight(tree)
             g = math.gcd(num, den)
             total = f"{num // g}" if g == den else f"{num // g}/{den // g}"
             edges = ";".join(sorted(f"{x},{y},{'LR'[d]}" for y, x, d in tree.edges))

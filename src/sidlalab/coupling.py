@@ -40,9 +40,10 @@ from enum import IntEnum
 
 import numpy as np
 
+from .analysis import root_heights
 from .errors import ConfigError, CouplingFault
 from .fileio import block_text, cell_text, float_cells, int_cells
-from .fpp import Forest, WeightField, WeightProfile, build_forest, slice_sizes, tree_heights
+from .fpp import Forest, WeightField, WeightProfile, build_forest
 from .hashing import AUX_STREAM, exp_from_uniform, hash_u64_vec, hash_uniform_vec
 from .lattice import Dir, Window, incoming_tail_index
 from .sidla import SidlaState, new_state
@@ -50,8 +51,8 @@ from .sidla import SidlaState, new_state
 REPEAT_MODES = ("full", "base")
 AUX_BLOCK = 32  # arrivals per live edge and vector hash in AuxClockField.offsets
 
-# Soft budget on generated rings used by auto_repeats_mode; full repeat
-# streams produce about W * horizon rings.
+# Soft budget on generated rings: verify_coupling's repeats="auto" picks full
+# repeat streams, about W * horizon rings, when they fit it, else base ones.
 AUTO_REPEAT_RING_BUDGET = 5_000_000
 
 
@@ -125,11 +126,6 @@ class Rings:
         """The rings at the given positions, in that order."""
         return Rings(self.window, self.time[order], self.site[order],
                      self.head[order], self.dir[order], self.kind[order])
-
-
-def auto_repeats_mode(window: Window, horizon: float) -> str:
-    """Choose full repeat streams when their volume fits the ring budget."""
-    return "full" if window.W * horizon <= AUTO_REPEAT_RING_BUDGET else "base"
 
 
 def generate_rings(
@@ -232,8 +228,8 @@ def replay(rings: Rings) -> SidlaState:
     np.minimum.at(claim, rings.head[interior], pos[interior])
     claimed = np.flatnonzero(claim[W:] < n) + W
     by = claim[claimed]
-    owner = np.full((M + 1) * W, -1, dtype=np.int64)
-    owner[:W] = 2 * np.arange(W, dtype=np.int64)
+    state = new_state(window)
+    owner = state.forest.root_x.ravel()  # a view; row 0 holds the boundary labels
     owner[claimed] = rings.site[by]
 
     tails = rings.tail
@@ -253,8 +249,6 @@ def replay(rings: Rings) -> SidlaState:
             f"head={((y & 1) + 2 * j, y)}: {why}"
         )
 
-    state = new_state(window)
-    state.forest.root_x.flat[claimed] = owner[claimed]
     state.forest.parent_dir.flat[claimed] = rings.dir[by]
     state.forest.values.flat[claimed] = rings.time[by]
     state.n_rings = n
@@ -318,16 +312,15 @@ def verify_coupling(
     forest = build_forest(field)
     horizon = float(forest.values.max()) * horizon_factor
     if repeats == "auto":
-        repeats = auto_repeats_mode(window, horizon)
+        repeats = "full" if window.W * horizon <= AUTO_REPEAT_RING_BUDGET else "base"
     rings = generate_rings(forest, field, horizon, repeats=repeats)
     state = replay(rings)
     sites, gaps = pooled_gaps(rings, horizon=horizon)
-    heights = tree_heights(slice_sizes(forest))
     return CouplingReport(
         seed=seed,
         repeats=repeats,
         forest_equal=forests_match(forest, state.forest),
-        censored_count=int(np.count_nonzero(heights == window.M)),
+        censored_count=int(np.count_nonzero(root_heights(forest)[1])),
         n_rings=len(rings),
         gap_sites=sites,
         gap_sample=gaps,

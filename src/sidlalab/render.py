@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import cell_text
+from .fileio import cell_text, int_cells
 from .fpp import Forest
-from .hashing import hash_u64
+from .hashing import hash_u64_vec
 
 _PALETTE_SEED = 0x5E4A7
 _HIGHLIGHT_COLOR = "#d81b2a"
@@ -28,13 +28,6 @@ _READBACK_TOL = 0.01
 
 def _fmt(v: float) -> str:
     return format(v, ".6g")
-
-
-def root_color(x: int) -> str:
-    """Deterministic hash palette; hue spread over the wheel, red-ish band
-    avoided so the highlight stays unique."""
-    hue = 25 + (hash_u64(_PALETTE_SEED, x) % 300)
-    return f"hsl({hue},62%,42%)"
 
 
 @dataclass(frozen=True)
@@ -85,10 +78,11 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
     Root labels must be boundary roots (fpp.load_snapshot derives them); vertices
     labeled -1 are not drawn.  Each segment is a line of pieces from small
     tables: x by tail and by head x (``_coordinate_texts``), two texts per
-    level, and the stroke by root column.  Each level's plain segments are
-    copied as one ``cell_text`` into one buffer presized at a lower bound
-    of the document, as ``fileio.block_text`` does; the highlighted ones
-    follow them, then the circles.
+    level, and the stroke's hue by root column, all from one vector hash.
+    Each level's plain segments are copied as one ``cell_text`` into one
+    buffer presized at a lower bound of the document, as
+    ``fileio.block_text`` does; the highlighted ones follow them, then the
+    circles.
     """
     win = forest.window
     W, M = win.W, win.M
@@ -110,22 +104,22 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
         f'  <rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
     ).encode()
 
-    colors = [root_color(2 * k) for k in range(W)]
-    stroke = _fmt(0.16 * s)
-    strokes = [f'stroke="{c}" stroke-width="{stroke}" stroke-linecap="round"/>\n'.encode()
-               for c in colors + [_HIGHLIGHT_COLOR]]
-    x_cells, stroke_cells = _cells(text), _cells(strokes[:W])
-    r = _fmt(0.2 * s)
-    circles = "".join(
-        f'  <circle cx="{text[2 * j + 1]}" cy="{text[top + 1]}" r="{r}" '
-        f'fill="{_HIGHLIGHT_COLOR if 2 * j == highlight_x else colors[j]}"/>\n'
-        for j in range(W)).encode() + b"</svg>\n"
+    cols, x_cells = np.arange(W), _cells(text)
+    # hues 25..324 by root column (the red-ish band stays the highlight's), 3-byte cells
+    hue = int_cells(25 + hash_u64_vec(_PALETTE_SEED, [2 * cols]) % np.uint64(300))[:, 1:]
+    end = f'" stroke-width="{_fmt(0.16 * s)}" stroke-linecap="round"/>\n'.encode()
+    hsl, hsl_end = b'stroke="hsl(', b",62%,42%)" + end
+    red_stroke = f'stroke="{_HIGHLIGHT_COLOR}'.encode() + end
+    lit = 2 * cols == highlight_x  # the highlighted root's circle: red fill, no hue
+    circles = cell_text([b'  <circle cx="', x_cells[2 * cols + 1],
+                         f'" cy="{text[top + 1]}" r="{_fmt(0.2 * s)}" fill="'.encode(),
+                         _cells(["hsl(", _HIGHLIGHT_COLOR])[lit * 1], hue * ~lit[:, None],
+                         _cells([",62%,42%)", ""])[lit * 1], b'"/>\n']) + b"</svg>\n"
 
     labels, pdirs = forest.root_x, forest.parent_dir
-    cols = np.arange(W)
     line = b'  <line x1="'
-    # every drawn segment is at least as long as the shortest line there is
-    shortest = len(b'  <line x1="0" y1="0" x2="0" y2="0" ') + min(map(len, strokes))
+    # no drawn segment is shorter than a red one with 1-byte coordinates
+    shortest = len(b'  <line x1="0" y1="0" x2="0" y2="0" ') + len(red_stroke)
     svg = bytearray(len(head) + shortest * int(np.count_nonzero(labels[1:top + 1] >= 0)))
     svg[:len(head)] = head
     at, red = len(head), []
@@ -140,9 +134,9 @@ def render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> byte
         is_red = drawn & (row == highlight_x)
         plain = drawn & ~is_red
         level = cell_text([line, x_cells[tx[plain]], a, x_cells[hx[plain]], b,
-                           stroke_cells[row[plain] >> 1]])
+                           hsl, hue[row[plain] >> 1], hsl_end])
         svg[at:at + len(level)] = level
         at += len(level)
-        red.append(cell_text([line, x_cells[tx[is_red]], a, x_cells[hx[is_red]], b, strokes[W]]))
+        red.append(cell_text([line, x_cells[tx[is_red]], a, x_cells[hx[is_red]], b, red_stroke]))
     svg[at:] = b"".join(red) + circles
     return svg

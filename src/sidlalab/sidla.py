@@ -148,7 +148,7 @@ def _claims() -> tuple[array, array, array, array]:
 
 
 def _write_claims(state: SidlaState, claims: tuple, events, clock: float, n: int,
-                  method: str) -> SidlaState:
+                  method: str) -> None:
     """Write a run's claim records (``_claims``) and each claim's event into
     its state: each array takes one indexed assignment over the claimed
     vertices."""
@@ -157,10 +157,9 @@ def _write_claims(state: SidlaState, claims: tuple, events, clock: float, n: int
     forest.root_x.flat[order], forest.parent_dir.flat[order] = roots, dirs
     forest.values.flat[order], state.claim_event.flat[order] = times, events
     state.clock, state.n_rings, state.method = clock, n, method
-    return state
 
 
-def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
+def _run_rings(state: SidlaState, max_rings: int, up_to: int,
                root: int | None = None) -> SidlaState:
     """Ring the clock of a fresh ``new_state`` until no free edge leads from a
     watched tree into levels 1..up_to (run_until_covered), at most max_rings times.
@@ -182,7 +181,7 @@ def _run_rings(state: SidlaState, seed: int, max_rings: int, up_to: int,
     claims = order, roots, dirs, times = _claims()
     rings = array("q")  # each claim's ring
     clock, n, opened = 0.0, 0, 2 * W if root is None else 2
-    for gap, site, coins in _ring_draws(seed, max_rings, W, M):
+    for gap, site, coins in _ring_draws(forest.seed, max_rings, W, M):
         clock += gap
         c = site >> 1
         for row, d in enumerate(coins, 1):
@@ -234,7 +233,7 @@ def _jump_draws(seed: int, n_events: int):
         yield zip((-np.log1p(-u[:, 0])).tolist(), u[:, 1].tolist(), u[:, 2].tolist())
 
 
-def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
+def _run_jumps(state: SidlaState, rates: np.ndarray, up_to: int,
                root: int | None = None) -> SidlaState:
     """Sample extension events of a fresh ``new_state`` directly from the
     free-edge clocks, rates[h] at level h, until no free edge leads from a
@@ -271,7 +270,7 @@ def _run_jumps(state: SidlaState, seed: int, rates: np.ndarray, up_to: int,
     owner = forest.root_x.ravel().tolist()
     claims = order, roots, dirs, times = _claims()
     clock, opened = 0.0, 2 * W if root is None else 2
-    for draws in _jump_draws(seed, W * M):
+    for draws in _jump_draws(forest.seed, W * M):
         for e0, u1, u2 in draws:
             pref = list(accumulate(term[low:top + 1]))
             rate_sum = pref[-1]
@@ -368,9 +367,9 @@ def run_until_covered(window: Window, seed: int, method: str = "auto",
     if method == "auto":
         method = "rings" if window.M <= AUTO_LITERAL_MAX_CAP else "jumps"
     if method == "rings":
-        _run_rings(state, seed, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M, up_to, root)
+        _run_rings(state, DEFAULT_RING_BUDGET_FACTOR * window.W * window.M, up_to, root)
     else:
-        _run_jumps(state, seed, rates, up_to, root)
+        _run_jumps(state, rates, up_to, root)
     return state
 
 

@@ -14,10 +14,10 @@ def tiny_rates_from_level_2(monkeypatch):
     uniform that rounds up to rate_sum) twice."""
     jumps = sidla._run_jumps
 
-    def tiny(state, seed, rates, up_to, root=None):
+    def tiny(state, rates, up_to, root=None):
         rates = rates.copy()
         rates[2:] = 2.0 ** -1074
-        return jumps(state, seed, rates, up_to, root)
+        return jumps(state, rates, up_to, root)
 
     monkeypatch.setattr(sidla, "_run_jumps", tiny)
 

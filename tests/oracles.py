@@ -96,7 +96,7 @@ from sidlalab.hashing import (
     hash_u64,
     hash_uniform,
 )
-from sidlalab.render import _HIGHLIGHT_COLOR, RenderOptions, _fmt, root_color
+from sidlalab.render import _HIGHLIGHT_COLOR, _PALETTE_SEED, RenderOptions, _fmt
 from sidlalab.lattice import Dir, Window
 from sidlalab.sidla import SidlaState, SimulationLimitError, new_state
 
@@ -949,6 +949,14 @@ def reference_load_snapshot(path: str) -> Forest:
     if np.any(pdirs[1:] < 0):
         raise ValueError(f"snapshot {path} missing parent directions")
     return Forest(win, label, seed, values, pdirs, roots)
+
+
+def root_color(x: int) -> str:
+    """The scalar reference palette of ``render.render_svg``: the colour of
+    root x, a hue hashed over the wheel but the red-ish band, so the
+    highlight stays unique."""
+    hue = 25 + (hash_u64(_PALETTE_SEED, x) % 300)
+    return f"hsl({hue},62%,42%)"
 
 
 def reference_render_svg(forest: Forest, options: RenderOptions = RenderOptions()) -> str:

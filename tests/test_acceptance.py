@@ -33,7 +33,7 @@ from sidlalab.analysis import (
     ks_test_exp1,
     level_profile,
     root_heights,
-    shell_identity_check,
+    shell_weight,
 )
 from sidlalab.cli import main as cli_main
 from sidlalab.coupling import verify_coupling
@@ -54,7 +54,8 @@ def record(num: int, name: str, passed: bool, detail: str) -> str:
 def test_01_shell_identity_exact_to_eight_edges():
     count = 0
     for tree in enumerate_monotone_trees(8):
-        assert shell_identity_check(tree), tree
+        num, den = shell_weight(tree)
+        assert num == den, tree
         count += 1
     line = record(1, "shell-identity", True,
                   f"{count} trees with <= 8 edges, dyadic sum exactly 1")

@@ -349,13 +349,14 @@ def test_shells_guard(capsys):
 
 
 @pytest.mark.parametrize("k,line", [
-    (2, "LEMMA22 FAIL k=2 edges=[0,0,L;0,0,R] sum=1\n"),
-    (3, "LEMMA22 FAIL k=3 edges=[-1,1,L;0,0,L;0,0,R] sum=1\n"),
+    (2, "LEMMA22 FAIL k=2 edges=[0,0,L;0,0,R] sum=1/2\n"),
+    (3, "LEMMA22 FAIL k=3 edges=[-1,1,L;0,0,L;0,0,R] sum=1/2\n"),
 ])
 def test_shells_failure_line(k, line, monkeypatch, capsys):
     """The first tree with k edges that fails the check is printed with its
     edges as sorted "x,y,L|R" texts and its shell sum, and shells exits 2."""
-    monkeypatch.setattr(analysis, "shell_identity_check", lambda tree: len(tree.edges) < k)
+    monkeypatch.setattr(analysis, "shell_weight",
+                        lambda tree: (1, 2) if len(tree.edges) >= k else (1, 1))
     assert run("shells", "--max-edges", str(k)) == 2
     assert capsys.readouterr().out == line
 

@@ -30,7 +30,6 @@ from sidlalab.coupling import (
     AuxClockField,
     RingKind,
     Rings,
-    auto_repeats_mode,
     forests_match,
     gaps_csv_text,
     generate_rings,
@@ -140,8 +139,8 @@ def test_repeats_mode_validation():
 
 
 def test_auto_repeats_mode_switches_on_volume():
-    assert auto_repeats_mode(Window(8, 4), 100.0) == "full"
-    assert auto_repeats_mode(Window(1024, 64), 1e9) == "base"
+    assert verify_coupling(1, Window(8, 4), repeats="auto").repeats == "full"
+    assert verify_coupling(1, Window(1024, 64), repeats="auto").repeats == "base"
 
 
 def test_replay_reproduces_forest_bit_exactly():

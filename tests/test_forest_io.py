@@ -195,7 +195,7 @@ def test_render_matches_oracle_on_a_partly_claimed_forest():
     renderer, so only drawn segments may be tested for the highlight."""
     state = new_state(Window(16, 8), seed=3)
     with pytest.raises(SimulationLimitError):
-        _run_rings(state, 3, 300, 8)
+        _run_rings(state, 300, 8)
     fo = state.forest
     claimed = np.flatnonzero((fo.root_x >= 0).any(axis=1))
     top = int(claimed[-1])

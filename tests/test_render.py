@@ -2,10 +2,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from oracles import reference_render_svg, root_color
 from sidlalab.errors import ConfigError
 from sidlalab.fpp import WeightField, WeightProfile, build_forest
 from sidlalab.lattice import Window
-from sidlalab.render import RenderOptions, render_svg, root_color
+from sidlalab.render import RenderOptions, render_svg
 from sidlalab.sidla import run_until_covered
 
 
@@ -29,6 +30,23 @@ def test_root_color_avoids_highlight_red():
         assert c.startswith("hsl(")
         hue = int(c[4:].split(",")[0])
         assert 25 <= hue < 325
+
+
+@pytest.mark.parametrize("W", [1, 2, 7, 300, 1024])
+def test_palette_is_the_scalar_reference_for_every_root(W):
+    """render_svg takes every root's hue from one vector hash: its circle
+    fills are the reference root_color of each root but the highlighted one,
+    and the whole drawing is the oracle's, byte for byte, highlighting no
+    root, root 0, the last root, an odd x (no root) and a negative x taken
+    mod the period."""
+    fo = forest(seed=W, W=W, M=min(W, 2))
+    for hr in (None, 0, 2 * W - 2, 3, -2 * W - 2):
+        opts = RenderOptions(highlight_root=hr)
+        svg = render_svg(fo, opts)
+        assert svg == reference_render_svg(fo, opts).encode()
+        lit = None if hr is None else hr % (2 * W)
+        fills = [el.get("fill") for el in ET.fromstring(svg).iter() if el.tag.endswith("circle")]
+        assert fills == ["#d81b2a" if x == lit else root_color(x) for x in range(0, 2 * W, 2)]
 
 
 def test_svg_well_formed_and_complete():

@@ -529,11 +529,11 @@ def test_rings_match_reference_bitwise(window, seed, block_words):
         mp.setattr(sidla, "FIRST_DRAW_BLOCK", 1)  # blocks of 1, 2, 4, ... rings
         for budget in (10_000 * W * M, W * M):
             runs, log = [], []
-            for run in (lambda *args: sidla._run_rings(*args, M),
-                        lambda *args: reference_rings(*args, log)):
+            for run in (lambda state: sidla._run_rings(state, budget, M),
+                        lambda state: reference_rings(state, seed, budget, log)):
                 state = new_state(win, seed)
                 try:
-                    run(state, seed, budget)
+                    run(state)
                     runs.append((False, state))
                 except SimulationLimitError:
                     runs.append((True, state))
@@ -648,7 +648,7 @@ def test_jumps_rates_are_the_stretch_field_rates(M, monkeypatch):
     2**-h at level h >= 1 and 0.0 at level 0."""
     seen = []
 
-    def spy(state, seed, rates, up_to, root=None):
+    def spy(state, rates, up_to, root=None):
         seen.append(rates)
         raise _Stop
 
@@ -688,7 +688,7 @@ def test_the_jumps_driver_refuses_an_overflowed_clock_at_its_draw_block(k):
     state = new_state(win, seed=3)
     with pytest.raises(ConfigError, match=rf"^occupancy_time is not finite at level {k} "
                                           r"\(sidla, 32x16\); use a smaller height cap$"):
-        sidla._run_jumps(state, 3, rates, win.M)
+        sidla._run_jumps(state, rates, win.M)
     assert state.n_rings == sidla.FIRST_DRAW_BLOCK < win.W * win.M
     assert np.count_nonzero(state.forest.root_x[1:] >= 0) == state.n_rings
     assert math.isinf(state.clock)
